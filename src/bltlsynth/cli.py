@@ -20,8 +20,8 @@ from .bltl import (Atom, FragmentError, Not, ParseError, Until,
                    horizon_stages, parse_formula, sequential_witness, to_sequential)
 from .config import RunConfig, load_config
 from .env import Environment, environment_from_dict
-from .mdp import history_key_string, parse_history_key
-from .synthesis import (Policy, SynthesisResult, _TrueSystemTask, synthesize,
+from .mdp import STREAM_VALIDATE, episode_rng, history_key_string, parse_history_key
+from .synthesis import (Policy, SynthesisResult, simulate_true_system, synthesize,
                         theorem_bound_holds, validate_true_system)
 from .tracegen import read_trace_csv, read_trajectory_csv, write_trajectory_csv
 
@@ -191,10 +191,11 @@ def cmd_validate(args) -> int:
     if args.export_trajectories > 0:
         spec = to_sequential(cfg.formula, cfg.env.unsafe)
         horizon = horizon_stages(cfg.formula, cfg.params.dt)
-        task = _TrueSystemTask(cfg.env, spec, cfg.params, cfg.nm, policy, horizon,
-                               cfg.algorithm.detection_divisor, cfg.seed)
         for i in range(args.export_trajectories):
-            traj, _, sat = task.episode(i)
+            traj, _, sat = simulate_true_system(
+                policy, cfg.env, spec, cfg.params, cfg.nm, horizon,
+                episode_rng(cfg.seed, STREAM_VALIDATE, 0, i),
+                cfg.algorithm.detection_divisor)
             suffix = "sat" if sat else "viol"
             with open(out_dir / f"traj_{i:04d}_{suffix}.csv", "w", newline="") as fp:
                 write_trajectory_csv(fp, traj)

@@ -15,8 +15,9 @@ the real success probability is not below the estimate from the chain.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 from scipy.special import betainc
@@ -25,8 +26,8 @@ from .bltl import Formula, SequentialSpec, check_sequential, horizon_stages, to_
 from .dynamics import (NoiseModel, VehicleParams, sample_noise_in_interval,
                        sample_noise_interval)
 from .env import Environment
-from .mdp import (DUMMY_ACTION, EMPTY_HISTORY, HistoryKey, PathSampler,
-                  STREAM_BIE, STREAM_POLICY_EVAL, STREAM_VALIDATE, episode_rng)
+from .mdp import (EMPTY_HISTORY, HistoryKey, PathSampler, STREAM_BIE,
+                  STREAM_POLICY_EVAL, STREAM_VALIDATE, episode_rng)
 from .tracegen import (DEFAULT_DETECTION_DIVISOR, Trajectory, make_stage,
                        trace_from_trajectory)
 
@@ -158,35 +159,56 @@ class _TrueSystemTask:
     detection_divisor: int
     master_seed: int
 
-    def episode(self, index: int) -> tuple[Trajectory, HistoryKey, bool]:
+    def run(self, index: int) -> bool:
         rng = episode_rng(self.master_seed, STREAM_VALIDATE, 0, index)
         return simulate_true_system(self.policy, self.env, self.spec, self.params,
                                     self.nm, self.horizon, rng,
-                                    self.detection_divisor)
-
-    def run(self, index: int) -> bool:
-        return self.episode(index)[2]
+                                    self.detection_divisor)[2]
 
 
-def _run_chunk(args):
-    task, indices = args
-    return [task.run(i) for i in indices]
+# The task a pool worker runs, set once per worker by the pool's initializer.
+_WORKER_TASK = None
 
 
-def _map_episodes(task, indices: Sequence[int], workers: int) -> list:
-    """Run task.run over episode indices, optionally across processes.
+def _install_task(task) -> None:
+    global _WORKER_TASK
+    _WORKER_TASK = task
 
-    Results come back in index order, so the outcome is independent of the
-    worker count.
+
+def _run_chunk(indices):
+    return [_WORKER_TASK.run(i) for i in indices]
+
+
+@contextmanager
+def _episode_pool(task, workers: int) -> Iterator[Optional[ProcessPoolExecutor]]:
+    """A process pool whose workers hold the task, or None when serial.
+
+    The task reaches each worker once, through the pool's initializer: a
+    forked worker inherits it, a spawned one unpickles it.  Afterwards only
+    episode indices are sent.  Workers start on the first submitted chunk.
     """
-    if workers <= 1 or len(indices) < 2:
+    if workers <= 1:
+        yield None
+        return
+    with ProcessPoolExecutor(max_workers=workers, initializer=_install_task,
+                             initargs=(task,)) as pool:
+        yield pool
+
+
+def _map_episodes(task, indices: Sequence[int], workers: int,
+                  pool: Optional[ProcessPoolExecutor]) -> list:
+    """Run task.run over episode indices, across the pool's workers if any.
+
+    The pool must come from ``_episode_pool(task, workers)``.  Results come
+    back in index order, so the outcome is independent of the worker count.
+    """
+    if pool is None or len(indices) < 2:
         return [task.run(i) for i in indices]
-    workers = min(workers, len(indices))
-    chunks = [list(c) for c in np.array_split(np.asarray(indices), workers)]
+    chunks = [list(c) for c in np.array_split(np.asarray(indices),
+                                               min(workers, len(indices)))]
     out: list = []
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        for part in ex.map(_run_chunk, [(task, c) for c in chunks]):
-            out.extend(part)
+    for part in pool.map(_run_chunk, chunks):
+        out.extend(part)
     return out
 
 
@@ -208,7 +230,8 @@ def evaluate_policy(policy: Policy, n_episodes: int, qtable: QTable,
     if not 0.0 < history_weight < 1.0:
         raise ValueError("history weight must lie in (0, 1)")
     task = _EvalTask(sampler, policy, master_seed, round_index)
-    results = _map_episodes(task, range(n_episodes), workers)
+    with _episode_pool(task, workers) as pool:
+        results = _map_episodes(task, range(n_episodes), workers, pool)
     counts: dict[tuple[HistoryKey, int], list[int]] = {}
     n_sat = 0
     for history, satisfied in results:
@@ -397,12 +420,12 @@ def synthesize(env: Environment, formula: Formula, params: VehicleParams,
         det = determinize(policy)
 
         task = _ChainVerdictTask(sampler, det, master_seed, round_index)
+        with _episode_pool(task, workers) as pool:
+            def draw(start: int, count: int) -> list[bool]:
+                return _map_episodes(task, range(start, start + count), workers, pool)
 
-        def draw(start: int, count: int) -> list[bool]:
-            return _map_episodes(task, range(start, start + count), workers)
-
-        estimate = bie_estimate(draw, delta, confidence, prior_alpha, prior_beta,
-                                batch_size=batch_size)
+            estimate = bie_estimate(draw, delta, confidence, prior_alpha, prior_beta,
+                                    batch_size=batch_size)
         change = (None if prev_estimate is None
                   else abs(estimate.p_hat - prev_estimate))
         rounds.append(RoundRecord(
@@ -471,12 +494,12 @@ def validate_true_system(policy: Policy, env: Environment, formula: Formula,
     horizon = horizon_stages(formula, params.dt)
     task = _TrueSystemTask(env, spec, params, nm, policy, horizon,
                            detection_divisor, master_seed)
+    with _episode_pool(task, workers) as pool:
+        def draw(start: int, count: int) -> list[bool]:
+            return _map_episodes(task, range(start, start + count), workers, pool)
 
-    def draw(start: int, count: int) -> list[bool]:
-        return _map_episodes(task, range(start, start + count), workers)
-
-    return bie_estimate(draw, delta, confidence, prior_alpha, prior_beta,
-                        batch_size=batch_size)
+        return bie_estimate(draw, delta, confidence, prior_alpha, prior_beta,
+                            batch_size=batch_size)
 
 
 def theorem_bound_holds(p_chain: float, p_system: float, delta: float) -> bool:

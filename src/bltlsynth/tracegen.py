@@ -16,7 +16,6 @@ one detection step can be missed; the divisor is configurable.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -489,8 +488,3 @@ def read_trace_csv(fp) -> list[TraceStep]:
         raise ValueError("trace CSV has no states")
     return out
 
-
-def trace_to_string(trace: list[TraceStep]) -> str:
-    buf = io.StringIO()
-    write_trace_csv(buf, trace)
-    return buf.getvalue()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bltlsynth.bltl import parse_formula, to_sequential
+from bltlsynth.dynamics import NoiseModel
 from bltlsynth.mdp import EMPTY_HISTORY, PathSampler, episode_rng
 from bltlsynth.synthesis import (BieResult, Policy, QEntry, QTable, bie_estimate,
                                  control_strategy_action, determinize,
@@ -9,6 +10,7 @@ from bltlsynth.synthesis import (BieResult, Policy, QEntry, QTable, bie_estimate
                                  posterior_interval_coverage, simulate_true_system,
                                  synthesize, theorem_bound_holds, uniform_policy,
                                  validate_true_system)
+from bltlsynth.synthesis import _episode_pool, _map_episodes
 
 from conftest import simple_env
 from oracles import all_success_stop_count
@@ -303,18 +305,73 @@ class TestValidateTrueSystem:
             assert u_l + lo <= st.w_l <= u_l + hi
 
 
+class _CountedTask:
+    """Squares episode indices and counts how often this process pickles it."""
+
+    pickles = 0
+
+    def run(self, index: int) -> int:
+        return index * index
+
+    def __getstate__(self):
+        type(self).pickles += 1
+        return self.__dict__
+
+
 class TestParallelism:
-    def test_worker_count_does_not_change_results(self, demo_params, demo_noise):
-        env = simple_env([("a", (0.8, -1.2, 1.6, 1.2)), ("u", (3.0, 2.0, 4.0, 3.0))])
+    SYNTH = dict(episodes_per_round=40, greediness=0.6, history_weight=0.6,
+                 delta=0.1, confidence=0.8, prior_alpha=1.0, prior_beta=1.0,
+                 stop_radius=0.2, master_seed=13, max_rounds=3)
+    # Wide wheel noise and a goal edge that straight runs reach about 85% of
+    # the time: verdicts are mixed, so a mismatched episode key would show.
+    MIXED_ENV = [("a", (0.9, -1.2, 2.0, 1.2)), ("u", (3.0, 2.0, 4.0, 3.0))]
+    WIDE_NOISE = NoiseModel.symmetric(-0.45, 0.3, 3, (0.25, 0.5, 0.25))
+
+    def assert_same_synthesis(self, regions, params, nm, batch_size):
+        env = simple_env(regions)
         formula = parse_formula("!u U[<=5] a")
-        kwargs = dict(episodes_per_round=40, greediness=0.6, history_weight=0.6,
-                      delta=0.1, confidence=0.8, prior_alpha=1.0, prior_beta=1.0,
-                      stop_radius=0.2, master_seed=13, max_rounds=3)
-        one = synthesize(env, formula, demo_params, demo_noise, workers=1, **kwargs)
-        two = synthesize(env, formula, demo_params, demo_noise, workers=2, **kwargs)
+        one, two = (synthesize(env, formula, params, nm, workers=w,
+                               batch_size=batch_size, **self.SYNTH) for w in (1, 2))
         assert one.estimate == two.estimate
-        assert [r.p_hat for r in one.rounds] == [r.p_hat for r in two.rounds]
-        assert set(one.policy.rows) == set(two.policy.rows)
+        assert one.rounds == two.rounds
+        assert one.qtable.entries == two.qtable.entries
+        assert list(one.policy.rows) == list(two.policy.rows)
+        for state, row in one.policy.rows.items():
+            assert np.array_equal(row, two.policy.rows[state])
+        return one
+
+    def test_worker_count_does_not_change_results(self, demo_params, demo_noise):
+        self.assert_same_synthesis([("a", (0.8, -1.2, 1.6, 1.2)),
+                                    ("u", (3.0, 2.0, 4.0, 3.0))],
+                                   demo_params, demo_noise, batch_size=1)
+
+    def test_worker_count_does_not_change_batched_results(self, demo_params):
+        result = self.assert_same_synthesis(self.MIXED_ENV, demo_params,
+                                            self.WIDE_NOISE, batch_size=4)
+        assert any(0 < r.successes < r.n for r in result.rounds)
+        assert any(r.n > 4 for r in result.rounds)
+
+    def test_worker_count_does_not_change_validation(self, demo_params):
+        env = simple_env(self.MIXED_ENV)
+        formula = parse_formula("!u U[<=5] a")
+        straight = Policy(n_actions=3, rows={EMPTY_HISTORY: np.array([0.0, 1.0, 0.0])},
+                          deterministic=True)
+        kwargs = dict(delta=0.1, confidence=0.8, prior_alpha=1.0, prior_beta=1.0,
+                      master_seed=17, batch_size=4)
+        one, two = (validate_true_system(straight, env, formula, demo_params,
+                                         self.WIDE_NOISE, workers=w, **kwargs)
+                    for w in (1, 2))
+        assert one == two
+        assert 0 < one.successes < one.n and one.n > 4
+
+    def test_task_reaches_each_worker_at_most_once(self):
+        task = _CountedTask()
+        _CountedTask.pickles = 0
+        with _episode_pool(task, 2) as pool:
+            draws = [_map_episodes(task, range(4 * k, 4 * k + 4), 2, pool)
+                     for k in range(5)]
+        assert draws == [[i * i for i in range(4 * k, 4 * k + 4)] for k in range(5)]
+        assert _CountedTask.pickles <= 2
 
 
 def test_theorem_bound_helper():

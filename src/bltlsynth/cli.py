@@ -116,7 +116,7 @@ def cmd_synth(args) -> int:
         prior_alpha=cfg.algorithm.prior_alpha, prior_beta=cfg.algorithm.prior_beta,
         stop_radius=cfg.algorithm.stop_radius, master_seed=cfg.seed,
         max_rounds=cfg.algorithm.max_rounds, batch_size=cfg.algorithm.batch_size,
-        workers=cfg.workers, detection_divisor=cfg.algorithm.detection_divisor)
+        workers=cfg.workers)
     for rec in result.rounds:
         change = "" if rec.change_from_previous is None else \
             f"  change {rec.change_from_previous:.4f}"
@@ -166,7 +166,7 @@ def cmd_validate(args) -> int:
         delta=cfg.algorithm.delta, confidence=cfg.algorithm.confidence,
         prior_alpha=cfg.algorithm.prior_alpha, prior_beta=cfg.algorithm.prior_beta,
         master_seed=cfg.seed, batch_size=cfg.algorithm.batch_size,
-        workers=cfg.workers, detection_divisor=cfg.algorithm.detection_divisor)
+        workers=cfg.workers)
 
     p_chain = float(meta["p_hat"])
     delta = cfg.algorithm.delta
@@ -194,8 +194,7 @@ def cmd_validate(args) -> int:
         for i in range(args.export_trajectories):
             traj, _, sat = simulate_true_system(
                 policy, cfg.env, spec, cfg.params, cfg.nm, horizon,
-                episode_rng(cfg.seed, STREAM_VALIDATE, 0, i),
-                cfg.algorithm.detection_divisor)
+                episode_rng(cfg.seed, STREAM_VALIDATE, 0, i))
             suffix = "sat" if sat else "viol"
             with open(out_dir / f"traj_{i:04d}_{suffix}.csv", "w", newline="") as fp:
                 write_trajectory_csv(fp, traj)

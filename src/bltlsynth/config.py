@@ -32,7 +32,6 @@ class AlgorithmParams:
     stop_radius: float
     max_rounds: int
     batch_size: int
-    detection_divisor: int
 
     def __post_init__(self):
         if self.episodes_per_round < 1:
@@ -53,8 +52,6 @@ class AlgorithmParams:
             raise ValueError("max_rounds must be at least 2")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
-        if self.detection_divisor < 2:
-            raise ValueError("detection_divisor must be at least 2")
 
 
 @dataclass(frozen=True)
@@ -102,7 +99,6 @@ class RunConfig:
                 "stop_radius": self.algorithm.stop_radius,
                 "max_rounds": self.algorithm.max_rounds,
                 "batch_size": self.algorithm.batch_size,
-                "detection_divisor": self.algorithm.detection_divisor,
             },
             "seed": self.seed,
         }
@@ -174,7 +170,6 @@ def config_from_dict(doc: dict, base_dir: Optional[Path] = None,
             stop_radius=float(alg["stop_radius"]),
             max_rounds=int(alg.get("max_rounds", 50)),
             batch_size=int(alg.get("batch_size", 1)),
-            detection_divisor=int(alg.get("detection_divisor", 256)),
         )
     except KeyError as exc:
         raise ValueError(f"algorithm is missing field {exc}") from exc

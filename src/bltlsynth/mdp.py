@@ -17,7 +17,7 @@ from .bltl import SequentialSpec, TraceStep, check_sequential
 from .dynamics import (MeasuredInterval, NoiseModel, VehicleParams,
                        measure, sample_noise_interval)
 from .env import Environment
-from .tracegen import UncertaintyTube, trace_from_tube, DEFAULT_DETECTION_DIVISOR
+from .tracegen import UncertaintyTube, trace_from_tube
 from .uncertainty import build_tube
 
 # Reserved action index for the horizon self-loop; never a policy choice.
@@ -117,8 +117,7 @@ class PathSampler:
     """
 
     def __init__(self, env: Environment, spec: SequentialSpec, params: VehicleParams,
-                 nm: NoiseModel, horizon: int,
-                 detection_divisor: int = DEFAULT_DETECTION_DIVISOR):
+                 nm: NoiseModel, horizon: int):
         if horizon < 1:
             raise ValueError("horizon must be at least 1")
         self.env = env
@@ -126,7 +125,6 @@ class PathSampler:
         self.params = params
         self.nm = nm
         self.horizon = horizon
-        self.detection_divisor = detection_divisor
 
     def sample_history(self, policy, rng: np.random.Generator) -> HistoryKey:
         """Roll the chain to the horizon under the policy; returns the history."""
@@ -146,7 +144,7 @@ class PathSampler:
         """Build the tube and trace for a complete history and check the mission."""
         tube = build_tube(self.measured_history(history), self.env.initial_pose,
                           self.params, self.nm)
-        trace = trace_from_tube(tube, self.env, self.detection_divisor)
+        trace = trace_from_tube(tube, self.env)
         sat = check_sequential(trace, self.spec)
         return PathSample(history, tuple(t[0] for t in history), tube, tuple(trace), sat)
 

@@ -28,8 +28,7 @@ from .dynamics import (NoiseModel, VehicleParams, sample_noise_in_interval,
 from .env import Environment
 from .mdp import (EMPTY_HISTORY, HistoryKey, PathSampler, STREAM_BIE,
                   STREAM_POLICY_EVAL, STREAM_VALIDATE, episode_rng)
-from .tracegen import (DEFAULT_DETECTION_DIVISOR, Trajectory, make_stage,
-                       trace_from_trajectory)
+from .tracegen import Trajectory, make_stage, trace_from_trajectory
 
 
 # ---------------------------------------------------------------------------
@@ -156,14 +155,12 @@ class _TrueSystemTask:
     nm: NoiseModel
     policy: Policy
     horizon: int
-    detection_divisor: int
     master_seed: int
 
     def run(self, index: int) -> bool:
         rng = episode_rng(self.master_seed, STREAM_VALIDATE, 0, index)
         return simulate_true_system(self.policy, self.env, self.spec, self.params,
-                                    self.nm, self.horizon, rng,
-                                    self.detection_divisor)[2]
+                                    self.nm, self.horizon, rng)[2]
 
 
 # The task a pool worker runs, set once per worker by the pool's initializer.
@@ -386,8 +383,7 @@ def synthesize(env: Environment, formula: Formula, params: VehicleParams,
                history_weight: float, delta: float, confidence: float,
                prior_alpha: float, prior_beta: float, stop_radius: float,
                master_seed: int, max_rounds: int = 50, batch_size: int = 1,
-               workers: int = 1,
-               detection_divisor: int = DEFAULT_DETECTION_DIVISOR) -> SynthesisResult:
+               workers: int = 1) -> SynthesisResult:
     """Iterate evaluation, improvement, and estimation until estimates settle.
 
     The loop always runs at least two rounds and stops when consecutive
@@ -401,7 +397,7 @@ def synthesize(env: Environment, formula: Formula, params: VehicleParams,
         raise ValueError("need at least two rounds")
     spec = to_sequential(formula, env.unsafe)
     horizon = horizon_stages(formula, params.dt)
-    sampler = PathSampler(env, spec, params, nm, horizon, detection_divisor)
+    sampler = PathSampler(env, spec, params, nm, horizon)
 
     policy = uniform_policy(len(params.actions))
     qtable = QTable()
@@ -454,9 +450,7 @@ def control_strategy_action(policy: Policy, history: HistoryKey) -> int:
 
 def simulate_true_system(policy: Policy, env: Environment, spec: SequentialSpec,
                          params: VehicleParams, nm: NoiseModel, horizon: int,
-                         rng: np.random.Generator,
-                         detection_divisor: int = DEFAULT_DETECTION_DIVISOR
-                         ) -> tuple[Trajectory, HistoryKey, bool]:
+                         rng: np.random.Generator) -> tuple[Trajectory, HistoryKey, bool]:
     """One closed-loop run of the continuous vehicle under the strategy.
 
     Per stage: look up the action for the history so far, draw each wheel's
@@ -479,21 +473,19 @@ def simulate_true_system(policy: Policy, env: Environment, spec: SequentialSpec,
         pose = stage.end
         history = history + ((action, j_r, j_l),)
     traj = Trajectory(tuple(stages))
-    trace = trace_from_trajectory(traj, env, detection_divisor)
+    trace = trace_from_trajectory(traj, env)
     return traj, history, check_sequential(trace, spec)
 
 
 def validate_true_system(policy: Policy, env: Environment, formula: Formula,
                          params: VehicleParams, nm: NoiseModel, *, delta: float,
                          confidence: float, prior_alpha: float, prior_beta: float,
-                         master_seed: int, batch_size: int = 1, workers: int = 1,
-                         detection_divisor: int = DEFAULT_DETECTION_DIVISOR
+                         master_seed: int, batch_size: int = 1, workers: int = 1
                          ) -> BieResult:
     """Estimate the closed-loop success probability of the real vehicle."""
     spec = to_sequential(formula, env.unsafe)
     horizon = horizon_stages(formula, params.dt)
-    task = _TrueSystemTask(env, spec, params, nm, policy, horizon,
-                           detection_divisor, master_seed)
+    task = _TrueSystemTask(env, spec, params, nm, policy, horizon, master_seed)
     with _episode_pool(task, workers) as pool:
         def draw(start: int, count: int) -> list[bool]:
             return _map_episodes(task, range(start, start + count), workers, pool)

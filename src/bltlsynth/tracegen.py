@@ -5,12 +5,20 @@ labeled region the position is in as time evolves.  A tube adds a per-stage
 disc radius around the nominal position; its trace uses conservative rules:
 a goal label requires the whole disc inside a single goal rectangle, the
 unsafe label triggers on mere disc contact with any unsafe rectangle, and
-unsafe contact takes precedence over goal containment when both first appear
-within one detection step.
+unsafe contact takes precedence over goal containment when both start within
+BREAKPOINT_TOL of each other.  A point trace is the same walk with radius 0
+and one predicate per label: the position lies in the union of the label's
+rectangles.
 
-Event times are found by sampling each stage at dt/divisor and refining every
-predicate flip by bisection to EVENT_TIME_TOL seconds.  Features thinner than
-one detection step can be missed; the divisor is configurable.
+Event times are exact.  Each stage is a straight line or a circular arc, so a
+predicate can change only where the path crosses a (possibly offset) rectangle
+edge, x(t) = c or y(t) = c, or where its distance to a rectangle corner equals
+the disc radius; both have closed-form roots.  The predicate is evaluated at
+the midpoint of each piece between those breakpoints, which yields the
+maximal time intervals on which it holds, and the trace is a walk over these
+interval lists.  Breakpoints closer than BREAKPOINT_TOL seconds merge into
+one, and a predicate that holds only at isolated instants (a tangential
+touch) gives no trace state.
 """
 
 from __future__ import annotations
@@ -18,16 +26,19 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
-
-import numpy as np
+from typing import Optional, Sequence
 
 from .bltl import TraceStep
-from .dynamics import Pose, VehicleParams, angle_diff, integrate_segment, wheel_to_body
+from .dynamics import (OMEGA_STRAIGHT_EPS, Pose, VehicleParams, angle_diff,
+                       integrate_segment, wheel_to_body)
 from .env import Environment, Rect, Region
 
-EVENT_TIME_TOL = 1e-6
-DEFAULT_DETECTION_DIVISOR = 256
+# Event times closer than this (seconds) are one breakpoint.
+BREAKPOINT_TOL = 1e-9
+# Slack for near-tangent roots (dimensionless, or m^2 for squared distances)
+# and for the per-stage bounding boxes (m); both only add breakpoints.
+_TANGENT_SLACK = 1e-12
+_BOX_PAD = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -51,23 +62,13 @@ class Stage:
 
     def position_at(self, local_t: float) -> tuple[float, float]:
         """Position local_t seconds into the stage (closed form)."""
-        if abs(self.omega) < 1e-12:
+        if abs(self.omega) < OMEGA_STRAIGHT_EPS:
             return (self.start.x + self.v * local_t * math.cos(self.start.theta),
                     self.start.y + self.v * local_t * math.sin(self.start.theta))
         th = self.start.theta + self.omega * local_t
         x = self.start.x + (self.v / self.omega) * (math.sin(th) - math.sin(self.start.theta))
         y = self.start.y - (self.v / self.omega) * (math.cos(th) - math.cos(self.start.theta))
         return (x, y)
-
-    def positions_at(self, local_ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if abs(self.omega) < 1e-12:
-            xs = self.start.x + self.v * local_ts * math.cos(self.start.theta)
-            ys = self.start.y + self.v * local_ts * math.sin(self.start.theta)
-            return xs, ys
-        th = self.start.theta + self.omega * local_ts
-        xs = self.start.x + (self.v / self.omega) * (np.sin(th) - math.sin(self.start.theta))
-        ys = self.start.y - (self.v / self.omega) * (np.cos(th) - math.cos(self.start.theta))
-        return xs, ys
 
 
 def make_stage(params: VehicleParams, start: Pose, w_r: float, w_l: float,
@@ -108,7 +109,7 @@ class UncertaintyTube:
     """Nominal trajectory with per-stage disc radius and orientation spread.
 
     radii[k] applies on the whole of stage k (the stage-end value, which is
-    the largest along the stage); the radius at time zero is 0.
+    the largest along the stage).
     """
 
     trajectory: Trajectory
@@ -131,306 +132,250 @@ class UncertaintyTube:
 # ---------------------------------------------------------------------------
 # Disc/rectangle predicates
 
+def _inside(r: Rect, x: float, y: float, d: float) -> bool:
+    return r.x0 <= x - d and x + d <= r.x1 and r.y0 <= y - d and y + d <= r.y1
+
+
+def _touches(r: Rect, x: float, y: float, d: float) -> bool:
+    dx = max(r.x0 - x, 0.0, x - r.x1)
+    dy = max(r.y0 - y, 0.0, y - r.y1)
+    return dx * dx + dy * dy <= d * d
+
+
 def disc_in_region(center: tuple[float, float], d: float, region: Region) -> bool:
     """Closed disc of radius d entirely inside the closed rectangle."""
     if d < 0:
         raise ValueError("disc radius must be non-negative")
-    x, y = center
-    r = region.rect
-    return (r.x0 <= x - d and x + d <= r.x1 and r.y0 <= y - d and y + d <= r.y1)
+    return _inside(region.rect, center[0], center[1], d)
 
 
 def disc_intersects_region(center: tuple[float, float], d: float, region: Region) -> bool:
     """Closed disc of radius d touches the closed rectangle."""
     if d < 0:
         raise ValueError("disc radius must be non-negative")
-    x, y = center
-    r = region.rect
-    dx = max(r.x0 - x, 0.0, x - r.x1)
-    dy = max(r.y0 - y, 0.0, y - r.y1)
-    return dx * dx + dy * dy <= d * d
-
-
-def _disc_in_rect_mask(xs: np.ndarray, ys: np.ndarray, d: float, r: Rect) -> np.ndarray:
-    return ((r.x0 <= xs - d) & (xs + d <= r.x1) & (r.y0 <= ys - d) & (ys + d <= r.y1))
-
-
-def _disc_touch_rect_mask(xs: np.ndarray, ys: np.ndarray, d: float, r: Rect) -> np.ndarray:
-    dx = np.maximum(r.x0 - xs, 0.0)
-    np.maximum(dx, xs - r.x1, out=dx)
-    dy = np.maximum(r.y0 - ys, 0.0)
-    np.maximum(dy, ys - r.y1, out=dy)
-    return dx * dx + dy * dy <= d * d
+    return _touches(region.rect, center[0], center[1], d)
 
 
 # ---------------------------------------------------------------------------
-# Event scanning machinery
+# Closed-form event times
 
-@dataclass
-class _StageGrid:
-    """Sample times for one stage: t0 + k*step for k = 0..m-1 (half-open)."""
-
-    index: int
-    t0: float
-    duration: float
-    local_ts: np.ndarray
-    xs: np.ndarray
-    ys: np.ndarray
-
-
-def _build_grids(traj: Trajectory, divisor: int) -> list[_StageGrid]:
-    grids = []
-    t0 = 0.0
-    for idx, st in enumerate(traj.stages):
-        local = np.arange(divisor) * (st.duration / divisor)
-        xs, ys = st.positions_at(local)
-        grids.append(_StageGrid(idx, t0, st.duration, local, xs, ys))
-        t0 += st.duration
-    return grids
-
-
-class _EventScanner:
-    """Walks stage grids, locating the first time a predicate becomes true.
-
-    Predicates are supplied per stage as boolean masks over the grid plus a
-    scalar form for bisection.  The scalar form receives an absolute time.
-    """
-
-    def __init__(self, traj: Trajectory, divisor: int):
-        if not traj.stages:
-            raise ValueError("cannot trace an empty trajectory")
-        if divisor < 2:
-            raise ValueError("detection divisor must be at least 2")
-        self.traj = traj
-        self.grids = _build_grids(traj, divisor)
-        self.total = sum(st.duration for st in traj.stages)
-
-    def stage_of(self, t: float) -> int:
-        """Stage whose half-open window [t0, t0+dur) contains t; the final
-        instant belongs to the last stage."""
-        for g in self.grids:
-            if t < g.t0 + g.duration:
-                return g.index
-        return len(self.grids) - 1
-
-    def position(self, t: float) -> tuple[float, float]:
-        g = self.grids[self.stage_of(t)]
-        return self.traj.stages[g.index].position_at(t - g.t0)
-
-    def first_true(self, t_from: float,
-                   masks: Callable[[_StageGrid], np.ndarray],
-                   scalar: Callable[[float], bool]) -> Optional[float]:
-        """Earliest t >= t_from with scalar(t) true, refined to EVENT_TIME_TOL.
-
-        The grid locates a sign change; bisection pins it down.  Returns None
-        when the predicate stays false through the end of the trajectory.
-        """
-        if scalar(t_from):
-            return t_from
-        prev_t = t_from
-        for g in self.grids:
-            if g.t0 + g.duration <= t_from:
-                continue
-            mask = masks(g)
-            ts = g.t0 + g.local_ts
-            usable = ts > t_from
-            hits = np.flatnonzero(mask & usable)
-            if hits.size:
-                hit_t = ts[hits[0]]
-                lo = prev_t if hits[0] == 0 or not usable[hits[0] - 1] else ts[hits[0] - 1]
-                return self._bisect(lo, hit_t, scalar)
-            usable_idx = np.flatnonzero(usable)
-            if usable_idx.size:
-                prev_t = ts[usable_idx[-1]]
-        # final instant of the trajectory is not on any half-open grid
-        if scalar(self.total):
-            return self._bisect(prev_t, self.total, scalar)
+def _clamp_unit(s: float) -> Optional[float]:
+    """s clamped to [-1, 1] when it lies there up to rounding, else None."""
+    if abs(s) > 1.0 + _TANGENT_SLACK:
         return None
-
-    @staticmethod
-    def _bisect(lo: float, hi: float, scalar: Callable[[float], bool]) -> float:
-        """Shrink (lo, hi] with scalar false at lo, true at hi."""
-        while hi - lo > EVENT_TIME_TOL:
-            mid = 0.5 * (lo + hi)
-            if scalar(mid):
-                hi = mid
-            else:
-                lo = mid
-        return hi
+    return max(-1.0, min(1.0, s))
 
 
-def _emit(out: list[TraceStep], label: Optional[str], duration: float) -> None:
-    out.append((label, max(float(duration), 0.0)))
+class _Path:
+    """One stage placed at absolute start time t0, in the closed form the
+    event solvers need: a line p0 + t*vel, or an arc
+    C + R*(sin(theta), -cos(theta)) with theta = theta0 + omega*t."""
+
+    __slots__ = ("stage", "t0", "duration", "straight", "x0", "y0", "vx", "vy",
+                 "theta0", "omega", "radius", "cx", "cy", "box")
+
+    def __init__(self, stage: Stage, t0: float):
+        self.stage, self.t0, self.duration = stage, t0, stage.duration
+        s, e = stage.start, stage.end
+        self.straight = abs(stage.omega) < OMEGA_STRAIGHT_EPS
+        if self.straight:
+            self.x0, self.y0 = s.x, s.y
+            self.vx = stage.v * math.cos(s.theta)
+            self.vy = stage.v * math.sin(s.theta)
+        else:
+            self.theta0, self.omega = s.theta, stage.omega
+            self.radius = stage.v / stage.omega
+            self.cx = s.x - self.radius * math.sin(s.theta)
+            self.cy = s.y + self.radius * math.cos(s.theta)
+        # Bounding disc: a sweep of at most pi stays in the disc that has the
+        # chord as diameter; a longer one only in the full circle.
+        if self.straight or abs(stage.omega) * stage.duration <= math.pi:
+            mx, my = (s.x + e.x) / 2.0, (s.y + e.y) / 2.0
+            rho = math.hypot(e.x - s.x, e.y - s.y) / 2.0
+        else:
+            mx, my, rho = self.cx, self.cy, abs(self.radius)
+        rho += _BOX_PAD
+        self.box = (mx - rho, my - rho, mx + rho, my + rho)
+
+    def near(self, r: Rect, d: float) -> bool:
+        """Whether the path can come within d of the rectangle."""
+        bx0, by0, bx1, by1 = self.box
+        return r.x0 - d <= bx1 and bx0 <= r.x1 + d and r.y0 - d <= by1 and by0 <= r.y1 + d
+
+    def angle_times(self, angles: Sequence[float]) -> list[float]:
+        """Local times in (0, duration) at which the heading is congruent to
+        one of the angles modulo 2*pi."""
+        rate = abs(self.omega)
+        period = 2.0 * math.pi / rate
+        out = []
+        for a in angles:
+            lag = a - self.theta0 if self.omega > 0 else self.theta0 - a
+            t = (lag % (2.0 * math.pi)) / rate
+            while t < self.duration:
+                if t > 0.0:
+                    out.append(t)
+                t += period
+        return out
+
+    def line_times(self, axis: int, c: float) -> list[float]:
+        """Local times at which coordinate ``axis`` (0 for x, 1 for y) equals c."""
+        if self.straight:
+            p, rate = (self.x0, self.vx) if axis == 0 else (self.y0, self.vy)
+            if rate == 0.0:
+                return []
+            t = (c - p) / rate
+            return [t] if 0.0 < t < self.duration else []
+        if self.radius == 0.0:
+            return []
+        # x = cx + R sin(theta) and y = cy + R sin(theta - pi/2)
+        centre, phase = (self.cx, 0.0) if axis == 0 else (self.cy, 0.5 * math.pi)
+        s = _clamp_unit((c - centre) / self.radius)
+        if s is None:
+            return []
+        a = math.asin(s)
+        return self.angle_times((phase + a, phase + math.pi - a))
+
+    def corner_times(self, px: float, py: float, d: float) -> list[float]:
+        """Local times at which the distance to the point (px, py) equals d."""
+        if self.straight:
+            speed2 = self.vx * self.vx + self.vy * self.vy
+            if speed2 == 0.0:
+                return []
+            ox, oy = self.x0 - px, self.y0 - py
+            t_near = -(ox * self.vx + oy * self.vy) / speed2
+            ex, ey = ox + self.vx * t_near, oy + self.vy * t_near
+            gap = ex * ex + ey * ey - d * d  # closest approach^2 - d^2
+            if gap > _TANGENT_SLACK:
+                return []
+            half = math.sqrt(max(-gap, 0.0) / speed2)
+            return [t for t in (t_near - half, t_near + half) if 0.0 < t < self.duration]
+        # |C - p + R u|^2 = |C - p|^2 + R^2 + 2 R A sin(theta - psi) with
+        # A = |C - p| and psi = atan2(ay, ax), a single sinusoid in theta
+        ax, ay = self.cx - px, self.cy - py
+        amp = 2.0 * self.radius * math.hypot(ax, ay)
+        if amp == 0.0:
+            return []
+        s = _clamp_unit((d * d - ax * ax - ay * ay - self.radius * self.radius) / amp)
+        if s is None:
+            return []
+        psi = math.atan2(ay, ax)
+        a = math.asin(s)
+        return self.angle_times((psi + a, psi + math.pi - a))
+
+
+def _intervals(paths: list[_Path], radii: Sequence[float], rects: Sequence[Rect],
+               contact: bool) -> list[tuple[float, float]]:
+    """Maximal time intervals on which the predicate holds, in time order.
+
+    With ``contact`` the predicate is that the disc touches any of ``rects``;
+    otherwise that it lies inside the single rectangle ``rects[0]``.
+    """
+    holds = _touches if contact else _inside
+    out: list[tuple[float, float]] = []
+    for path, d in zip(paths, radii):
+        near = [r for r in rects if path.near(r, d)
+                and (contact or (r.x1 - r.x0 >= 2 * d and r.y1 - r.y0 >= 2 * d))]
+        if not near:
+            continue
+        off = d if contact else -d
+        times = [path.duration]
+        for r in near:
+            times += path.line_times(0, r.x0 - off)
+            times += path.line_times(0, r.x1 + off)
+            times += path.line_times(1, r.y0 - off)
+            times += path.line_times(1, r.y1 + off)
+            if contact and d > 0.0:
+                for px in (r.x0, r.x1):
+                    for py in (r.y0, r.y1):
+                        times += path.corner_times(px, py, d)
+        cuts = [0.0]
+        for t in sorted(times):
+            if t - cuts[-1] > BREAKPOINT_TOL:
+                cuts.append(t)
+        cuts[-1] = path.duration  # the last cut lies within BREAKPOINT_TOL of it
+        for a, b in zip(cuts, cuts[1:]):
+            x, y = path.stage.position_at(0.5 * (a + b))
+            if any(holds(r, x, y, d) for r in near):
+                lo, hi = path.t0 + a, path.t0 + b
+                if out and out[-1][1] >= lo - BREAKPOINT_TOL:
+                    out[-1] = (out[-1][0], hi)
+                else:
+                    out.append((lo, hi))
+    return out
 
 
 # ---------------------------------------------------------------------------
-# Def-style trace from a concrete trajectory
+# The trace walk
 
-def trace_from_trajectory(traj: Trajectory, env: Environment,
-                          divisor: int = DEFAULT_DETECTION_DIVISOR) -> list[TraceStep]:
+def _trace(traj: Trajectory, radii: Sequence[float],
+           rules: list[tuple[str, Sequence[Rect], bool]]) -> list[TraceStep]:
+    """Walk the interval lists of the labelling rules into a timed trace.
+
+    Each rule is (label, rectangles, contact), in precedence order: a rule
+    whose interval starts within BREAKPOINT_TOL of a later rule's wins.  From
+    no label the walk enters the earliest starting interval and stays in it
+    until it ends; labeled states are always separated by an unlabeled one,
+    possibly of zero duration, and durations sum to the trajectory duration.
+    """
+    if not traj.stages:
+        raise ValueError("cannot trace an empty trajectory")
+    paths = []
+    total = 0.0
+    for st in traj.stages:
+        paths.append(_Path(st, total))
+        total += st.duration
+    lists = [(label, _intervals(paths, radii, rects, contact))
+             for label, rects, contact in rules]
+    nxt = [0] * len(lists)
+    out: list[TraceStep] = []
+    t = 0.0
+    while True:
+        best: Optional[tuple[float, int, float]] = None
+        for i, (_, ivs) in enumerate(lists):
+            j = nxt[i]
+            while j < len(ivs) and ivs[j][1] <= t + BREAKPOINT_TOL:
+                j += 1
+            nxt[i] = j
+            if j < len(ivs):
+                start = max(ivs[j][0], t)
+                if best is None or start < best[0] - BREAKPOINT_TOL:
+                    best = (start, i, ivs[j][1])
+        if best is None:
+            break
+        start, i, end = best
+        if out or start > 0.0:
+            out.append((None, start - t))
+        out.append((lists[i][0], end - start))
+        t = end
+    if t < total or not out:
+        out.append((None, total - t))
+    return out
+
+
+def trace_from_trajectory(traj: Trajectory, env: Environment) -> list[TraceStep]:
     """Trace of region visits for a point trajectory.
 
-    The label becomes a proposition when the position enters the union of
-    rectangles carrying it (closed sets) and reverts to None on exit; the
-    final state is padded so durations sum to the trajectory duration.
+    A label holds while the position lies in the union of the rectangles
+    carrying it (closed sets); unsafe goes first when entries coincide.
     """
-    scanner = _EventScanner(traj, divisor)
-    by_prop: dict[str, list[Region]] = {}
+    by_prop: dict[str, list[Rect]] = {}
     for reg in env.regions:
-        by_prop.setdefault(reg.label, []).append(reg)
-    # unsafe first so exact simultaneous entries resolve conservatively
+        by_prop.setdefault(reg.label, []).append(reg.rect)
     props = sorted(by_prop, key=lambda p: (p != env.unsafe, p))
-
-    def inside(prop: str, t: float) -> bool:
-        x, y = scanner.position(t)
-        return any(r.rect.contains_point(x, y) for r in by_prop[prop])
-
-    mask_cache: dict[tuple[str, int], np.ndarray] = {}
-
-    def inside_mask(prop: str, g: _StageGrid) -> np.ndarray:
-        key = (prop, g.index)
-        if key not in mask_cache:
-            mask = np.zeros(g.xs.shape, dtype=bool)
-            for r in by_prop[prop]:
-                mask |= ((r.rect.x0 <= g.xs) & (g.xs <= r.rect.x1)
-                         & (r.rect.y0 <= g.ys) & (g.ys <= r.rect.y1))
-            mask_cache[key] = mask
-        return mask_cache[key]
-
-    out: list[TraceStep] = []
-    t_cur = 0.0
-    label: Optional[str] = next((p for p in props if inside(p, 0.0)), None)
-    while True:
-        if label is None:
-            candidates = []
-            for p in props:
-                t_hit = scanner.first_true(
-                    t_cur, lambda g, p=p: inside_mask(p, g), lambda t, p=p: inside(p, t))
-                if t_hit is not None:
-                    candidates.append((t_hit, p))
-            if not candidates:
-                break
-            t_ev, new_label = min(candidates, key=lambda c: (c[0], props.index(c[1])))
-        else:
-            cur = label
-            t_ev = scanner.first_true(
-                t_cur, lambda g: ~inside_mask(cur, g), lambda t: not inside(cur, t))
-            if t_ev is None:
-                break
-            new_label = None
-        _emit(out, label, t_ev - t_cur)
-        t_cur, label = t_ev, new_label
-    _emit(out, label, scanner.total - t_cur)
-    return out
+    return _trace(traj, [0.0] * len(traj.stages), [(p, by_prop[p], True) for p in props])
 
 
-# ---------------------------------------------------------------------------
-# Conservative trace from an uncertainty tube
-
-def trace_from_tube(tube: UncertaintyTube, env: Environment,
-                    divisor: int = DEFAULT_DETECTION_DIVISOR) -> list[TraceStep]:
-    """Trace of the disc-valued uncertainty region around the nominal path.
+def trace_from_tube(tube: UncertaintyTube, env: Environment) -> list[TraceStep]:
+    """Conservative trace of the disc-valued region around the nominal path.
 
     Goal labels require containment of the disc in a single goal rectangle;
-    the unsafe label requires contact with any unsafe rectangle.  When both
-    first occur within the same detection step, unsafe wins.  The disc radius
-    is the stage-end value for the whole stage (0 at time zero).
+    the unsafe label requires contact with any unsafe rectangle and wins ties.
+    The disc radius over stage k is tube.radii[k].
     """
-    traj = tube.trajectory
-    scanner = _EventScanner(traj, divisor)
-    goal_regions = [r for r in env.regions if r.label != env.unsafe]
-    unsafe_regions = env.unsafe_regions()
-
-    def radius_at(t: float) -> float:
-        if t <= 0.0:
-            return 0.0
-        return tube.radii[scanner.stage_of(t)]
-
-    def contained(reg: Region, t: float) -> bool:
-        return disc_in_region(scanner.position(t), radius_at(t), reg)
-
-    def touches_unsafe(t: float) -> bool:
-        pos = scanner.position(t)
-        d = radius_at(t)
-        return any(disc_intersects_region(pos, d, r) for r in unsafe_regions)
-
-    contain_cache: dict[tuple[str, int], np.ndarray] = {}
-    unsafe_cache: dict[int, np.ndarray] = {}
-
-    def contained_mask(reg: Region, g: _StageGrid) -> np.ndarray:
-        key = (reg.name, g.index)
-        if key not in contain_cache:
-            contain_cache[key] = _disc_in_rect_mask(g.xs, g.ys, tube.radii[g.index], reg.rect)
-        return contain_cache[key]
-
-    def unsafe_mask(g: _StageGrid) -> np.ndarray:
-        if g.index not in unsafe_cache:
-            d = tube.radii[g.index]
-            mask = np.zeros(g.xs.shape, dtype=bool)
-            for r in unsafe_regions:
-                mask |= _disc_touch_rect_mask(g.xs, g.ys, d, r.rect)
-            unsafe_cache[g.index] = mask
-        return unsafe_cache[g.index]
-
-    def initial_label() -> tuple[Optional[str], Optional[Region]]:
-        if touches_unsafe(0.0):
-            return env.unsafe, None
-        for reg in goal_regions:
-            if contained(reg, 0.0):
-                return reg.label, reg
-        return None, None
-
-    out: list[TraceStep] = []
-    t_cur = 0.0
-    label, cur_region = initial_label()
-    while True:
-        if label is None:
-            t_unsafe = (scanner.first_true(t_cur, unsafe_mask, touches_unsafe)
-                        if unsafe_regions else None)
-            best: Optional[tuple[float, Region]] = None
-            for reg in goal_regions:
-                t_hit = scanner.first_true(
-                    t_cur, lambda g, reg=reg: contained_mask(reg, g),
-                    lambda t, reg=reg: contained(reg, t))
-                if t_hit is not None and (best is None or t_hit < best[0]):
-                    best = (t_hit, reg)
-            if t_unsafe is None and best is None:
-                break
-            # unsafe precedence: ties at the same detection step go unsafe
-            if t_unsafe is not None and (best is None or t_unsafe <= best[0]
-                                         or _same_step(scanner, t_unsafe, best[0], divisor)):
-                t_ev, label_new, region_new = t_unsafe, env.unsafe, None
-            else:
-                t_ev, label_new, region_new = best[0], best[1].label, best[1]
-        elif label == env.unsafe:
-            t_ev = scanner.first_true(
-                t_cur, lambda g: ~unsafe_mask(g), lambda t: not touches_unsafe(t))
-            if t_ev is None:
-                break
-            label_new, region_new = None, None
-        else:
-            reg = cur_region
-            t_ev = scanner.first_true(
-                t_cur, lambda g: ~contained_mask(reg, g),
-                lambda t: not contained(reg, t))
-            if t_ev is None:
-                break
-            label_new, region_new = None, None
-        _emit(out, label, t_ev - t_cur)
-        t_cur, label, cur_region = t_ev, label_new, region_new
-    _emit(out, label, scanner.total - t_cur)
-    return out
-
-
-def _same_step(scanner: _EventScanner, t_a: float, t_b: float, divisor: int) -> bool:
-    """Whether two instants fall in the same detection step of one stage."""
-    ka = scanner.stage_of(t_a)
-    kb = scanner.stage_of(t_b)
-    if ka != kb:
-        return False
-    g = scanner.grids[ka]
-    step = g.duration / divisor
-    return math.floor((t_a - g.t0) / step) == math.floor((t_b - g.t0) / step)
+    unsafe = [r.rect for r in env.unsafe_regions()]
+    rules = [(env.unsafe, unsafe, True)] if unsafe else []
+    rules += [(r.label, (r.rect,), False) for r in env.regions if r.label != env.unsafe]
+    return _trace(tube.trajectory, tube.radii, rules)
 
 
 # ---------------------------------------------------------------------------

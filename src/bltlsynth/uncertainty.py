@@ -31,11 +31,6 @@ class NominalStageState:
             raise ValueError("uncertainty values must be non-negative")
 
 
-def representative_noise(nm: NoiseModel, wheel: str, j: int) -> float:
-    """Midpoint of noise interval j (1-based) on the given wheel."""
-    return nm.wheel(wheel).midpoint(j)
-
-
 def propagate_stage(prev: NominalStageState, action: tuple[float, float],
                     interval: MeasuredInterval, params: VehicleParams,
                     nm: NoiseModel) -> tuple[NominalStageState, Stage]:

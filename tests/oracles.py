@@ -1,12 +1,16 @@
 """Independent oracles used by the tests: a fixed-step RK4 integrator for the
-vehicle kinematics, a random generator of mission instances, and a closed-form
-Beta posterior for the all-success estimation run."""
+vehicle kinematics, a random generator of mission instances, a closed-form
+Beta posterior for the all-success estimation run, and a dense-sampling check
+of timed traces with a random generator of trace geometries."""
 
 import math
 
 import numpy as np
 
 from bltlsynth.bltl import Disjunct, Phase, SequentialSpec
+from bltlsynth.dynamics import Pose
+from bltlsynth.env import Environment, Rect, Region
+from bltlsynth.tracegen import Trajectory, make_stage
 
 
 def rk4_pose(params, q0, w_r, w_l, tau, step=1e-4):
@@ -90,3 +94,156 @@ def all_success_stop_count(alpha: float, beta: float, delta: float,
             assert abs(closed - mass) < 1e-12
         if mass >= confidence:
             return n
+
+
+def labels_holding(env, x, y, d, tube):
+    """Labels whose trace predicate holds for the disc of radius d at (x, y).
+
+    For a tube, a goal label needs the disc inside one of its rectangles and
+    the unsafe label needs contact with one; for a point (tube False) every
+    label needs contact, which at d = 0 is membership in a rectangle.
+    """
+    out = set()
+    for reg in env.regions:
+        r = reg.rect
+        if tube and reg.label != env.unsafe:
+            if r.x0 + d <= x <= r.x1 - d and r.y0 + d <= y <= r.y1 - d:
+                out.add(reg.label)
+        else:
+            nx, ny = min(max(x, r.x0), r.x1), min(max(y, r.y0), r.y1)
+            if (x - nx) ** 2 + (y - ny) ** 2 <= d * d:
+                out.add(reg.label)
+    return out
+
+
+def dense_trace_disagreements(trace, traj, radii, env, tube, samples_per_stage=300,
+                              margin=1e-6):
+    """Sample each stage densely and return the (time, state label, labels
+    holding) triples where a trace state disagrees with the predicates.
+
+    Only sample times more than ``margin`` inside a state count.  A labeled
+    state needs its label's predicate; an unlabeled one needs that no
+    predicate holds.
+    """
+    ends = []
+    acc = 0.0
+    for _, dur in trace:
+        acc += dur
+        ends.append(acc)
+    bad = []
+    t0 = 0.0
+    j = 0
+    for k, st in enumerate(traj.stages):
+        for i in range(samples_per_stage):
+            lt = (i + 0.5) * st.duration / samples_per_stage
+            t = t0 + lt
+            while j < len(ends) - 1 and ends[j] <= t:
+                j += 1
+            start = ends[j - 1] if j else 0.0
+            if t - start <= margin or ends[j] - t <= margin:
+                continue
+            x, y = st.position_at(lt)
+            holding = labels_holding(env, x, y, radii[k], tube)
+            label = trace[j][0]
+            if (holding if label is None else label not in holding):
+                bad.append((t, label, holding))
+        t0 += st.duration
+    return bad
+
+
+def random_trace_case(rng: np.random.Generator, params, tube: bool):
+    """Random chained stages, disc radii and labeled rectangles for the trace
+    property test.
+
+    Stages are straight lines, spins in place, gentle arcs or arcs sweeping
+    more than pi.  The layout always has a rectangle whose corner the path
+    (or, for a tube, the disc) touches tangentially at one instant, often a
+    goal rectangle with an edge through the start, and random rectangles
+    placed along the path.  Returns (trajectory, radii, environment).
+    """
+    r, sep = params.wheel_radius, params.wheel_separation
+    pose = Pose(0.0, 0.0, float(rng.uniform(0, 2 * math.pi)))
+    stages = []
+    for _ in range(int(rng.integers(1, 5))):
+        kind = int(rng.integers(4))
+        duration = float(rng.uniform(0.5, 3.0))
+        v = 0.0 if kind == 1 else float(rng.uniform(0.1, 0.5))
+        if kind == 0:
+            omega = 0.0
+        elif kind == 3:
+            omega = float(rng.uniform(math.pi, 4 * math.pi)) / duration
+        else:
+            omega = float(rng.uniform(0.1, 1.5))
+        omega *= float(rng.choice([-1.0, 1.0]))
+        if kind == 1:
+            w = omega * sep / (2 * r)
+            w_r, w_l = w, -w
+        else:
+            w_r, w_l = (v + omega * sep / 2) / r, (v - omega * sep / 2) / r
+        st = make_stage(params, pose, w_r, w_l, duration)
+        stages.append(st)
+        pose = st.end
+    traj = Trajectory(tuple(stages))
+    if tube:
+        radii = np.cumsum(rng.uniform(0.0, 0.15, size=len(stages)))
+        if rng.random() < 0.3:
+            radii -= radii[0]
+        radii = tuple(float(d) for d in radii)
+    else:
+        radii = (0.0,) * len(stages)
+
+    start = traj.stages[0].start
+    rects = []  # (label, Rect)
+
+    def free(rect, label):
+        if label == "u" and rect.contains_point(start.x, start.y):
+            return False
+        return not any(rect.interior_overlaps(other) for _, other in rects)
+
+    # tangential corner touch at one instant of a moving stage
+    moving = [k for k, st in enumerate(traj.stages) if st.v != 0.0]
+    if moving:
+        k = moving[int(rng.integers(len(moving)))]
+        st = traj.stages[k]
+        lt = float(rng.uniform(0.1, 0.9)) * st.duration
+        px, py = st.position_at(lt)
+        if st.omega == 0.0:
+            side = float(rng.choice([-1.0, 1.0]))
+            nx, ny = -side * math.sin(st.start.theta), side * math.cos(st.start.theta)
+        else:
+            rad = st.v / st.omega
+            cx = st.start.x - rad * math.sin(st.start.theta)
+            cy = st.start.y + rad * math.cos(st.start.theta)
+            norm = math.hypot(px - cx, py - cy)
+            nx, ny = (px - cx) / norm, (py - cy) / norm
+        d = radii[k]
+        corner_x, corner_y = px + d * nx, py + d * ny
+        w, h = float(rng.uniform(0.05, 0.6)), float(rng.uniform(0.05, 0.6))
+        xs = sorted((corner_x, corner_x + (w if nx >= 0 else -w)))
+        ys = sorted((corner_y, corner_y + (h if ny >= 0 else -h)))
+        label = str(rng.choice(["u", "a", "b"]))
+        rect = Rect(xs[0], ys[0], xs[1], ys[1])
+        if free(rect, label):
+            rects.append((label, rect))
+    # a goal rectangle with one edge through the start
+    if rng.random() < 0.5:
+        w, h = float(rng.uniform(0.1, 1.0)), float(rng.uniform(0.1, 1.0))
+        x0 = start.x - (w if rng.random() < 0.5 else 0.0)
+        y0 = start.y - float(rng.uniform(0.0, h))
+        rect = Rect(x0, y0, x0 + w, y0 + h)
+        if free(rect, "a"):
+            rects.append(("a", rect))
+    for _ in range(int(rng.integers(2, 9))):
+        st = traj.stages[int(rng.integers(len(traj.stages)))]
+        px, py = st.position_at(float(rng.uniform(0, st.duration)))
+        hw, hh = float(rng.uniform(0.01, 0.5)), float(rng.uniform(0.01, 0.5))
+        cx, cy = px + float(rng.normal(0, 0.2)), py + float(rng.normal(0, 0.2))
+        label = str(rng.choice(["u", "a", "b"]))
+        rect = Rect(cx - hw, cy - hh, cx + hw, cy + hh)
+        if free(rect, label):
+            rects.append((label, rect))
+    env = Environment(
+        regions=tuple(Region(f"r{i}", label, rect) for i, (label, rect) in enumerate(rects)),
+        propositions=frozenset(("u", "a", "b")), unsafe="u",
+        initial_pose=start, bounds=Rect(-100.0, -100.0, 100.0, 100.0))
+    return traj, radii, env

@@ -53,8 +53,7 @@ def run_reduced_synthesis(cfg):
         prior_alpha=cfg.algorithm.prior_alpha, prior_beta=cfg.algorithm.prior_beta,
         stop_radius=cfg.algorithm.stop_radius, master_seed=cfg.seed,
         max_rounds=cfg.algorithm.max_rounds, batch_size=cfg.algorithm.batch_size,
-        workers=cfg.workers,
-        detection_divisor=cfg.algorithm.detection_divisor)
+        workers=cfg.workers)
 
 
 @pytest.fixture(scope="module")
@@ -144,7 +143,8 @@ def test_criterion_06_tube_containment(demo_cfg):
                 w_l = rng.uniform(m.l_lo, m.l_hi)
                 from bltlsynth.dynamics import segment_positions
                 xs, ys = segment_positions(params, pose, w_r, w_l, local_ts)
-                nx, ny = tube.trajectory.stages[k].positions_at(local_ts)
+                st = tube.trajectory.stages[k]
+                nx, ny = segment_positions(params, st.start, st.w_r, st.w_l, local_ts)
                 if (np.hypot(xs - nx, ys - ny) > tube.radii[k] + 1e-9).any():
                     violations += 1
                 pose = integrate_segment(params, pose, w_r, w_l, params.dt)
@@ -156,8 +156,7 @@ def test_criterion_07_conservatism(demo_cfg):
     t0 = time.monotonic()
     params, nm, env = demo_cfg.params, demo_cfg.nm, demo_cfg.env
     spec = bs.to_sequential(demo_cfg.formula, env.unsafe)
-    sampler = PathSampler(env, spec, params, nm, 9,
-                          demo_cfg.algorithm.detection_divisor)
+    sampler = PathSampler(env, spec, params, nm, 9)
     policy = uniform_policy(len(params.actions))
     rng = np.random.default_rng(707)
     satisfying = 0
@@ -219,8 +218,7 @@ def test_criterion_09_probability_lower_bound(demo_cfg, synthesis_run):
         delta=demo_cfg.algorithm.delta, confidence=demo_cfg.algorithm.confidence,
         prior_alpha=demo_cfg.algorithm.prior_alpha,
         prior_beta=demo_cfg.algorithm.prior_beta, master_seed=demo_cfg.seed,
-        batch_size=demo_cfg.algorithm.batch_size, workers=demo_cfg.workers,
-        detection_divisor=demo_cfg.algorithm.detection_divisor)
+        batch_size=demo_cfg.algorithm.batch_size, workers=demo_cfg.workers)
     delta = demo_cfg.algorithm.delta
     assert theorem_bound_holds(result.estimate.p_hat, validation.p_hat, delta)
     # conservative tube abstraction: the closed-loop system does better

@@ -29,7 +29,6 @@ def tiny_setup(tmp_path):
         "confidence": 0.8,
         "stop_radius": 0.2,
         "max_rounds": 4,
-        "detection_divisor": 64,
     })
     doc["seed"] = 31
     cfg_path = tmp_path / "mission.json"
@@ -114,8 +113,7 @@ class TestSynthCommand:
         env_doc = json.loads((builtin_config_path().parent / "demo_env.json").read_text())
         doc["environment"] = env_doc
         doc["algorithm"].update({"episodes_per_round": 10, "max_rounds": 2,
-                                 "delta": 0.2, "confidence": 0.7, "stop_radius": 0.9,
-                                 "detection_divisor": 64})
+                                 "delta": 0.2, "confidence": 0.7, "stop_radius": 0.9})
         cfg = tmp_path / "demo.json"
         cfg.write_text(json.dumps(doc))
         rc = main(["synth", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])

@@ -1,5 +1,7 @@
 import io
 import math
+import signal
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from bltlsynth.tracegen import (Stage, Trajectory, UncertaintyTube, disc_in_regi
 from bltlsynth.uncertainty import build_tube
 
 from conftest import DT, STRAIGHT, TURN_LEFT, simple_env
+from oracles import dense_trace_disagreements, random_trace_case
 
 BOX = Region("box", "a", Rect(0.0, 0.0, 2.0, 1.0))
 
@@ -152,22 +155,22 @@ class TestTraceFromTube:
         assert [label for label, _ in trace] == [None, "u", None]
         assert trace[0][1] == pytest.approx(4.0 - 0.1 / 0.25, abs=1e-4)
 
-    def test_unsafe_wins_first_touch_in_same_detection_step(self, demo_params):
+    def test_unsafe_wins_exact_tie(self, demo_params):
         # moving along y=0 at 0.25 m/s with disc radius 0.5: containment in
-        # "a" starts at x=1.5 (t=6.000 s) and contact with "u" (touching a's
-        # top edge) starts at x=1.5005 (t=6.002 s).  Both flips land in the
-        # same dt/256 detection step, so the unsafe label takes precedence.
-        env = simple_env([("a", (1.0, -0.5, 6.0, 0.5)), ("u", (1.5005, 0.5, 1.7, 1.2))],
+        # "a" starts at x=1.5 (t=6.000 s), and so does contact with "u", whose
+        # corner sits on a's top edge at x=1.5.  The tie goes to unsafe.
+        env = simple_env([("a", (1.0, -0.5, 6.0, 0.5)), ("u", (1.5, 0.5, 1.7, 1.2))],
                          bounds=(-10, -10, 10, 10))
         tube = manual_tube(demo_params, 5, 0.5)
         trace = trace_from_tube(tube, env)
         labels = [label for label, _ in trace]
         assert labels[:2] == [None, "u"]
-        assert trace[0][1] == pytest.approx(6.002, abs=0.02)
+        assert trace[0][1] == pytest.approx(6.0, abs=1e-9)
+        assert trace[1][1] == pytest.approx(0.8, abs=1e-9)
 
     def test_earlier_containment_in_different_step_wins(self, demo_params):
-        # same layout but the unsafe block far enough that containment and
-        # contact flip in different detection steps: containment wins
+        # same layout but contact starts at x=1.6 (t=6.4 s), after
+        # containment: the earlier containment wins
         env = simple_env([("a", (1.0, -0.5, 6.0, 0.5)), ("u", (1.6, 0.5, 1.8, 1.2))],
                          bounds=(-10, -10, 10, 10))
         tube = manual_tube(demo_params, 5, 0.5)
@@ -203,6 +206,63 @@ class TestTraceFromTube:
             assert abs(sum(t for _, t in trace) - 5 * DT) < 1e-9
             for (l1, _), (l2, _) in zip(trace, trace[1:]):
                 assert l1 != l2
+
+
+class TestExactEvents:
+    """Events shorter than any sampling step, and a dense-sampling oracle."""
+
+    def test_thin_unsafe_strip_is_crossed(self, demo_params):
+        # 0.5 mm strip crossed at 0.25 m/s: a 2 ms unsafe visit
+        env = simple_env([("u", (0.3, -1.0, 0.3005, 1.0))])
+        traj = straight_trajectory(demo_params, 1)
+        tube = UncertaintyTube(traj, (0.0,), (0.0,))
+        for trace in (trace_from_trajectory(traj, env), trace_from_tube(tube, env)):
+            assert [label for label, _ in trace] == [None, "u", None]
+            assert trace[0][1] == pytest.approx(1.2, abs=1e-9)
+            assert trace[1][1] == pytest.approx(0.002, abs=1e-9)
+
+    def test_short_containment_before_radius_grows(self, demo_params):
+        # the radius-0.1 disc fits in "a" from x=0.6495 (t=2.598 s) to the
+        # stage end at t=2.6 s; the radius-0.3 disc of stage 2 never fits
+        env = simple_env([("a", (0.5495, -1.0, 1.0, 1.0))])
+        tube = UncertaintyTube(straight_trajectory(demo_params, 2), (0.1, 0.3), (0.0, 0.0))
+        trace = trace_from_tube(tube, env)
+        assert [label for label, _ in trace] == [None, "a", None]
+        assert trace[0][1] == pytest.approx(2.598, abs=1e-9)
+        assert trace[1][1] == pytest.approx(0.002, abs=1e-9)
+
+    @pytest.mark.parametrize("tube", [False, True], ids=["point", "tube"])
+    def test_random_geometry_matches_dense_sampling(self, demo_params, tube):
+        rng = np.random.default_rng(2468 if tube else 1357)
+        for _ in range(120):
+            traj, radii, env = random_trace_case(rng, demo_params, tube)
+            with time_limit(5.0):
+                if tube:
+                    spreads = (0.0,) * len(radii)
+                    trace = trace_from_tube(UncertaintyTube(traj, radii, spreads), env)
+                else:
+                    trace = trace_from_trajectory(traj, env)
+            assert sum(t for _, t in trace) == pytest.approx(traj.total_duration, abs=1e-9)
+            assert all(t >= 0.0 for _, t in trace)
+            for (l1, _), (l2, _) in zip(trace, trace[1:]):
+                assert l1 is None or l2 is None
+                assert l1 != l2
+            assert dense_trace_disagreements(trace, traj, radii, env, tube) == []
+
+
+@contextmanager
+def time_limit(seconds):
+    """Fail the enclosed block when it runs longer than ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"trace did not finish within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestCourierMissionReconstruction:

@@ -5,31 +5,32 @@ import pytest
 
 from bltlsynth.dynamics import (NoiseModel, Pose, integrate_segment, measure,
                                 sample_noise_in_interval)
-from bltlsynth.uncertainty import (NominalStageState, build_tube, propagate_stage,
-                                   representative_noise)
+from bltlsynth.uncertainty import NominalStageState, build_tube, propagate_stage
 
 from conftest import DT, ENCODER_DELTA, STRAIGHT
 
 
 class TestRepresentativeNoise:
+    """The nominal trajectory's representative noise is the tile midpoint."""
+
     def test_middle_interval_midpoint_is_zero(self, demo_noise):
-        assert representative_noise(demo_noise, "r", 2) == pytest.approx(0.0, abs=1e-18)
+        assert demo_noise.right.midpoint(2) == pytest.approx(0.0, abs=1e-18)
 
     def test_outer_interval_midpoints(self, demo_noise):
-        assert representative_noise(demo_noise, "r", 1) == pytest.approx(
+        assert demo_noise.right.midpoint(1) == pytest.approx(
             -ENCODER_DELTA, rel=1e-12)
-        assert representative_noise(demo_noise, "r", 3) == pytest.approx(
+        assert demo_noise.right.midpoint(3) == pytest.approx(
             ENCODER_DELTA, rel=1e-12)
         # the nominal resolution is about 0.0064 rad/s
-        assert representative_noise(demo_noise, "r", 3) == pytest.approx(0.0064, abs=1e-4)
+        assert demo_noise.right.midpoint(3) == pytest.approx(0.0064, abs=1e-4)
 
     def test_symmetric_model_midpoints_are_antisymmetric(self, demo_noise):
-        mids = [representative_noise(demo_noise, "l", j) for j in (1, 2, 3)]
+        mids = [demo_noise.left.midpoint(j) for j in (1, 2, 3)]
         assert mids[0] == pytest.approx(-mids[2], rel=1e-12)
 
     def test_index_out_of_range(self, demo_noise):
         with pytest.raises(IndexError):
-            representative_noise(demo_noise, "r", 0)
+            demo_noise.right.midpoint(0)
 
 
 def enumerate_stage_growth(params, nm, prev_pose, prev_d, prev_dth, action, j_r, j_l):
@@ -164,7 +165,8 @@ class TestContainment:
                     from bltlsynth.dynamics import segment_positions
                     xs, ys = segment_positions(demo_params, pose, w_r, w_l, local_ts)
                     st = tube.trajectory.stages[k]
-                    nx, ny = st.positions_at(local_ts)
+                    nx, ny = segment_positions(demo_params, st.start, st.w_r, st.w_l,
+                                               local_ts)
                     dist = np.hypot(xs - nx, ys - ny)
                     assert (dist <= tube.radii[k] + 1e-9).all()
                     pose = integrate_segment(demo_params, pose, w_r, w_l, DT)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -108,7 +108,32 @@ class RunConfig:
         return hashlib.sha256(canon.encode()).hexdigest()
 
 
+# Keys a config may hold, per section; anything else is a mistake to report.
+_TOP_KEYS = frozenset({"environment", "formula", "vehicle", "noise", "algorithm",
+                       "seed", "workers"})
+_VEHICLE_KEYS = frozenset(f.name for f in fields(VehicleParams))
+_NOISE_KEYS = frozenset({"right", "left"})
+_WHEEL_KEYS = frozenset(f.name for f in fields(WheelNoise) if f.init)
+_ALGORITHM_KEYS = frozenset(f.name for f in fields(AlgorithmParams))
+
+
+def _reject_unknown_keys(section: dict, known: frozenset, where: str) -> None:
+    """Raise ValueError naming every key of ``section`` not in ``known``.
+
+    ``where`` is the section's dotted prefix ("" at the top level).
+    """
+    if not isinstance(section, dict):
+        raise ValueError(f"{where.rstrip('.') or 'config'} must be a JSON object")
+    unknown = sorted(set(section) - known)
+    if "detection_divisor" in unknown:
+        raise ValueError(f"config key {where}detection_divisor was removed: trace "
+                         "event times are exact, with no detection grid; delete it")
+    if unknown:
+        raise ValueError("unknown config keys: " + ", ".join(where + k for k in unknown))
+
+
 def _wheel_noise_from_dict(doc: dict, side: str) -> WheelNoise:
+    _reject_unknown_keys(doc, _WHEEL_KEYS, f"noise.{side}.")
     try:
         return WheelNoise(eps_min=float(doc["eps_min"]), delta=float(doc["delta"]),
                           n=int(doc["n"]), probs=tuple(float(p) for p in doc["probs"]))
@@ -121,8 +146,10 @@ def config_from_dict(doc: dict, base_dir: Optional[Path] = None,
     """Build a RunConfig from a parsed document.
 
     ``environment`` may be a path (resolved against base_dir) or an inline
-    object; ``env_doc`` overrides both when given.
+    object; ``env_doc`` overrides both when given.  Unknown keys in the
+    document and in its vehicle, noise and algorithm sections are rejected.
     """
+    _reject_unknown_keys(doc, _TOP_KEYS, "")
     try:
         env_field = doc["environment"]
         formula_text = str(doc["formula"])
@@ -146,6 +173,9 @@ def config_from_dict(doc: dict, base_dir: Optional[Path] = None,
             env_doc = json.loads(path.read_text())
     env = environment_from_dict(env_doc)
 
+    _reject_unknown_keys(veh, _VEHICLE_KEYS, "vehicle.")
+    _reject_unknown_keys(noise, _NOISE_KEYS, "noise.")
+    _reject_unknown_keys(alg, _ALGORITHM_KEYS, "algorithm.")
     try:
         params = VehicleParams(
             wheel_radius=float(veh["wheel_radius"]),

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Sequence
-
-import numpy as np
 
 # Below this body angular rate the exact arc formula degenerates; treat as straight.
 OMEGA_STRAIGHT_EPS = 1e-12
@@ -81,12 +80,15 @@ class WheelNoise:
     The support is [eps_min, eps_min + n*delta]; tile j (1-based) is
     [eps_min + (j-1)*delta, eps_min + j*delta] and carries mass probs[j-1].
     Constructing from (eps_min, delta, n) makes the tiling exact by design.
+    ``cdf`` holds the running sums of ``probs``, computed once, for drawing
+    tiles by inverse CDF.
     """
 
     eps_min: float
     delta: float
     n: int
     probs: tuple[float, ...]
+    cdf: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -101,6 +103,7 @@ class WheelNoise:
         if abs(sum(probs) - 1.0) > 1e-12:
             raise ValueError(f"interval probabilities must sum to 1, got {sum(probs)!r}")
         object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "cdf", tuple(accumulate(probs)))
 
     @property
     def eps_max(self) -> float:
@@ -184,27 +187,10 @@ def integrate_segment(params: VehicleParams, q0: Pose, w_r: float, w_l: float,
     return Pose(x1, y1, th1)
 
 
-def segment_positions(params: VehicleParams, q0: Pose, w_r: float, w_l: float,
-                      taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positions along one constant-input segment at each local time in taus."""
-    v, omega = wheel_to_body(params, w_r, w_l)
-    taus = np.asarray(taus, dtype=float)
-    if abs(omega) < OMEGA_STRAIGHT_EPS:
-        xs = q0.x + v * taus * math.cos(q0.theta)
-        ys = q0.y + v * taus * math.sin(q0.theta)
-        return xs, ys
-    th = q0.theta + omega * taus
-    xs = q0.x + (v / omega) * (np.sin(th) - math.sin(q0.theta))
-    ys = q0.y - (v / omega) * (np.cos(th) - math.cos(q0.theta))
-    return xs, ys
-
-
 def sample_noise_interval(nm: NoiseModel, wheel: str, u: float) -> int:
     """Draw a noise-interval index (1-based) by inverse CDF from u in [0, 1)."""
     wn = nm.wheel(wheel)
-    cum = np.cumsum(wn.probs)
-    j = bisect_right(cum, u) + 1
-    return min(j, wn.n)
+    return min(bisect_right(wn.cdf, u) + 1, wn.n)
 
 
 def measure(nm: NoiseModel, params: VehicleParams, action_index: int,

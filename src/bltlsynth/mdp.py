@@ -5,6 +5,12 @@ observed so far; the empty history is the initial state.  The state space is
 never enumerated: histories materialize only when sampled.  Below the horizon
 every commanded action is enabled; at the horizon only a dummy self-loop
 action remains.
+
+The sampler is table driven: the encoder reading of every (action, right
+tile, left tile) triple is measured once per sampler, and an episode takes all
+of its uniforms in one draw, in the order the per-stage scalar draws would
+come (action when the policy is stochastic, then right tile, then left tile),
+so the histories equal those of the scalar draws.
 """
 
 from __future__ import annotations
@@ -125,20 +131,36 @@ class PathSampler:
         self.params = params
         self.nm = nm
         self.horizon = horizon
+        self.measured: dict[tuple[int, int, int], MeasuredInterval] = {
+            (a, j_r, j_l): measure(nm, params, a, j_r, j_l)
+            for a in range(len(params.actions))
+            for j_r in range(1, nm.right.n + 1)
+            for j_l in range(1, nm.left.n + 1)}
 
     def sample_history(self, policy, rng: np.random.Generator) -> HistoryKey:
-        """Roll the chain to the horizon under the policy; returns the history."""
+        """Roll the chain to the horizon under the policy; returns the history.
+
+        One ``rng.random`` call yields every uniform of the episode: per
+        stage one for the action when the policy is stochastic, then one per
+        wheel tile.
+        """
+        stochastic = not policy.deterministic
+        k = 3 if stochastic else 2
+        u = rng.random(k * self.horizon).tolist()
         history: HistoryKey = EMPTY_HISTORY
-        for _ in range(self.horizon):
-            action = policy.sample_action(history, rng)
-            j_r = sample_noise_interval(self.nm, "r", rng.random())
-            j_l = sample_noise_interval(self.nm, "l", rng.random())
+        for i in range(0, k * self.horizon, k):
+            if stochastic:
+                action = policy.sample_action(history, u[i])
+            else:
+                action = policy.best_action(history)
+            j_r = sample_noise_interval(self.nm, "r", u[i + k - 2])
+            j_l = sample_noise_interval(self.nm, "l", u[i + k - 1])
             history = history + ((action, j_r, j_l),)
         return history
 
     def measured_history(self, history: HistoryKey) -> list[tuple[int, MeasuredInterval]]:
-        return [(a, measure(self.nm, self.params, a, j_r, j_l))
-                for a, j_r, j_l in history]
+        """Encoder readings of a history, looked up in the sampler's table."""
+        return [(step[0], self.measured[step]) for step in history]
 
     def finish(self, history: HistoryKey) -> PathSample:
         """Build the tube and trace for a complete history and check the mission."""

@@ -14,9 +14,11 @@ the real success probability is not below the estimate from the chain.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -58,12 +60,22 @@ class Policy:
         return np.full(self.n_actions, 1.0 / self.n_actions)
 
     def best_action(self, state: HistoryKey) -> int:
-        return int(np.argmax(self.probs(state)))
+        row = self.rows.get(state)
+        # Both default rows (uniform, one-hot on action 0) peak at action 0.
+        return 0 if row is None else int(row.argmax())
 
-    def sample_action(self, state: HistoryKey, rng: np.random.Generator) -> int:
+    def sample_action(self, state: HistoryKey, u: float) -> int:
+        """Action for the uniform draw u in [0, 1).
+
+        Inverse CDF of the state's row, by the recipe of
+        ``Generator.choice(n, p=row)`` (running sums, divided by the last,
+        searched right of u), so a draw u gives the action ``choice`` would.
+        """
         if self.deterministic:
             return self.best_action(state)
-        return int(rng.choice(self.n_actions, p=self.probs(state)))
+        cdf = list(accumulate(self.probs(state).tolist()))
+        total = cdf[-1]
+        return bisect_right([c / total for c in cdf], u)
 
     def validate(self) -> None:
         for state, row in self.rows.items():
@@ -461,13 +473,15 @@ def simulate_true_system(policy: Policy, env: Environment, spec: SequentialSpec,
     pose = env.initial_pose
     history: HistoryKey = EMPTY_HISTORY
     stages = []
-    for _ in range(horizon):
+    # One draw for the episode, in the order of four scalar draws per stage.
+    u = rng.random(4 * horizon).tolist()
+    for i in range(0, 4 * horizon, 4):
         action = control_strategy_action(policy, history)
         u_r, u_l = params.actions[action]
-        j_r = sample_noise_interval(nm, "r", rng.random())
-        eps_r = sample_noise_in_interval(nm, "r", j_r, rng.random())
-        j_l = sample_noise_interval(nm, "l", rng.random())
-        eps_l = sample_noise_in_interval(nm, "l", j_l, rng.random())
+        j_r = sample_noise_interval(nm, "r", u[i])
+        eps_r = sample_noise_in_interval(nm, "r", j_r, u[i + 1])
+        j_l = sample_noise_interval(nm, "l", u[i + 2])
+        eps_l = sample_noise_in_interval(nm, "l", j_l, u[i + 3])
         stage = make_stage(params, pose, u_r + eps_r, u_l + eps_l, params.dt)
         stages.append(stage)
         pose = stage.end

@@ -308,14 +308,16 @@ def _intervals(paths: list[_Path], radii: Sequence[float], rects: Sequence[Rect]
 # The trace walk
 
 def _trace(traj: Trajectory, radii: Sequence[float],
-           rules: list[tuple[str, Sequence[Rect], bool]]) -> list[TraceStep]:
+           rules: list[tuple[str, Sequence[Rect], bool]], unsafe: str) -> list[TraceStep]:
     """Walk the interval lists of the labelling rules into a timed trace.
 
     Each rule is (label, rectangles, contact), in precedence order: a rule
     whose interval starts within BREAKPOINT_TOL of a later rule's wins.  From
     no label the walk enters the earliest starting interval and stays in it
-    until it ends; labeled states are always separated by an unlabeled one,
-    possibly of zero duration, and durations sum to the trajectory duration.
+    until it ends or, when the first rule carries the ``unsafe`` label, until
+    an interval of that rule starts.  Labeled states are always separated by
+    an unlabeled one, possibly of zero duration, and durations sum to the
+    trajectory duration.
     """
     if not traj.stages:
         raise ValueError("cannot trace an empty trajectory")
@@ -326,6 +328,7 @@ def _trace(traj: Trajectory, radii: Sequence[float],
         total += st.duration
     lists = [(label, _intervals(paths, radii, rects, contact))
              for label, rects, contact in rules]
+    cutter = 0 if lists and lists[0][0] == unsafe else None
     nxt = [0] * len(lists)
     out: list[TraceStep] = []
     t = 0.0
@@ -343,6 +346,9 @@ def _trace(traj: Trajectory, radii: Sequence[float],
         if best is None:
             break
         start, i, end = best
+        if cutter is not None and i != cutter and nxt[cutter] < len(lists[cutter][1]):
+            # it starts after start + BREAKPOINT_TOL, or it would have won
+            end = min(end, lists[cutter][1][nxt[cutter]][0])
         if out or start > 0.0:
             out.append((None, start - t))
         out.append((lists[i][0], end - start))
@@ -362,7 +368,8 @@ def trace_from_trajectory(traj: Trajectory, env: Environment) -> list[TraceStep]
     for reg in env.regions:
         by_prop.setdefault(reg.label, []).append(reg.rect)
     props = sorted(by_prop, key=lambda p: (p != env.unsafe, p))
-    return _trace(traj, [0.0] * len(traj.stages), [(p, by_prop[p], True) for p in props])
+    return _trace(traj, [0.0] * len(traj.stages), [(p, by_prop[p], True) for p in props],
+                  env.unsafe)
 
 
 def trace_from_tube(tube: UncertaintyTube, env: Environment) -> list[TraceStep]:
@@ -375,7 +382,7 @@ def trace_from_tube(tube: UncertaintyTube, env: Environment) -> list[TraceStep]:
     unsafe = [r.rect for r in env.unsafe_regions()]
     rules = [(env.unsafe, unsafe, True)] if unsafe else []
     rules += [(r.label, (r.rect,), False) for r in env.regions if r.label != env.unsafe]
-    return _trace(tube.trajectory, tube.radii, rules)
+    return _trace(tube.trajectory, tube.radii, rules, env.unsafe)
 
 
 # ---------------------------------------------------------------------------

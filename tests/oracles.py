@@ -1,16 +1,24 @@
 """Independent oracles used by the tests: a fixed-step RK4 integrator for the
-vehicle kinematics, a random generator of mission instances, a closed-form
-Beta posterior for the all-success estimation run, and a dense-sampling check
-of timed traces with a random generator of trace geometries."""
+vehicle kinematics, vectorised positions along a segment, a random generator
+of mission instances, a closed-form Beta posterior for the all-success
+estimation run, a dense-sampling check of timed traces with a random
+generator of trace geometries, and the straightforward forms of the episode
+kernel (eight ``integrate_segment`` corners per stage, scalar draws through
+``Generator.choice`` and a per-call ``np.cumsum``) that the table-driven
+kernel must reproduce bit for bit."""
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 
 from bltlsynth.bltl import Disjunct, Phase, SequentialSpec
-from bltlsynth.dynamics import Pose
+from bltlsynth.dynamics import (OMEGA_STRAIGHT_EPS, Pose, angle_diff, integrate_segment,
+                                wheel_to_body)
 from bltlsynth.env import Environment, Rect, Region
+from bltlsynth.mdp import EMPTY_HISTORY
 from bltlsynth.tracegen import Trajectory, make_stage
+from bltlsynth.uncertainty import NominalStageState
 
 
 def rk4_pose(params, q0, w_r, w_l, tau, step=1e-4):
@@ -33,6 +41,65 @@ def rk4_pose(params, q0, w_r, w_l, tau, step=1e-4):
         y += h / 6.0 * (k1y + 2 * k2y + 2 * k3y + k4y)
         th = the
     return x, y, th
+
+
+def segment_positions(params, q0, w_r, w_l, taus):
+    """Positions along one constant-input segment at each local time in taus."""
+    v, omega = wheel_to_body(params, w_r, w_l)
+    taus = np.asarray(taus, dtype=float)
+    if abs(omega) < OMEGA_STRAIGHT_EPS:
+        xs = q0.x + v * taus * math.cos(q0.theta)
+        ys = q0.y + v * taus * math.sin(q0.theta)
+        return xs, ys
+    th = q0.theta + omega * taus
+    xs = q0.x + (v / omega) * (np.sin(th) - math.sin(q0.theta))
+    ys = q0.y - (v / omega) * (np.cos(th) - math.cos(q0.theta))
+    return xs, ys
+
+
+def propagate_stage_corners(prev, action, interval, params, nm):
+    """One tube stage with a Pose per corner: ``integrate_segment`` from each
+    extreme start orientation under each wheel-speed corner of the measured
+    interval.  Returns (NominalStageState, Stage)."""
+    u_r, u_l = action
+    mid_r = nm.right.midpoint(interval.j_r)
+    mid_l = nm.left.midpoint(interval.j_l)
+    stage = make_stage(params, prev.pose, u_r + mid_r, u_l + mid_l, params.dt)
+    nominal = stage.end
+    worst_d = 0.0
+    worst_th = 0.0
+    alphas = (prev.dtheta, -prev.dtheta) if prev.dtheta > 0 else (0.0,)
+    for alpha in alphas:
+        start = Pose(prev.pose.x, prev.pose.y, prev.pose.theta + alpha)
+        for w_r in (interval.r_lo, interval.r_hi):
+            for w_l in (interval.l_lo, interval.l_hi):
+                q = integrate_segment(params, start, w_r, w_l, params.dt)
+                dist = ((q.x - nominal.x) ** 2 + (q.y - nominal.y) ** 2) ** 0.5
+                worst_d = max(worst_d, dist)
+                worst_th = max(worst_th, angle_diff(nominal.theta, q.theta))
+    return NominalStageState(nominal, prev.d + worst_d, worst_th), stage
+
+
+def tile_by_cumsum(wheel_noise, u):
+    """Noise tile (1-based) for u by inverse CDF over a fresh np.cumsum."""
+    cum = np.cumsum(wheel_noise.probs)
+    return min(bisect_right(cum, u) + 1, wheel_noise.n)
+
+
+def sample_history_scalar(policy, nm, horizon, rng):
+    """Roll the chain with one scalar draw per decision: ``rng.choice`` over
+    the state's row for a stochastic policy, then the right and the left
+    tile."""
+    history = EMPTY_HISTORY
+    for _ in range(horizon):
+        if policy.deterministic:
+            action = int(np.argmax(policy.probs(history)))
+        else:
+            action = int(rng.choice(policy.n_actions, p=policy.probs(history)))
+        j_r = tile_by_cumsum(nm.right, rng.random())
+        j_l = tile_by_cumsum(nm.left, rng.random())
+        history = history + ((action, j_r, j_l),)
+    return history
 
 
 DURATION_GRID = [0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5, 3.0]

@@ -23,7 +23,8 @@ from bltlsynth.uncertainty import build_tube
 
 from conftest import (COURIER_FORMULA, COURIER_TRACE, COURIER_TRACE_INNER,
                       COURIER_TRACE_TUBE, MISSION_FORMULA, load_demo_config_doc)
-from oracles import all_success_stop_count, random_spec, random_trace, rk4_pose
+from oracles import (all_success_stop_count, random_spec, random_trace, rk4_pose,
+                     segment_positions)
 
 ACCEPTANCE_SEED = 2026
 REDUCED_EPISODES = 1000
@@ -141,7 +142,6 @@ def test_criterion_06_tube_containment(demo_cfg):
             for k, (_, m) in enumerate(history):
                 w_r = rng.uniform(m.r_lo, m.r_hi)
                 w_l = rng.uniform(m.l_lo, m.l_hi)
-                from bltlsynth.dynamics import segment_positions
                 xs, ys = segment_positions(params, pose, w_r, w_l, local_ts)
                 st = tube.trajectory.stages[k]
                 nx, ny = segment_positions(params, st.start, st.w_r, st.w_l, local_ts)

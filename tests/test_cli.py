@@ -63,6 +63,41 @@ class TestConfig:
         with pytest.raises(ValueError, match="propositions"):
             load_config(bad)
 
+    @pytest.mark.parametrize("path", [("seeds",), ("algorithm", "max_round"),
+                                      ("vehicle", "wheelbase"), ("noise", "middle"),
+                                      ("noise", "left", "sigma")])
+    def test_unknown_key_rejected_by_name(self, tmp_path, tiny_setup, path):
+        doc = json.loads(tiny_setup.read_text())
+        section = doc
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = 3
+        bad = tmp_path / "mission.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="unknown config keys: " + ".".join(path)):
+            load_config(bad)
+
+    def test_section_must_be_an_object(self, tmp_path, tiny_setup):
+        doc = json.loads(tiny_setup.read_text())
+        doc["vehicle"] = [0.085, 0.295]
+        bad = tmp_path / "mission.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="vehicle must be a JSON object"):
+            load_config(bad)
+
+    def test_removed_detection_divisor_has_its_own_message(self, tmp_path, tiny_setup):
+        doc = json.loads(tiny_setup.read_text())
+        doc["algorithm"]["detection_divisor"] = 256
+        bad = tmp_path / "mission.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="algorithm.detection_divisor was removed"):
+            load_config(bad)
+
+    def test_resolved_config_loads_back(self, demo_config):
+        from bltlsynth.config import config_from_dict
+        again = config_from_dict(demo_config.resolved_dict())
+        assert again.content_hash() == demo_config.content_hash()
+
     def test_hash_changes_with_seed_but_not_workers(self, tiny_setup):
         base = load_config(tiny_setup)
         reseeded = load_config(tiny_setup, seed_override=77)

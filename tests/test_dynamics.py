@@ -6,10 +6,10 @@ import pytest
 from bltlsynth.dynamics import (MeasuredInterval, NoiseModel, Pose, VehicleParams,
                                 WheelNoise, angle_diff, integrate_segment, measure,
                                 sample_noise_in_interval, sample_noise_interval,
-                                segment_positions, wheel_to_body, wrap_angle)
+                                wheel_to_body, wrap_angle)
 
 from conftest import DT, ENCODER_DELTA, STRAIGHT, TURN_LEFT, TURN_RIGHT
-from oracles import rk4_pose
+from oracles import rk4_pose, segment_positions, tile_by_cumsum
 
 
 class TestWheelToBody:
@@ -145,6 +145,22 @@ class TestSampleNoiseInterval:
             counts[sample_noise_interval(nm, "r", rng.random()) - 1] += 1
         for freq, p in zip(counts / n, (0.2, 0.5, 0.3)):
             assert abs(freq - p) < 3 * math.sqrt(p * (1 - p) / n)
+
+
+    def test_tile_table_matches_cumsum_per_call(self):
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            n = int(rng.integers(1, 7))
+            probs = rng.random(n) * (rng.random(n) < 0.8) + 1e-3
+            probs = tuple(float(p) for p in probs / probs.sum())
+            try:
+                wn = WheelNoise(-0.01, 0.005, n, probs)
+            except ValueError:  # rounding left the sum off 1 by more than 1e-12
+                continue
+            nm = NoiseModel(right=wn, left=wn)
+            us = list(rng.random(50)) + list(wn.cdf) + [0.0, np.nextafter(1.0, 0.0)]
+            for u in us:
+                assert sample_noise_interval(nm, "r", float(u)) == tile_by_cumsum(wn, float(u))
 
 
 class TestMeasure:

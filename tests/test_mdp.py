@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from bltlsynth.bltl import parse_formula, to_sequential
-from bltlsynth.dynamics import NoiseModel
+from bltlsynth.dynamics import NoiseModel, measure
 from bltlsynth.mdp import (DUMMY_ACTION, EMPTY_HISTORY, PathSampler, enabled_actions,
                            episode_rng, history_key_string, parse_history_key,
                            successors, transition_prob)
 from bltlsynth.synthesis import Policy, uniform_policy
 
 from conftest import simple_env
+from oracles import sample_history_scalar
 
 
 @pytest.fixture
@@ -146,6 +147,43 @@ class TestPathSampler:
             freq = counts.get(nxt[0], 0) / n
             sigma = math.sqrt(p * (1 - p) / n)
             assert abs(freq - p) < 3 * sigma
+
+    @pytest.mark.parametrize("deterministic", [False, True], ids=["stochastic", "deterministic"])
+    def test_one_draw_matches_scalar_draws(self, small_env, small_spec, demo_params,
+                                           deterministic):
+        # rows on some states only, so the walk also meets unseen states
+        nm = NoiseModel.symmetric(-0.01, 0.005, 3, (0.2, 0.5, 0.3))
+        sampler = PathSampler(small_env, small_spec, demo_params, nm, 5)
+        rng = np.random.default_rng(77)
+        rows = {}
+        for _ in range(60):
+            depth = int(rng.integers(0, 4))
+            state = tuple((int(rng.integers(3)), int(rng.integers(1, 4)),
+                           int(rng.integers(1, 4))) for _ in range(depth))
+            row = rng.random(3) * (rng.random(3) < 0.8)
+            row[int(rng.integers(3))] += 0.1
+            rows[state] = row / row.sum()
+        rows[EMPTY_HISTORY] = np.array([0.3, 0.0, 0.7])
+        policy = Policy(3, rows, deterministic=deterministic)
+        seen = []
+        for i in range(400):
+            a, b = episode_rng(5, 0, 1, i), episode_rng(5, 0, 1, i)
+            history = sampler.sample_history(policy, a)
+            assert history == sample_history_scalar(policy, nm, 5, b)
+            assert a.random() == b.random()  # same number of draws taken
+            seen += [history[:k] in rows for k in range(1, 5)]
+        assert 0 < sum(seen) < len(seen)
+
+    def test_measured_history_is_measure(self, small_env, small_spec, demo_params,
+                                         demo_noise):
+        sampler = PathSampler(small_env, small_spec, demo_params, demo_noise, 3)
+        history = ((0, 1, 3), (2, 2, 2), (1, 3, 1))
+        assert sampler.measured_history(history) == [
+            (a, measure(demo_noise, demo_params, a, j_r, j_l)) for a, j_r, j_l in history]
+        with pytest.raises(KeyError):
+            sampler.measured_history(((3, 1, 1),))
+        with pytest.raises(KeyError):
+            sampler.measured_history(((0, 4, 1),))
 
     def test_horizon_validated(self, small_env, small_spec, demo_params, demo_noise):
         with pytest.raises(ValueError):

@@ -13,7 +13,7 @@ from bltlsynth.synthesis import (BieResult, Policy, QEntry, QTable, bie_estimate
 from bltlsynth.synthesis import _episode_pool, _map_episodes
 
 from conftest import simple_env
-from oracles import all_success_stop_count
+from oracles import all_success_stop_count, tile_by_cumsum
 
 
 @pytest.fixture
@@ -35,6 +35,30 @@ def hard_setup(demo_params, zero_noise):
     formula = parse_formula("!u U[<=0] a")
     spec = to_sequential(formula, "u")
     return env, formula, spec
+
+
+class TestSampleAction:
+    def test_draw_for_draw_equal_to_generator_choice(self):
+        rng = np.random.default_rng(4)
+        rows = [np.array([0.3, 0.0, 0.7]), np.array([0.0, 0.0, 1.0]),
+                np.full(3, 1.0 / 3.0)]
+        for _ in range(40):
+            row = rng.random(4) * (rng.random(4) < 0.7)
+            row[int(rng.integers(4))] += 0.05
+            rows.append(row / row.sum())
+        for k, row in enumerate(rows):
+            policy = Policy(len(row), {EMPTY_HISTORY: row})
+            a, b = np.random.default_rng(k), np.random.default_rng(k)
+            for _ in range(500):
+                assert policy.sample_action(EMPTY_HISTORY, a.random()) == \
+                    int(b.choice(len(row), p=row))
+
+    def test_unseen_state_draws_uniformly(self):
+        policy = uniform_policy(3)
+        a, b = np.random.default_rng(9), np.random.default_rng(9)
+        for _ in range(500):
+            assert policy.sample_action(((1, 2, 2),), a.random()) == \
+                int(b.choice(3, p=np.full(3, 1.0 / 3.0)))
 
 
 class TestQTable:
@@ -303,6 +327,25 @@ class TestValidateTrueSystem:
             assert u_r + lo <= st.w_r <= u_r + hi
             lo, hi = demo_noise.left.interval(j_l)
             assert u_l + lo <= st.w_l <= u_l + hi
+
+
+    def test_one_draw_matches_four_scalar_draws_per_stage(self, easy_setup, demo_params):
+        env, _, spec, _ = easy_setup
+        nm = NoiseModel.symmetric(-0.01, 0.005, 3, (0.2, 0.5, 0.3))
+        pol = Policy(3, {EMPTY_HISTORY: np.array([0.0, 0.0, 1.0])}, deterministic=True)
+        for i in range(20):
+            traj, history, _ = simulate_true_system(
+                pol, env, spec, demo_params, nm, 4, episode_rng(13, 2, 0, i))
+            rng = episode_rng(13, 2, 0, i)
+            for (a, j_r, j_l), st in zip(history, traj.stages):
+                u_r, u_l = demo_params.actions[a]
+                assert j_r == tile_by_cumsum(nm.right, rng.random())
+                lo, hi = nm.right.interval(j_r)
+                assert st.w_r == u_r + (lo + rng.random() * (hi - lo))
+                assert j_l == tile_by_cumsum(nm.left, rng.random())
+                lo, hi = nm.left.interval(j_l)
+                assert st.w_l == u_l + (lo + rng.random() * (hi - lo))
+            assert [a for a, _, _ in history] == [2, 0, 0, 0]
 
 
 class _CountedTask:

@@ -6,7 +6,8 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from bltlsynth.dynamics import Pose, measure
+from bltlsynth.bltl import check_sequential, parse_formula, to_sequential
+from bltlsynth.dynamics import Pose, VehicleParams, measure
 from bltlsynth.env import Rect, Region
 from bltlsynth.tracegen import (Stage, Trajectory, UncertaintyTube, disc_in_region,
                                 disc_intersects_region, make_stage, read_trace_csv,
@@ -206,6 +207,42 @@ class TestTraceFromTube:
             assert abs(sum(t for _, t in trace) - 5 * DT) < 1e-9
             for (l1, _), (l2, _) in zip(trace, trace[1:]):
                 assert l1 != l2
+
+
+class TestUnsafeCutsGoal:
+    """Unsafe contact that starts during a goal state ends that state.
+
+    Goal "a" shares its top edge y = 0 with unsafe "u" = [0, 0.3] x [0, 1].
+    One straight 2.6 s stage at 0.6 m/s from x = -0.8: the radius-0.1 disc
+    centred on y = -0.1 stays inside "a" and touches "u" while x is in
+    [0, 0.3], i.e. from t = 4/3 s to t = 11/6 s; so does the point on y = 0.
+    """
+
+    PARAMS = VehicleParams(0.1, 0.3, 2.6, ((6.0, 6.0),))
+    REGIONS = [("a", (-1.0, -1.0, 1.0, 0.0)), ("u", (0.0, 0.0, 0.3, 1.0))]
+
+    def stage_at(self, y):
+        env = simple_env(self.REGIONS, start=(-0.8, y, 0.0))
+        traj = Trajectory((make_stage(self.PARAMS, env.initial_pose, 6.0, 6.0, 2.6),))
+        return env, traj
+
+    def assert_cut(self, trace):
+        assert [label for label, _ in trace] == ["a", None, "u", None, "a"]
+        for (_, got), want in zip(trace, (0.8 / 0.6, 0.0, 0.5, 0.0, 2.6 - 1.1 / 0.6)):
+            assert got == pytest.approx(want, abs=1e-9)
+        # a two-second dwell in "a" from the start no longer passes
+        spec = to_sequential(parse_formula("!u U[<=1] G[<=2] a"), "u")
+        assert not check_sequential(trace, spec)
+
+    def test_tube_contact_cuts_containment(self):
+        env, traj = self.stage_at(-0.1)
+        self.assert_cut(trace_from_tube(UncertaintyTube(traj, (0.1,), (0.0,)), env))
+        # the centre line itself never meets "u"
+        assert trace_from_trajectory(traj, env) == [("a", pytest.approx(2.6))]
+
+    def test_point_on_shared_edge_cuts_goal(self):
+        env, traj = self.stage_at(0.0)
+        self.assert_cut(trace_from_trajectory(traj, env))
 
 
 class TestExactEvents:

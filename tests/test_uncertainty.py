@@ -8,6 +8,7 @@ from bltlsynth.dynamics import (NoiseModel, Pose, integrate_segment, measure,
 from bltlsynth.uncertainty import NominalStageState, build_tube, propagate_stage
 
 from conftest import DT, ENCODER_DELTA, STRAIGHT
+from oracles import propagate_stage_corners, segment_positions
 
 
 class TestRepresentativeNoise:
@@ -98,6 +99,53 @@ class TestPropagateStage:
         assert wide.d > flat.d + 0.02
 
 
+class TestCornerOracle:
+    """The allocation-free corner loop equals eight ``integrate_segment``
+    corners per stage bit for bit."""
+
+    ACTIONS = ((3.0, 3.0), (2.0, -2.0), (3.8, 2.1), (0.5, 8.0))  # straight, spin, turns
+
+    @pytest.mark.parametrize("spread", ["zero", "positive"])
+    def test_matches_pose_per_corner(self, spread):
+        from bltlsynth.dynamics import VehicleParams
+        rng = np.random.default_rng(31 if spread == "zero" else 32)
+        for case in range(300):
+            params = VehicleParams(0.085, 0.295, float(rng.uniform(0.5, 3.0)), self.ACTIONS)
+            n = int(rng.integers(1, 4))
+            # symmetric tiles hit zero turn rate on the straight action and
+            # zero speed on the spin at some corners
+            eps_min = -0.1 if case % 2 else float(rng.uniform(-0.5, 0.0))
+            delta = 0.2 / n if case % 2 else float(rng.uniform(0.0, 0.4))
+            nm = NoiseModel.symmetric(eps_min, delta, n, [1.0 / n] * n)
+            a = int(rng.integers(len(self.ACTIONS)))
+            interval = measure(nm, params, a, int(rng.integers(1, n + 1)),
+                               int(rng.integers(1, n + 1)))
+            theta = 0.0 if case % 5 == 0 else float(rng.uniform(0, 2 * math.pi))
+            dtheta = 0.0 if spread == "zero" else float(rng.uniform(0.0, 4.0))
+            prev = NominalStageState(Pose(float(rng.normal()), float(rng.normal()), theta),
+                                     float(rng.uniform(0, 0.2)), dtheta)
+            got, got_stage = propagate_stage(prev, self.ACTIONS[a], interval, params, nm)
+            ref, ref_stage = propagate_stage_corners(prev, self.ACTIONS[a], interval,
+                                                     params, nm)
+            assert got.d == ref.d
+            assert got.dtheta == ref.dtheta
+            assert got.pose == ref.pose
+            assert got_stage == ref_stage
+
+    def test_demo_tubes_match(self, demo_params, demo_noise):
+        rng = np.random.default_rng(33)
+        for _ in range(100):
+            state = ref = NominalStageState(Pose(0.3, -0.2, 6.2), 0.0, 0.0)
+            for a in rng.integers(0, 3, size=9):
+                interval = measure(demo_noise, demo_params, int(a),
+                                   int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+                state, _ = propagate_stage(state, demo_params.actions[a], interval,
+                                           demo_params, demo_noise)
+                ref, _ = propagate_stage_corners(ref, demo_params.actions[a], interval,
+                                                 demo_params, demo_noise)
+                assert (state.d, state.dtheta, state.pose) == (ref.d, ref.dtheta, ref.pose)
+
+
 class TestBuildTube:
     def test_empty_history_is_a_point(self, demo_params, demo_noise):
         tube = build_tube([], Pose(0, 0, 0), demo_params, demo_noise)
@@ -136,7 +184,6 @@ class TestBuildTube:
 def inner_positions(params, q0, wheel_speeds, times_per_stage):
     """Sample an inner trajectory (one constant wheel-speed pair per stage)
     at a grid of local times; returns stage-ordered arrays."""
-    from bltlsynth.dynamics import segment_positions
     out = []
     pose = q0
     for w_r, w_l in wheel_speeds:
@@ -162,7 +209,6 @@ class TestContainment:
                           for _, m in history]
                 pose = Pose(0, 0, 0)
                 for k, (w_r, w_l) in enumerate(speeds):
-                    from bltlsynth.dynamics import segment_positions
                     xs, ys = segment_positions(demo_params, pose, w_r, w_l, local_ts)
                     st = tube.trajectory.stages[k]
                     nx, ny = segment_positions(demo_params, st.start, st.w_r, st.w_l,

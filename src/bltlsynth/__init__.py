@@ -16,9 +16,9 @@ from .env import Environment, Rect, Region, load_environment, satisfying_set
 from .mdp import (DUMMY_ACTION, PathSample, PathSampler, enabled_actions,
                   successors, transition_prob)
 from .synthesis import (BieResult, Policy, QTable, SynthesisResult,
-                        bie_estimate, control_strategy_action, determinize,
-                        evaluate_policy, improve_policy, simulate_true_system,
-                        synthesize, theorem_bound_holds, validate_true_system)
+                        bie_estimate, determinize, evaluate_policy,
+                        improve_policy, simulate_true_system, synthesize,
+                        theorem_bound_holds, validate_true_system)
 from .tracegen import (Trajectory, UncertaintyTube, disc_in_region,
                        disc_intersects_region, trace_from_trajectory,
                        trace_from_tube)

@@ -14,13 +14,12 @@ import time
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
 from .bltl import (Atom, FragmentError, Not, ParseError, Until,
                    horizon_stages, parse_formula, sequential_witness, to_sequential)
 from .config import RunConfig, load_config
 from .env import Environment, environment_from_dict
-from .mdp import STREAM_VALIDATE, episode_rng, history_key_string, parse_history_key
+from .mdp import (STREAM_VALIDATE, HistoryKey, episode_rng, history_key_string,
+                  parse_history_key)
 from .synthesis import (Policy, SynthesisResult, simulate_true_system, synthesize,
                         theorem_bound_holds, validate_true_system)
 from .tracegen import read_trace_csv, read_trajectory_csv, write_trajectory_csv
@@ -36,8 +35,9 @@ EXIT_BOUND_FAILED = 4
 # Artifact writers
 
 def _policy_document(result: SynthesisResult, cfg: RunConfig) -> dict:
-    actions = {history_key_string(state): int(np.argmax(row))
-               for state, row in result.policy.rows.items()}
+    policy = result.policy
+    actions = {history_key_string(state): policy.actions[i]
+               for state, i in policy.index.items()}
     return {
         "metadata": {
             "config_hash": cfg.content_hash(),
@@ -55,15 +55,22 @@ def _policy_document(result: SynthesisResult, cfg: RunConfig) -> dict:
 
 
 def load_policy_file(path: Path) -> tuple[dict, Policy]:
+    """Metadata and deterministic policy of a policy file.
+
+    Every action must be an integer index into the file's action set.
+    """
     doc = json.loads(Path(path).read_text())
     meta = doc["metadata"]
     n_actions = int(meta["n_actions"])
-    rows = {}
+    index: dict[HistoryKey, int] = {}
+    actions: list[int] = []
     for key, action in doc["policy"].items():
-        row = np.zeros(n_actions)
-        row[int(action)] = 1.0
-        rows[parse_history_key(key)] = row
-    return meta, Policy(n_actions=n_actions, rows=rows, deterministic=True)
+        if type(action) is not int or not 0 <= action < n_actions:
+            raise ValueError(f"policy action {action!r} at history {key!r} is not "
+                             f"an action index in [0, {n_actions})")
+        index[parse_history_key(key)] = len(actions)
+        actions.append(action)
+    return meta, Policy(n_actions, index, actions=actions)
 
 
 def _write_json(path: Path, doc: dict) -> None:

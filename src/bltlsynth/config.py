@@ -185,8 +185,12 @@ def config_from_dict(doc: dict, base_dir: Optional[Path] = None,
         )
     except KeyError as exc:
         raise ValueError(f"vehicle is missing field {exc}") from exc
-    nm = NoiseModel(right=_wheel_noise_from_dict(noise["right"], "right"),
-                    left=_wheel_noise_from_dict(noise["left"], "left"))
+    try:
+        right, left = noise["right"], noise["left"]
+    except KeyError as exc:
+        raise ValueError(f"noise is missing side {exc}") from exc
+    nm = NoiseModel(right=_wheel_noise_from_dict(right, "right"),
+                    left=_wheel_noise_from_dict(left, "left"))
 
     try:
         algorithm = AlgorithmParams(

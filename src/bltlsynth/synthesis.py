@@ -6,10 +6,16 @@ reinforcement step toward each state's best action, determinization, and a
 Bayesian interval estimate of the deterministic policy's success probability.
 It stops when consecutive round estimates agree to within a radius.
 
+Policies and Q estimates share one layout: an index from measurement history
+to row, and arrays with one row per indexed history and one column per
+action.  Each step is one array operation over all rows: smoothing the
+estimates, the convex step toward each row's argmax, and determinization.
+
 The resulting deterministic policy doubles as the vehicle control strategy:
-fed the measurement history, it returns the next wheel-speed command, and the
-continuous closed-loop system can be simulated against it to validate that
-the real success probability is not below the estimate from the chain.
+fed the measurement history (``Policy.best_action``), it returns the next
+wheel-speed command, and the continuous closed-loop system can be simulated
+against it to validate that the real success probability is not below the
+estimate from the chain.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 from scipy.special import betainc
@@ -34,35 +40,39 @@ from .tracegen import Trajectory, make_stage, trace_from_trajectory
 
 
 # ---------------------------------------------------------------------------
-# Policies
+# Policies and Q estimates: an index from history to row, arrays by row
 
 @dataclass
 class Policy:
-    """Distribution over action indices per measurement history.
+    """Action choice per measurement history.
 
+    ``index`` maps each history with its own row to that row's number.  A
+    stochastic policy holds an S×A matrix ``probs`` of action probabilities;
+    a deterministic one holds an action index per row in ``actions``.
     Unseen histories fall back to the default rule: uniform for stochastic
-    policies, lowest action index for deterministic ones.  Rows never include
-    the dummy horizon action.
+    policies, action 0 for deterministic ones.  Rows never include the dummy
+    horizon action.  An index is never changed once a policy or table holds
+    it, so they may share one.
     """
 
     n_actions: int
-    rows: dict[HistoryKey, np.ndarray] = field(default_factory=dict)
-    deterministic: bool = False
+    index: dict[HistoryKey, int]
+    probs: Optional[np.ndarray] = None
+    actions: Optional[list[int]] = None
 
-    def probs(self, state: HistoryKey) -> np.ndarray:
-        row = self.rows.get(state)
-        if row is not None:
-            return row
-        if self.deterministic:
-            row = np.zeros(self.n_actions)
-            row[0] = 1.0
-            return row
-        return np.full(self.n_actions, 1.0 / self.n_actions)
+    @property
+    def deterministic(self) -> bool:
+        return self.actions is not None
 
     def best_action(self, state: HistoryKey) -> int:
-        row = self.rows.get(state)
-        # Both default rows (uniform, one-hot on action 0) peak at action 0.
-        return 0 if row is None else int(row.argmax())
+        """Next commanded action for a history (the default rule on unseen ones)."""
+        i = self.index.get(state)
+        if i is None:
+            # Both default rules (uniform, action 0) peak at action 0.
+            return 0
+        if self.actions is not None:
+            return self.actions[i]
+        return int(self.probs[i].argmax())
 
     def sample_action(self, state: HistoryKey, u: float) -> int:
         """Action for the uniform draw u in [0, 1).
@@ -71,92 +81,76 @@ class Policy:
         ``Generator.choice(n, p=row)`` (running sums, divided by the last,
         searched right of u), so a draw u gives the action ``choice`` would.
         """
-        if self.deterministic:
+        if self.actions is not None:
             return self.best_action(state)
-        cdf = list(accumulate(self.probs(state).tolist()))
+        i = self.index.get(state)
+        row = [1.0 / self.n_actions] * self.n_actions if i is None else self.probs[i].tolist()
+        cdf = list(accumulate(row))
         total = cdf[-1]
         return bisect_right([c / total for c in cdf], u)
 
-    def validate(self) -> None:
-        for state, row in self.rows.items():
-            if len(row) != self.n_actions:
-                raise ValueError(f"policy row at {state!r} has wrong arity")
-            if (row < 0).any() or abs(row.sum() - 1.0) > 1e-9:
-                raise ValueError(f"policy row at {state!r} is not a distribution")
-
 
 def uniform_policy(n_actions: int) -> Policy:
-    return Policy(n_actions=n_actions)
-
-
-# ---------------------------------------------------------------------------
-# Q estimates
-
-@dataclass
-class QEntry:
-    estimate: float
-    visits: int
+    return Policy(n_actions, {}, probs=np.empty((0, n_actions)))
 
 
 @dataclass
 class QTable:
-    """Per state-action pair: estimated satisfaction probability and visits."""
+    """Per visited history, a row of estimated satisfaction probabilities and
+    visit counts over the actions.
 
-    entries: dict[tuple[HistoryKey, int], QEntry] = field(default_factory=dict)
+    ``index`` maps a history to its row of the S×A arrays ``estimate`` and
+    ``visits``.  An unvisited pair has 0 visits and estimate -inf, so an
+    argmax over a row never picks it.
+    """
 
-    def states(self) -> list[HistoryKey]:
-        return sorted({s for s, _ in self.entries}, key=lambda s: (len(s), s))
+    index: dict[HistoryKey, int] = field(default_factory=dict)
+    estimate: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
+    visits: np.ndarray = field(default_factory=lambda: np.empty((0, 0), dtype=np.int64))
 
-    def estimate(self, state: HistoryKey, action: int) -> Optional[float]:
-        e = self.entries.get((state, action))
-        return None if e is None else e.estimate
+    @property
+    def q_pairs(self) -> int:
+        """Number of state-action pairs visited so far."""
+        return int(np.count_nonzero(self.visits))
 
-    def merged(self, counts: dict[tuple[HistoryKey, int], tuple[int, int]],
+    def merged(self, index: dict[HistoryKey, int], sat: np.ndarray, visits: np.ndarray,
                history_weight: float) -> "QTable":
         """Fold fresh per-round counts into a new table.
 
-        Pairs seen before take the convex combination h*old + (1-h)*fresh;
-        first-time pairs take the fresh ratio; untouched pairs carry over.
+        ``index`` extends this table's index with the round's new histories;
+        ``sat`` and ``visits`` count satisfying and all visits per pair of its
+        rows.  Pairs seen before take the convex combination
+        h*old + (1-h)*fresh; first-time pairs take the fresh ratio; untouched
+        pairs carry over.
         """
         h = history_weight
-        out = {k: QEntry(v.estimate, v.visits) for k, v in self.entries.items()}
-        for key, (sat, visits) in counts.items():
-            fresh = sat / visits
-            prev = out.get(key)
-            if prev is None:
-                out[key] = QEntry(fresh, visits)
-            else:
-                out[key] = QEntry(h * prev.estimate + (1.0 - h) * fresh,
-                                  prev.visits + visits)
-        return QTable(out)
+        old = np.full(visits.shape, -np.inf)
+        seen = np.zeros(visits.shape, dtype=np.int64)
+        if self.index:
+            old[:len(self.index)] = self.estimate
+            seen[:len(self.index)] = self.visits
+        fresh = sat / np.maximum(visits, 1)
+        blended = np.where(seen == 0, fresh, h * old + (1.0 - h) * fresh)
+        return QTable(index, np.where(visits == 0, old, blended), seen + visits)
 
 
 # ---------------------------------------------------------------------------
 # Episode execution (shared by evaluation, estimation, and validation)
 
 @dataclass(frozen=True)
-class _EvalTask:
+class _ChainTask:
+    """Chain episodes under a policy on one seed stream: (history, verdict)."""
+
     sampler: PathSampler
     policy: Policy
     master_seed: int
+    stream: int
     round_index: int
 
     def run(self, index: int) -> tuple[HistoryKey, bool]:
-        rng = episode_rng(self.master_seed, STREAM_POLICY_EVAL, self.round_index, index)
+        rng = episode_rng(self.master_seed, self.stream, self.round_index, index)
         path = self.sampler.sample_path(self.policy, rng)
         return path.state, path.satisfied
-
-
-@dataclass(frozen=True)
-class _ChainVerdictTask:
-    sampler: PathSampler
-    policy: Policy
-    master_seed: int
-    round_index: int
-
-    def run(self, index: int) -> bool:
-        rng = episode_rng(self.master_seed, STREAM_BIE, self.round_index, index)
-        return self.sampler.sample_path(self.policy, rng).satisfied
 
 
 @dataclass(frozen=True)
@@ -232,71 +226,58 @@ def evaluate_policy(policy: Policy, n_episodes: int, qtable: QTable,
 
     Every (state, action) pair along a path is credited with the path's
     verdict; per-pair ratios are folded into the table with the history
-    weight.  Returns the new table and the number of satisfying paths.
+    weight.  New histories get rows after the table's, in the order the
+    episodes first reach them.  Returns the new table and the number of
+    satisfying paths.
     """
     if n_episodes < 1:
         raise ValueError("need at least one episode")
     if not 0.0 < history_weight < 1.0:
         raise ValueError("history weight must lie in (0, 1)")
-    task = _EvalTask(sampler, policy, master_seed, round_index)
+    task = _ChainTask(sampler, policy, master_seed, STREAM_POLICY_EVAL, round_index)
     with _episode_pool(task, workers) as pool:
         results = _map_episodes(task, range(n_episodes), workers, pool)
-    counts: dict[tuple[HistoryKey, int], list[int]] = {}
-    n_sat = 0
+    index = dict(qtable.index)
+    rows: list[int] = []
+    cols: list[int] = []
+    verdicts: list[bool] = []
     for history, satisfied in results:
-        n_sat += satisfied
         for k, step in enumerate(history):
-            pair = (history[:k], step[0])
-            cell = counts.setdefault(pair, [0, 0])
-            cell[0] += satisfied
-            cell[1] += 1
-    merged = qtable.merged({k: (s, v) for k, (s, v) in counts.items()}, history_weight)
-    return merged, n_sat
+            rows.append(index.setdefault(history[:k], len(index)))
+            cols.append(step[0])
+            verdicts.append(satisfied)
+    sat = np.zeros((len(index), policy.n_actions), dtype=np.int64)
+    visits = np.zeros_like(sat)
+    np.add.at(sat, (rows, cols), verdicts)
+    np.add.at(visits, (rows, cols), 1)
+    n_sat = sum(satisfied for _, satisfied in results)
+    return qtable.merged(index, sat, visits, history_weight), n_sat
 
 
 def improve_policy(policy: Policy, qtable: QTable, greediness: float) -> Policy:
     """Shift each visited state's distribution toward its best-rated action.
 
     New row = (1-g) * old row + g * indicator(argmax estimate); ties break to
-    the lowest action index; states absent from the table are left alone.
+    the lowest action index.  The policy's rows must be the first rows of the
+    table (as ``evaluate_policy`` leaves them); the table's other rows start
+    from the uniform distribution.
     """
     if not 0.0 < greediness < 1.0:
         raise ValueError("greediness must lie in (0, 1)")
+    if any(qtable.index.get(state) != i for state, i in policy.index.items()):
+        raise ValueError("the policy's rows are not the first rows of the table")
     g = greediness
-    by_state: dict[HistoryKey, dict[int, float]] = {}
-    for (state, action), entry in qtable.entries.items():
-        by_state.setdefault(state, {})[action] = entry.estimate
-    rows = {s: row.copy() for s, row in policy.rows.items()}
-    for state, ests in by_state.items():
-        best = min((a for a in ests), key=lambda a: (-ests[a], a))
-        base = policy.probs(state)
-        row = (1.0 - g) * base
-        row[best] += g
-        rows[state] = row
-    return Policy(n_actions=policy.n_actions, rows=rows, deterministic=False)
+    probs = np.full(qtable.estimate.shape, 1.0 / policy.n_actions)
+    probs[:len(policy.index)] = policy.probs
+    probs *= 1.0 - g
+    probs[np.arange(len(probs)), qtable.estimate.argmax(axis=1)] += g
+    return Policy(policy.n_actions, qtable.index, probs=probs)
 
 
-def determinize(source: Union[Policy, QTable], n_actions: Optional[int] = None) -> Policy:
-    """Deterministic argmax policy from a stochastic policy or a Q table."""
-    if isinstance(source, Policy):
-        rows = {}
-        for state, row in source.rows.items():
-            one_hot = np.zeros(source.n_actions)
-            one_hot[int(np.argmax(row))] = 1.0
-            rows[state] = one_hot
-        return Policy(n_actions=source.n_actions, rows=rows, deterministic=True)
-    if n_actions is None:
-        raise ValueError("n_actions is required when determinizing a QTable")
-    by_state: dict[HistoryKey, dict[int, float]] = {}
-    for (state, action), entry in source.entries.items():
-        by_state.setdefault(state, {})[action] = entry.estimate
-    rows = {}
-    for state, ests in by_state.items():
-        best = min((a for a in ests), key=lambda a: (-ests[a], a))
-        one_hot = np.zeros(n_actions)
-        one_hot[best] = 1.0
-        rows[state] = one_hot
-    return Policy(n_actions=n_actions, rows=rows, deterministic=True)
+def determinize(policy: Policy) -> Policy:
+    """Deterministic argmax policy of a stochastic one (ties to the lowest action)."""
+    return Policy(policy.n_actions, policy.index,
+                  actions=policy.probs.argmax(axis=1).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +396,6 @@ def synthesize(env: Environment, formula: Formula, params: VehicleParams,
     qtable = QTable()
     rounds: list[RoundRecord] = []
     prev_estimate: Optional[float] = None
-    det = determinize(policy)
     estimate: Optional[BieResult] = None
     converged = False
 
@@ -427,10 +407,11 @@ def synthesize(env: Environment, formula: Formula, params: VehicleParams,
         policy = improve_policy(policy, qtable, greediness)
         det = determinize(policy)
 
-        task = _ChainVerdictTask(sampler, det, master_seed, round_index)
+        task = _ChainTask(sampler, det, master_seed, STREAM_BIE, round_index)
         with _episode_pool(task, workers) as pool:
             def draw(start: int, count: int) -> list[bool]:
-                return _map_episodes(task, range(start, start + count), workers, pool)
+                episodes = _map_episodes(task, range(start, start + count), workers, pool)
+                return [satisfied for _, satisfied in episodes]
 
             estimate = bie_estimate(draw, delta, confidence, prior_alpha, prior_beta,
                                     batch_size=batch_size)
@@ -441,7 +422,7 @@ def synthesize(env: Environment, formula: Formula, params: VehicleParams,
             eval_episodes=episodes_per_round, p_hat=estimate.p_hat,
             n=estimate.n, successes=estimate.successes,
             coverage=estimate.coverage, change_from_previous=change,
-            q_pairs=len(qtable.entries), policy_states=len(det.rows)))
+            q_pairs=qtable.q_pairs, policy_states=len(det.index)))
         if change is not None and change <= stop_radius:
             converged = True
             break
@@ -454,11 +435,6 @@ def synthesize(env: Environment, formula: Formula, params: VehicleParams,
 
 # ---------------------------------------------------------------------------
 # Vehicle control strategy and continuous-system validation
-
-def control_strategy_action(policy: Policy, history: HistoryKey) -> int:
-    """Next commanded action for a measurement history (default on unseen)."""
-    return policy.best_action(history)
-
 
 def simulate_true_system(policy: Policy, env: Environment, spec: SequentialSpec,
                          params: VehicleParams, nm: NoiseModel, horizon: int,
@@ -476,7 +452,7 @@ def simulate_true_system(policy: Policy, env: Environment, spec: SequentialSpec,
     # One draw for the episode, in the order of four scalar draws per stage.
     u = rng.random(4 * horizon).tolist()
     for i in range(0, 4 * horizon, 4):
-        action = control_strategy_action(policy, history)
+        action = policy.best_action(history)
         u_r, u_l = params.actions[action]
         j_r = sample_noise_interval(nm, "r", u[i])
         eps_r = sample_noise_in_interval(nm, "r", j_r, u[i + 1])

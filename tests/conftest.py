@@ -1,11 +1,13 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from bltlsynth.config import builtin_config_path, load_config
 from bltlsynth.dynamics import NoiseModel, Pose, VehicleParams
 from bltlsynth.env import Environment, Rect, Region
+from bltlsynth.synthesis import Policy
 
 WHEEL_RADIUS = 0.085
 WHEEL_SEP = 0.295
@@ -67,6 +69,16 @@ def simple_env(regions, props=("u", "a", "b"), unsafe="u", start=(0.0, 0.0, 0.0)
         initial_pose=Pose(*start),
         bounds=Rect(*bounds),
     )
+
+
+def policy_from_rows(rows, n_actions, deterministic=False) -> Policy:
+    """Policy with one row per history of ``rows`` (history -> action
+    probabilities); a deterministic one takes each row's argmax."""
+    index = {state: i for i, state in enumerate(rows)}
+    probs = np.array(list(rows.values()), dtype=float).reshape(len(rows), n_actions)
+    if deterministic:
+        return Policy(n_actions, index, actions=probs.argmax(axis=1).tolist())
+    return Policy(n_actions, index, probs=probs)
 
 
 def env_doc_dict(**overrides) -> dict:

@@ -2,10 +2,12 @@
 vehicle kinematics, vectorised positions along a segment, a random generator
 of mission instances, a closed-form Beta posterior for the all-success
 estimation run, a dense-sampling check of timed traces with a random
-generator of trace geometries, and the straightforward forms of the episode
+generator of trace geometries, the straightforward forms of the episode
 kernel (eight ``integrate_segment`` corners per stage, scalar draws through
 ``Generator.choice`` and a per-call ``np.cumsum``) that the table-driven
-kernel must reproduce bit for bit."""
+kernel must reproduce bit for bit, and the pair-keyed forms of the synthesis
+step (Q estimates per (history, action) pair, one policy row per history)
+that the state-indexed tables must reproduce bit for bit."""
 
 import math
 from bisect import bisect_right
@@ -89,17 +91,71 @@ def tile_by_cumsum(wheel_noise, u):
 def sample_history_scalar(policy, nm, horizon, rng):
     """Roll the chain with one scalar draw per decision: ``rng.choice`` over
     the state's row for a stochastic policy, then the right and the left
-    tile."""
+    tile.  Unseen states take action 0 or a uniform row."""
     history = EMPTY_HISTORY
     for _ in range(horizon):
-        if policy.deterministic:
-            action = int(np.argmax(policy.probs(history)))
+        i = policy.index.get(history)
+        if policy.actions is not None:
+            action = 0 if i is None else policy.actions[i]
         else:
-            action = int(rng.choice(policy.n_actions, p=policy.probs(history)))
+            row = (np.full(policy.n_actions, 1.0 / policy.n_actions) if i is None
+                   else policy.probs[i])
+            action = int(rng.choice(policy.n_actions, p=row))
         j_r = tile_by_cumsum(nm.right, rng.random())
         j_l = tile_by_cumsum(nm.left, rng.random())
         history = history + ((action, j_r, j_l),)
     return history
+
+
+def merged_pairs(entries, counts, history_weight):
+    """Pair-keyed Q estimates: ``entries`` maps (history, action) to
+    (estimate, visits) and ``counts`` to the round's (satisfied, visits).
+    Pairs seen before take h*old + (1-h)*fresh, first-time pairs the fresh
+    ratio, untouched pairs carry over."""
+    h = history_weight
+    out = dict(entries)
+    for key, (sat, visits) in counts.items():
+        fresh = sat / visits
+        prev = out.get(key)
+        if prev is None:
+            out[key] = (fresh, visits)
+        else:
+            out[key] = (h * prev[0] + (1.0 - h) * fresh, prev[1] + visits)
+    return out
+
+
+def pair_counts(results):
+    """Per (history prefix, action) pair: (satisfied, visits) over episodes
+    given as (history, verdict)."""
+    counts = {}
+    for history, satisfied in results:
+        for k, step in enumerate(history):
+            sat, visits = counts.get((history[:k], step[0]), (0, 0))
+            counts[(history[:k], step[0])] = (sat + satisfied, visits + 1)
+    return counts
+
+
+def improve_rows(rows, n_actions, entries, greediness):
+    """One row per history: each state in the pair table moves to
+    (1-g) * old row + g * indicator(best-rated action, ties to the lowest),
+    starting from the uniform row if it has none; other rows are left alone."""
+    g = greediness
+    by_state = {}
+    for (state, action), (estimate, _) in entries.items():
+        by_state.setdefault(state, {})[action] = estimate
+    out = {s: row.copy() for s, row in rows.items()}
+    for state, ests in by_state.items():
+        best = min(ests, key=lambda a: (-ests[a], a))
+        base = rows.get(state, np.full(n_actions, 1.0 / n_actions))
+        row = (1.0 - g) * base
+        row[best] += g
+        out[state] = row
+    return out
+
+
+def determinize_rows(rows):
+    """Argmax action of each row."""
+    return {state: int(np.argmax(row)) for state, row in rows.items()}
 
 
 DURATION_GRID = [0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5, 3.0]

@@ -3,8 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from bltlsynth.cli import main
+from bltlsynth.cli import load_policy_file, main
 from bltlsynth.config import builtin_config_path, load_config
+from bltlsynth.mdp import history_key_string
 
 from conftest import env_doc_dict, load_demo_config_doc
 
@@ -91,6 +92,15 @@ class TestConfig:
         bad = tmp_path / "mission.json"
         bad.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="algorithm.detection_divisor was removed"):
+            load_config(bad)
+
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_missing_noise_side_named(self, tmp_path, tiny_setup, side):
+        doc = json.loads(tiny_setup.read_text())
+        del doc["noise"][side]
+        bad = tmp_path / "mission.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"noise is missing side '{side}'"):
             load_config(bad)
 
     def test_resolved_config_loads_back(self, demo_config):
@@ -192,6 +202,33 @@ class TestValidateCommand:
         rc = main(["validate", "--policy", str(bad), "--config", str(tiny_setup),
                    "--out-dir", str(tmp_path)])
         assert rc == 2
+
+    @pytest.mark.parametrize("action", [-1, 3, "1"], ids=["negative", "too-large", "string"])
+    def test_policy_action_outside_action_set_rejected(self, tiny_setup, tmp_path, capsys,
+                                                       action):
+        out = tmp_path / "out"
+        synth_into(tiny_setup, out)
+        doc = json.loads((out / "policy.json").read_text())
+        assert doc["metadata"]["n_actions"] == 3
+        doc["policy"]["1,2,2"] = action
+        bad = tmp_path / "policy.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="at history '1,2,2'"):
+            load_policy_file(bad)
+        capsys.readouterr()
+        rc = main(["validate", "--policy", str(bad), "--config", str(tiny_setup),
+                   "--out-dir", str(out)])
+        assert rc == 2
+        assert "'1,2,2'" in capsys.readouterr().err
+
+    def test_policy_file_round_trip(self, tiny_setup, tmp_path):
+        out = tmp_path / "out"
+        synth_into(tiny_setup, out)
+        written = json.loads((out / "policy.json").read_text())["policy"]
+        _, policy = load_policy_file(out / "policy.json")
+        assert policy.deterministic and len(policy.index) == len(written)
+        assert {history_key_string(state): policy.actions[i]
+                for state, i in policy.index.items()} == written
 
     def test_trajectory_export(self, tiny_setup, tmp_path):
         out = tmp_path / "out"

@@ -10,7 +10,7 @@ from bltlsynth.mdp import (DUMMY_ACTION, EMPTY_HISTORY, PathSampler, enabled_act
                            successors, transition_prob)
 from bltlsynth.synthesis import Policy, uniform_policy
 
-from conftest import simple_env
+from conftest import policy_from_rows, simple_env
 from oracles import sample_history_scalar
 
 
@@ -117,7 +117,7 @@ class TestPathSampler:
     def test_zero_noise_deterministic_policy_single_path(self, small_env, small_spec,
                                                          demo_params, zero_noise):
         sampler = PathSampler(small_env, small_spec, demo_params, zero_noise, 3)
-        det = Policy(n_actions=3, rows={}, deterministic=True)
+        det = Policy(3, {}, actions=[])
         paths = {sampler.sample_path(det, episode_rng(1, 0, 0, i)).state
                  for i in range(5)}
         assert len(paths) == 1
@@ -136,7 +136,7 @@ class TestPathSampler:
                                                      demo_params):
         nm = NoiseModel.symmetric(-0.01, 0.005, 3, (0.2, 0.5, 0.3))
         sampler = PathSampler(small_env, small_spec, demo_params, nm, 1)
-        det = Policy(n_actions=3, rows={}, deterministic=True)
+        det = Policy(3, {}, actions=[])
         rng = np.random.default_rng(123)
         n = 100_000
         counts: dict = {}
@@ -164,7 +164,7 @@ class TestPathSampler:
             row[int(rng.integers(3))] += 0.1
             rows[state] = row / row.sum()
         rows[EMPTY_HISTORY] = np.array([0.3, 0.0, 0.7])
-        policy = Policy(3, rows, deterministic=deterministic)
+        policy = policy_from_rows(rows, 3, deterministic=deterministic)
         seen = []
         for i in range(400):
             a, b = episode_rng(5, 0, 1, i), episode_rng(5, 0, 1, i)

@@ -3,17 +3,54 @@ import pytest
 
 from bltlsynth.bltl import parse_formula, to_sequential
 from bltlsynth.dynamics import NoiseModel
-from bltlsynth.mdp import EMPTY_HISTORY, PathSampler, episode_rng
-from bltlsynth.synthesis import (BieResult, Policy, QEntry, QTable, bie_estimate,
-                                 control_strategy_action, determinize,
+from bltlsynth.mdp import EMPTY_HISTORY, STREAM_POLICY_EVAL, PathSampler, episode_rng
+from bltlsynth.synthesis import (Policy, QTable, bie_estimate, determinize,
                                  evaluate_policy, improve_policy,
                                  posterior_interval_coverage, simulate_true_system,
                                  synthesize, theorem_bound_holds, uniform_policy,
                                  validate_true_system)
 from bltlsynth.synthesis import _episode_pool, _map_episodes
 
-from conftest import simple_env
-from oracles import all_success_stop_count, tile_by_cumsum
+from conftest import policy_from_rows, simple_env
+from oracles import (all_success_stop_count, determinize_rows, improve_rows,
+                     merged_pairs, pair_counts, tile_by_cumsum)
+
+
+def table_of(pairs, n_actions=3):
+    """QTable holding (estimate, visits) per (history, action) pair."""
+    index = {}
+    for state, _ in pairs:
+        index.setdefault(state, len(index))
+    estimate = np.full((len(index), n_actions), -np.inf)
+    visits = np.zeros((len(index), n_actions), dtype=np.int64)
+    for (state, action), (e, v) in pairs.items():
+        estimate[index[state], action] = e
+        visits[index[state], action] = v
+    return QTable(index, estimate, visits)
+
+
+def pairs_of(q):
+    """(estimate, visits) per visited (history, action) pair of a QTable."""
+    return {(state, a): (float(q.estimate[i, a]), int(q.visits[i, a]))
+            for state, i in q.index.items()
+            for a in range(q.visits.shape[1]) if q.visits[i, a]}
+
+
+def merge_counts(q, counts, history_weight, n_actions=3):
+    """Fold (satisfied, visits) per (history, action) pair into a QTable."""
+    index = dict(q.index)
+    for state, _ in counts:
+        index.setdefault(state, len(index))
+    sat = np.zeros((len(index), n_actions), dtype=np.int64)
+    visits = np.zeros_like(sat)
+    for (state, action), (s, v) in counts.items():
+        sat[index[state], action] = s
+        visits[index[state], action] = v
+    return q.merged(index, sat, visits, history_weight)
+
+
+def row_of(policy, state):
+    return policy.probs[policy.index[state]]
 
 
 @pytest.fixture
@@ -47,7 +84,7 @@ class TestSampleAction:
             row[int(rng.integers(4))] += 0.05
             rows.append(row / row.sum())
         for k, row in enumerate(rows):
-            policy = Policy(len(row), {EMPTY_HISTORY: row})
+            policy = Policy(len(row), {EMPTY_HISTORY: 0}, probs=row[None])
             a, b = np.random.default_rng(k), np.random.default_rng(k)
             for _ in range(500):
                 assert policy.sample_action(EMPTY_HISTORY, a.random()) == \
@@ -63,21 +100,30 @@ class TestSampleAction:
 
 class TestQTable:
     def test_fresh_pair_takes_plain_ratio(self):
-        q = QTable().merged({(EMPTY_HISTORY, 1): (4, 10)}, history_weight=0.6)
-        assert q.entries[(EMPTY_HISTORY, 1)].estimate == pytest.approx(0.4)
-        assert q.entries[(EMPTY_HISTORY, 1)].visits == 10
+        q = merge_counts(QTable(), {(EMPTY_HISTORY, 1): (4, 10)}, history_weight=0.6)
+        estimate, visits = pairs_of(q)[(EMPTY_HISTORY, 1)]
+        assert estimate == pytest.approx(0.4)
+        assert visits == 10
 
     def test_smoothing_blends_old_and_fresh(self):
-        q0 = QTable({(EMPTY_HISTORY, 0): QEntry(0.5, 10)})
-        q1 = q0.merged({(EMPTY_HISTORY, 0): (9, 10)}, history_weight=0.6)
-        assert q1.entries[(EMPTY_HISTORY, 0)].estimate == pytest.approx(0.66)
-        assert q1.entries[(EMPTY_HISTORY, 0)].visits == 20
+        q0 = table_of({(EMPTY_HISTORY, 0): (0.5, 10)})
+        q1 = merge_counts(q0, {(EMPTY_HISTORY, 0): (9, 10)}, history_weight=0.6)
+        estimate, visits = pairs_of(q1)[(EMPTY_HISTORY, 0)]
+        assert estimate == pytest.approx(0.66)
+        assert visits == 20
 
     def test_untouched_pairs_carry_over(self):
-        q0 = QTable({(EMPTY_HISTORY, 0): QEntry(0.5, 10)})
-        q1 = q0.merged({(EMPTY_HISTORY, 1): (1, 1)}, history_weight=0.6)
-        assert q1.entries[(EMPTY_HISTORY, 0)].estimate == 0.5
-        assert len(q1.entries) == 2
+        q0 = table_of({(EMPTY_HISTORY, 0): (0.5, 10)})
+        q1 = merge_counts(q0, {(EMPTY_HISTORY, 1): (1, 1)}, history_weight=0.6)
+        assert pairs_of(q1)[(EMPTY_HISTORY, 0)] == (0.5, 10)
+        assert q1.q_pairs == 2
+
+    def test_unvisited_pairs_never_win_an_argmax(self):
+        q = merge_counts(QTable(), {(EMPTY_HISTORY, 2): (0, 4), (((1, 1, 1),), 0): (1, 2)},
+                         history_weight=0.6)
+        assert q.estimate.tolist() == [[-np.inf, -np.inf, 0.0], [0.5, -np.inf, -np.inf]]
+        assert q.visits.tolist() == [[0, 0, 4], [2, 0, 0]]
+        assert q.estimate.argmax(axis=1).tolist() == [2, 0]
 
 
 class TestEvaluatePolicy:
@@ -86,8 +132,8 @@ class TestEvaluatePolicy:
         q, n_sat = evaluate_policy(uniform_policy(3), 20, QTable(), sampler,
                                    history_weight=0.6, master_seed=5)
         assert n_sat == 20
-        assert all(e.estimate == 1.0 for e in q.entries.values())
-        assert sum(e.visits for e in q.entries.values()) == 20 * 2
+        assert (q.estimate[q.visits > 0] == 1.0).all()
+        assert q.visits.sum() == 20 * 2
 
     def test_episode_count_validated(self, easy_setup):
         _, _, _, sampler = easy_setup
@@ -98,66 +144,67 @@ class TestEvaluatePolicy:
 
 class TestImprovePolicy:
     def test_reinforces_best_action(self):
-        q = QTable({(EMPTY_HISTORY, 0): QEntry(0.1, 5),
-                    (EMPTY_HISTORY, 1): QEntry(0.9, 5),
-                    (EMPTY_HISTORY, 2): QEntry(0.4, 5)})
+        q = table_of({(EMPTY_HISTORY, 0): (0.1, 5),
+                      (EMPTY_HISTORY, 1): (0.9, 5),
+                      (EMPTY_HISTORY, 2): (0.4, 5)})
         mu = improve_policy(uniform_policy(3), q, greediness=0.6)
-        row = mu.probs(EMPTY_HISTORY)
+        row = row_of(mu, EMPTY_HISTORY)
         assert row[1] == pytest.approx(0.4 / 3 + 0.6)
         assert row[0] == pytest.approx(0.4 / 3)
         assert row.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_update_is_bounded_by_greediness(self):
-        q = QTable({(EMPTY_HISTORY, 2): QEntry(1.0, 1)})
+        q = table_of({(EMPTY_HISTORY, 2): (1.0, 1)})
         g = 0.05
         mu = improve_policy(uniform_policy(3), q, greediness=g)
-        assert np.max(np.abs(mu.probs(EMPTY_HISTORY) - 1 / 3)) <= g + 1e-12
+        assert np.max(np.abs(row_of(mu, EMPTY_HISTORY) - 1 / 3)) <= g + 1e-12
 
     def test_ties_break_to_lowest_action(self):
-        q = QTable({(EMPTY_HISTORY, 2): QEntry(0.7, 5),
-                    (EMPTY_HISTORY, 1): QEntry(0.7, 5)})
+        q = table_of({(EMPTY_HISTORY, 2): (0.7, 5),
+                      (EMPTY_HISTORY, 1): (0.7, 5)})
         mu = improve_policy(uniform_policy(3), q, greediness=0.6)
-        assert np.argmax(mu.probs(EMPTY_HISTORY)) == 1
+        assert np.argmax(row_of(mu, EMPTY_HISTORY)) == 1
 
     def test_repeated_improvement_converges_to_argmax(self):
-        q = QTable({(EMPTY_HISTORY, 0): QEntry(0.2, 5),
-                    (EMPTY_HISTORY, 1): QEntry(0.8, 5)})
+        q = table_of({(EMPTY_HISTORY, 0): (0.2, 5),
+                      (EMPTY_HISTORY, 1): (0.8, 5)}, n_actions=2)
         mu = uniform_policy(2)
         for _ in range(60):
             mu = improve_policy(mu, q, greediness=0.5)
-        assert mu.probs(EMPTY_HISTORY)[1] == pytest.approx(1.0, abs=1e-9)
+        assert row_of(mu, EMPTY_HISTORY)[1] == pytest.approx(1.0, abs=1e-9)
 
     def test_rows_stay_normalized_without_dummy(self, easy_setup):
         _, _, _, sampler = easy_setup
         q, _ = evaluate_policy(uniform_policy(3), 30, QTable(), sampler,
                                history_weight=0.6, master_seed=6)
         mu = improve_policy(uniform_policy(3), q, greediness=0.6)
-        for row in mu.rows.values():
-            assert len(row) == 3
+        assert mu.probs.shape == (len(q.index), 3)
+        for row in mu.probs:
             assert row.sum() == pytest.approx(1.0, abs=1e-9)
             assert (row >= 0).all()
+
+    def test_rows_out_of_table_order_rejected(self):
+        q = table_of({(((0, 1, 1),), 0): (0.5, 2), (EMPTY_HISTORY, 1): (0.5, 2)})
+        mu = policy_from_rows({EMPTY_HISTORY: [0.2, 0.3, 0.5]}, 3)
+        with pytest.raises(ValueError, match="first rows of the table"):
+            improve_policy(mu, q, greediness=0.5)
 
 
 class TestDeterminize:
     def test_argmax_row(self):
-        mu = Policy(n_actions=3, rows={EMPTY_HISTORY: np.array([0.2, 0.5, 0.3])})
+        mu = policy_from_rows({EMPTY_HISTORY: [0.2, 0.5, 0.3]}, 3)
         det = determinize(mu)
         assert det.deterministic
-        assert list(det.rows[EMPTY_HISTORY]) == [0.0, 1.0, 0.0]
+        assert det.actions == [1]
+        assert det.best_action(EMPTY_HISTORY) == 1
 
     def test_tie_breaks_to_lowest_index(self):
-        mu = Policy(n_actions=3, rows={EMPTY_HISTORY: np.array([0.5, 0.5, 0.0])})
+        mu = policy_from_rows({EMPTY_HISTORY: [0.5, 0.5, 0.0]}, 3)
         assert determinize(mu).best_action(EMPTY_HISTORY) == 0
 
     def test_unseen_state_uses_default_rule(self):
         det = determinize(uniform_policy(3))
         assert det.best_action(((1, 2, 2),)) == 0
-
-    def test_from_qtable(self):
-        q = QTable({(EMPTY_HISTORY, 1): QEntry(0.9, 3),
-                    (EMPTY_HISTORY, 0): QEntry(0.2, 3)})
-        det = determinize(q, n_actions=3)
-        assert det.best_action(EMPTY_HISTORY) == 1
 
     def test_argmax_invariant_under_rescaling(self):
         rng = np.random.default_rng(21)
@@ -166,9 +213,79 @@ class TestDeterminize:
             row /= row.sum()
             scaled = row * rng.uniform(0.1, 7.0)
             scaled /= scaled.sum()
-            a = determinize(Policy(n_actions=4, rows={EMPTY_HISTORY: row}))
-            b = determinize(Policy(n_actions=4, rows={EMPTY_HISTORY: scaled}))
+            a = determinize(policy_from_rows({EMPTY_HISTORY: row}, 4))
+            b = determinize(policy_from_rows({EMPTY_HISTORY: scaled}, 4))
             assert a.best_action(EMPTY_HISTORY) == b.best_action(EMPTY_HISTORY)
+
+
+class TestPairOracle:
+    """The state-indexed tables against the pair-keyed forms in oracles.py,
+    compared with ==."""
+
+    OUTCOMES = [(0, 1), (1, 1), (1, 2), (2, 4), (3, 4), (0, 3), (2, 3), (4, 6)]
+
+    def assert_matches(self, q, mu, det, entries, rows):
+        assert pairs_of(q) == entries
+        assert q.q_pairs == len(entries)
+        assert mu.index is q.index and det.index is q.index
+        assert set(mu.index) == set(rows)
+        for state, row in rows.items():
+            assert (row_of(mu, state) == row).all()
+        actions = determinize_rows(rows)
+        assert {state: det.actions[i] for state, i in det.index.items()} == actions
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_count_streams(self, seed):
+        rng = np.random.default_rng(seed)
+        n_actions = 2 + seed % 3
+        h, g = 0.6, 0.3 + 0.1 * (seed % 4)
+        pool = list({tuple((int(rng.integers(n_actions)), int(rng.integers(1, 4)),
+                            int(rng.integers(1, 4))) for _ in range(int(rng.integers(4))))
+                     for _ in range(40)})
+        q, mu = QTable(), uniform_policy(n_actions)
+        entries, rows = {}, {}
+        kinds = {"first visit": 0, "carried over": 0, "blended": 0, "tie": 0}
+        for _ in range(8):
+            counts = {}
+            for k in rng.choice(len(pool), size=int(rng.integers(1, 12)), replace=False):
+                for a in range(n_actions):
+                    if rng.random() < 0.6:
+                        counts[(pool[k], a)] = self.OUTCOMES[int(rng.integers(len(self.OUTCOMES)))]
+            kinds["first visit"] += sum(key not in entries for key in counts)
+            kinds["blended"] += sum(key in entries for key in counts)
+            kinds["carried over"] += sum(key not in counts for key in entries)
+            q = merge_counts(q, counts, h, n_actions)
+            mu = improve_policy(mu, q, g)
+            det = determinize(mu)
+            entries = merged_pairs(entries, counts, h)
+            rows = improve_rows(rows, n_actions, entries, g)
+            self.assert_matches(q, mu, det, entries, rows)
+            best = q.estimate.max(axis=1, keepdims=True)
+            kinds["tie"] += int(((q.estimate == best).sum(axis=1) > 1).sum())
+        assert min(kinds.values()) > 0, kinds
+        unseen = [state for state in pool if state not in q.index]
+        assert unseen
+        for state in unseen:
+            assert det.best_action(state) == 0
+
+    def test_evaluate_policy_rounds(self, demo_params, demo_noise):
+        env = simple_env([("a", (0.8, -1.2, 1.6, 1.2)), ("u", (3.0, 2.0, 4.0, 3.0))])
+        spec = to_sequential(parse_formula("!u U[<=5] a"), "u")
+        sampler = PathSampler(env, spec, demo_params, demo_noise, 3)
+        q, mu = QTable(), uniform_policy(3)
+        entries, rows = {}, {}
+        for round_index in range(1, 4):
+            results = [(path.state, path.satisfied) for path in (
+                sampler.sample_path(mu, episode_rng(31, STREAM_POLICY_EVAL, round_index, i))
+                for i in range(40))]
+            q, n_sat = evaluate_policy(mu, 40, q, sampler, history_weight=0.6,
+                                       master_seed=31, round_index=round_index)
+            assert n_sat == sum(sat for _, sat in results)
+            mu = improve_policy(mu, q, 0.6)
+            entries = merged_pairs(entries, pair_counts(results), 0.6)
+            rows = improve_rows(rows, 3, entries, 0.6)
+            self.assert_matches(q, mu, determinize(mu), entries, rows)
+        assert 0 < n_sat < 40
 
 
 def bernoulli_draw(p, seed):
@@ -265,7 +382,7 @@ class TestSynthesize:
                             prior_beta=1.0, stop_radius=0.05, master_seed=4,
                             max_rounds=max_rounds)
         horizon = result.horizon
-        assert len(result.qtable.states()) <= n * horizon * len(result.rounds)
+        assert len(result.qtable.index) <= n * horizon * len(result.rounds)
 
     def test_audit_records_round_sequence(self, easy_setup, demo_params, zero_noise):
         env, formula, _, _ = easy_setup
@@ -281,25 +398,23 @@ class TestSynthesize:
 
 class TestControlStrategy:
     def test_initial_action_from_policy(self):
-        pol = Policy(n_actions=3, rows={EMPTY_HISTORY: np.array([0.0, 0.0, 1.0])},
-                     deterministic=True)
-        assert control_strategy_action(pol, EMPTY_HISTORY) == 2
+        pol = Policy(3, {EMPTY_HISTORY: 0}, actions=[2])
+        assert pol.best_action(EMPTY_HISTORY) == 2
 
     def test_trained_history_lookup(self):
         key = ((1, 2, 2),)
-        pol = Policy(n_actions=3, rows={key: np.array([0.0, 1.0, 0.0])},
-                     deterministic=True)
-        assert control_strategy_action(pol, key) == 1
+        pol = Policy(3, {key: 0}, actions=[1])
+        assert pol.best_action(key) == 1
 
     def test_unseen_history_default(self):
-        pol = Policy(n_actions=3, rows={}, deterministic=True)
-        assert control_strategy_action(pol, ((2, 1, 1), (0, 3, 3))) == 0
+        pol = Policy(3, {}, actions=[])
+        assert pol.best_action(((2, 1, 1), (0, 3, 3))) == 0
 
 
 class TestValidateTrueSystem:
     def test_zero_noise_satisfying_policy(self, easy_setup, demo_params, zero_noise):
         env, formula, _, _ = easy_setup
-        pol = Policy(n_actions=3, rows={}, deterministic=True)
+        pol = Policy(3, {}, actions=[])
         result = validate_true_system(pol, env, formula, demo_params, zero_noise,
                                       delta=0.05, confidence=0.95, prior_alpha=1.0,
                                       prior_beta=1.0, master_seed=10)
@@ -307,7 +422,7 @@ class TestValidateTrueSystem:
 
     def test_same_seed_reproduces(self, easy_setup, demo_params, demo_noise):
         env, formula, _, _ = easy_setup
-        pol = Policy(n_actions=3, rows={}, deterministic=True)
+        pol = Policy(3, {}, actions=[])
         kwargs = dict(delta=0.05, confidence=0.95, prior_alpha=1.0,
                       prior_beta=1.0, master_seed=11)
         a = validate_true_system(pol, env, formula, demo_params, demo_noise, **kwargs)
@@ -332,7 +447,7 @@ class TestValidateTrueSystem:
     def test_one_draw_matches_four_scalar_draws_per_stage(self, easy_setup, demo_params):
         env, _, spec, _ = easy_setup
         nm = NoiseModel.symmetric(-0.01, 0.005, 3, (0.2, 0.5, 0.3))
-        pol = Policy(3, {EMPTY_HISTORY: np.array([0.0, 0.0, 1.0])}, deterministic=True)
+        pol = Policy(3, {EMPTY_HISTORY: 0}, actions=[2])
         for i in range(20):
             traj, history, _ = simulate_true_system(
                 pol, env, spec, demo_params, nm, 4, episode_rng(13, 2, 0, i))
@@ -377,10 +492,11 @@ class TestParallelism:
                                batch_size=batch_size, **self.SYNTH) for w in (1, 2))
         assert one.estimate == two.estimate
         assert one.rounds == two.rounds
-        assert one.qtable.entries == two.qtable.entries
-        assert list(one.policy.rows) == list(two.policy.rows)
-        for state, row in one.policy.rows.items():
-            assert np.array_equal(row, two.policy.rows[state])
+        assert list(one.qtable.index.items()) == list(two.qtable.index.items())
+        assert np.array_equal(one.qtable.estimate, two.qtable.estimate)
+        assert np.array_equal(one.qtable.visits, two.qtable.visits)
+        assert list(one.policy.index.items()) == list(two.policy.index.items())
+        assert one.policy.actions == two.policy.actions
         return one
 
     def test_worker_count_does_not_change_results(self, demo_params, demo_noise):
@@ -397,8 +513,7 @@ class TestParallelism:
     def test_worker_count_does_not_change_validation(self, demo_params):
         env = simple_env(self.MIXED_ENV)
         formula = parse_formula("!u U[<=5] a")
-        straight = Policy(n_actions=3, rows={EMPTY_HISTORY: np.array([0.0, 1.0, 0.0])},
-                          deterministic=True)
+        straight = Policy(3, {EMPTY_HISTORY: 0}, actions=[1])
         kwargs = dict(delta=0.1, confidence=0.8, prior_alpha=1.0, prior_beta=1.0,
                       master_seed=17, batch_size=4)
         one, two = (validate_true_system(straight, env, formula, demo_params,

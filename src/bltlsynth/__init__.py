@@ -3,8 +3,8 @@ bounded-LTL missions, with Bayesian probability estimation and closed-loop
 validation."""
 
 from .bltl import (Always, And, Atom, Disjunct, Eventually, Formula,
-                   FragmentError, Not, Or, ParseError, Phase, SequentialSpec,
-                   Until, check_generic, check_sequential, format_formula,
+                   FragmentError, Not, Or, ParseError, Phase, SequentialMonitor,
+                   SequentialSpec, Until, check_generic, check_sequential, format_formula,
                    horizon_stages, parse_formula, sequential_witness,
                    spec_to_formula, to_sequential)
 from .config import RunConfig, builtin_config_path, config_from_dict, load_config

@@ -2,14 +2,21 @@
 
 A timed trace is a finite sequence of (label, duration) pairs where the label
 is a proposition name or None (no region), durations are in seconds, and
-consecutive labels differ.  Two checkers are provided:
+consecutive labels differ.  The sequential mission fragment (reach-and-dwell
+phases chained by unsafe-avoiding untils) is checked from its phase
+decomposition:
 
-* ``check_sequential`` evaluates the sequential mission fragment
-  (reach-and-dwell phases chained by unsafe-avoiding untils) directly from its
-  phase decomposition, with an exhaustive search over hit positions.
+* ``SequentialMonitor`` takes a trace one step at a time, the last step
+  possibly still open (its duration so far a lower bound), and fixes the
+  verdict as soon as the steps so far decide it: when the last phase's dwell
+  is met, or when no phase can still be reached (unsafe contact, or every
+  live phase's time bound passed).  ``check_sequential`` is the monitor fed a
+  whole trace.
+* ``sequential_witness`` is the exhaustive search over hit positions that the
+  monitor runs online; it returns the witness chain that explains a verdict.
 * ``check_generic`` evaluates an arbitrary formula by recursive bounded
   semantics over trace suffixes; it serves as an independent cross-check of
-  ``check_sequential`` on the fragment.
+  both on the fragment.
 
 Concrete syntax: identifiers are atoms; ``!``, ``&``, ``|`` are Boolean;
 ``U[<=t]``, ``F[<=t]``, ``G[<=t]`` are the bounded temporal operators;
@@ -424,9 +431,79 @@ def sequential_witness(trace: Sequence[TraceStep],
     return solve(0, 0)
 
 
+class SequentialMonitor:
+    """Online verdict of a sequential mission spec over a trace fed step by step.
+
+    It holds the live states of ``sequential_witness``'s search: per phase,
+    the time spent since that phase's latest start.  A later start of a phase
+    dominates an earlier one (less time spent, fewer states to cross), so one
+    state per phase is enough.  ``push`` takes the next trace step; a step that
+    is not yet ``closed`` may come again, with a longer duration, until it
+    closes.  The verdict is fixed (``verdict`` is no longer None) as soon as
+
+    * a last-phase disjunct's dwell is met, even on an open step: satisfied;
+    * no live state remains, because an unsafe step began or every live
+      phase's time bound has passed: violated.
+
+    A trace that ends without either is violated (``result``).
+    """
+
+    def __init__(self, spec: SequentialSpec):
+        self.spec = spec
+        self._spent: list[Optional[float]] = [0.0] + [None] * (len(spec.phases) - 1)
+        self.verdict: Optional[bool] = None
+
+    def push(self, label: Optional[str], duration: float,
+             closed: bool = True) -> Optional[bool]:
+        """Feed the next step, or the open one again; returns the verdict so far.
+
+        The duration of an open step is a lower bound of its final one.
+        """
+        if self.verdict is not None:
+            return self.verdict
+        phases, spent, unsafe = self.spec.phases, self._spent, self.spec.unsafe
+        last = len(phases) - 1
+        # a hit spawns the next phase at this step, which the loop reaches next
+        for j, e in enumerate(spent):
+            if e is None:
+                continue
+            ph = phases[j]
+            goal = False
+            for dis in ph.disjuncts:
+                if label in dis.props:
+                    goal = True
+                    if duration >= dis.dwell:
+                        if j == last:
+                            self.verdict = True
+                            return True
+                        spent[j + 1] = 0.0
+                        break
+            e += duration
+            if closed:
+                spent[j] = None if label == unsafe or e > ph.time_bound else e
+            elif not goal and (label == unsafe or e > ph.time_bound):
+                # an open step can still grow into a hit, unless its label is
+                # none of the phase's goals
+                spent[j] = None
+        if spent.count(None) == len(spent):
+            self.verdict = False
+        return self.verdict
+
+    def result(self) -> bool:
+        """The verdict once the trace has ended."""
+        return self.verdict is True
+
+
 def check_sequential(trace: Sequence[TraceStep], spec: SequentialSpec) -> bool:
-    """True iff the trace satisfies the sequential mission spec."""
-    return sequential_witness(trace, spec) is not None
+    """True iff the trace satisfies the sequential mission spec: the monitor
+    fed the whole trace."""
+    if not trace:
+        raise ValueError("trace must be non-empty")
+    monitor = SequentialMonitor(spec)
+    for label, duration in trace:
+        if monitor.push(label, float(duration)) is not None:
+            break
+    return monitor.result()
 
 
 # ---------------------------------------------------------------------------

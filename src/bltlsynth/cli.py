@@ -17,6 +17,7 @@ from typing import Optional
 from .bltl import (Atom, FragmentError, Not, ParseError, Until,
                    horizon_stages, parse_formula, sequential_witness, to_sequential)
 from .config import RunConfig, load_config
+from .dynamics import NoiseModel
 from .env import Environment, environment_from_dict
 from .mdp import (STREAM_VALIDATE, HistoryKey, episode_rng, history_key_string,
                   parse_history_key)
@@ -54,23 +55,53 @@ def _policy_document(result: SynthesisResult, cfg: RunConfig) -> dict:
     }
 
 
-def load_policy_file(path: Path) -> tuple[dict, Policy]:
+def load_policy_file(path: Path, nm: Optional[NoiseModel] = None) -> tuple[dict, Policy]:
     """Metadata and deterministic policy of a policy file.
 
-    Every action must be an integer index into the file's action set.
+    Every action must be an integer index into the file's action set.  Every
+    history key must parse into steps whose actions are in that set and,
+    given the noise model, whose tiles are in 1..n of its sides; and no two
+    keys may parse to the same history.
     """
     doc = json.loads(Path(path).read_text())
     meta = doc["metadata"]
     n_actions = int(meta["n_actions"])
+    tiles = None if nm is None else (nm.right.n, nm.left.n)
+    steps: dict[str, tuple[int, int, int]] = {}  # step text already checked -> step
     index: dict[HistoryKey, int] = {}
     actions: list[int] = []
     for key, action in doc["policy"].items():
         if type(action) is not int or not 0 <= action < n_actions:
             raise ValueError(f"policy action {action!r} at history {key!r} is not "
                              f"an action index in [0, {n_actions})")
-        index[parse_history_key(key)] = len(actions)
+        parts = key.split(";")
+        try:
+            history = tuple([steps[part] for part in parts])
+        except KeyError:
+            history = _checked_history(key, n_actions, tiles)
+            steps.update(zip(parts, history))
+        if history in index:
+            raise ValueError(f"policy history {key!r} is a history an earlier key names")
+        index[history] = len(actions)
         actions.append(action)
     return meta, Policy(n_actions, index, actions=actions)
+
+
+def _checked_history(key: str, n_actions: int,
+                     tiles: Optional[tuple[int, int]]) -> HistoryKey:
+    """The history a policy key names, or a ValueError that names the key."""
+    try:
+        history = parse_history_key(key)
+    except ValueError:
+        raise ValueError(f"policy history {key!r} does not parse") from None
+    for a, j_r, j_l in history:
+        if not 0 <= a < n_actions:
+            raise ValueError(f"policy history {key!r} has action {a} outside "
+                             f"[0, {n_actions})")
+        if tiles is not None and not (1 <= j_r <= tiles[0] and 1 <= j_l <= tiles[1]):
+            raise ValueError(f"policy history {key!r} has tiles ({j_r}, {j_l}) outside "
+                             f"1..{tiles[0]} x 1..{tiles[1]}")
+    return history
 
 
 def _write_json(path: Path, doc: dict) -> None:
@@ -156,7 +187,7 @@ def cmd_synth(args) -> int:
 def cmd_validate(args) -> int:
     cfg = load_config(_resolve_config_path(args.config), seed_override=args.seed,
                       workers_override=args.workers)
-    meta, policy = load_policy_file(Path(args.policy))
+    meta, policy = load_policy_file(Path(args.policy), cfg.nm)
     if meta["config_hash"] != cfg.content_hash():
         if not args.override_hash:
             print("policy was synthesized under a different config "

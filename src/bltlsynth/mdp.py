@@ -11,20 +11,27 @@ tile, left tile) triple is measured once per sampler, and an episode takes all
 of its uniforms in one draw, in the order the per-stage scalar draws would
 come (action when the policy is stochastic, then right tile, then left tile),
 so the histories equal those of the scalar draws.
+
+An episode's verdict is decided stage by stage (``PathSampler.decide``): the
+history is sampled whole, then its tube stages are built one at a time and
+fed through the trace walk into the mission monitor, and building stops at
+the stage that fixes the verdict.  The verdict equals that of the
+whole-horizon tube, trace and check of ``PathSampler.finish``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .bltl import SequentialSpec, TraceStep, check_sequential
+from .bltl import SequentialMonitor, SequentialSpec, TraceStep, check_sequential
 from .dynamics import (MeasuredInterval, NoiseModel, VehicleParams,
                        measure, sample_noise_interval)
 from .env import Environment
-from .tracegen import UncertaintyTube, trace_from_tube
-from .uncertainty import build_tube
+from .tracegen import Stage, TraceWalk, UncertaintyTube, trace_from_tube, tube_rules
+from .uncertainty import NominalStageState, build_tube, propagate_stage
 
 # Reserved action index for the horizon self-loop; never a policy choice.
 DUMMY_ACTION = -1
@@ -103,6 +110,35 @@ def successors(state: HistoryKey, action: int, nm: NoiseModel, params: VehiclePa
     return out
 
 
+def decide_tube(walk: TraceWalk, monitor: SequentialMonitor,
+                stages: Iterable[tuple[Stage, float]]) -> tuple[bool, int]:
+    """Mission verdict of a tube given stage by stage, and the stages it took.
+
+    Each (stage, radius) pair goes through the empty trace ``walk`` (with the
+    ``tube_rules`` of the environment), and every step the walk closes, then
+    its open step, through the fresh mission ``monitor``.  No further stage is
+    taken once the monitor fixes the verdict; when the stages run out first,
+    the walk is finished and the verdict is that of the whole trace.
+    """
+    fed = k = 0
+    for k, (stage, d) in enumerate(stages, 1):
+        walk.extend(stage, d)
+        walk.advance()
+        steps = walk.steps
+        while fed < len(steps):
+            fed += 1
+            if monitor.push(*steps[fed - 1]) is not None:
+                return monitor.verdict, k
+        if walk.open is not None and monitor.push(*walk.open, closed=False) is not None:
+            return monitor.verdict, k
+    if k == 0:
+        raise ValueError("cannot trace an empty trajectory")
+    steps = walk.finish()
+    while fed < len(steps) and monitor.push(*steps[fed]) is None:
+        fed += 1
+    return monitor.result(), k
+
+
 @dataclass(frozen=True)
 class PathSample:
     """One full-horizon rollout with its tube, trace, and verdict."""
@@ -136,6 +172,7 @@ class PathSampler:
             for a in range(len(params.actions))
             for j_r in range(1, nm.right.n + 1)
             for j_l in range(1, nm.left.n + 1)}
+        self._rules = tube_rules(env)
 
     def sample_history(self, policy, rng: np.random.Generator) -> HistoryKey:
         """Roll the chain to the horizon under the policy; returns the history.
@@ -169,6 +206,24 @@ class PathSampler:
         trace = trace_from_tube(tube, self.env)
         sat = check_sequential(trace, self.spec)
         return PathSample(history, tuple(t[0] for t in history), tube, tuple(trace), sat)
+
+    def decide(self, history: HistoryKey) -> tuple[bool, int]:
+        """Verdict of a complete history, building stages only until it is fixed.
+
+        The verdict equals ``finish(history).satisfied``; also returns the
+        number of stages built (see ``decide_tube``).
+        """
+        return decide_tube(TraceWalk(self._rules, self.env.unsafe),
+                           SequentialMonitor(self.spec), self._tube_stages(history))
+
+    def _tube_stages(self, history: HistoryKey) -> Iterator[tuple[Stage, float]]:
+        """The history's tube stages with their radii, built as they are asked for."""
+        params, nm, measured = self.params, self.nm, self.measured
+        state = NominalStageState(self.env.initial_pose, 0.0, 0.0)
+        for step in history:
+            state, stage = propagate_stage(state, params.actions[step[0]], measured[step],
+                                           params, nm)
+            yield stage, state.d
 
     def sample_path(self, policy, rng: np.random.Generator) -> PathSample:
         """One rollout: sample a history, then tube, trace, and verdict."""

@@ -149,8 +149,8 @@ class _ChainTask:
 
     def run(self, index: int) -> tuple[HistoryKey, bool]:
         rng = episode_rng(self.master_seed, self.stream, self.round_index, index)
-        path = self.sampler.sample_path(self.policy, rng)
-        return path.state, path.satisfied
+        history = self.sampler.sample_history(self.policy, rng)
+        return history, self.sampler.decide(history)[0]
 
 
 @dataclass(frozen=True)

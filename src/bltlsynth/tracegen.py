@@ -19,6 +19,14 @@ maximal time intervals on which it holds, and the trace is a walk over these
 interval lists.  Breakpoints closer than BREAKPOINT_TOL seconds merge into
 one, and a predicate that holds only at isolated instants (a tangential
 touch) gives no trace state.
+
+The walk (``TraceWalk``) can take a tube one stage at a time.  After each
+stage it closes every trace step that the stages so far fix, and reports the
+step after them when its label is fixed but its end is not; a chain episode
+uses this to stop building its tube once its verdict is fixed (see
+``mdp.decide_tube``).  Fed every stage and then finished, the same walk gives
+the whole-trajectory trace of ``trace_from_tube`` and
+``trace_from_trajectory``.
 """
 
 from __future__ import annotations
@@ -108,8 +116,12 @@ class Trajectory:
 class UncertaintyTube:
     """Nominal trajectory with per-stage disc radius and orientation spread.
 
-    radii[k] applies on the whole of stage k (the stage-end value, which is
-    the largest along the stage).
+    radii[k] applies on the whole of stage k.  It is the stage-end bound: the
+    largest end-of-stage deviation over the corner cases of the measured
+    wheel-speed intervals.  Nothing bounds the deviation inside the stage by
+    it: inner trajectories of sharp-turn, wide-noise and spin-in-place
+    configs leave the disc mid-stage while staying inside it at the stage
+    end (ROADMAP item 1).
     """
 
     trajectory: Trajectory
@@ -263,53 +275,49 @@ class _Path:
         return self.angle_times((psi + a, psi + math.pi - a))
 
 
-def _intervals(paths: list[_Path], radii: Sequence[float], rects: Sequence[Rect],
-               contact: bool) -> list[tuple[float, float]]:
-    """Maximal time intervals on which the predicate holds, in time order.
+def _add_intervals(out: list[tuple[float, float]], path: _Path, d: float,
+                   near: Sequence[Rect], contact: bool) -> None:
+    """Append the path's maximal time intervals on which the predicate holds.
 
-    With ``contact`` the predicate is that the disc touches any of ``rects``;
-    otherwise that it lies inside the single rectangle ``rects[0]``.
+    With ``contact`` the predicate is that the disc of radius d touches any of
+    ``near``; otherwise that it lies inside the single rectangle ``near[0]``.
+    ``near`` holds the rule's rectangles that the disc can reach (see
+    ``TraceWalk.extend``).  An interval that starts within BREAKPOINT_TOL of
+    the end of the last one in ``out`` extends it.
     """
     holds = _touches if contact else _inside
-    out: list[tuple[float, float]] = []
-    for path, d in zip(paths, radii):
-        near = [r for r in rects if path.near(r, d)
-                and (contact or (r.x1 - r.x0 >= 2 * d and r.y1 - r.y0 >= 2 * d))]
-        if not near:
-            continue
-        off = d if contact else -d
-        times = [path.duration]
-        for r in near:
-            times += path.line_times(0, r.x0 - off)
-            times += path.line_times(0, r.x1 + off)
-            times += path.line_times(1, r.y0 - off)
-            times += path.line_times(1, r.y1 + off)
-            if contact and d > 0.0:
-                for px in (r.x0, r.x1):
-                    for py in (r.y0, r.y1):
-                        times += path.corner_times(px, py, d)
-        cuts = [0.0]
-        for t in sorted(times):
-            if t - cuts[-1] > BREAKPOINT_TOL:
-                cuts.append(t)
-        cuts[-1] = path.duration  # the last cut lies within BREAKPOINT_TOL of it
-        for a, b in zip(cuts, cuts[1:]):
-            x, y = path.stage.position_at(0.5 * (a + b))
-            if any(holds(r, x, y, d) for r in near):
-                lo, hi = path.t0 + a, path.t0 + b
-                if out and out[-1][1] >= lo - BREAKPOINT_TOL:
-                    out[-1] = (out[-1][0], hi)
-                else:
-                    out.append((lo, hi))
-    return out
+    off = d if contact else -d
+    times = [path.duration]
+    for r in near:
+        times += path.line_times(0, r.x0 - off)
+        times += path.line_times(0, r.x1 + off)
+        times += path.line_times(1, r.y0 - off)
+        times += path.line_times(1, r.y1 + off)
+        if contact and d > 0.0:
+            for px in (r.x0, r.x1):
+                for py in (r.y0, r.y1):
+                    times += path.corner_times(px, py, d)
+    cuts = [0.0]
+    for t in sorted(times):
+        if t - cuts[-1] > BREAKPOINT_TOL:
+            cuts.append(t)
+    cuts[-1] = path.duration  # the last cut lies within BREAKPOINT_TOL of it
+    for a, b in zip(cuts, cuts[1:]):
+        x, y = path.stage.position_at(0.5 * (a + b))
+        if any(holds(r, x, y, d) for r in near):
+            lo, hi = path.t0 + a, path.t0 + b
+            if out and out[-1][1] >= lo - BREAKPOINT_TOL:
+                out[-1] = (out[-1][0], hi)
+            else:
+                out.append((lo, hi))
 
 
 # ---------------------------------------------------------------------------
 # The trace walk
 
-def _trace(traj: Trajectory, radii: Sequence[float],
-           rules: list[tuple[str, Sequence[Rect], bool]], unsafe: str) -> list[TraceStep]:
-    """Walk the interval lists of the labelling rules into a timed trace.
+class TraceWalk:
+    """The walk of the labelling rules' interval lists into a timed trace,
+    fed one stage at a time.
 
     Each rule is (label, rectangles, contact), in precedence order: a rule
     whose interval starts within BREAKPOINT_TOL of a later rule's wins.  From
@@ -318,44 +326,106 @@ def _trace(traj: Trajectory, radii: Sequence[float],
     an interval of that rule starts.  Labeled states are always separated by
     an unlabeled one, possibly of zero duration, and durations sum to the
     trajectory duration.
+
+    ``extend`` appends a stage's intervals; ``advance`` closes every step
+    that the stages so far fix.  A step is entered only once every rule's
+    intervals are known past its start + BREAKPOINT_TOL: a later stage can
+    extend an interval that ends within BREAKPOINT_TOL of the last stage end,
+    or start one there.  ``steps`` holds the closed steps; ``open`` the step
+    after them when its label is fixed but its end is not, with its duration
+    so far, a lower bound of the final one.  ``finish`` closes the rest; fed
+    every stage first, it gives the whole-trajectory walk.
     """
+
+    def __init__(self, rules: list[tuple[str, Sequence[Rect], bool]], unsafe: str):
+        self.rules = rules
+        self.lists: list[list[tuple[float, float]]] = [[] for _ in rules]
+        self.cutter = 0 if rules and rules[0][0] == unsafe else None
+        self.nxt = [0] * len(rules)
+        self.total = 0.0
+        self.t = 0.0
+        self.entered: Optional[tuple[float, int]] = None  # (start, rule) of the open step
+        self.steps: list[TraceStep] = []
+        self.open: Optional[TraceStep] = None
+
+    def extend(self, stage: Stage, d: float) -> None:
+        """Append one stage, with disc radius d, to every rule's intervals."""
+        path = _Path(stage, self.total)
+        self.total += stage.duration
+        for (_, rects, contact), ivs in zip(self.rules, self.lists):
+            near = [r for r in rects if path.near(r, d)
+                    and (contact or (r.x1 - r.x0 >= 2 * d and r.y1 - r.y0 >= 2 * d))]
+            if near:
+                _add_intervals(ivs, path, d, near, contact)
+
+    def advance(self) -> None:
+        """Close every step that the stages so far fix."""
+        self._walk(False)
+
+    def finish(self) -> list[TraceStep]:
+        """Close every remaining step; the whole trace."""
+        self._walk(True)
+        return self.steps
+
+    def _walk(self, final: bool) -> None:
+        lists, nxt, cutter, out = self.lists, self.nxt, self.cutter, self.steps
+        # Intervals ending before this time are final, and no later interval
+        # starts before the stage end.
+        known = self.total - BREAKPOINT_TOL
+        self.open = None
+        while True:
+            if self.entered is None:
+                t = self.t
+                if not final and t + BREAKPOINT_TOL >= known:
+                    return
+                best: Optional[tuple[float, int]] = None
+                late = False
+                for i, ivs in enumerate(lists):
+                    j = nxt[i]
+                    while j < len(ivs) and ivs[j][1] <= t + BREAKPOINT_TOL:
+                        j += 1
+                    nxt[i] = j
+                    if j < len(ivs):
+                        start = max(ivs[j][0], t)
+                        late = late or start >= known
+                        if best is None or start < best[0] - BREAKPOINT_TOL:
+                            best = (start, i)
+                if best is None:
+                    if final:
+                        break
+                    self.open = (None, self.total - t)
+                    return
+                if late and not final:
+                    return
+                start, i = best
+                if out or start > 0.0:
+                    out.append((None, start - t))
+                self.entered = best
+            start, i = self.entered
+            end = lists[i][nxt[i]][1]
+            fixed = final or nxt[i] + 1 < len(lists[i]) or end < known
+            if cutter is not None and i != cutter and nxt[cutter] < len(lists[cutter]):
+                # it starts after start + BREAKPOINT_TOL, or it would have won
+                cut = lists[cutter][nxt[cutter]][0]
+                if cut <= end:
+                    end, fixed = cut, True
+            if not fixed:
+                self.open = (self.rules[i][0], end - start)
+                return
+            out.append((self.rules[i][0], end - start))
+            self.t = end
+            self.entered = None
+        if self.t < self.total or not out:
+            out.append((None, self.total - self.t))
+
+
+def _trace(walk: TraceWalk, traj: Trajectory, radii: Sequence[float]) -> list[TraceStep]:
+    """The walk fed every stage of the trajectory, then finished."""
     if not traj.stages:
         raise ValueError("cannot trace an empty trajectory")
-    paths = []
-    total = 0.0
-    for st in traj.stages:
-        paths.append(_Path(st, total))
-        total += st.duration
-    lists = [(label, _intervals(paths, radii, rects, contact))
-             for label, rects, contact in rules]
-    cutter = 0 if lists and lists[0][0] == unsafe else None
-    nxt = [0] * len(lists)
-    out: list[TraceStep] = []
-    t = 0.0
-    while True:
-        best: Optional[tuple[float, int, float]] = None
-        for i, (_, ivs) in enumerate(lists):
-            j = nxt[i]
-            while j < len(ivs) and ivs[j][1] <= t + BREAKPOINT_TOL:
-                j += 1
-            nxt[i] = j
-            if j < len(ivs):
-                start = max(ivs[j][0], t)
-                if best is None or start < best[0] - BREAKPOINT_TOL:
-                    best = (start, i, ivs[j][1])
-        if best is None:
-            break
-        start, i, end = best
-        if cutter is not None and i != cutter and nxt[cutter] < len(lists[cutter][1]):
-            # it starts after start + BREAKPOINT_TOL, or it would have won
-            end = min(end, lists[cutter][1][nxt[cutter]][0])
-        if out or start > 0.0:
-            out.append((None, start - t))
-        out.append((lists[i][0], end - start))
-        t = end
-    if t < total or not out:
-        out.append((None, total - t))
-    return out
+    for stage, d in zip(traj.stages, radii):
+        walk.extend(stage, d)
+    return walk.finish()
 
 
 def trace_from_trajectory(traj: Trajectory, env: Environment) -> list[TraceStep]:
@@ -368,21 +438,26 @@ def trace_from_trajectory(traj: Trajectory, env: Environment) -> list[TraceStep]
     for reg in env.regions:
         by_prop.setdefault(reg.label, []).append(reg.rect)
     props = sorted(by_prop, key=lambda p: (p != env.unsafe, p))
-    return _trace(traj, [0.0] * len(traj.stages), [(p, by_prop[p], True) for p in props],
-                  env.unsafe)
+    walk = TraceWalk([(p, by_prop[p], True) for p in props], env.unsafe)
+    return _trace(walk, traj, [0.0] * len(traj.stages))
 
 
-def trace_from_tube(tube: UncertaintyTube, env: Environment) -> list[TraceStep]:
-    """Conservative trace of the disc-valued region around the nominal path.
+def tube_rules(env: Environment) -> list[tuple[str, Sequence[Rect], bool]]:
+    """The walk's rules for the conservative trace of a tube.
 
     Goal labels require containment of the disc in a single goal rectangle;
     the unsafe label requires contact with any unsafe rectangle and wins ties.
-    The disc radius over stage k is tube.radii[k].
     """
     unsafe = [r.rect for r in env.unsafe_regions()]
     rules = [(env.unsafe, unsafe, True)] if unsafe else []
-    rules += [(r.label, (r.rect,), False) for r in env.regions if r.label != env.unsafe]
-    return _trace(tube.trajectory, tube.radii, rules, env.unsafe)
+    return rules + [(r.label, (r.rect,), False) for r in env.regions
+                    if r.label != env.unsafe]
+
+
+def trace_from_tube(tube: UncertaintyTube, env: Environment) -> list[TraceStep]:
+    """Conservative trace of the disc-valued region around the nominal path
+    (see ``tube_rules``).  The disc radius over stage k is tube.radii[k]."""
+    return _trace(TraceWalk(tube_rules(env), env.unsafe), tube.trajectory, tube.radii)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Independent oracles used by the tests: a fixed-step RK4 integrator for the
-vehicle kinematics, vectorised positions along a segment, a random generator
+vehicle kinematics, vectorised positions along one segment or many, a random generator
 of mission instances, a closed-form Beta posterior for the all-success
 estimation run, a dense-sampling check of timed traces with a random
 generator of trace geometries, the straightforward forms of the episode
@@ -7,7 +7,8 @@ kernel (eight ``integrate_segment`` corners per stage, scalar draws through
 ``Generator.choice`` and a per-call ``np.cumsum``) that the table-driven
 kernel must reproduce bit for bit, and the pair-keyed forms of the synthesis
 step (Q estimates per (history, action) pair, one policy row per history)
-that the state-indexed tables must reproduce bit for bit."""
+that the state-indexed tables must reproduce bit for bit, and a generator
+whose next uniform draw is a chosen value."""
 
 import math
 from bisect import bisect_right
@@ -59,6 +60,40 @@ def segment_positions(params, q0, w_r, w_l, taus):
     return xs, ys
 
 
+def segment_positions_batch(params, x0, y0, th0, w_r, w_l, taus):
+    """Positions along many constant-input segments at each local time in
+    taus.  Start poses (x0, y0, th0) and wheel speeds (w_r, w_l) are arrays of
+    one shape; the positions have that shape plus one axis for taus."""
+    v, omega = wheel_to_body(params, w_r, w_l)
+    straight = (np.abs(omega) < OMEGA_STRAIGHT_EPS)[..., None]
+    turn = np.where(straight, 1.0, omega[..., None])
+    ts = np.asarray(taus, dtype=float)
+    v, x0, y0, th0 = v[..., None], x0[..., None], y0[..., None], th0[..., None]
+    sin0, cos0 = np.sin(th0), np.cos(th0)
+    th = th0 + turn * ts
+    xs = np.where(straight, x0 + v * ts * cos0, x0 + (v / turn) * (np.sin(th) - sin0))
+    ys = np.where(straight, y0 + v * ts * sin0, y0 - (v / turn) * (np.cos(th) - cos0))
+    return xs, ys
+
+
+def chained_positions(params, q0, w_r, w_l, taus):
+    """Positions along chains of params.dt-long stages from q0, one chain per
+    row of the (n, K) wheel-speed arrays, at each local time in taus: arrays
+    of shape (n, K, len(taus))."""
+    v, omega = wheel_to_body(params, w_r, w_l)
+    straight = np.abs(omega) < OMEGA_STRAIGHT_EPS
+    turn = np.where(straight, 1.0, omega)
+    zero = np.zeros((len(w_r), 1))
+    th = q0.theta + np.cumsum(np.hstack([zero, np.where(straight, 0.0, omega) * params.dt]),
+                              axis=1)
+    sin, cos = np.sin(th), np.cos(th)
+    dx = np.where(straight, v * params.dt * cos[:, :-1], (v / turn) * (sin[:, 1:] - sin[:, :-1]))
+    dy = np.where(straight, v * params.dt * sin[:, :-1], -(v / turn) * (cos[:, 1:] - cos[:, :-1]))
+    x = q0.x + np.cumsum(np.hstack([zero, dx[:, :-1]]), axis=1)
+    y = q0.y + np.cumsum(np.hstack([zero, dy[:, :-1]]), axis=1)
+    return segment_positions_batch(params, x, y, th[:, :-1], w_r, w_l, taus)
+
+
 def propagate_stage_corners(prev, action, interval, params, nm):
     """One tube stage with a Pose per corner: ``integrate_segment`` from each
     extreme start orientation under each wheel-speed corner of the measured
@@ -86,6 +121,37 @@ def tile_by_cumsum(wheel_noise, u):
     """Noise tile (1-based) for u by inverse CDF over a fresh np.cumsum."""
     cum = np.cumsum(wheel_noise.probs)
     return min(bisect_right(cum, u) + 1, wheel_noise.n)
+
+
+def _untemper(y):
+    """Inverse of MT19937's output tempering."""
+    y ^= y >> 18
+    y ^= (y << 15) & 0xefc60000
+    r = y
+    for _ in range(5):
+        r = y ^ ((r << 7) & 0x9d2c5680)
+    y = r & 0xffffffff
+    r = y
+    for _ in range(3):
+        r = y ^ (r >> 11)
+    return r & 0xffffffff
+
+
+def generator_drawing(u):
+    """A Generator whose next ``random()`` is u, a multiple of 2**-53 in
+    [0, 1): an MT19937 whose next two state words temper to the two halves
+    ``random()`` combines (27 and 26 bits)."""
+    n = int(u * 2.0 ** 53)
+    if n / 2.0 ** 53 != u or not 0 <= n < 2 ** 53:
+        raise ValueError(f"random() cannot return {u!r}")
+    bit_gen = np.random.MT19937(0)
+    state = bit_gen.state
+    key = state["state"]["key"].copy()
+    key[0] = _untemper((n >> 26) << 5)
+    key[1] = _untemper((n & (2 ** 26 - 1)) << 6)
+    state["state"] = {"key": key, "pos": 0}
+    bit_gen.state = state
+    return np.random.Generator(bit_gen)
 
 
 def sample_history_scalar(policy, nm, horizon, rng):

@@ -23,8 +23,8 @@ from bltlsynth.uncertainty import build_tube
 
 from conftest import (COURIER_FORMULA, COURIER_TRACE, COURIER_TRACE_INNER,
                       COURIER_TRACE_TUBE, MISSION_FORMULA, load_demo_config_doc)
-from oracles import (all_success_stop_count, random_spec, random_trace, rk4_pose,
-                     segment_positions)
+from oracles import (all_success_stop_count, chained_positions, random_spec, random_trace,
+                     rk4_pose, segment_positions_batch)
 
 ACCEPTANCE_SEED = 2026
 REDUCED_EPISODES = 1000
@@ -137,17 +137,20 @@ def test_criterion_06_tube_containment(demo_cfg):
                                int(rng.integers(1, 4))))
                    for a in rng.integers(0, 3, size=9)]
         tube = build_tube(history, q_init, params, nm)
-        for _ in range(5):
-            pose = q_init
-            for k, (_, m) in enumerate(history):
-                w_r = rng.uniform(m.r_lo, m.r_hi)
-                w_l = rng.uniform(m.l_lo, m.l_hi)
-                xs, ys = segment_positions(params, pose, w_r, w_l, local_ts)
-                st = tube.trajectory.stages[k]
-                nx, ny = segment_positions(params, st.start, st.w_r, st.w_l, local_ts)
-                if (np.hypot(xs - nx, ys - ny) > tube.radii[k] + 1e-9).any():
-                    violations += 1
-                pose = integrate_segment(params, pose, w_r, w_l, params.dt)
+        stages = tube.trajectory.stages
+        nx, ny = segment_positions_batch(
+            params, *(np.array([getattr(st.start, c) for st in stages])
+                      for c in ("x", "y", "theta")),
+            np.array([st.w_r for st in stages]), np.array([st.w_l for st in stages]),
+            local_ts)
+        # five inner samples' wheel speeds, drawn as one rng.uniform call per
+        # sample, stage and wheel would draw them
+        lo = np.array([[m.r_lo, m.l_lo] for _, m in history])
+        hi = np.array([[m.r_hi, m.l_hi] for _, m in history])
+        w = rng.uniform(np.broadcast_to(lo, (5, 9, 2)), np.broadcast_to(hi, (5, 9, 2)))
+        xs, ys = chained_positions(params, q_init, w[..., 0], w[..., 1], local_ts)
+        outside = np.hypot(xs - nx, ys - ny) > np.array(tube.radii)[:, None] + 1e-9
+        violations += int(outside.any(axis=2).sum())
     assert violations == 0
     report(6, "inner trajectories stay inside the tube", t0)
 

@@ -221,6 +221,26 @@ class TestValidateCommand:
         assert rc == 2
         assert "'1,2,2'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("keys", [
+        ["1,2"], ["3,2,2"], ["1,4,2"], ["0,1,1", "0,01,1"],
+    ], ids=["unparsable", "action-out-of-range", "tile-out-of-range", "same-history"])
+    def test_policy_history_key_rejected(self, tiny_setup, tmp_path, capsys, keys):
+        out = tmp_path / "out"
+        synth_into(tiny_setup, out)
+        doc = json.loads((out / "policy.json").read_text())
+        for key in keys:
+            doc["policy"][key] = 0
+        bad = tmp_path / "policy.json"
+        bad.write_text(json.dumps(doc))
+        named = f"policy history {keys[-1]!r}"
+        with pytest.raises(ValueError, match=named):
+            load_policy_file(bad, load_config(tiny_setup).nm)
+        capsys.readouterr()
+        rc = main(["validate", "--policy", str(bad), "--config", str(tiny_setup),
+                   "--out-dir", str(out)])
+        assert rc == 2
+        assert named in capsys.readouterr().err
+
     def test_policy_file_round_trip(self, tiny_setup, tmp_path):
         out = tmp_path / "out"
         synth_into(tiny_setup, out)

@@ -12,8 +12,8 @@ from bltlsynth.synthesis import (Policy, QTable, bie_estimate, determinize,
 from bltlsynth.synthesis import _episode_pool, _map_episodes
 
 from conftest import policy_from_rows, simple_env
-from oracles import (all_success_stop_count, determinize_rows, improve_rows,
-                     merged_pairs, pair_counts, tile_by_cumsum)
+from oracles import (all_success_stop_count, determinize_rows, generator_drawing,
+                     improve_rows, merged_pairs, pair_counts, tile_by_cumsum)
 
 
 def table_of(pairs, n_actions=3):
@@ -89,6 +89,24 @@ class TestSampleAction:
             for _ in range(500):
                 assert policy.sample_action(EMPTY_HISTORY, a.random()) == \
                     int(b.choice(len(row), p=row))
+
+    def test_row_whose_sum_is_not_one(self):
+        # ten entries of 0.1 sum to 1 - 2**-53: a u on (or a float away from)
+        # any running sum, divided by the last or not, gives choice's action
+        row = np.full(10, 0.1)
+        policy = Policy(10, {EMPTY_HISTORY: 0}, probs=row[None])
+        cdf = np.cumsum(row)
+        assert cdf[-1] != 1.0
+        draws = set()
+        for cut in [*cdf, *(cdf / cdf[-1])]:
+            for u in (np.nextafter(cut, 0.0), cut, np.nextafter(cut, 1.0)):
+                if 0.5 <= u < 1.0:  # every float there is a possible draw
+                    draws.add(float(u))
+        assert len(draws) >= 20
+        for u in sorted(draws):
+            assert generator_drawing(u).random() == u
+            assert policy.sample_action(EMPTY_HISTORY, u) == \
+                int(generator_drawing(u).choice(10, p=row)), u
 
     def test_unseen_state_draws_uniformly(self):
         policy = uniform_policy(3)

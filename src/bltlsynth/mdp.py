@@ -114,11 +114,13 @@ def decide_tube(walk: TraceWalk, monitor: SequentialMonitor,
                 stages: Iterable[tuple[Stage, float]]) -> tuple[bool, int]:
     """Mission verdict of a tube given stage by stage, and the stages it took.
 
-    Each (stage, radius) pair goes through the empty trace ``walk`` (with the
-    ``tube_rules`` of the environment), and every step the walk closes, then
-    its open step, through the fresh mission ``monitor``.  No further stage is
-    taken once the monitor fixes the verdict; when the stages run out first,
-    the walk is finished and the verdict is that of the whole trace.
+    Each (stage, radius) pair goes through the empty trace ``walk``, and every
+    step the walk closes, then its open step, through the fresh mission
+    ``monitor``.  The walk has the environment's ``tube_rules`` for a chain
+    episode's tube, or its ``point_rules`` for a closed-loop trajectory, whose
+    stages all come at radius 0.  No further stage is taken once the monitor
+    fixes the verdict; when the stages run out first, the walk is finished and
+    the verdict is that of the whole trace.
     """
     fed = k = 0
     for k, (stage, d) in enumerate(stages, 1):

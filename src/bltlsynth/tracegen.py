@@ -20,10 +20,11 @@ interval lists.  Breakpoints closer than BREAKPOINT_TOL seconds merge into
 one, and a predicate that holds only at isolated instants (a tangential
 touch) gives no trace state.
 
-The walk (``TraceWalk``) can take a tube one stage at a time.  After each
-stage it closes every trace step that the stages so far fix, and reports the
-step after them when its label is fixed but its end is not; a chain episode
-uses this to stop building its tube once its verdict is fixed (see
+The walk (``TraceWalk``) can take a tube or a point trajectory one stage at a
+time.  After each stage it closes every trace step that the stages so far
+fix, and reports the step after them when its label is fixed but its end is
+not; a chain episode uses this to stop building its tube, and a closed-loop
+validation episode to stop simulating, once the verdict is fixed (see
 ``mdp.decide_tube``).  Fed every stage and then finished, the same walk gives
 the whole-trajectory trace of ``trace_from_tube`` and
 ``trace_from_trajectory``.
@@ -428,8 +429,8 @@ def _trace(walk: TraceWalk, traj: Trajectory, radii: Sequence[float]) -> list[Tr
     return walk.finish()
 
 
-def trace_from_trajectory(traj: Trajectory, env: Environment) -> list[TraceStep]:
-    """Trace of region visits for a point trajectory.
+def point_rules(env: Environment) -> list[tuple[str, Sequence[Rect], bool]]:
+    """The walk's rules for the trace of a point trajectory (radius 0).
 
     A label holds while the position lies in the union of the rectangles
     carrying it (closed sets); unsafe goes first when entries coincide.
@@ -438,8 +439,12 @@ def trace_from_trajectory(traj: Trajectory, env: Environment) -> list[TraceStep]
     for reg in env.regions:
         by_prop.setdefault(reg.label, []).append(reg.rect)
     props = sorted(by_prop, key=lambda p: (p != env.unsafe, p))
-    walk = TraceWalk([(p, by_prop[p], True) for p in props], env.unsafe)
-    return _trace(walk, traj, [0.0] * len(traj.stages))
+    return [(p, by_prop[p], True) for p in props]
+
+
+def trace_from_trajectory(traj: Trajectory, env: Environment) -> list[TraceStep]:
+    """Trace of region visits for a point trajectory (see ``point_rules``)."""
+    return _trace(TraceWalk(point_rules(env), env.unsafe), traj, [0.0] * len(traj.stages))
 
 
 def tube_rules(env: Environment) -> list[tuple[str, Sequence[Rect], bool]]:

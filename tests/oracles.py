@@ -7,19 +7,21 @@ kernel (eight ``integrate_segment`` corners per stage, scalar draws through
 ``Generator.choice`` and a per-call ``np.cumsum``) that the table-driven
 kernel must reproduce bit for bit, and the pair-keyed forms of the synthesis
 step (Q estimates per (history, action) pair, one policy row per history)
-that the state-indexed tables must reproduce bit for bit, and a generator
-whose next uniform draw is a chosen value."""
+that the state-indexed tables must reproduce bit for bit, a generator
+whose next uniform draw is a chosen value, and validation from whole-horizon
+closed-loop runs."""
 
 import math
 from bisect import bisect_right
 
 import numpy as np
 
-from bltlsynth.bltl import Disjunct, Phase, SequentialSpec
+from bltlsynth.bltl import Disjunct, Phase, SequentialSpec, horizon_stages, to_sequential
 from bltlsynth.dynamics import (OMEGA_STRAIGHT_EPS, Pose, angle_diff, integrate_segment,
                                 wheel_to_body)
 from bltlsynth.env import Environment, Rect, Region
-from bltlsynth.mdp import EMPTY_HISTORY
+from bltlsynth.mdp import EMPTY_HISTORY, STREAM_VALIDATE, episode_rng
+from bltlsynth.synthesis import bie_estimate, simulate_true_system
 from bltlsynth.tracegen import Trajectory, make_stage
 from bltlsynth.uncertainty import NominalStageState
 
@@ -222,6 +224,22 @@ def improve_rows(rows, n_actions, entries, greediness):
 def determinize_rows(rows):
     """Argmax action of each row."""
     return {state: int(np.argmax(row)) for state, row in rows.items()}
+
+
+def whole_horizon_validation(policy, env, formula, params, nm, *, delta, confidence,
+                             prior_alpha, prior_beta, master_seed, batch_size=1):
+    """``bie_estimate`` over the verdicts of whole-horizon closed-loop runs
+    (``simulate_true_system``) on the validation episode streams."""
+    spec = to_sequential(formula, env.unsafe)
+    horizon = horizon_stages(formula, params.dt)
+
+    def draw(start, count):
+        return [simulate_true_system(policy, env, spec, params, nm, horizon,
+                                     episode_rng(master_seed, STREAM_VALIDATE, 0, i))[2]
+                for i in range(start, start + count)]
+
+    return bie_estimate(draw, delta, confidence, prior_alpha, prior_beta,
+                        batch_size=batch_size)
 
 
 DURATION_GRID = [0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5, 3.0]

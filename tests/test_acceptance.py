@@ -166,12 +166,12 @@ def test_criterion_07_conservatism(demo_cfg):
     episode = 0
     violations = 0
     while satisfying < 1000:
-        path = sampler.sample_path(policy, episode_rng(ACCEPTANCE_SEED, 7, 0, episode))
+        history = sampler.sample_history(policy, episode_rng(ACCEPTANCE_SEED, 7, 0, episode))
         episode += 1
-        if not path.satisfied:
+        if not sampler.decide(history)[0]:
             continue
         satisfying += 1
-        measured = sampler.measured_history(path.state)
+        measured = sampler.measured_history(history)
         for _ in range(10):
             pose = env.initial_pose
             stages = []

@@ -3,9 +3,11 @@ from pathlib import Path
 
 import pytest
 
+from bltlsynth.bltl import horizon_stages, to_sequential
 from bltlsynth.cli import load_policy_file, main
 from bltlsynth.config import builtin_config_path, load_config
 from bltlsynth.mdp import history_key_string
+from bltlsynth.synthesis import _TrueSystemTask
 
 from conftest import env_doc_dict, load_demo_config_doc
 
@@ -253,13 +255,27 @@ class TestValidateCommand:
     def test_trajectory_export(self, tiny_setup, tmp_path):
         out = tmp_path / "out"
         synth_into(tiny_setup, out)
+        # turn left, then reach the goal only when the right wheel read its
+        # middle tile, so episodes of both verdicts are exported
+        doc = json.loads((out / "policy.json").read_text())
+        doc["policy"] = {"": 0, **{f"0,{j_r},{j_l}": 2 if j_r == 2 else 0
+                                   for j_r in (1, 2, 3) for j_l in (1, 2, 3)}}
+        (out / "policy.json").write_text(json.dumps(doc))
         rc = main(["validate", "--policy", str(out / "policy.json"),
                    "--config", str(tiny_setup), "--out-dir", str(out),
-                   "--export-trajectories", "5"])
+                   "--export-trajectories", "16"])
         assert rc in (0, 4)
         files = sorted(out.glob("traj_*.csv"))
-        assert len(files) == 5
-        assert all(f.stem.endswith(("_sat", "_viol")) for f in files)
+        assert [f.stem.rsplit("_", 1)[0] for f in files] == [f"traj_{i:04d}" for i in range(16)]
+        # each file's suffix is the verdict validation decides for that episode
+        cfg = load_config(tiny_setup)
+        _, policy = load_policy_file(out / "policy.json", cfg.nm)
+        task = _TrueSystemTask(cfg.env, to_sequential(cfg.formula, cfg.env.unsafe), cfg.params,
+                               cfg.nm, policy, horizon_stages(cfg.formula, cfg.params.dt),
+                               cfg.seed)
+        suffixes = [f.stem.rsplit("_", 1)[1] for f in files]
+        assert suffixes == ["sat" if task.run(i) else "viol" for i in range(16)]
+        assert set(suffixes) == {"sat", "viol"}
 
 
 class TestCheckCommand:

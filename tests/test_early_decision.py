@@ -1,24 +1,26 @@
 """Stage-at-a-time decision: the trace walk fed one stage at a time, the
-online mission monitor, and ``PathSampler.decide``, each checked against its
-whole-horizon form (``trace_from_tube``, ``sequential_witness`` and
-``check_generic``, ``PathSampler.finish``)."""
+online mission monitor, ``PathSampler.decide`` and the closed-loop validation
+task, each checked against its whole-horizon form (``trace_from_tube``,
+``sequential_witness`` and ``check_generic``, ``PathSampler.finish``,
+``simulate_true_system``)."""
 
 import json
 
 import numpy as np
 import pytest
 
-from bltlsynth.bltl import (SequentialMonitor, check_generic, parse_formula,
+from bltlsynth.bltl import (SequentialMonitor, check_generic, horizon_stages, parse_formula,
                             sequential_witness, spec_to_formula, to_sequential)
 from bltlsynth.config import builtin_config_path, config_from_dict
 from bltlsynth.dynamics import measure
-from bltlsynth.mdp import PathSampler, decide_tube, episode_rng
-from bltlsynth.synthesis import Policy, uniform_policy
+from bltlsynth.mdp import STREAM_VALIDATE, PathSampler, decide_tube, episode_rng
+from bltlsynth.synthesis import (Policy, _TrueSystemTask, simulate_true_system,
+                                 uniform_policy, validate_true_system)
 from bltlsynth.tracegen import TraceWalk, UncertaintyTube, trace_from_tube, tube_rules
 from bltlsynth.uncertainty import build_tube
 
 from conftest import DT, simple_env
-from oracles import random_spec, random_trace, random_trace_case
+from oracles import random_spec, random_trace, random_trace_case, whole_horizon_validation
 from test_tracegen import straight_trajectory
 
 
@@ -278,7 +280,9 @@ def demo_doc():
 
 
 def variant_config(name):
-    """The demo mission with wider noise, a spin-in-place action, or sharp turns."""
+    """The demo mission with wider noise, a spin-in-place action, or sharp
+    turns; or the demo world with a dropoff deadline just after a straight
+    run arrives there, so that verdicts are fixed only in the last stage."""
     doc = demo_doc()
     if name == "wide-noise":
         for side in ("right", "left"):
@@ -288,6 +292,8 @@ def variant_config(name):
     elif name == "sharp-turn":
         doc["vehicle"]["actions"][0] = [5.5, 0.9]
         doc["vehicle"]["actions"][2] = [0.9, 5.5]
+    elif name == "late-dropoff":
+        doc["formula"] = "!unsafe U[<=9.65] dropoff"
     return config_from_dict(doc)
 
 
@@ -324,3 +330,65 @@ def test_decide_matches_finish(name):
     assert built < 0.8 * 9 * episodes
     if name == "demo":
         assert satisfied > 0
+
+
+# ---------------------------------------------------------------------------
+# Closed-loop validation episodes against the whole-horizon simulate_true_system
+
+def random_strategy(n_tiles, rng, drop=0.0):
+    """A deterministic policy with a row for each history of up to three
+    stages that it reaches itself: straight on (action 1) with probability
+    0.9, else a random action.  With ``drop``, each row but the root's is
+    left out with that probability, so the default action 0 is taken there;
+    it is also taken on every longer history."""
+    index, actions, level = {}, [], [()]
+    for _ in range(4):
+        reached = []
+        for h in level:
+            a = 1 if rng.random() < 0.9 else int(rng.integers(3))
+            if not h or rng.random() >= drop:
+                index[h] = len(actions)
+                actions.append(a)
+            reached += [h + ((a, j_r, j_l),) for j_r in range(1, n_tiles + 1)
+                        for j_l in range(1, n_tiles + 1)]
+        level = reached
+    return Policy(3, index, actions=actions)
+
+
+@pytest.mark.parametrize("name", ["demo", "wide-noise", "spin", "sharp-turn", "late-dropoff"])
+def test_validation_decision_matches_simulate_true_system(name):
+    cfg = variant_config(name)
+    s = to_sequential(cfg.formula, cfg.env.unsafe)
+    horizon = horizon_stages(cfg.formula, cfg.params.dt)
+    rng = np.random.default_rng(61)
+    n_tiles = cfg.nm.right.n
+    policies = [uniform_policy(3), random_strategy(n_tiles, rng),
+                random_strategy(n_tiles, rng, drop=0.25)]
+    simulated = satisfied = episodes = 0
+    for seed, policy in enumerate(policies):
+        task = _TrueSystemTask(cfg.env, s, cfg.params, cfg.nm, policy, horizon, seed)
+        for e in range(170):
+            verdict, stages = task.decide(e)
+            whole = simulate_true_system(policy, cfg.env, s, cfg.params, cfg.nm, horizon,
+                                         episode_rng(seed, STREAM_VALIDATE, 0, e))
+            assert verdict == whole[2]
+            assert 1 <= stages <= horizon
+            simulated += stages
+            satisfied += verdict
+            episodes += 1
+    assert 0 < satisfied < episodes
+    if name == "demo":  # 5.2 of 9 stages on average
+        assert simulated < 0.7 * 9 * episodes
+
+
+@pytest.mark.parametrize("workers,batch_size", [(1, 1), (1, 4), (2, 1), (2, 4)])
+def test_validation_matches_whole_horizon_oracle(workers, batch_size):
+    cfg = variant_config("demo")
+    policy = random_strategy(cfg.nm.right.n, np.random.default_rng(62))
+    kwargs = dict(delta=0.05, confidence=0.9, prior_alpha=1.0, prior_beta=1.0,
+                  master_seed=63, batch_size=batch_size)
+    result = validate_true_system(policy, cfg.env, cfg.formula, cfg.params, cfg.nm,
+                                  workers=workers, **kwargs)
+    assert result == whole_horizon_validation(policy, cfg.env, cfg.formula, cfg.params,
+                                              cfg.nm, **kwargs)
+    assert 0 < result.successes < result.n

@@ -22,6 +22,6 @@ from .synthesis import (BieResult, Policy, QTable, SynthesisResult,
 from .tracegen import (Trajectory, UncertaintyTube, disc_in_region,
                        disc_intersects_region, trace_from_trajectory,
                        trace_from_tube)
-from .uncertainty import build_tube, propagate_stage
+from .uncertainty import StageTerms, build_tube, propagate_stage, stage_terms
 
 __version__ = "0.1.0"

@@ -172,11 +172,17 @@ def integrate_segment(params: VehicleParams, q0: Pose, w_r: float, w_l: float,
     """Propagate the pose for tau seconds under constant wheel speeds.
 
     Constant inputs give a straight line (zero turn rate) or a circular arc,
-    both in closed form.
+    both in closed form (``integrate_body``).
     """
+    v, omega = wheel_to_body(params, w_r, w_l)
+    return integrate_body(q0, v, omega, tau)
+
+
+def integrate_body(q0: Pose, v: float, omega: float, tau: float) -> Pose:
+    """Propagate the pose for tau seconds at constant body speed v and turn
+    rate omega: a straight line below OMEGA_STRAIGHT_EPS, else an arc."""
     if tau < 0:
         raise ValueError("tau must be non-negative")
-    v, omega = wheel_to_body(params, w_r, w_l)
     if abs(omega) < OMEGA_STRAIGHT_EPS:
         return Pose(q0.x + v * tau * math.cos(q0.theta),
                     q0.y + v * tau * math.sin(q0.theta),

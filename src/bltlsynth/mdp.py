@@ -17,6 +17,14 @@ history is sampled whole, then its tube stages are built one at a time and
 fed through the trace walk into the mission monitor, and building stops at
 the stage that fixes the verdict.  The verdict equals that of the
 whole-horizon tube, trace and check of ``PathSampler.finish``.
+
+Episodes share their first stages, so a sampler builds each history prefix's
+stage once, in a prefix table of the stage-end tube state and the stage's
+trace intervals.  Both are pure functions of the prefix (so is the stage's
+start time: every stage lasts ``dt``), hence verdicts do not change.  The table
+stops at the deepest level whose full history tree has at most
+PREFIX_TABLE_NODES nodes (depth 3 on the demo): the tree bounds its size, not
+the number of episodes.
 """
 
 from __future__ import annotations
@@ -30,8 +38,10 @@ from .bltl import SequentialMonitor, SequentialSpec, TraceStep, check_sequential
 from .dynamics import (MeasuredInterval, NoiseModel, VehicleParams,
                        measure, sample_noise_interval)
 from .env import Environment
-from .tracegen import Stage, TraceWalk, UncertaintyTube, trace_from_tube, tube_rules
-from .uncertainty import NominalStageState, build_tube, propagate_stage
+from .tracegen import (StageIntervals, TraceWalk, UncertaintyTube, stage_intervals,
+                       trace_from_tube, tube_rules)
+from .uncertainty import (NominalStageState, StageTerms, build_tube, propagate_stage,
+                          stage_terms)
 
 # Reserved action index for the horizon self-loop; never a policy choice.
 DUMMY_ACTION = -1
@@ -44,6 +54,10 @@ STREAM_VALIDATE = 2
 HistoryKey = tuple[tuple[int, int, int], ...]
 
 EMPTY_HISTORY: HistoryKey = ()
+
+# Node budget of a sampler's prefix table: prefixes are stored down to the
+# deepest level whose full history tree has at most this many nodes.
+PREFIX_TABLE_NODES = 2 ** 15
 
 
 def episode_rng(master_seed: int, purpose: int, round_index: int,
@@ -111,20 +125,21 @@ def successors(state: HistoryKey, action: int, nm: NoiseModel, params: VehiclePa
 
 
 def decide_tube(walk: TraceWalk, monitor: SequentialMonitor,
-                stages: Iterable[tuple[Stage, float]]) -> tuple[bool, int]:
+                stages: Iterable[tuple[StageIntervals, float]]) -> tuple[bool, int]:
     """Mission verdict of a tube given stage by stage, and the stages it took.
 
-    Each (stage, radius) pair goes through the empty trace ``walk``, and every
-    step the walk closes, then its open step, through the fresh mission
-    ``monitor``.  The walk has the environment's ``tube_rules`` for a chain
-    episode's tube, or its ``point_rules`` for a closed-loop trajectory, whose
-    stages all come at radius 0.  No further stage is taken once the monitor
-    fixes the verdict; when the stages run out first, the walk is finished and
-    the verdict is that of the whole trace.
+    Each stage comes as its rules' intervals and its duration (``stage_feed``
+    computes them from (stage, radius) pairs).  They go through the empty
+    trace ``walk``, and every step the walk closes, then its open step,
+    through the fresh mission ``monitor``.  The walk has the environment's
+    ``tube_rules`` for a chain episode's tube, or its ``point_rules`` for a
+    closed-loop trajectory, whose stages all come at radius 0.  No further
+    stage is taken once the monitor fixes the verdict; when the stages run out
+    first, the walk is finished and the verdict is that of the whole trace.
     """
     fed = k = 0
-    for k, (stage, d) in enumerate(stages, 1):
-        walk.extend(stage, d)
+    for k, (intervals, duration) in enumerate(stages, 1):
+        walk.append(intervals, duration)
         walk.advance()
         steps = walk.steps
         while fed < len(steps):
@@ -157,7 +172,17 @@ class PathSampler:
 
     Immutable context (environment, spec, vehicle, noise, horizon) is fixed at
     construction; randomness comes from per-call generators, so instances are
-    safe to share across workers.
+    safe to share across workers.  ``measured`` and ``terms`` hold each step's
+    encoder reading and the stage terms it fixes.
+
+    ``prefixes`` maps each history prefix up to ``prefix_depth`` stages long
+    that ``decide`` has met to its stage-end ``NominalStageState`` and its
+    stage's ``stage_intervals``.  Both are functions of the prefix alone (a
+    stage starts at the sum of the durations before it, all ``dt``), so a
+    stored entry is what rebuilding the stage would give, bit for bit, and
+    results do not depend on what the table holds.  It fills as episodes run
+    and is left out of pickles: a spawned pool worker starts with an empty
+    one and fills its own.
     """
 
     def __init__(self, env: Environment, spec: SequentialSpec, params: VehicleParams,
@@ -174,7 +199,16 @@ class PathSampler:
             for a in range(len(params.actions))
             for j_r in range(1, nm.right.n + 1)
             for j_l in range(1, nm.left.n + 1)}
+        self.terms: dict[tuple[int, int, int], StageTerms] = {
+            step: stage_terms(interval, params, nm) for step, interval in self.measured.items()}
         self._rules = tube_rules(env)
+        self.prefix_depth = prefix_table_depth(len(self.measured), horizon)
+        self.prefixes: dict[HistoryKey, tuple[NominalStageState, StageIntervals]] = {}
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state["prefixes"] = {}
+        return state
 
     def sample_history(self, policy, rng: np.random.Generator) -> HistoryKey:
         """Roll the chain to the horizon under the policy; returns the history.
@@ -213,20 +247,46 @@ class PathSampler:
         """Verdict of a complete history, building stages only until it is fixed.
 
         The verdict equals ``finish(history).satisfied``; also returns the
-        number of stages built (see ``decide_tube``).
+        number of stages taken (see ``decide_tube``).
         """
         return decide_tube(TraceWalk(self._rules, self.env.unsafe),
-                           SequentialMonitor(self.spec), self._tube_stages(history))
+                           SequentialMonitor(self.spec), self._stage_feed(history))
 
-    def _tube_stages(self, history: HistoryKey) -> Iterator[tuple[Stage, float]]:
-        """The history's tube stages with their radii, built as they are asked for."""
-        params, nm, measured = self.params, self.nm, self.measured
+    def _stage_feed(self, history: HistoryKey) -> Iterator[tuple[StageIntervals, float]]:
+        """The history's tube stages as the walk takes them, each built when
+        it is asked for unless the prefix table holds it."""
+        terms, rules = self.terms, self._rules
+        table, depth, dt = self.prefixes, self.prefix_depth, self.params.dt
         state = NominalStageState(self.env.initial_pose, 0.0, 0.0)
-        for step in history:
-            state, stage = propagate_stage(state, params.actions[step[0]], measured[step],
-                                           params, nm)
-            yield stage, state.d
+        t0 = 0.0
+        for k, step in enumerate(history):
+            key = history[:k + 1] if k < depth else None
+            entry = None if key is None else table.get(key)
+            if entry is None:
+                state, stage = propagate_stage(state, terms[step])
+                entry = state, stage_intervals(rules, stage, state.d, t0)
+                if key is not None:
+                    table[key] = entry
+            else:
+                state = entry[0]
+            yield entry[1], dt
+            t0 += dt
 
     def sample_path(self, policy, rng: np.random.Generator) -> PathSample:
         """One rollout: sample a history, then tube, trace, and verdict."""
         return self.finish(self.sample_history(policy, rng))
+
+
+def prefix_table_depth(branching: int, horizon: int) -> int:
+    """The deepest level, at most the horizon, whose full history tree (every
+    node from level 1 down to it, ``branching`` children per node) has at
+    most PREFIX_TABLE_NODES nodes."""
+    depth = nodes = 0
+    level = 1
+    while depth < horizon:
+        level *= branching
+        if nodes + level > PREFIX_TABLE_NODES:
+            break
+        nodes += level
+        depth += 1
+    return depth

@@ -41,7 +41,7 @@ from .dynamics import (NoiseModel, VehicleParams, sample_noise_in_interval,
 from .env import Environment
 from .mdp import (EMPTY_HISTORY, HistoryKey, PathSampler, STREAM_BIE,
                   STREAM_POLICY_EVAL, STREAM_VALIDATE, decide_tube, episode_rng)
-from .tracegen import (Stage, TraceWalk, Trajectory, make_stage, point_rules,
+from .tracegen import (Stage, TraceWalk, Trajectory, make_stage, point_rules, stage_feed,
                        trace_from_trajectory)
 
 
@@ -65,6 +65,15 @@ class Policy:
     index: dict[HistoryKey, int]
     probs: Optional[np.ndarray] = None
     actions: Optional[list[int]] = None
+
+    def __eq__(self, other):
+        if not isinstance(other, Policy):
+            return NotImplemented
+        if (self.probs is None) != (other.probs is None):
+            return False
+        return (self.n_actions == other.n_actions and self.index == other.index
+                and self.actions == other.actions
+                and (self.probs is None or np.array_equal(self.probs, other.probs)))
 
     @property
     def deterministic(self) -> bool:
@@ -188,7 +197,7 @@ class _TrueSystemTask:
         stages = _closed_loop_stages(self.policy, self.env, self.params, self.nm,
                                      self.horizon, rng)
         return decide_tube(TraceWalk(self.rules, self.env.unsafe), SequentialMonitor(self.spec),
-                           ((stage, 0.0) for stage, _ in stages))
+                           stage_feed(self.rules, ((stage, 0.0) for stage, _ in stages)))
 
     def run(self, index: int) -> bool:
         return self.decide(index)[0]

@@ -27,7 +27,9 @@ not; a chain episode uses this to stop building its tube, and a closed-loop
 validation episode to stop simulating, once the verdict is fixed (see
 ``mdp.decide_tube``).  Fed every stage and then finished, the same walk gives
 the whole-trajectory trace of ``trace_from_tube`` and
-``trace_from_trajectory``.
+``trace_from_trajectory``.  A stage's intervals (``stage_intervals``) depend
+only on the stage, its radius and its start time, so a chain sampler computes
+them once per history prefix and hands them to the walk.
 """
 
 from __future__ import annotations
@@ -35,11 +37,11 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .bltl import TraceStep
 from .dynamics import (OMEGA_STRAIGHT_EPS, Pose, VehicleParams, angle_diff,
-                       integrate_segment, wheel_to_body)
+                       integrate_body, wheel_to_body)
 from .env import Environment, Rect, Region
 
 # Event times closer than this (seconds) are one breakpoint.
@@ -48,6 +50,12 @@ BREAKPOINT_TOL = 1e-9
 # and for the per-stage bounding boxes (m); both only add breakpoints.
 _TANGENT_SLACK = 1e-12
 _BOX_PAD = 1e-9
+
+# A labelling rule: (label, rectangles, contact); see ``TraceWalk``.
+Rule = tuple[str, Sequence[Rect], bool]
+# A time interval (start, end) in seconds, and one stage's intervals per rule.
+Interval = tuple[float, float]
+StageIntervals = tuple[tuple[Interval, ...], ...]
 
 
 # ---------------------------------------------------------------------------
@@ -83,8 +91,7 @@ class Stage:
 def make_stage(params: VehicleParams, start: Pose, w_r: float, w_l: float,
                duration: float) -> Stage:
     v, omega = wheel_to_body(params, w_r, w_l)
-    end = integrate_segment(params, start, w_r, w_l, duration)
-    return Stage(start, w_r, w_l, duration, v, omega, end)
+    return Stage(start, w_r, w_l, duration, v, omega, integrate_body(start, v, omega, duration))
 
 
 @dataclass(frozen=True)
@@ -276,15 +283,15 @@ class _Path:
         return self.angle_times((psi + a, psi + math.pi - a))
 
 
-def _add_intervals(out: list[tuple[float, float]], path: _Path, d: float,
-                   near: Sequence[Rect], contact: bool) -> None:
-    """Append the path's maximal time intervals on which the predicate holds.
+def _rule_intervals(path: _Path, d: float, near: Sequence[Rect],
+                    contact: bool) -> tuple[Interval, ...]:
+    """The path's maximal time intervals on which the predicate holds.
 
     With ``contact`` the predicate is that the disc of radius d touches any of
     ``near``; otherwise that it lies inside the single rectangle ``near[0]``.
     ``near`` holds the rule's rectangles that the disc can reach (see
-    ``TraceWalk.extend``).  An interval that starts within BREAKPOINT_TOL of
-    the end of the last one in ``out`` extends it.
+    ``stage_intervals``).  An interval that starts within BREAKPOINT_TOL of
+    the end of the one before extends it.
     """
     holds = _touches if contact else _inside
     off = d if contact else -d
@@ -303,6 +310,7 @@ def _add_intervals(out: list[tuple[float, float]], path: _Path, d: float,
         if t - cuts[-1] > BREAKPOINT_TOL:
             cuts.append(t)
     cuts[-1] = path.duration  # the last cut lies within BREAKPOINT_TOL of it
+    out: list[Interval] = []
     for a, b in zip(cuts, cuts[1:]):
         x, y = path.stage.position_at(0.5 * (a + b))
         if any(holds(r, x, y, d) for r in near):
@@ -311,6 +319,35 @@ def _add_intervals(out: list[tuple[float, float]], path: _Path, d: float,
                 out[-1] = (out[-1][0], hi)
             else:
                 out.append((lo, hi))
+    return tuple(out)
+
+
+def stage_intervals(rules: Sequence[Rule], stage: Stage, d: float,
+                    t0: float) -> StageIntervals:
+    """Each rule's maximal time intervals on one stage, with disc radius d,
+    for the stage placed at absolute time t0.
+
+    A pure function of its arguments: a walk fed the stage after stages of
+    total duration t0 appends exactly these (``TraceWalk.append``).
+    """
+    path = _Path(stage, t0)
+    out = []
+    for _, rects, contact in rules:
+        near = [r for r in rects if path.near(r, d)
+                and (contact or (r.x1 - r.x0 >= 2 * d and r.y1 - r.y0 >= 2 * d))]
+        out.append(_rule_intervals(path, d, near, contact) if near else ())
+    return tuple(out)
+
+
+def stage_feed(rules: Sequence[Rule], stages: Iterable[tuple[Stage, float]]
+               ) -> Iterator[tuple[StageIntervals, float]]:
+    """Each (stage, radius) pair's ``stage_intervals`` with the stage's
+    duration, the stage placed where the ones before it end: what
+    ``TraceWalk.append`` takes, computed as the pairs are asked for."""
+    t0 = 0.0
+    for stage, d in stages:
+        yield stage_intervals(rules, stage, d, t0), stage.duration
+        t0 += stage.duration
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +365,9 @@ class TraceWalk:
     an unlabeled one, possibly of zero duration, and durations sum to the
     trajectory duration.
 
-    ``extend`` appends a stage's intervals; ``advance`` closes every step
+    ``append`` appends a stage's intervals (``stage_intervals``, a pure
+    function of the stage, its radius and its start time), and ``extend``
+    computes and appends them; ``advance`` closes every step
     that the stages so far fix.  A step is entered only once every rule's
     intervals are known past its start + BREAKPOINT_TOL: a later stage can
     extend an interval that ends within BREAKPOINT_TOL of the last stage end,
@@ -338,9 +377,9 @@ class TraceWalk:
     every stage first, it gives the whole-trajectory walk.
     """
 
-    def __init__(self, rules: list[tuple[str, Sequence[Rect], bool]], unsafe: str):
+    def __init__(self, rules: Sequence[Rule], unsafe: str):
         self.rules = rules
-        self.lists: list[list[tuple[float, float]]] = [[] for _ in rules]
+        self.lists: list[list[Interval]] = [[] for _ in rules]
         self.cutter = 0 if rules and rules[0][0] == unsafe else None
         self.nxt = [0] * len(rules)
         self.total = 0.0
@@ -351,13 +390,22 @@ class TraceWalk:
 
     def extend(self, stage: Stage, d: float) -> None:
         """Append one stage, with disc radius d, to every rule's intervals."""
-        path = _Path(stage, self.total)
-        self.total += stage.duration
-        for (_, rects, contact), ivs in zip(self.rules, self.lists):
-            near = [r for r in rects if path.near(r, d)
-                    and (contact or (r.x1 - r.x0 >= 2 * d and r.y1 - r.y0 >= 2 * d))]
-            if near:
-                _add_intervals(ivs, path, d, near, contact)
+        self.append(stage_intervals(self.rules, stage, d, self.total), stage.duration)
+
+    def append(self, intervals: StageIntervals, duration: float) -> None:
+        """Append one stage of the given duration by its rules' intervals
+        (``stage_intervals`` at this walk's total duration).
+
+        An interval that starts within BREAKPOINT_TOL of the end of a rule's
+        last one extends it; the given intervals are not changed.
+        """
+        for ivs, new in zip(self.lists, intervals):
+            for lo, hi in new:
+                if ivs and ivs[-1][1] >= lo - BREAKPOINT_TOL:
+                    ivs[-1] = (ivs[-1][0], hi)
+                else:
+                    ivs.append((lo, hi))
+        self.total += duration
 
     def advance(self) -> None:
         """Close every step that the stages so far fix."""
@@ -429,7 +477,7 @@ def _trace(walk: TraceWalk, traj: Trajectory, radii: Sequence[float]) -> list[Tr
     return walk.finish()
 
 
-def point_rules(env: Environment) -> list[tuple[str, Sequence[Rect], bool]]:
+def point_rules(env: Environment) -> list[Rule]:
     """The walk's rules for the trace of a point trajectory (radius 0).
 
     A label holds while the position lies in the union of the rectangles
@@ -447,7 +495,7 @@ def trace_from_trajectory(traj: Trajectory, env: Environment) -> list[TraceStep]
     return _trace(TraceWalk(point_rules(env), env.unsafe), traj, [0.0] * len(traj.stages))
 
 
-def tube_rules(env: Environment) -> list[tuple[str, Sequence[Rect], bool]]:
+def tube_rules(env: Environment) -> list[Rule]:
     """The walk's rules for the conservative trace of a tube.
 
     Goal labels require containment of the disc in a single goal rectangle;

@@ -10,18 +10,20 @@ the endpoints of each wheel's measured interval.
 The corner cases are the per-episode hot path, so they are integrated with
 plain floats in the closed form of ``dynamics.integrate_segment``, with the
 same expressions in the same order; the radii and spreads equal those of
-integrating each corner as a ``Pose`` bit for bit.
+integrating each corner as a ``Pose`` bit for bit.  The terms that a stage's
+step fixes (nominal wheel speeds, body speeds of the nominal and of the
+corners) come precomputed as ``StageTerms``, built once per step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .dynamics import (OMEGA_STRAIGHT_EPS, MeasuredInterval, NoiseModel, Pose,
-                       VehicleParams, wheel_to_body)
-from .tracegen import Stage, Trajectory, UncertaintyTube, make_stage
+                       VehicleParams, integrate_body, wheel_to_body)
+from .tracegen import Stage, Trajectory, UncertaintyTube
 
 # The modulus of wrap_angle and angle_diff, inlined in the corner loop.
 _TWO_PI = 2.0 * math.pi
@@ -40,9 +42,40 @@ class NominalStageState:
             raise ValueError("uncertainty values must be non-negative")
 
 
-def propagate_stage(prev: NominalStageState, action: tuple[float, float],
-                    interval: MeasuredInterval, params: VehicleParams,
-                    nm: NoiseModel) -> tuple[NominalStageState, Stage]:
+class StageTerms(NamedTuple):
+    """The terms of a tube stage that its step (commanded action and measured
+    interval) fixes: nominal wheel speeds at the tile midpoints, their body
+    speed and turn rate, the stage duration, and per wheel-speed corner of the
+    measured interval (straight, scale, turn): whether it runs straight, its
+    distance (straight) or turn radius (arc), and its heading change."""
+
+    w_r: float
+    w_l: float
+    v: float
+    omega: float
+    duration: float
+    corners: tuple[tuple[bool, float, float], ...]
+
+
+def stage_terms(interval: MeasuredInterval, params: VehicleParams,
+                nm: NoiseModel) -> StageTerms:
+    """The step-determined terms of a stage under the measured interval."""
+    u_r, u_l = params.actions[interval.action_index]
+    w_r = u_r + nm.right.midpoint(interval.j_r)
+    w_l = u_l + nm.left.midpoint(interval.j_l)
+    v, omega = wheel_to_body(params, w_r, w_l)
+    tau = params.dt
+    corners = []
+    for c_r in (interval.r_lo, interval.r_hi):
+        for c_l in (interval.l_lo, interval.l_hi):
+            c_v, c_omega = wheel_to_body(params, c_r, c_l)
+            straight = abs(c_omega) < OMEGA_STRAIGHT_EPS
+            corners.append((straight, c_v * tau if straight else c_v / c_omega, c_omega * tau))
+    return StageTerms(w_r, w_l, v, omega, tau, tuple(corners))
+
+
+def propagate_stage(prev: NominalStageState,
+                    terms: StageTerms) -> tuple[NominalStageState, Stage]:
     """Advance one stage: nominal midpoint motion plus worst-case growth.
 
     Returns the new stage-end state and the nominal Stage traversed.  The
@@ -52,23 +85,14 @@ def propagate_stage(prev: NominalStageState, action: tuple[float, float],
     wrapped heading difference over the same set.
 
     The corners are integrated in the closed form of ``integrate_segment``,
-    term for term, without building a Pose: body speeds once per stage for
-    the four wheel-speed corners, sin/cos once per start orientation.
+    term for term, without building a Pose: the step's ``terms`` hold the
+    body speeds of the four wheel-speed corners, and sin/cos are taken once
+    per start orientation.
     """
-    u_r, u_l = action
-    mid_r = nm.right.midpoint(interval.j_r)
-    mid_l = nm.left.midpoint(interval.j_l)
-    stage = make_stage(params, prev.pose, u_r + mid_r, u_l + mid_l, params.dt)
-    nominal = stage.end
+    w_r, w_l, v, omega, tau, corners = terms
+    nominal = integrate_body(prev.pose, v, omega, tau)
+    stage = Stage(prev.pose, w_r, w_l, tau, v, omega, nominal)
     nx, ny, nth = nominal.x, nominal.y, nominal.theta
-
-    tau = params.dt
-    corners = []
-    for w_r in (interval.r_lo, interval.r_hi):
-        for w_l in (interval.l_lo, interval.l_hi):
-            v, omega = wheel_to_body(params, w_r, w_l)
-            straight = abs(omega) < OMEGA_STRAIGHT_EPS
-            corners.append((straight, v * tau if straight else v / omega, omega * tau))
 
     x0, y0 = prev.pose.x, prev.pose.y
     worst_d = 0.0
@@ -112,8 +136,7 @@ def build_tube(history: Sequence[tuple[int, MeasuredInterval]], q_init: Pose,
     for action_index, interval in history:
         if interval.action_index != action_index:
             raise ValueError("measured interval does not match the commanded action")
-        action = params.actions[action_index]
-        state, stage = propagate_stage(state, action, interval, params, nm)
+        state, stage = propagate_stage(state, stage_terms(interval, params, nm))
         stages.append(stage)
         radii.append(state.d)
         dthetas.append(state.dtheta)

@@ -1,10 +1,12 @@
 """Stage-at-a-time decision: the trace walk fed one stage at a time, the
-online mission monitor, ``PathSampler.decide`` and the closed-loop validation
-task, each checked against its whole-horizon form (``trace_from_tube``,
-``sequential_witness`` and ``check_generic``, ``PathSampler.finish``,
-``simulate_true_system``)."""
+online mission monitor, ``PathSampler.decide`` and its prefix table, and the
+closed-loop validation task, each checked against its whole-horizon form
+(``trace_from_tube``, ``sequential_witness`` and ``check_generic``,
+``PathSampler.finish``, ``simulate_true_system``) or its table-free form (a
+fresh sampler, ``TraceWalk.extend``)."""
 
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -12,11 +14,14 @@ import pytest
 from bltlsynth.bltl import (SequentialMonitor, check_generic, horizon_stages, parse_formula,
                             sequential_witness, spec_to_formula, to_sequential)
 from bltlsynth.config import builtin_config_path, config_from_dict
+from bltlsynth import mdp
 from bltlsynth.dynamics import measure
-from bltlsynth.mdp import STREAM_VALIDATE, PathSampler, decide_tube, episode_rng
+from bltlsynth.mdp import (PREFIX_TABLE_NODES, STREAM_VALIDATE, PathSampler, decide_tube,
+                           episode_rng, prefix_table_depth)
 from bltlsynth.synthesis import (Policy, _TrueSystemTask, simulate_true_system,
                                  uniform_policy, validate_true_system)
-from bltlsynth.tracegen import TraceWalk, UncertaintyTube, trace_from_tube, tube_rules
+from bltlsynth.tracegen import (TraceWalk, UncertaintyTube, stage_feed, stage_intervals,
+                                trace_from_tube, tube_rules)
 from bltlsynth.uncertainty import build_tube
 
 from conftest import DT, simple_env
@@ -30,7 +35,8 @@ def tube_walk(env):
 
 def decide(env, text, stages, radii):
     """``decide_tube`` on the stages with the mission of the formula text."""
-    return decide_tube(tube_walk(env), SequentialMonitor(spec(text)), zip(stages, radii))
+    return decide_tube(tube_walk(env), SequentialMonitor(spec(text)),
+                       stage_feed(tube_rules(env), zip(stages, radii)))
 
 
 def walk_by_stage(env, traj, radii):
@@ -392,3 +398,105 @@ def test_validation_matches_whole_horizon_oracle(workers, batch_size):
     assert result == whole_horizon_validation(policy, cfg.env, cfg.formula, cfg.params,
                                               cfg.nm, **kwargs)
     assert 0 < result.successes < result.n
+
+
+# ---------------------------------------------------------------------------
+# The prefix table of PathSampler.decide against a fresh sampler and the
+# stage-built walk
+
+def config_sampler(name):
+    """A variant config's sampler at the horizon of its mission."""
+    cfg = variant_config(name)
+    return cfg, PathSampler(cfg.env, to_sequential(cfg.formula, cfg.env.unsafe), cfg.params,
+                            cfg.nm, horizon_stages(cfg.formula, cfg.params.dt))
+
+
+def fresh_copy(sampler):
+    return PathSampler(sampler.env, sampler.spec, sampler.params, sampler.nm, sampler.horizon)
+
+
+@pytest.mark.parametrize("name", ["demo", "wide-noise", "spin", "sharp-turn", "late-dropoff"])
+def test_warm_table_decides_as_a_fresh_sampler(name):
+    """Deterministic strategies repeat prefixes, so most stages come from the
+    table; verdicts and stage counts equal those of an empty table, and the
+    verdict that of the whole-horizon path."""
+    cfg, sampler = config_sampler(name)
+    rng = np.random.default_rng(71)
+    policies = [random_strategy(cfg.nm.right.n, rng),
+                random_strategy(cfg.nm.right.n, rng, drop=0.25)]
+    depth = sampler.prefix_depth
+    assert depth == 3
+    stored = 0
+    for p, policy in enumerate(policies):
+        for e in range(100):
+            history = sampler.sample_history(policy, episode_rng(7, 11, p, e))
+            stored += sum(history[:k] in sampler.prefixes for k in range(1, depth + 1))
+            want = fresh_copy(sampler).decide(history)
+            assert sampler.decide(history) == want
+            assert want[0] == sampler.finish(history).satisfied
+    assert stored > 0.4 * 200 * depth
+
+
+def test_table_fed_walk_keeps_the_extended_walks_lists(demo_config):
+    """After each stage, the interval lists of a walk fed by the sampler's
+    table, and of one fed ``stage_intervals`` through ``append``, equal those
+    of a walk fed the tube's stages through ``extend``."""
+    cfg = demo_config
+    sampler = PathSampler(cfg.env, to_sequential(cfg.formula, cfg.env.unsafe), cfg.params,
+                          cfg.nm, 9)
+    rules = tube_rules(cfg.env)
+    rng = np.random.default_rng(72)
+    policy = random_strategy(cfg.nm.right.n, rng)
+    for e in range(40):
+        history = sampler.sample_history(policy, episode_rng(7, 12, 0, e))
+        tube = sampler.finish(history).tube
+        extended, appended, tabled = (tube_walk(cfg.env) for _ in range(3))
+        feed = sampler._stage_feed(history)
+        for stage, d in zip(tube.trajectory.stages, tube.radii):
+            extended.extend(stage, d)
+            appended.append(stage_intervals(rules, stage, d, appended.total), stage.duration)
+            tabled.append(*next(feed))
+            assert appended.lists == extended.lists
+            assert tabled.lists == extended.lists
+            assert tabled.total == appended.total == extended.total
+    assert any(len(key) == 3 for key in sampler.prefixes)
+
+
+def test_prefix_table_depth_rule(monkeypatch):
+    assert prefix_table_depth(27, 9) == 3  # 27 + 729 + 19683 nodes
+    assert prefix_table_depth(27, 2) == 2
+    assert prefix_table_depth(1, 9) == 9
+    assert prefix_table_depth(PREFIX_TABLE_NODES, 9) == 1
+    assert prefix_table_depth(PREFIX_TABLE_NODES + 1, 9) == 0
+    monkeypatch.setattr(mdp, "PREFIX_TABLE_NODES", 27 + 729)
+    assert prefix_table_depth(27, 9) == 2
+    monkeypatch.setattr(mdp, "PREFIX_TABLE_NODES", 27 + 728)
+    assert prefix_table_depth(27, 9) == 1
+
+
+@pytest.mark.parametrize("budget", [None, 100, 20])
+def test_table_stays_within_its_depth_and_budget(budget, monkeypatch):
+    if budget is not None:
+        monkeypatch.setattr(mdp, "PREFIX_TABLE_NODES", budget)
+    cfg, sampler = config_sampler("demo")
+    policy = uniform_policy(3)
+    for e in range(300):
+        history = sampler.sample_history(policy, episode_rng(7, 13, 0, e))
+        assert sampler.decide(history) == fresh_copy(sampler).decide(history)
+    depth = sampler.prefix_depth
+    assert depth == {None: 3, 100: 1, 20: 0}[budget]
+    assert all(1 <= len(key) <= depth for key in sampler.prefixes)
+    assert len(sampler.prefixes) <= mdp.PREFIX_TABLE_NODES
+    assert (len(sampler.prefixes) > 0) == (depth > 0)
+
+
+def test_pickled_sampler_carries_an_empty_table():
+    cfg, sampler = config_sampler("demo")
+    histories = [sampler.sample_history(uniform_policy(3), episode_rng(7, 14, 0, e))
+                 for e in range(50)]
+    verdicts = [sampler.decide(h) for h in histories]
+    held = dict(sampler.prefixes)
+    clone = pickle.loads(pickle.dumps(sampler))
+    assert clone.prefixes == {}
+    assert sampler.prefixes == held and held
+    assert [clone.decide(h) for h in histories] == verdicts

@@ -9,7 +9,7 @@ from bltlsynth.synthesis import (Policy, QTable, bie_estimate, determinize,
                                  posterior_interval_coverage, simulate_true_system,
                                  synthesize, theorem_bound_holds, uniform_policy,
                                  validate_true_system)
-from bltlsynth.synthesis import _episode_pool, _map_episodes
+from bltlsynth.synthesis import _TrueSystemTask, _episode_pool, _map_episodes
 
 from conftest import policy_from_rows, simple_env
 from oracles import (all_success_stop_count, determinize_rows, generator_drawing,
@@ -427,6 +427,51 @@ class TestControlStrategy:
     def test_unseen_history_default(self):
         pol = Policy(3, {}, actions=[])
         assert pol.best_action(((2, 1, 1), (0, 3, 3))) == 0
+
+
+class TestPolicyEquality:
+    """Policies compare by action count, index, probability matrix (element
+    by element) and action list."""
+
+    INDEX = {EMPTY_HISTORY: 0, ((1, 2, 2),): 1}
+
+    def stochastic(self, probs=((0.2, 0.5, 0.3), (1 / 3, 1 / 3, 1 / 3))):
+        return Policy(3, dict(self.INDEX), probs=np.array(probs))
+
+    def test_stochastic_pairs(self):
+        assert uniform_policy(3) == uniform_policy(3)
+        assert uniform_policy(3) != uniform_policy(2)
+        assert self.stochastic() == self.stochastic()
+        assert self.stochastic() != self.stochastic(((0.2, 0.5, 0.3), (0.3, 0.4, 0.3)))
+        other = self.stochastic()
+        other.index = {EMPTY_HISTORY: 0, ((1, 2, 3),): 1}
+        assert self.stochastic() != other
+        assert self.stochastic() != Policy(3, dict(self.INDEX), probs=np.empty((0, 3)))
+
+    def test_deterministic_pairs(self):
+        assert Policy(3, dict(self.INDEX), actions=[2, 0]) == \
+            Policy(3, dict(self.INDEX), actions=[2, 0])
+        assert Policy(3, dict(self.INDEX), actions=[2, 0]) != \
+            Policy(3, dict(self.INDEX), actions=[2, 1])
+        assert Policy(3, dict(self.INDEX), actions=[2, 0]) != \
+            Policy(4, dict(self.INDEX), actions=[2, 0])
+
+    def test_mismatched_pairs(self):
+        policy = self.stochastic()
+        assert policy != determinize(policy)
+        assert determinize(policy) != policy
+        assert uniform_policy(3) != Policy(3, {}, actions=[])
+        assert policy != "policy"
+
+    def test_validation_task_holding_a_stochastic_policy(self, easy_setup, demo_params,
+                                                         zero_noise):
+        env, _, spec, _ = easy_setup
+
+        def task(policy):
+            return _TrueSystemTask(env, spec, demo_params, zero_noise, policy, 2, 5)
+
+        assert task(self.stochastic()) == task(self.stochastic())
+        assert task(self.stochastic()) != task(uniform_policy(3))
 
 
 class TestValidateTrueSystem:

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from bltlsynth.bltl import to_sequential
 from bltlsynth.dynamics import (NoiseModel, Pose, integrate_segment, measure,
                                 sample_noise_in_interval)
-from bltlsynth.uncertainty import NominalStageState, build_tube, propagate_stage
+from bltlsynth.mdp import PathSampler
+from bltlsynth.uncertainty import NominalStageState, build_tube, propagate_stage, stage_terms
 
 from conftest import DT, ENCODER_DELTA, STRAIGHT
 from oracles import propagate_stage_corners, segment_positions
@@ -59,7 +61,7 @@ class TestPropagateStage:
     def test_straight_stage_growth_matches_enumeration(self, demo_params, demo_noise):
         interval = measure(demo_noise, demo_params, 1, 2, 2)
         state, stage = propagate_stage(NominalStageState(Pose(0, 0, 0), 0.0, 0.0),
-                                       STRAIGHT, interval, demo_params, demo_noise)
+                                       stage_terms(interval, demo_params, demo_noise))
         nominal, d_ref, th_ref = enumerate_stage_growth(
             demo_params, demo_noise, Pose(0, 0, 0), 0.0, 0.0, STRAIGHT, 2, 2)
         assert state.d == pytest.approx(d_ref, abs=1e-15)
@@ -73,8 +75,7 @@ class TestPropagateStage:
     def test_zero_width_noise_means_no_growth(self, demo_params, zero_noise):
         interval = measure(zero_noise, demo_params, 0, 1, 1)
         prev = NominalStageState(Pose(0.2, -0.1, 0.4), 0.123, 0.0)
-        state, _ = propagate_stage(prev, demo_params.actions[0], interval,
-                                   demo_params, zero_noise)
+        state, _ = propagate_stage(prev, stage_terms(interval, demo_params, zero_noise))
         assert state.d == pytest.approx(prev.d, abs=1e-15)
         assert state.dtheta == 0.0
 
@@ -85,8 +86,7 @@ class TestPropagateStage:
             a = int(rng.integers(3))
             interval = measure(demo_noise, demo_params, a,
                                int(rng.integers(1, 4)), int(rng.integers(1, 4)))
-            nxt, _ = propagate_stage(state, demo_params.actions[a], interval,
-                                     demo_params, demo_noise)
+            nxt, _ = propagate_stage(state, stage_terms(interval, demo_params, demo_noise))
             assert nxt.d >= state.d
             state = nxt
 
@@ -94,8 +94,9 @@ class TestPropagateStage:
         interval = measure(demo_noise, demo_params, 1, 2, 2)
         base = NominalStageState(Pose(0, 0, 0), 0.0, 0.0)
         tilted = NominalStageState(Pose(0, 0, 0), 0.0, 0.05)
-        flat, _ = propagate_stage(base, STRAIGHT, interval, demo_params, demo_noise)
-        wide, _ = propagate_stage(tilted, STRAIGHT, interval, demo_params, demo_noise)
+        terms = stage_terms(interval, demo_params, demo_noise)
+        flat, _ = propagate_stage(base, terms)
+        wide, _ = propagate_stage(tilted, terms)
         assert wide.d > flat.d + 0.02
 
 
@@ -124,13 +125,37 @@ class TestCornerOracle:
             dtheta = 0.0 if spread == "zero" else float(rng.uniform(0.0, 4.0))
             prev = NominalStageState(Pose(float(rng.normal()), float(rng.normal()), theta),
                                      float(rng.uniform(0, 0.2)), dtheta)
-            got, got_stage = propagate_stage(prev, self.ACTIONS[a], interval, params, nm)
+            got, got_stage = propagate_stage(prev, stage_terms(interval, params, nm))
             ref, ref_stage = propagate_stage_corners(prev, self.ACTIONS[a], interval,
                                                      params, nm)
             assert got.d == ref.d
             assert got.dtheta == ref.dtheta
             assert got.pose == ref.pose
             assert got_stage == ref_stage
+
+    @pytest.mark.parametrize("spread", ["zero", "positive"])
+    def test_sampler_step_table_matches(self, spread, demo_config):
+        """Each entry of a sampler's step table, fed to ``propagate_stage``,
+        gives the stage and state of eight ``integrate_segment`` corners."""
+        from bltlsynth.dynamics import VehicleParams
+        rng = np.random.default_rng(34 if spread == "zero" else 35)
+        cfg = demo_config
+        spec = to_sequential(cfg.formula, cfg.env.unsafe)
+        variants = [(cfg.params, cfg.nm),
+                    (VehicleParams(0.085, 0.295, 1.3, self.ACTIONS),
+                     NoiseModel.symmetric(-0.1, 0.1, 2, [0.5, 0.5]))]
+        for params, nm in variants:
+            sampler = PathSampler(cfg.env, spec, params, nm, 3)
+            assert sampler.terms.keys() == sampler.measured.keys()
+            for step, terms in sampler.terms.items():
+                interval = sampler.measured[step]
+                for _ in range(5):
+                    theta = float(rng.uniform(0, 2 * math.pi))
+                    dtheta = 0.0 if spread == "zero" else float(rng.uniform(0.0, 4.0))
+                    prev = NominalStageState(Pose(float(rng.normal()), float(rng.normal()), theta),
+                                             float(rng.uniform(0, 0.2)), dtheta)
+                    assert propagate_stage(prev, terms) == propagate_stage_corners(
+                        prev, params.actions[step[0]], interval, params, nm)
 
     def test_demo_tubes_match(self, demo_params, demo_noise):
         rng = np.random.default_rng(33)
@@ -139,8 +164,7 @@ class TestCornerOracle:
             for a in rng.integers(0, 3, size=9):
                 interval = measure(demo_noise, demo_params, int(a),
                                    int(rng.integers(1, 4)), int(rng.integers(1, 4)))
-                state, _ = propagate_stage(state, demo_params.actions[a], interval,
-                                           demo_params, demo_noise)
+                state, _ = propagate_stage(state, stage_terms(interval, demo_params, demo_noise))
                 ref, _ = propagate_stage_corners(ref, demo_params.actions[a], interval,
                                                  demo_params, demo_noise)
                 assert (state.d, state.dtheta, state.pose) == (ref.d, ref.dtheta, ref.pose)

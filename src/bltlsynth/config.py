@@ -132,11 +132,20 @@ def _reject_unknown_keys(section: dict, known: frozenset, where: str) -> None:
         raise ValueError("unknown config keys: " + ", ".join(where + k for k in unknown))
 
 
+def _integer(value, key: str) -> int:
+    """An integer config value; a boolean or a non-integral number is an error
+    naming the key, where ``int`` would read it as 1 or 0 or truncate it."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"config key {key} must be an integer, not {value!r}")
+    return int(value)
+
+
 def _wheel_noise_from_dict(doc: dict, side: str) -> WheelNoise:
     _reject_unknown_keys(doc, _WHEEL_KEYS, f"noise.{side}.")
     try:
         return WheelNoise(eps_min=float(doc["eps_min"]), delta=float(doc["delta"]),
-                          n=int(doc["n"]), probs=tuple(float(p) for p in doc["probs"]))
+                          n=_integer(doc["n"], f"noise.{side}.n"),
+                          probs=tuple(float(p) for p in doc["probs"]))
     except KeyError as exc:
         raise ValueError(f"noise.{side} is missing field {exc}") from exc
 
@@ -156,10 +165,10 @@ def config_from_dict(doc: dict, base_dir: Optional[Path] = None,
         veh = doc["vehicle"]
         noise = doc["noise"]
         alg = doc["algorithm"]
-        seed = int(doc["seed"])
+        seed = _integer(doc["seed"], "seed")
     except KeyError as exc:
         raise ValueError(f"config is missing field {exc}") from exc
-    workers = int(doc.get("workers", 1))
+    workers = _integer(doc.get("workers", 1), "workers")
     if workers < 1:
         raise ValueError("workers must be at least 1")
 
@@ -194,7 +203,8 @@ def config_from_dict(doc: dict, base_dir: Optional[Path] = None,
 
     try:
         algorithm = AlgorithmParams(
-            episodes_per_round=int(alg["episodes_per_round"]),
+            episodes_per_round=_integer(alg["episodes_per_round"],
+                                        "algorithm.episodes_per_round"),
             greediness=float(alg["greediness"]),
             history_weight=float(alg["history_weight"]),
             delta=float(alg["delta"]),
@@ -202,8 +212,8 @@ def config_from_dict(doc: dict, base_dir: Optional[Path] = None,
             prior_alpha=float(alg["prior_alpha"]),
             prior_beta=float(alg["prior_beta"]),
             stop_radius=float(alg["stop_radius"]),
-            max_rounds=int(alg.get("max_rounds", 50)),
-            batch_size=int(alg.get("batch_size", 1)),
+            max_rounds=_integer(alg.get("max_rounds", 50), "algorithm.max_rounds"),
+            batch_size=_integer(alg.get("batch_size", 1), "algorithm.batch_size"),
         )
     except KeyError as exc:
         raise ValueError(f"algorithm is missing field {exc}") from exc

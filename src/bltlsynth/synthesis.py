@@ -24,6 +24,7 @@ whole-horizon form.
 
 from __future__ import annotations
 
+import os
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -216,14 +217,25 @@ def _run_chunk(indices):
     return [_WORKER_TASK.run(i) for i in indices]
 
 
+def _pool_workers(workers: int) -> int:
+    """The requested worker count capped at the CPUs this process may use."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        cpus = os.cpu_count() or 1
+    return min(workers, cpus)
+
+
 @contextmanager
 def _episode_pool(task, workers: int) -> Iterator[Optional[ProcessPoolExecutor]]:
     """A process pool whose workers hold the task, or None when serial.
 
-    The task reaches each worker once, through the pool's initializer: a
-    forked worker inherits it, a spawned one unpickles it.  Afterwards only
-    episode indices are sent.  Workers start on the first submitted chunk.
+    The pool has ``_pool_workers(workers)`` workers.  The task reaches each
+    worker once, through the pool's initializer: a forked worker inherits it,
+    a spawned one unpickles it.  Afterwards only episode indices are sent.
+    Workers start on the first submitted chunk.
     """
+    workers = _pool_workers(workers)
     if workers <= 1:
         yield None
         return
@@ -242,7 +254,7 @@ def _map_episodes(task, indices: Sequence[int], workers: int,
     if pool is None or len(indices) < 2:
         return [task.run(i) for i in indices]
     chunks = [list(c) for c in np.array_split(np.asarray(indices),
-                                               min(workers, len(indices)))]
+                                               min(_pool_workers(workers), len(indices)))]
     out: list = []
     for part in pool.map(_run_chunk, chunks):
         out.extend(part)

@@ -18,7 +18,11 @@ the midpoint of each piece between those breakpoints, which yields the
 maximal time intervals on which it holds, and the trace is a walk over these
 interval lists.  Breakpoints closer than BREAKPOINT_TOL seconds merge into
 one, and a predicate that holds only at isolated instants (a tangential
-touch) gives no trace state.
+touch) gives no trace state.  ``stage_intervals`` is one flat kernel per
+stage: of the rectangles the disc can reach it solves only the edges that
+cross the stage's box widened by the solver's tangent tolerance, since no
+other edge has a root inside the stage, so its intervals are the same bits
+as solving every edge.  A ``Stage`` is a named tuple.
 
 The walk (``TraceWalk``) can take a tube or a point trajectory one stage at a
 time.  After each stage it closes every trace step that the stages so far
@@ -37,7 +41,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .bltl import TraceStep
 from .dynamics import (OMEGA_STRAIGHT_EPS, Pose, VehicleParams, angle_diff,
@@ -61,12 +65,12 @@ StageIntervals = tuple[tuple[Interval, ...], ...]
 # ---------------------------------------------------------------------------
 # Trajectories and tubes
 
-@dataclass(frozen=True)
-class Stage:
+class Stage(NamedTuple):
     """One constant-input segment: start pose, applied wheel speeds, duration.
 
     Body speed and turn rate are precomputed so later geometry needs no
-    vehicle parameters.
+    vehicle parameters.  A named tuple: one is built per stage of every
+    episode, and its fields are only read.
     """
 
     start: Pose
@@ -179,147 +183,10 @@ def disc_intersects_region(center: tuple[float, float], d: float, region: Region
 # ---------------------------------------------------------------------------
 # Closed-form event times
 
-def _clamp_unit(s: float) -> Optional[float]:
-    """s clamped to [-1, 1] when it lies there up to rounding, else None."""
-    if abs(s) > 1.0 + _TANGENT_SLACK:
-        return None
-    return max(-1.0, min(1.0, s))
-
-
-class _Path:
-    """One stage placed at absolute start time t0, in the closed form the
-    event solvers need: a line p0 + t*vel, or an arc
-    C + R*(sin(theta), -cos(theta)) with theta = theta0 + omega*t."""
-
-    __slots__ = ("stage", "t0", "duration", "straight", "x0", "y0", "vx", "vy",
-                 "theta0", "omega", "radius", "cx", "cy", "box")
-
-    def __init__(self, stage: Stage, t0: float):
-        self.stage, self.t0, self.duration = stage, t0, stage.duration
-        s, e = stage.start, stage.end
-        self.straight = abs(stage.omega) < OMEGA_STRAIGHT_EPS
-        if self.straight:
-            self.x0, self.y0 = s.x, s.y
-            self.vx = stage.v * math.cos(s.theta)
-            self.vy = stage.v * math.sin(s.theta)
-        else:
-            self.theta0, self.omega = s.theta, stage.omega
-            self.radius = stage.v / stage.omega
-            self.cx = s.x - self.radius * math.sin(s.theta)
-            self.cy = s.y + self.radius * math.cos(s.theta)
-        # Bounding disc: a sweep of at most pi stays in the disc that has the
-        # chord as diameter; a longer one only in the full circle.
-        if self.straight or abs(stage.omega) * stage.duration <= math.pi:
-            mx, my = (s.x + e.x) / 2.0, (s.y + e.y) / 2.0
-            rho = math.hypot(e.x - s.x, e.y - s.y) / 2.0
-        else:
-            mx, my, rho = self.cx, self.cy, abs(self.radius)
-        rho += _BOX_PAD
-        self.box = (mx - rho, my - rho, mx + rho, my + rho)
-
-    def near(self, r: Rect, d: float) -> bool:
-        """Whether the path can come within d of the rectangle."""
-        bx0, by0, bx1, by1 = self.box
-        return r.x0 - d <= bx1 and bx0 <= r.x1 + d and r.y0 - d <= by1 and by0 <= r.y1 + d
-
-    def angle_times(self, angles: Sequence[float]) -> list[float]:
-        """Local times in (0, duration) at which the heading is congruent to
-        one of the angles modulo 2*pi."""
-        rate = abs(self.omega)
-        period = 2.0 * math.pi / rate
-        out = []
-        for a in angles:
-            lag = a - self.theta0 if self.omega > 0 else self.theta0 - a
-            t = (lag % (2.0 * math.pi)) / rate
-            while t < self.duration:
-                if t > 0.0:
-                    out.append(t)
-                t += period
-        return out
-
-    def line_times(self, axis: int, c: float) -> list[float]:
-        """Local times at which coordinate ``axis`` (0 for x, 1 for y) equals c."""
-        if self.straight:
-            p, rate = (self.x0, self.vx) if axis == 0 else (self.y0, self.vy)
-            if rate == 0.0:
-                return []
-            t = (c - p) / rate
-            return [t] if 0.0 < t < self.duration else []
-        if self.radius == 0.0:
-            return []
-        # x = cx + R sin(theta) and y = cy + R sin(theta - pi/2)
-        centre, phase = (self.cx, 0.0) if axis == 0 else (self.cy, 0.5 * math.pi)
-        s = _clamp_unit((c - centre) / self.radius)
-        if s is None:
-            return []
-        a = math.asin(s)
-        return self.angle_times((phase + a, phase + math.pi - a))
-
-    def corner_times(self, px: float, py: float, d: float) -> list[float]:
-        """Local times at which the distance to the point (px, py) equals d."""
-        if self.straight:
-            speed2 = self.vx * self.vx + self.vy * self.vy
-            if speed2 == 0.0:
-                return []
-            ox, oy = self.x0 - px, self.y0 - py
-            t_near = -(ox * self.vx + oy * self.vy) / speed2
-            ex, ey = ox + self.vx * t_near, oy + self.vy * t_near
-            gap = ex * ex + ey * ey - d * d  # closest approach^2 - d^2
-            if gap > _TANGENT_SLACK:
-                return []
-            half = math.sqrt(max(-gap, 0.0) / speed2)
-            return [t for t in (t_near - half, t_near + half) if 0.0 < t < self.duration]
-        # |C - p + R u|^2 = |C - p|^2 + R^2 + 2 R A sin(theta - psi) with
-        # A = |C - p| and psi = atan2(ay, ax), a single sinusoid in theta
-        ax, ay = self.cx - px, self.cy - py
-        amp = 2.0 * self.radius * math.hypot(ax, ay)
-        if amp == 0.0:
-            return []
-        s = _clamp_unit((d * d - ax * ax - ay * ay - self.radius * self.radius) / amp)
-        if s is None:
-            return []
-        psi = math.atan2(ay, ax)
-        a = math.asin(s)
-        return self.angle_times((psi + a, psi + math.pi - a))
-
-
-def _rule_intervals(path: _Path, d: float, near: Sequence[Rect],
-                    contact: bool) -> tuple[Interval, ...]:
-    """The path's maximal time intervals on which the predicate holds.
-
-    With ``contact`` the predicate is that the disc of radius d touches any of
-    ``near``; otherwise that it lies inside the single rectangle ``near[0]``.
-    ``near`` holds the rule's rectangles that the disc can reach (see
-    ``stage_intervals``).  An interval that starts within BREAKPOINT_TOL of
-    the end of the one before extends it.
-    """
-    holds = _touches if contact else _inside
-    off = d if contact else -d
-    times = [path.duration]
-    for r in near:
-        times += path.line_times(0, r.x0 - off)
-        times += path.line_times(0, r.x1 + off)
-        times += path.line_times(1, r.y0 - off)
-        times += path.line_times(1, r.y1 + off)
-        if contact and d > 0.0:
-            for px in (r.x0, r.x1):
-                for py in (r.y0, r.y1):
-                    times += path.corner_times(px, py, d)
-    cuts = [0.0]
-    for t in sorted(times):
-        if t - cuts[-1] > BREAKPOINT_TOL:
-            cuts.append(t)
-    cuts[-1] = path.duration  # the last cut lies within BREAKPOINT_TOL of it
-    out: list[Interval] = []
-    for a, b in zip(cuts, cuts[1:]):
-        x, y = path.stage.position_at(0.5 * (a + b))
-        if any(holds(r, x, y, d) for r in near):
-            lo, hi = path.t0 + a, path.t0 + b
-            if out and out[-1][1] >= lo - BREAKPOINT_TOL:
-                out[-1] = (out[-1][0], hi)
-            else:
-                out.append((lo, hi))
-    return tuple(out)
+_TWO_PI = 2.0 * math.pi
+_HALF_PI = 0.5 * math.pi
+# A sine value up to this magnitude is a root, clamped to [-1, 1].
+_UNIT = 1.0 + _TANGENT_SLACK
 
 
 def stage_intervals(rules: Sequence[Rule], stage: Stage, d: float,
@@ -329,13 +196,144 @@ def stage_intervals(rules: Sequence[Rule], stage: Stage, d: float,
 
     A pure function of its arguments: a walk fed the stage after stages of
     total duration t0 appends exactly these (``TraceWalk.append``).
+
+    The stage is a line p0 + t*vel or an arc C + R*(sin(theta), -cos(theta))
+    with theta = theta0 + omega*t, inside a box padded by _BOX_PAD.  A rule
+    looks only at its rectangles that the disc can reach from the box (and,
+    for containment, that are at least 2d wide).  Of their offset edges only
+    those that cross the box widened by 2|R|*_TANGENT_SLACK are solved: the
+    arc solver takes a sine up to 1 + _TANGENT_SLACK as a tangent root, so
+    an edge more than |R|*_TANGENT_SLACK beyond the stage has no root in it,
+    and the second |R|*_TANGENT_SLACK and _BOX_PAD exceed the rounding of
+    the box by orders of magnitude.  Corner circles are all solved.  Every
+    root, cut and midpoint is the expression the solver that solves every
+    edge evaluates, so the intervals are the same bits.  An interval that
+    starts within BREAKPOINT_TOL of the end of the one before extends it.
     """
-    path = _Path(stage, t0)
+    start, end, duration = stage.start, stage.end, stage.duration
+    x0, y0, theta0 = start.x, start.y, start.theta
+    v, omega = stage.v, stage.omega
+    sin0, cos0 = math.sin(theta0), math.cos(theta0)
+    straight = abs(omega) < OMEGA_STRAIGHT_EPS
+    if straight:
+        vx, vy = v * cos0, v * sin0
+        speed2 = vx * vx + vy * vy
+        radius = 0.0
+    else:
+        radius = v / omega
+        cx, cy = x0 - radius * sin0, y0 + radius * cos0
+        rate = abs(omega)
+        period = _TWO_PI / rate
+    # A sweep of at most pi stays in the disc that has the chord as diameter;
+    # a longer one only in the full circle.
+    if straight or rate * duration <= math.pi:
+        mx, my = (x0 + end.x) / 2.0, (y0 + end.y) / 2.0
+        rho = math.hypot(end.x - x0, end.y - y0) / 2.0
+    else:
+        mx, my, rho = cx, cy, abs(radius)
+    rho += _BOX_PAD
+    bx0, by0, bx1, by1 = mx - rho, my - rho, mx + rho, my + rho
+    slack = 2.0 * abs(radius) * _TANGENT_SLACK
+    ex0, ey0, ex1, ey1 = bx0 - slack, by0 - slack, bx1 + slack, by1 + slack
+
     out = []
     for _, rects, contact in rules:
-        near = [r for r in rects if path.near(r, d)
-                and (contact or (r.x1 - r.x0 >= 2 * d and r.y1 - r.y0 >= 2 * d))]
-        out.append(_rule_intervals(path, d, near, contact) if near else ())
+        near = []
+        for r in rects:
+            if (r.x0 - d <= bx1 and bx0 <= r.x1 + d and r.y0 - d <= by1 and by0 <= r.y1 + d
+                    and (contact or (r.x1 - r.x0 >= 2 * d and r.y1 - r.y0 >= 2 * d))):
+                near.append(r)
+        if not near:
+            out.append(())
+            continue
+        off = d if contact else -d
+        xs, ys = [], []  # the offset edges that cross the widened box
+        for r in near:
+            for c in (r.x0 - off, r.x1 + off):
+                if ex0 <= c <= ex1:
+                    xs.append(c)
+            for c in (r.y0 - off, r.y1 + off):
+                if ey0 <= c <= ey1:
+                    ys.append(c)
+        times = [duration]
+        angles = []  # arc headings, modulo 2*pi, at which a predicate may change
+        if straight:
+            for p, vel, cs in ((x0, vx, xs), (y0, vy, ys)):
+                if vel != 0.0:
+                    for c in cs:
+                        t = (c - p) / vel
+                        if 0.0 < t < duration:
+                            times.append(t)
+        elif radius != 0.0:
+            # x = cx + R sin(theta) and y = cy + R sin(theta - pi/2)
+            for centre, phase, cs in ((cx, 0.0, xs), (cy, _HALF_PI, ys)):
+                for c in cs:
+                    s = (c - centre) / radius
+                    if abs(s) <= _UNIT:
+                        a = math.asin(max(-1.0, min(1.0, s)))
+                        angles += (phase + a, phase + math.pi - a)
+        if contact and d > 0.0:
+            for r in near:
+                for px, py in ((r.x0, r.y0), (r.x0, r.y1), (r.x1, r.y0), (r.x1, r.y1)):
+                    if straight:
+                        if speed2 == 0.0:
+                            continue
+                        ox, oy = x0 - px, y0 - py
+                        t_near = -(ox * vx + oy * vy) / speed2
+                        qx, qy = ox + vx * t_near, oy + vy * t_near
+                        gap = qx * qx + qy * qy - d * d  # closest approach^2 - d^2
+                        if gap > _TANGENT_SLACK:
+                            continue
+                        half = math.sqrt(max(-gap, 0.0) / speed2)
+                        for t in (t_near - half, t_near + half):
+                            if 0.0 < t < duration:
+                                times.append(t)
+                        continue
+                    # |C - p + R u|^2 = |C - p|^2 + R^2 + 2 R A sin(theta - psi)
+                    # with A = |C - p| and psi = atan2(ay, ax)
+                    ax, ay = cx - px, cy - py
+                    amp = 2.0 * radius * math.hypot(ax, ay)
+                    if amp == 0.0:
+                        continue
+                    s = (d * d - ax * ax - ay * ay - radius * radius) / amp
+                    if abs(s) <= _UNIT:
+                        psi = math.atan2(ay, ax)
+                        a = math.asin(max(-1.0, min(1.0, s)))
+                        angles += (psi + a, psi + math.pi - a)
+        for a in angles:
+            lag = a - theta0 if omega > 0 else theta0 - a
+            t = (lag % _TWO_PI) / rate
+            while t < duration:
+                if t > 0.0:
+                    times.append(t)
+                t += period
+        times.sort()
+        cuts = [0.0]
+        for t in times:
+            if t - cuts[-1] > BREAKPOINT_TOL:
+                cuts.append(t)
+        cuts[-1] = duration  # the last cut lies within BREAKPOINT_TOL of it
+        holds = _touches if contact else _inside
+        ivs: list[Interval] = []
+        for a, b in zip(cuts, cuts[1:]):
+            lt = 0.5 * (a + b)  # the midpoint, placed as Stage.position_at places it
+            if straight:
+                x, y = x0 + v * lt * cos0, y0 + v * lt * sin0
+            else:
+                th = theta0 + omega * lt
+                x = x0 + radius * (math.sin(th) - sin0)
+                y = y0 - radius * (math.cos(th) - cos0)
+            for r in near:
+                if holds(r, x, y, d):
+                    break
+            else:
+                continue
+            lo, hi = t0 + a, t0 + b
+            if ivs and ivs[-1][1] >= lo - BREAKPOINT_TOL:
+                ivs[-1] = (ivs[-1][0], hi)
+            else:
+                ivs.append((lo, hi))
+        out.append(tuple(ivs))
     return tuple(out)
 
 

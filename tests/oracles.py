@@ -8,11 +8,14 @@ kernel (eight ``integrate_segment`` corners per stage, scalar draws through
 kernel must reproduce bit for bit, and the pair-keyed forms of the synthesis
 step (Q estimates per (history, action) pair, one policy row per history)
 that the state-indexed tables must reproduce bit for bit, a generator
-whose next uniform draw is a chosen value, and validation from whole-horizon
-closed-loop runs."""
+whose next uniform draw is a chosen value, validation from whole-horizon
+closed-loop runs, and the event-time solver that solves every edge of every
+near rectangle, which ``tracegen.stage_intervals`` must reproduce bit for
+bit."""
 
 import math
 from bisect import bisect_right
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -22,7 +25,8 @@ from bltlsynth.dynamics import (OMEGA_STRAIGHT_EPS, Pose, angle_diff, integrate_
 from bltlsynth.env import Environment, Rect, Region
 from bltlsynth.mdp import EMPTY_HISTORY, STREAM_VALIDATE, episode_rng
 from bltlsynth.synthesis import bie_estimate, simulate_true_system
-from bltlsynth.tracegen import Trajectory, make_stage
+from bltlsynth.tracegen import (_BOX_PAD, _TANGENT_SLACK, BREAKPOINT_TOL, Interval, Rule, Stage,
+                                StageIntervals, Trajectory, _inside, _touches, make_stage)
 from bltlsynth.uncertainty import NominalStageState
 
 
@@ -454,3 +458,184 @@ def random_trace_case(rng: np.random.Generator, params, tube: bool):
         propositions=frozenset(("u", "a", "b")), unsafe="u",
         initial_pose=start, bounds=Rect(-100.0, -100.0, 100.0, 100.0))
     return traj, radii, env
+
+
+# ---------------------------------------------------------------------------
+# The closed-form event-time solver that solves every edge of every near
+# rectangle, the reference for tracegen.stage_intervals
+
+def _clamp_unit(s: float) -> Optional[float]:
+    """s clamped to [-1, 1] when it lies there up to rounding, else None."""
+    if abs(s) > 1.0 + _TANGENT_SLACK:
+        return None
+    return max(-1.0, min(1.0, s))
+
+
+class _Path:
+    """One stage placed at absolute start time t0, in the closed form the
+    event solvers need: a line p0 + t*vel, or an arc
+    C + R*(sin(theta), -cos(theta)) with theta = theta0 + omega*t."""
+
+    __slots__ = ("stage", "t0", "duration", "straight", "x0", "y0", "vx", "vy",
+                 "theta0", "omega", "radius", "cx", "cy", "box")
+
+    def __init__(self, stage: Stage, t0: float):
+        self.stage, self.t0, self.duration = stage, t0, stage.duration
+        s, e = stage.start, stage.end
+        self.straight = abs(stage.omega) < OMEGA_STRAIGHT_EPS
+        if self.straight:
+            self.x0, self.y0 = s.x, s.y
+            self.vx = stage.v * math.cos(s.theta)
+            self.vy = stage.v * math.sin(s.theta)
+        else:
+            self.theta0, self.omega = s.theta, stage.omega
+            self.radius = stage.v / stage.omega
+            self.cx = s.x - self.radius * math.sin(s.theta)
+            self.cy = s.y + self.radius * math.cos(s.theta)
+        # Bounding disc: a sweep of at most pi stays in the disc that has the
+        # chord as diameter; a longer one only in the full circle.
+        if self.straight or abs(stage.omega) * stage.duration <= math.pi:
+            mx, my = (s.x + e.x) / 2.0, (s.y + e.y) / 2.0
+            rho = math.hypot(e.x - s.x, e.y - s.y) / 2.0
+        else:
+            mx, my, rho = self.cx, self.cy, abs(self.radius)
+        rho += _BOX_PAD
+        self.box = (mx - rho, my - rho, mx + rho, my + rho)
+
+    def near(self, r: Rect, d: float) -> bool:
+        """Whether the path can come within d of the rectangle."""
+        bx0, by0, bx1, by1 = self.box
+        return r.x0 - d <= bx1 and bx0 <= r.x1 + d and r.y0 - d <= by1 and by0 <= r.y1 + d
+
+    def angle_times(self, angles: Sequence[float]) -> list[float]:
+        """Local times in (0, duration) at which the heading is congruent to
+        one of the angles modulo 2*pi."""
+        rate = abs(self.omega)
+        period = 2.0 * math.pi / rate
+        out = []
+        for a in angles:
+            lag = a - self.theta0 if self.omega > 0 else self.theta0 - a
+            t = (lag % (2.0 * math.pi)) / rate
+            while t < self.duration:
+                if t > 0.0:
+                    out.append(t)
+                t += period
+        return out
+
+    def line_times(self, axis: int, c: float) -> list[float]:
+        """Local times at which coordinate ``axis`` (0 for x, 1 for y) equals c."""
+        if self.straight:
+            p, rate = (self.x0, self.vx) if axis == 0 else (self.y0, self.vy)
+            if rate == 0.0:
+                return []
+            t = (c - p) / rate
+            return [t] if 0.0 < t < self.duration else []
+        if self.radius == 0.0:
+            return []
+        # x = cx + R sin(theta) and y = cy + R sin(theta - pi/2)
+        centre, phase = (self.cx, 0.0) if axis == 0 else (self.cy, 0.5 * math.pi)
+        s = _clamp_unit((c - centre) / self.radius)
+        if s is None:
+            return []
+        a = math.asin(s)
+        return self.angle_times((phase + a, phase + math.pi - a))
+
+    def corner_times(self, px: float, py: float, d: float) -> list[float]:
+        """Local times at which the distance to the point (px, py) equals d."""
+        if self.straight:
+            speed2 = self.vx * self.vx + self.vy * self.vy
+            if speed2 == 0.0:
+                return []
+            ox, oy = self.x0 - px, self.y0 - py
+            t_near = -(ox * self.vx + oy * self.vy) / speed2
+            ex, ey = ox + self.vx * t_near, oy + self.vy * t_near
+            gap = ex * ex + ey * ey - d * d  # closest approach^2 - d^2
+            if gap > _TANGENT_SLACK:
+                return []
+            half = math.sqrt(max(-gap, 0.0) / speed2)
+            return [t for t in (t_near - half, t_near + half) if 0.0 < t < self.duration]
+        # |C - p + R u|^2 = |C - p|^2 + R^2 + 2 R A sin(theta - psi) with
+        # A = |C - p| and psi = atan2(ay, ax), a single sinusoid in theta
+        ax, ay = self.cx - px, self.cy - py
+        amp = 2.0 * self.radius * math.hypot(ax, ay)
+        if amp == 0.0:
+            return []
+        s = _clamp_unit((d * d - ax * ax - ay * ay - self.radius * self.radius) / amp)
+        if s is None:
+            return []
+        psi = math.atan2(ay, ax)
+        a = math.asin(s)
+        return self.angle_times((psi + a, psi + math.pi - a))
+
+
+def _rule_intervals(path: _Path, d: float, near: Sequence[Rect],
+                    contact: bool) -> tuple[Interval, ...]:
+    """The path's maximal time intervals on which the predicate holds.
+
+    With ``contact`` the predicate is that the disc of radius d touches any of
+    ``near``; otherwise that it lies inside the single rectangle ``near[0]``.
+    ``near`` holds the rule's rectangles that the disc can reach (see
+    ``stage_intervals``).  An interval that starts within BREAKPOINT_TOL of
+    the end of the one before extends it.
+    """
+    holds = _touches if contact else _inside
+    off = d if contact else -d
+    times = [path.duration]
+    for r in near:
+        times += path.line_times(0, r.x0 - off)
+        times += path.line_times(0, r.x1 + off)
+        times += path.line_times(1, r.y0 - off)
+        times += path.line_times(1, r.y1 + off)
+        if contact and d > 0.0:
+            for px in (r.x0, r.x1):
+                for py in (r.y0, r.y1):
+                    times += path.corner_times(px, py, d)
+    cuts = [0.0]
+    for t in sorted(times):
+        if t - cuts[-1] > BREAKPOINT_TOL:
+            cuts.append(t)
+    cuts[-1] = path.duration  # the last cut lies within BREAKPOINT_TOL of it
+    out: list[Interval] = []
+    for a, b in zip(cuts, cuts[1:]):
+        x, y = path.stage.position_at(0.5 * (a + b))
+        if any(holds(r, x, y, d) for r in near):
+            lo, hi = path.t0 + a, path.t0 + b
+            if out and out[-1][1] >= lo - BREAKPOINT_TOL:
+                out[-1] = (out[-1][0], hi)
+            else:
+                out.append((lo, hi))
+    return tuple(out)
+
+
+def stage_intervals(rules: Sequence[Rule], stage: Stage, d: float,
+                    t0: float) -> StageIntervals:
+    """Each rule's maximal time intervals on one stage, with disc radius d,
+    for the stage placed at absolute time t0.
+
+    A pure function of its arguments: a walk fed the stage after stages of
+    total duration t0 appends exactly these (``TraceWalk.append``).
+    """
+    path = _Path(stage, t0)
+    out = []
+    for _, rects, contact in rules:
+        near = [r for r in rects if path.near(r, d)
+                and (contact or (r.x1 - r.x0 >= 2 * d and r.y1 - r.y0 >= 2 * d))]
+        out.append(_rule_intervals(path, d, near, contact) if near else ())
+    return tuple(out)
+
+
+def stage_intervals_reference(rules: Sequence[Rule], stage: Stage, d: float,
+                              t0: float) -> StageIntervals:
+    """Each rule's maximal time intervals on one stage, with disc radius d,
+    for the stage placed at absolute time t0.
+
+    A pure function of its arguments: a walk fed the stage after stages of
+    total duration t0 appends exactly these (``TraceWalk.append``).
+    """
+    path = _Path(stage, t0)
+    out = []
+    for _, rects, contact in rules:
+        near = [r for r in rects if path.near(r, d)
+                and (contact or (r.x1 - r.x0 >= 2 * d and r.y1 - r.y0 >= 2 * d))]
+        out.append(_rule_intervals(path, d, near, contact) if near else ())
+    return tuple(out)

@@ -105,6 +105,40 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"noise is missing side '{side}'"):
             load_config(bad)
 
+    @pytest.mark.parametrize("path, value", [
+        (("seed",), 2026.9), (("seed",), True), (("workers",), 2.5),
+        (("noise", "right", "n"), 3.5), (("noise", "left", "n"), False),
+        (("algorithm", "episodes_per_round"), 40.5), (("algorithm", "max_rounds"), 4.2),
+        (("algorithm", "batch_size"), True)])
+    def test_non_integral_integer_rejected_by_name(self, tmp_path, tiny_setup, capsys,
+                                                   path, value):
+        doc = json.loads(tiny_setup.read_text())
+        section = doc
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = value
+        bad = tmp_path / "mission.json"
+        bad.write_text(json.dumps(doc))
+        message = f"config key {'.'.join(path)} must be an integer"
+        with pytest.raises(ValueError, match=message):
+            load_config(bad)
+        for command in (["synth"], ["validate", "--policy", str(tmp_path / "none.json")]):
+            rc = main(command + ["--config", str(bad), "--out-dir", str(tmp_path / "o")])
+            assert rc == 2
+            assert message in capsys.readouterr().err
+
+    def test_integral_floats_accepted(self, tmp_path, tiny_setup):
+        doc = json.loads(tiny_setup.read_text())
+        doc["seed"] = 31.0
+        doc["workers"] = 2.0
+        doc["noise"]["right"]["n"] = float(doc["noise"]["right"]["n"])
+        doc["algorithm"].update(episodes_per_round=40.0, max_rounds=4.0, batch_size=1.0)
+        floats = tmp_path / "floats.json"
+        floats.write_text(json.dumps(doc))
+        cfg = load_config(floats)
+        assert cfg.content_hash() == load_config(tiny_setup).content_hash()
+        assert (cfg.seed, cfg.workers, cfg.algorithm.episodes_per_round) == (31, 2, 40)
+
     def test_resolved_config_loads_back(self, demo_config):
         from bltlsynth.config import config_from_dict
         again = config_from_dict(demo_config.resolved_dict())

@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+from bltlsynth import synthesis
 from bltlsynth.bltl import parse_formula, to_sequential
 from bltlsynth.dynamics import NoiseModel
 from bltlsynth.mdp import EMPTY_HISTORY, STREAM_POLICY_EVAL, PathSampler, episode_rng
@@ -593,6 +596,45 @@ class TestParallelism:
                      for k in range(5)]
         assert draws == [[i * i for i in range(4 * k, 4 * k + 4)] for k in range(5)]
         assert _CountedTask.pickles <= 2
+
+    @pytest.mark.parametrize("affinity, cpu_count, size", [
+        ({0, 1, 2}, None, 3),  # sched_getaffinity decides, not cpu_count
+        (None, 2, 2),          # no affinity on this platform: cpu_count
+        (None, None, 1),       # neither: one CPU, so no pool
+    ])
+    def test_pool_is_capped_at_the_usable_cpus(self, monkeypatch, affinity, cpu_count, size):
+        opened, chunked = [], []
+
+        class InlineExecutor:
+            """Runs chunks in this process and records the pool it was asked for."""
+
+            def __init__(self, max_workers, initializer, initargs):
+                opened.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, chunks):
+                chunked.append(len(chunks))
+                return map(fn, chunks)
+
+        monkeypatch.setattr(synthesis, "ProcessPoolExecutor", InlineExecutor)
+        monkeypatch.setattr(synthesis, "_WORKER_TASK", None)
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        task = _CountedTask()
+        with _episode_pool(task, 200) as pool:
+            draw = _map_episodes(task, range(10), 200, pool)
+        assert draw == [i * i for i in range(10)]
+        assert opened == ([size] if size > 1 else [])
+        assert chunked == ([size] if size > 1 else [])
 
 
 def test_theorem_bound_helper():

@@ -35,10 +35,32 @@ EXIT_BOUND_FAILED = 4
 # ---------------------------------------------------------------------------
 # Artifact writers
 
+def _history_key_strings(index: dict[HistoryKey, int]) -> list[str]:
+    """``history_key_string`` of each history of a policy index, by row.
+
+    A history whose prefix comes earlier in the index extends the prefix's
+    string by one step; a synthesized policy's index holds every prefix of
+    each history, before the history.
+    """
+    texts: list[Optional[str]] = [None] * len(index)
+    steps: dict[tuple[int, int, int], str] = {}
+    for history, row in index.items():
+        prefix = index.get(history[:-1]) if len(history) > 1 else None
+        head = None if prefix is None else texts[prefix]
+        if head is None:
+            texts[row] = history_key_string(history)
+        else:
+            step = history[-1]
+            tail = steps.get(step)
+            if tail is None:
+                tail = steps[step] = history_key_string((step,))
+            texts[row] = head + ";" + tail
+    return texts
+
+
 def _policy_document(result: SynthesisResult, cfg: RunConfig) -> dict:
     policy = result.policy
-    actions = {history_key_string(state): policy.actions[i]
-               for state, i in policy.index.items()}
+    actions = dict(zip(_history_key_strings(policy.index), policy.actions))
     return {
         "metadata": {
             "config_hash": cfg.content_hash(),
@@ -51,7 +73,7 @@ def _policy_document(result: SynthesisResult, cfg: RunConfig) -> dict:
             "delta": cfg.algorithm.delta,
             "confidence": cfg.algorithm.confidence,
         },
-        "policy": dict(sorted(actions.items())),
+        "policy": actions,
     }
 
 
@@ -106,6 +128,17 @@ def _checked_history(key: str, n_actions: int,
 
 def _write_json(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def _policy_json(doc: dict) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` of a policy
+    document, with its flat history-key map written by the C encoder (an
+    indent selects the pure-Python one, which is slow on a large map)."""
+    head = json.dumps({"metadata": doc["metadata"]}, indent=2, sort_keys=True)
+    body = json.dumps(doc["policy"], sort_keys=True, separators=(",\n    ", ": "))
+    if doc["policy"]:
+        body = "{\n    " + body[1:-1] + "\n  }"
+    return head[:-2] + ',\n  "policy": ' + body + "\n}\n"
 
 
 def _audit_lines(result: SynthesisResult) -> str:
@@ -163,7 +196,7 @@ def cmd_synth(args) -> int:
               + change)
 
     (out_dir / "audit.jsonl").write_text(_audit_lines(result))
-    _write_json(out_dir / "policy.json", _policy_document(result, cfg))
+    (out_dir / "policy.json").write_text(_policy_json(_policy_document(result, cfg)))
     _write_json(out_dir / "summary.json", {
         "config": cfg.resolved_dict(),
         "config_hash": cfg.content_hash(),

@@ -181,8 +181,9 @@ class PathSampler:
     stage starts at the sum of the durations before it, all ``dt``), so a
     stored entry is what rebuilding the stage would give, bit for bit, and
     results do not depend on what the table holds.  It fills as episodes run
-    and is left out of pickles: a spawned pool worker starts with an empty
-    one and fills its own.
+    and is left out of pickles.  Each worker of a command's worker set keeps
+    its own sampler, and so its own table, for the whole command: a forked
+    worker starts from the parent's table, a spawned one from an empty one.
     """
 
     def __init__(self, env: Environment, spec: SequentialSpec, params: VehicleParams,

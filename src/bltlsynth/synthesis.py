@@ -20,16 +20,30 @@ the closed loop one stage at a time, through the same trace walk and mission
 monitor as a chain episode (``mdp.decide_tube`` at radius 0), and stops at
 the stage that fixes its verdict; ``simulate_true_system`` is the
 whole-horizon form.
+
+With more than one worker, a command runs its episodes on one worker set
+(``_WorkerSet``): ``synthesize`` and ``validate_true_system`` each start
+``_pool_workers(workers)`` processes once and keep them until they return, so
+a worker's sampler keeps its prefix table from round to round.  Once per
+round a synthesis sends every worker the histories the round appended to the
+policy index and the round's ``probs`` matrix; each worker rebuilds the
+stochastic policy and determinizes it itself (``_SynthesisRounds``).  Draws
+go out as index chunks, one per worker, and results come back in index
+order, so no result depends on the worker count.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import pickle
+import signal
+import sys
+import traceback
 from bisect import bisect_right
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from itertools import accumulate
+from contextlib import nullcontext, suppress
+from dataclasses import dataclass, field, replace
+from itertools import accumulate, islice
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -170,6 +184,42 @@ class _ChainTask:
 
 
 @dataclass(frozen=True)
+class _SynthesisRounds:
+    """What a synthesis's workers hold for the whole command: the chain task
+    their draws run, and the round's stochastic policy, which the next round's
+    evaluation runs under.  The sampler, and so its prefix table, stays the
+    same throughout.
+
+    The parent moves every worker from phase to phase with
+    ``_WorkerSet.send``: ``estimating`` takes the round's policy as the
+    histories the round appended to the index and the round's ``probs``
+    matrix, and ``evaluating`` starts the next round's evaluation.
+    """
+
+    chain: _ChainTask
+    policy: Policy
+
+    def run(self, index: int) -> tuple[HistoryKey, bool]:
+        return self.chain.run(index)
+
+    def estimating(self, new_histories: list[HistoryKey],
+                   probs: np.ndarray) -> "_SynthesisRounds":
+        """The round's estimation, under the determinization of its policy."""
+        index = dict(self.policy.index)
+        for history in new_histories:
+            index[history] = len(index)
+        policy = Policy(self.policy.n_actions, index, probs=probs)
+        return _SynthesisRounds(replace(self.chain, policy=determinize(policy),
+                                        stream=STREAM_BIE), policy)
+
+    def evaluating(self, round_index: int) -> "_SynthesisRounds":
+        """The evaluation of round ``round_index``, under the last round's policy."""
+        return replace(self, chain=replace(self.chain, policy=self.policy,
+                                           stream=STREAM_POLICY_EVAL,
+                                           round_index=round_index))
+
+
+@dataclass(frozen=True)
 class _TrueSystemTask:
     """Closed-loop validation episodes under the strategy: verdicts.
 
@@ -204,17 +254,8 @@ class _TrueSystemTask:
         return self.decide(index)[0]
 
 
-# The task a pool worker runs, set once per worker by the pool's initializer.
-_WORKER_TASK = None
-
-
-def _install_task(task) -> None:
-    global _WORKER_TASK
-    _WORKER_TASK = task
-
-
-def _run_chunk(indices):
-    return [_WORKER_TASK.run(i) for i in indices]
+def _run_chunk(task, indices: Sequence[int]) -> list:
+    return [task.run(i) for i in indices]
 
 
 def _pool_workers(workers: int) -> int:
@@ -226,39 +267,160 @@ def _pool_workers(workers: int) -> int:
     return min(workers, cpus)
 
 
-@contextmanager
-def _episode_pool(task, workers: int) -> Iterator[Optional[ProcessPoolExecutor]]:
-    """A process pool whose workers hold the task, or None when serial.
+# Seconds a worker waits for a message before it checks that its parent lives.
+_PARENT_CHECK_S = 1.0
+# Seconds an idle worker is given to stop on the stop message before it is
+# terminated.
+_STOP_WAIT_S = 5.0
 
-    The pool has ``_pool_workers(workers)`` workers.  The task reaches each
-    worker once, through the pool's initializer: a forked worker inherits it,
-    a spawned one unpickles it.  Afterwards only episode indices are sent.
-    Workers start on the first submitted chunk.
+
+def _worker_main(conn, task) -> None:
+    """A worker's loop: run chunks of its task's episodes, or replace the task
+    with an update of it, until the stop message (None) comes or the parent
+    is gone.  Every other message gets one reply: ("ok", value) or
+    ("error", exception, formatted traceback)."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles Ctrl-C
+    parent = os.getppid()
+    while True:
+        while not conn.poll(_PARENT_CHECK_S):
+            if os.getppid() != parent:
+                return
+        message = conn.recv()
+        if message is None:
+            return
+        try:
+            if message[0] == "run":
+                reply = ("ok", _run_chunk(task, message[1]))
+            else:
+                _, update, args = message
+                task = update(task, *args)
+                reply = ("ok", None)
+        except Exception as exc:
+            reply = ("error", exc, traceback.format_exc())
+        try:
+            conn.send(reply)
+        except Exception:  # an exception that does not pickle
+            conn.send(("error", RuntimeError(repr(reply[1])), reply[-1]))
+
+
+class _WorkerSet:
+    """``size`` worker processes that each hold a task for a whole command.
+
+    The processes start on entering, with the default start method, each with
+    one pipe: a forked worker inherits the task, a spawned one unpickles it
+    (a spawned sampler's prefix table starts empty).  A worker keeps its task,
+    and so a sampler's prefix table, until the set is left.  ``send`` updates
+    every worker's task; ``map`` runs episodes in index chunks, one per
+    worker.  An exception in a worker reaches the caller with its type; a
+    worker that dies raises a RuntimeError that names it.  Leaving the set
+    stops every worker and joins it: idle ones after a normal exit, all of
+    them at once by terminating after an exception.
     """
-    workers = _pool_workers(workers)
-    if workers <= 1:
-        yield None
-        return
-    with ProcessPoolExecutor(max_workers=workers, initializer=_install_task,
-                             initargs=(task,)) as pool:
-        yield pool
+
+    def __init__(self, task, size: int):
+        self._task = task
+        self.size = size
+        self._procs: list = []
+        self._conns: list = []
+
+    def __enter__(self) -> "_WorkerSet":
+        ctx = multiprocessing.get_context()
+        try:
+            for i in range(self.size):
+                conn, child = ctx.Pipe()
+                self._conns.append(conn)
+                try:
+                    proc = ctx.Process(target=_worker_main, args=(child, self._task),
+                                       name=f"bltlsynth-worker-{i + 1}", daemon=True)
+                    proc.start()
+                finally:
+                    child.close()
+                self._procs.append(proc)
+        except BaseException:
+            self.__exit__(*sys.exc_info())
+            raise
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None:
+            for conn in self._conns:
+                with suppress(OSError):
+                    conn.send(None)
+        for proc in self._procs:
+            proc.join(_STOP_WAIT_S if exc_type is None else 0)
+            if proc.is_alive():
+                proc.terminate()
+                proc.join()
+        for conn in self._conns:
+            conn.close()
+
+    def send(self, update: Callable, *args) -> None:
+        """Replace every worker's task with ``update(task, *args)``.
+
+        ``update`` must pickle by name (a module-level function or method);
+        the message is pickled once for all workers.
+        """
+        message = pickle.dumps(("update", update, args), pickle.HIGHEST_PROTOCOL)
+        for i in range(self.size):
+            self._send(i, message)
+        for i in range(self.size):
+            self._reply(i)
+
+    def map(self, indices: Sequence[int]) -> list:
+        """The task's results over the indices, in index order: one
+        contiguous chunk per worker, at most one per index."""
+        k = min(self.size, len(indices))
+        q, r = divmod(len(indices), k)
+        bounds = [0, *accumulate(q + (i < r) for i in range(k))]
+        for i in range(k):
+            chunk = indices[bounds[i]:bounds[i + 1]]
+            self._send(i, pickle.dumps(("run", chunk), pickle.HIGHEST_PROTOCOL))
+        out: list = []
+        for i in range(k):
+            out.extend(self._reply(i))
+        return out
+
+    def _send(self, i: int, message: bytes) -> None:
+        try:
+            self._conns[i].send_bytes(message)
+        except OSError:
+            raise self._died(i) from None
+
+    def _reply(self, i: int):
+        try:
+            reply = self._conns[i].recv()
+        except EOFError:
+            raise self._died(i) from None
+        if reply[0] == "error":
+            _, exc, formatted = reply
+            raise exc from RuntimeError(f"in {self._procs[i].name}:\n{formatted}")
+        return reply[1]
+
+    def _died(self, i: int) -> RuntimeError:
+        proc = self._procs[i]
+        proc.join(_STOP_WAIT_S)
+        return RuntimeError(f"episode worker {proc.name} (pid {proc.pid}) died "
+                            f"with exit code {proc.exitcode}")
 
 
-def _map_episodes(task, indices: Sequence[int], workers: int,
-                  pool: Optional[ProcessPoolExecutor]) -> list:
-    """Run task.run over episode indices, across the pool's workers if any.
+def _worker_set(task, workers: int):
+    """A ``_WorkerSet`` of ``_pool_workers(workers)`` processes holding the
+    task, or, with one worker or one CPU, a context that starts nothing and
+    gives None."""
+    size = _pool_workers(workers)
+    return _WorkerSet(task, size) if size > 1 else nullcontext()
 
-    The pool must come from ``_episode_pool(task, workers)``.  Results come
-    back in index order, so the outcome is independent of the worker count.
+
+def _map_episodes(task, indices: Sequence[int], pool: Optional[_WorkerSet]) -> list:
+    """Run task.run over episode indices, across the set's workers if any.
+
+    The set's workers must hold the task (or one whose ``run`` is the
+    task's).  Results come back in index order, so the outcome is independent
+    of the worker count.
     """
     if pool is None or len(indices) < 2:
         return [task.run(i) for i in indices]
-    chunks = [list(c) for c in np.array_split(np.asarray(indices),
-                                               min(_pool_workers(workers), len(indices)))]
-    out: list = []
-    for part in pool.map(_run_chunk, chunks):
-        out.extend(part)
-    return out
+    return pool.map(indices)
 
 
 # ---------------------------------------------------------------------------
@@ -266,23 +428,26 @@ def _map_episodes(task, indices: Sequence[int], workers: int,
 
 def evaluate_policy(policy: Policy, n_episodes: int, qtable: QTable,
                     sampler: PathSampler, *, history_weight: float,
-                    master_seed: int, round_index: int = 0,
-                    workers: int = 1) -> tuple[QTable, int]:
+                    master_seed: int, round_index: int = 0, workers: int = 1,
+                    pool: Optional[_WorkerSet] = None) -> tuple[QTable, int]:
     """Sample paths under the policy and refresh the Q estimates.
 
     Every (state, action) pair along a path is credited with the path's
     verdict; per-pair ratios are folded into the table with the history
     weight.  New histories get rows after the table's, in the order the
     episodes first reach them.  Returns the new table and the number of
-    satisfying paths.
+    satisfying paths.  The episodes run on ``pool``, a caller's worker set
+    that holds this evaluation, or else on a worker set of ``workers`` for
+    this call alone.
     """
     if n_episodes < 1:
         raise ValueError("need at least one episode")
     if not 0.0 < history_weight < 1.0:
         raise ValueError("history weight must lie in (0, 1)")
     task = _ChainTask(sampler, policy, master_seed, STREAM_POLICY_EVAL, round_index)
-    with _episode_pool(task, workers) as pool:
-        results = _map_episodes(task, range(n_episodes), workers, pool)
+    own = _worker_set(task, workers) if pool is None else nullcontext(pool)
+    with own as pool:
+        results = _map_episodes(task, range(n_episodes), pool)
     index = dict(qtable.index)
     rows: list[int] = []
     cols: list[int] = []
@@ -445,34 +610,42 @@ def synthesize(env: Environment, formula: Formula, params: VehicleParams,
     estimate: Optional[BieResult] = None
     converged = False
 
-    for round_index in range(1, max_rounds + 1):
-        qtable, n_sat = evaluate_policy(
-            policy, episodes_per_round, qtable, sampler,
-            history_weight=history_weight, master_seed=master_seed,
-            round_index=round_index, workers=workers)
-        policy = improve_policy(policy, qtable, greediness)
-        det = determinize(policy)
+    first = _ChainTask(sampler, policy, master_seed, STREAM_POLICY_EVAL, 1)
+    with _worker_set(_SynthesisRounds(first, policy), workers) as pool:
+        for round_index in range(1, max_rounds + 1):
+            if pool is not None and round_index > 1:
+                pool.send(_SynthesisRounds.evaluating, round_index)
+            qtable, n_sat = evaluate_policy(
+                policy, episodes_per_round, qtable, sampler,
+                history_weight=history_weight, master_seed=master_seed,
+                round_index=round_index, pool=pool)
+            rows = len(policy.index)
+            policy = improve_policy(policy, qtable, greediness)
+            det = determinize(policy)
+            if pool is not None:
+                pool.send(_SynthesisRounds.estimating,
+                          list(islice(policy.index, rows, None)), policy.probs)
 
-        task = _ChainTask(sampler, det, master_seed, STREAM_BIE, round_index)
-        with _episode_pool(task, workers) as pool:
+            task = _ChainTask(sampler, det, master_seed, STREAM_BIE, round_index)
+
             def draw(start: int, count: int) -> list[bool]:
-                episodes = _map_episodes(task, range(start, start + count), workers, pool)
+                episodes = _map_episodes(task, range(start, start + count), pool)
                 return [satisfied for _, satisfied in episodes]
 
             estimate = bie_estimate(draw, delta, confidence, prior_alpha, prior_beta,
                                     batch_size=batch_size)
-        change = (None if prev_estimate is None
-                  else abs(estimate.p_hat - prev_estimate))
-        rounds.append(RoundRecord(
-            round_index=round_index, eval_satisfied=n_sat,
-            eval_episodes=episodes_per_round, p_hat=estimate.p_hat,
-            n=estimate.n, successes=estimate.successes,
-            coverage=estimate.coverage, change_from_previous=change,
-            q_pairs=qtable.q_pairs, policy_states=len(det.index)))
-        if change is not None and change <= stop_radius:
-            converged = True
-            break
-        prev_estimate = estimate.p_hat
+            change = (None if prev_estimate is None
+                      else abs(estimate.p_hat - prev_estimate))
+            rounds.append(RoundRecord(
+                round_index=round_index, eval_satisfied=n_sat,
+                eval_episodes=episodes_per_round, p_hat=estimate.p_hat,
+                n=estimate.n, successes=estimate.successes,
+                coverage=estimate.coverage, change_from_previous=change,
+                q_pairs=qtable.q_pairs, policy_states=len(det.index)))
+            if change is not None and change <= stop_radius:
+                converged = True
+                break
+            prev_estimate = estimate.p_hat
 
     assert estimate is not None
     return SynthesisResult(policy=det, estimate=estimate, rounds=rounds,
@@ -539,9 +712,9 @@ def validate_true_system(policy: Policy, env: Environment, formula: Formula,
     spec = to_sequential(formula, env.unsafe)
     horizon = horizon_stages(formula, params.dt)
     task = _TrueSystemTask(env, spec, params, nm, policy, horizon, master_seed)
-    with _episode_pool(task, workers) as pool:
+    with _worker_set(task, workers) as pool:
         def draw(start: int, count: int) -> list[bool]:
-            return _map_episodes(task, range(start, start + count), workers, pool)
+            return _map_episodes(task, range(start, start + count), pool)
 
         return bie_estimate(draw, delta, confidence, prior_alpha, prior_beta,
                             batch_size=batch_size)

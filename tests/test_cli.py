@@ -1,15 +1,22 @@
+import gzip
 import json
+import multiprocessing
+import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bltlsynth.bltl import horizon_stages, to_sequential
-from bltlsynth.cli import load_policy_file, main
+from bltlsynth.cli import _history_key_strings, _policy_json, load_policy_file, main
 from bltlsynth.config import builtin_config_path, load_config
-from bltlsynth.mdp import history_key_string
+from bltlsynth.mdp import PathSampler, history_key_string
 from bltlsynth.synthesis import _TrueSystemTask
 
 from conftest import env_doc_dict, load_demo_config_doc
+
+REFERENCE_POLICY = (Path(__file__).resolve().parents[1] / "bench" / "reference"
+                    / "policy.json.gz")
 
 
 @pytest.fixture
@@ -286,6 +293,12 @@ class TestValidateCommand:
         assert {history_key_string(state): policy.actions[i]
                 for state, i in policy.index.items()} == written
 
+    def test_policy_file_bytes_are_the_indented_json(self, tiny_setup, tmp_path):
+        out = tmp_path / "out"
+        synth_into(tiny_setup, out)
+        text = (out / "policy.json").read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
     def test_trajectory_export(self, tiny_setup, tmp_path):
         out = tmp_path / "out"
         synth_into(tiny_setup, out)
@@ -389,3 +402,59 @@ class TestPlotCommand:
         assert "clipped" in err
         svg = out.read_text()
         assert "<polyline" in svg
+
+
+class TestPolicyWriter:
+    """The policy file writer gives the bytes of the indented ``json.dumps``."""
+
+    @staticmethod
+    def indented(doc):
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    def test_demo_policy(self, tmp_path):
+        path = tmp_path / "policy.json"
+        path.write_bytes(gzip.decompress(REFERENCE_POLICY.read_bytes()))
+        doc = json.loads(path.read_text())
+        assert len(doc["policy"]) > 20000
+        assert _policy_json(doc) == self.indented(doc)
+        _, policy = load_policy_file(path)
+        assert _history_key_strings(policy.index) == list(doc["policy"])
+
+    def test_random_policies(self):
+        rng = np.random.default_rng(5)
+        for trial in range(40):
+            histories = set()
+            for _ in range(int(rng.integers(0, 60))):
+                length = int(rng.integers(0, 6))
+                history = tuple((int(rng.integers(0, 3)), int(rng.integers(1, 4)),
+                                 int(rng.integers(1, 12))) for _ in range(length))
+                # most histories come with their prefixes, some without
+                cut = 0 if rng.random() < 0.8 else length
+                histories.update(history[:k] for k in range(cut, length + 1))
+            histories = sorted(histories, key=lambda h: (rng.random(), len(h)))
+            rows = rng.permutation(len(histories)).tolist()
+            index = dict(zip(histories, rows))
+            texts = _history_key_strings(index)
+            assert all(texts[row] == history_key_string(h) for h, row in index.items())
+            doc = {"metadata": {"p_hat": float(rng.random()), "seed": trial,
+                                "converged": bool(trial % 2), "name": "ä\"x"},
+                   "policy": {t: int(rng.integers(0, 3)) for t in texts}}
+            assert _policy_json(doc) == self.indented(doc)
+
+
+def test_worker_error_keeps_the_synth_exit_code(tiny_setup, tmp_path, monkeypatch, capsys):
+    """A ValueError raised in a worker's episode ends `synth` with exit 2."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    decide = PathSampler.decide
+
+    def failing(sampler, history):
+        if len(history) and history[0][1] == 3:
+            raise ValueError("no verdict for this history")
+        return decide(sampler, history)
+
+    monkeypatch.setattr(PathSampler, "decide", failing)
+    rc = main(["synth", "--config", str(tiny_setup), "--out-dir", str(tmp_path / "out"),
+               "--workers", "2"])
+    assert rc == 2
+    assert "no verdict for this history" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []

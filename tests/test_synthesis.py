@@ -1,4 +1,6 @@
+import multiprocessing
 import os
+import signal
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from bltlsynth.synthesis import (Policy, QTable, bie_estimate, determinize,
                                  posterior_interval_coverage, simulate_true_system,
                                  synthesize, theorem_bound_holds, uniform_policy,
                                  validate_true_system)
-from bltlsynth.synthesis import _TrueSystemTask, _episode_pool, _map_episodes
+from bltlsynth.synthesis import _TrueSystemTask, _map_episodes, _worker_set
 
 from conftest import policy_from_rows, simple_env
 from oracles import (all_success_stop_count, determinize_rows, generator_drawing,
@@ -110,6 +112,24 @@ class TestSampleAction:
             assert generator_drawing(u).random() == u
             assert policy.sample_action(EMPTY_HISTORY, u) == \
                 int(generator_drawing(u).choice(10, p=row)), u
+
+    @pytest.mark.parametrize("last", [0.3999999999999997, 0.3999999999999998])
+    def test_draw_above_a_running_sum_short_of_one(self, last):
+        # the running sums end below 1, so a draw above the last one is past
+        # every undivided sum: dividing by the last sum keeps it in range
+        row = np.array([0.3, 0.3, last])
+        policy = Policy(3, {EMPTY_HISTORY: 0}, probs=row[None])
+        total = sum(row.tolist())
+        assert total < 1.0
+        draws = []
+        u = np.nextafter(1.0, 0.0)
+        while u > total:
+            draws.append(float(u))
+            u = np.nextafter(u, 0.0)
+        assert draws
+        for u in draws:
+            assert policy.sample_action(EMPTY_HISTORY, u) == 2
+            assert int(generator_drawing(u).choice(3, p=row)) == 2, u
 
     def test_unseen_state_draws_uniformly(self):
         policy = uniform_policy(3)
@@ -530,16 +550,59 @@ class TestValidateTrueSystem:
 
 
 class _CountedTask:
-    """Squares episode indices and counts how often this process pickles it."""
+    """Squares episode indices (plus an offset) and counts how often this
+    process pickles it."""
 
     pickles = 0
+    KILL = -100  # the episode index at which a worker kills itself
+
+    def __init__(self, offset: int = 0):
+        self.offset = offset
 
     def run(self, index: int) -> int:
-        return index * index
+        if index == self.KILL:
+            os.kill(os.getpid(), signal.SIGKILL)
+        if index < 0:
+            raise ValueError(f"episode {index} fails")
+        return index * index + self.offset
+
+    def shifted(self, offset: int) -> "_CountedTask":
+        return _CountedTask(offset)
 
     def __getstate__(self):
         type(self).pickles += 1
         return self.__dict__
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two usable CPUs, whatever this machine has, so a set of two starts."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+@pytest.fixture
+def process_starts(monkeypatch):
+    """Names of the processes started while the test runs."""
+    started = []
+    start = multiprocessing.process.BaseProcess.start
+
+    def counted(proc):
+        started.append(proc.name)
+        return start(proc)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counted)
+    return started
+
+
+def usable_set_size(workers):
+    """The worker set a command of ``workers`` starts: capped at the usable
+    CPUs, and none at all below two."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    size = min(workers, cpus)
+    return size if size > 1 else 0
 
 
 class TestParallelism:
@@ -550,6 +613,8 @@ class TestParallelism:
     # the time: verdicts are mixed, so a mismatched episode key would show.
     MIXED_ENV = [("a", (0.9, -1.2, 2.0, 1.2)), ("u", (3.0, 2.0, 4.0, 3.0))]
     WIDE_NOISE = NoiseModel.symmetric(-0.45, 0.3, 3, (0.25, 0.5, 0.25))
+    VALIDATE = dict(delta=0.1, confidence=0.8, prior_alpha=1.0, prior_beta=1.0,
+                    master_seed=17, batch_size=4)
 
     def assert_same_synthesis(self, regions, params, nm, batch_size):
         env = simple_env(regions)
@@ -580,37 +645,67 @@ class TestParallelism:
         env = simple_env(self.MIXED_ENV)
         formula = parse_formula("!u U[<=5] a")
         straight = Policy(3, {EMPTY_HISTORY: 0}, actions=[1])
-        kwargs = dict(delta=0.1, confidence=0.8, prior_alpha=1.0, prior_beta=1.0,
-                      master_seed=17, batch_size=4)
         one, two = (validate_true_system(straight, env, formula, demo_params,
-                                         self.WIDE_NOISE, workers=w, **kwargs)
+                                         self.WIDE_NOISE, workers=w, **self.VALIDATE)
                     for w in (1, 2))
         assert one == two
         assert 0 < one.successes < one.n and one.n > 4
 
-    def test_task_reaches_each_worker_at_most_once(self):
-        task = _CountedTask()
+    def test_one_worker_set_per_command(self, demo_params, process_starts):
+        env = simple_env(self.MIXED_ENV)
+        formula = parse_formula("!u U[<=5] a")
+        result = synthesize(env, formula, demo_params, self.WIDE_NOISE, workers=2,
+                            batch_size=4, **self.SYNTH)
+        assert len(result.rounds) > 1
+        assert len(process_starts) == usable_set_size(2)
+        del process_starts[:]
+        validate_true_system(result.policy, env, formula, demo_params, self.WIDE_NOISE,
+                             workers=2, **self.VALIDATE)
+        assert len(process_starts) == usable_set_size(2)
+        assert multiprocessing.active_children() == []
+
+    def test_sampler_reaches_each_worker_at_most_once(self, demo_params, monkeypatch,
+                                                      two_cpus):
+        pickled = []
+        getstate = PathSampler.__getstate__
+
+        def counted(sampler):
+            pickled.append(sampler)
+            return getstate(sampler)
+
+        monkeypatch.setattr(PathSampler, "__getstate__", counted)
+        env = simple_env(self.MIXED_ENV)
+        result = synthesize(env, parse_formula("!u U[<=5] a"), demo_params,
+                            self.WIDE_NOISE, workers=2, batch_size=4, **self.SYNTH)
+        assert len(result.rounds) > 1
+        assert len(pickled) <= 2
+
+    def test_task_reaches_each_worker_at_most_once(self, two_cpus):
         _CountedTask.pickles = 0
-        with _episode_pool(task, 2) as pool:
-            draws = [_map_episodes(task, range(4 * k, 4 * k + 4), 2, pool)
-                     for k in range(5)]
-        assert draws == [[i * i for i in range(4 * k, 4 * k + 4)] for k in range(5)]
+        draws = []
+        with _worker_set(_CountedTask(), 2) as pool:
+            for k in range(5):
+                pool.send(_CountedTask.shifted, k)
+                draws.append(_map_episodes(_CountedTask(k), range(4 * k, 4 * k + 4), pool))
+        assert draws == [[i * i + k for i in range(4 * k, 4 * k + 4)] for k in range(5)]
         assert _CountedTask.pickles <= 2
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("affinity, cpu_count, size", [
         ({0, 1, 2}, None, 3),  # sched_getaffinity decides, not cpu_count
         (None, 2, 2),          # no affinity on this platform: cpu_count
-        (None, None, 1),       # neither: one CPU, so no pool
+        (None, None, 1),       # neither: one CPU, so no worker set
     ])
-    def test_pool_is_capped_at_the_usable_cpus(self, monkeypatch, affinity, cpu_count, size):
-        opened, chunked = [], []
+    def test_pool_is_capped_at_the_usable_cpus(self, monkeypatch, affinity, cpu_count,
+                                               size):
+        opened = []
 
-        class InlineExecutor:
-            """Runs chunks in this process and records the pool it was asked for."""
+        class InlineWorkers:
+            """Runs chunks in this process and records the set it was asked for."""
 
-            def __init__(self, max_workers, initializer, initargs):
-                opened.append(max_workers)
-                initializer(*initargs)
+            def __init__(self, task, size):
+                opened.append(size)
+                self.task = task
 
             def __enter__(self):
                 return self
@@ -618,23 +713,93 @@ class TestParallelism:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, chunks):
-                chunked.append(len(chunks))
-                return map(fn, chunks)
+            def map(self, indices):
+                return [self.task.run(i) for i in indices]
 
-        monkeypatch.setattr(synthesis, "ProcessPoolExecutor", InlineExecutor)
-        monkeypatch.setattr(synthesis, "_WORKER_TASK", None)
+        monkeypatch.setattr(synthesis, "_WorkerSet", InlineWorkers)
         if affinity is None:
             monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         else:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity)
         monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
         task = _CountedTask()
-        with _episode_pool(task, 200) as pool:
-            draw = _map_episodes(task, range(10), 200, pool)
+        with _worker_set(task, 200) as pool:
+            draw = _map_episodes(task, range(10), pool)
         assert draw == [i * i for i in range(10)]
         assert opened == ([size] if size > 1 else [])
-        assert chunked == ([size] if size > 1 else [])
+
+    def test_chunks_follow_the_set_size(self, two_cpus):
+        with _worker_set(_CountedTask(), 2) as pool:
+            assert pool.size == 2
+            for n in (2, 3, 7):
+                assert pool.map(range(n)) == [i * i for i in range(n)]
+            assert _map_episodes(_CountedTask(), range(5, 6), pool) == [25]
+
+    def test_spawned_workers_give_the_same_results(self, demo_params, monkeypatch,
+                                                   two_cpus, process_starts):
+        env = simple_env(self.MIXED_ENV)
+        formula = parse_formula("!u U[<=5] a")
+        kwargs = dict(batch_size=4, **self.SYNTH)
+        one = synthesize(env, formula, demo_params, self.WIDE_NOISE, workers=1, **kwargs)
+        get_context = multiprocessing.get_context
+        monkeypatch.setattr(multiprocessing, "get_context",
+                            lambda method=None: get_context("spawn"))
+        spawned = synthesize(env, formula, demo_params, self.WIDE_NOISE, workers=2,
+                             **kwargs)
+        assert len(process_starts) == 2
+        assert spawned.rounds == one.rounds and len(one.rounds) > 1
+        assert list(spawned.policy.index.items()) == list(one.policy.index.items())
+        assert spawned.policy.actions == one.policy.actions
+        assert np.array_equal(spawned.qtable.estimate, one.qtable.estimate)
+        assert multiprocessing.active_children() == []
+
+
+class TestWorkerLifecycle:
+    """Every way out of a worker set ends and joins its processes."""
+
+    def test_normal_return(self, two_cpus, process_starts):
+        with _worker_set(_CountedTask(), 2) as pool:
+            assert pool.map(range(6)) == [i * i for i in range(6)]
+        assert len(process_starts) == 2
+        assert multiprocessing.active_children() == []
+
+    def test_worker_error_keeps_its_type(self, two_cpus):
+        with pytest.raises(ValueError, match="episode -3 fails"):
+            with _worker_set(_CountedTask(), 2) as pool:
+                pool.map(range(-3, 3))
+        assert multiprocessing.active_children() == []
+
+    def test_error_in_an_update_keeps_its_type(self, two_cpus):
+        with pytest.raises(TypeError):
+            with _worker_set(_CountedTask(), 2) as pool:
+                pool.send(_CountedTask.shifted)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("exc_type", [RuntimeError, KeyboardInterrupt])
+    def test_parent_exception(self, two_cpus, exc_type):
+        with pytest.raises(exc_type):
+            with _worker_set(_CountedTask(), 2) as pool:
+                pool.map(range(4))
+                raise exc_type()
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_is_named(self, two_cpus):
+        with pytest.raises(RuntimeError, match="died") as raised:
+            with _worker_set(_CountedTask(), 2) as pool:
+                pool.map(range(4))
+                victim = multiprocessing.active_children()[0]
+                os.kill(victim.pid, signal.SIGKILL)
+                victim.join(10)
+                assert not victim.is_alive()
+                pool.map(range(4))
+        assert victim.name in str(raised.value) and str(victim.pid) in str(raised.value)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_dying_in_a_chunk_is_named(self, two_cpus):
+        with pytest.raises(RuntimeError, match=r"bltlsynth-worker-1 \(pid \d+\) died"):
+            with _worker_set(_CountedTask(), 2) as pool:
+                pool.map(range(_CountedTask.KILL, _CountedTask.KILL + 4))
+        assert multiprocessing.active_children() == []
 
 
 def test_theorem_bound_helper():

@@ -4,24 +4,20 @@ validation."""
 
 from .bltl import (Always, And, Atom, Disjunct, Eventually, Formula,
                    FragmentError, Not, Or, ParseError, Phase, SequentialMonitor,
-                   SequentialSpec, Until, check_generic, check_sequential, format_formula,
-                   horizon_stages, parse_formula, sequential_witness,
-                   spec_to_formula, to_sequential)
+                   SequentialSpec, Until, check_sequential, format_formula,
+                   horizon_stages, parse_formula, sequential_witness, to_sequential)
 from .config import RunConfig, builtin_config_path, config_from_dict, load_config
 from .dynamics import (MeasuredInterval, NoiseModel, Pose, VehicleParams,
-                       WheelNoise, integrate_segment, measure,
+                       WheelNoise, integrate_body, measure,
                        sample_noise_in_interval, sample_noise_interval,
                        wheel_to_body)
-from .env import Environment, Rect, Region, load_environment, satisfying_set
-from .mdp import (DUMMY_ACTION, PathSample, PathSampler, enabled_actions,
-                  successors, transition_prob)
+from .env import Environment, Rect, Region
+from .mdp import PathSample, PathSampler
 from .synthesis import (BieResult, Policy, QTable, SynthesisResult,
                         bie_estimate, determinize, evaluate_policy,
                         improve_policy, simulate_true_system, synthesize,
                         theorem_bound_holds, validate_true_system)
-from .tracegen import (Trajectory, UncertaintyTube, disc_in_region,
-                       disc_intersects_region, trace_from_trajectory,
-                       trace_from_tube)
+from .tracegen import Trajectory, UncertaintyTube, trace_from_trajectory, trace_from_tube
 from .uncertainty import StageTerms, build_tube, propagate_stage, stage_terms
 
 __version__ = "0.1.0"

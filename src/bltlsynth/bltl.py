@@ -14,9 +14,6 @@ decomposition:
   whole trace.
 * ``sequential_witness`` is the exhaustive search over hit positions that the
   monitor runs online; it returns the witness chain that explains a verdict.
-* ``check_generic`` evaluates an arbitrary formula by recursive bounded
-  semantics over trace suffixes; it serves as an independent cross-check of
-  both on the fragment.
 
 Concrete syntax: identifiers are atoms; ``!``, ``&``, ``|`` are Boolean;
 ``U[<=t]``, ``F[<=t]``, ``G[<=t]`` are the bounded temporal operators;
@@ -352,29 +349,6 @@ def to_sequential(phi: Formula, unsafe: str) -> SequentialSpec:
         raise FragmentError(str(exc)) from exc
 
 
-def spec_to_formula(spec: SequentialSpec) -> Formula:
-    """Rebuild the mission formula from its phase decomposition."""
-
-    def guard(dis: Disjunct) -> Formula:
-        body: Formula = Atom(dis.props[0])
-        for name in dis.props[1:]:
-            body = Or(body, Atom(name))
-        return Always(body, dis.dwell)
-
-    def phase_formula(ph: Phase) -> Formula:
-        phi: Formula = guard(ph.disjuncts[0])
-        for dis in ph.disjuncts[1:]:
-            phi = Or(phi, guard(dis))
-        return phi
-
-    not_u: Formula = Not(Atom(spec.unsafe))
-    body = phase_formula(spec.phases[-1])
-    for j in range(len(spec.phases) - 2, -1, -1):
-        body = And(phase_formula(spec.phases[j]),
-                   Until(not_u, body, spec.phases[j + 1].time_bound))
-    return Until(not_u, body, spec.phases[0].time_bound)
-
-
 # ---------------------------------------------------------------------------
 # Sequential checker
 
@@ -504,90 +478,6 @@ def check_sequential(trace: Sequence[TraceStep], spec: SequentialSpec) -> bool:
         if monitor.push(label, float(duration)) is not None:
             break
     return monitor.result()
-
-
-# ---------------------------------------------------------------------------
-# Generic bounded-semantics checker (oracle)
-
-def _atomic_disjunction(phi: Formula) -> Optional[frozenset[str]]:
-    """The atom set if phi is an atom or a pure disjunction of atoms."""
-    parts = _flatten_or(phi)
-    if all(isinstance(p, Atom) for p in parts):
-        return frozenset(p.name for p in parts)
-    return None
-
-
-def check_generic(trace: Sequence[TraceStep], phi: Formula) -> bool:
-    """Evaluate an arbitrary bounded formula over the timed trace.
-
-    Suffix semantics: an until holds at position i if its right side holds at
-    some position k with the time accumulated over [i, k) at most the bound
-    and the left side holding on [i, k).  A bounded-always over a disjunction
-    of atoms is evaluated within the current state (label in the set, dwell at
-    least the bound), matching how a single region visit carries a dwell; over
-    general subformulas it requires the subformula at every position starting
-    within the window and the remaining trace to cover the window.  A window
-    reaching past the end of the trace counts as unsatisfied.
-    """
-    steps = [(o, float(t)) for o, t in trace]
-    if not steps:
-        raise ValueError("trace must be non-empty")
-    labels = [o for o, _ in steps]
-    durs = [t for _, t in steps]
-    length = len(steps)
-    remaining = [0.0] * (length + 1)
-    for i in range(length - 1, -1, -1):
-        remaining[i] = durs[i] + remaining[i + 1]
-    memo: dict[tuple[int, int], bool] = {}
-
-    def ev(node: Formula, i: int) -> bool:
-        key = (id(node), i)
-        if key in memo:
-            return memo[key]
-        memo[key] = result = _ev(node, i)
-        return result
-
-    def _ev(node: Formula, i: int) -> bool:
-        if isinstance(node, Atom):
-            return labels[i] == node.name
-        if isinstance(node, Not):
-            return not ev(node.child, i)
-        if isinstance(node, And):
-            return ev(node.left, i) and ev(node.right, i)
-        if isinstance(node, Or):
-            return ev(node.left, i) or ev(node.right, i)
-        if isinstance(node, (Until, Eventually)):
-            if isinstance(node, Until):
-                left, right, bound = node.left, node.right, node.bound
-            else:
-                left, right, bound = None, node.child, node.bound
-            spent = 0.0
-            for k in range(i, length):
-                if spent > bound:
-                    break
-                if ev(right, k):
-                    return True
-                if left is not None and not ev(left, k):
-                    break
-                spent += durs[k]
-            return False
-        if isinstance(node, Always):
-            atom_set = _atomic_disjunction(node.child)
-            if atom_set is not None:
-                return labels[i] in atom_set and durs[i] >= node.bound
-            if remaining[i] < node.bound:
-                return False
-            spent = 0.0
-            for k in range(i, length):
-                if k > i and spent >= node.bound:
-                    break
-                if not ev(node.child, k):
-                    return False
-                spent += durs[k]
-            return True
-        raise TypeError(f"not a formula node: {node!r}")
-
-    return ev(phi, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Sequence
 
 # Below this body angular rate the exact arc formula degenerates; treat as straight.
 OMEGA_STRAIGHT_EPS = 1e-12
@@ -105,10 +104,6 @@ class WheelNoise:
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "cdf", tuple(accumulate(probs)))
 
-    @property
-    def eps_max(self) -> float:
-        return self.eps_min + self.n * self.delta
-
     def interval(self, j: int) -> tuple[float, float]:
         """Endpoints of noise interval j (1-based)."""
         if not 1 <= j <= self.n:
@@ -134,13 +129,6 @@ class NoiseModel:
             return self.left
         raise ValueError(f"wheel must be 'r' or 'l', got {which!r}")
 
-    @classmethod
-    def symmetric(cls, eps_min: float, delta: float, n: int,
-                  probs: Sequence[float]) -> "NoiseModel":
-        """Identical noise on both wheels."""
-        w = WheelNoise(eps_min, delta, n, tuple(probs))
-        return cls(right=w, left=w)
-
 
 @dataclass(frozen=True)
 class MeasuredInterval:
@@ -165,17 +153,6 @@ def wheel_to_body(params: VehicleParams, w_r: float, w_l: float) -> tuple[float,
     v = r * (w_r + w_l) / 2.0
     omega = r * (w_r - w_l) / params.wheel_separation
     return v, omega
-
-
-def integrate_segment(params: VehicleParams, q0: Pose, w_r: float, w_l: float,
-                      tau: float) -> Pose:
-    """Propagate the pose for tau seconds under constant wheel speeds.
-
-    Constant inputs give a straight line (zero turn rate) or a circular arc,
-    both in closed form (``integrate_body``).
-    """
-    v, omega = wheel_to_body(params, w_r, w_l)
-    return integrate_body(q0, v, omega, tau)
 
 
 def integrate_body(q0: Pose, v: float, omega: float, tau: float) -> Pose:

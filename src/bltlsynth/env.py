@@ -7,7 +7,6 @@ designated proposition marks the unsafe regions.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .dynamics import Pose
@@ -80,13 +79,6 @@ class Environment:
         return tuple(r for r in self.regions if r.label == self.unsafe)
 
 
-def satisfying_set(env: Environment, prop: str) -> list[Region]:
-    """All regions labeled with prop (possibly none)."""
-    if prop not in env.propositions:
-        raise ValueError(f"unknown proposition {prop!r}")
-    return [r for r in env.regions if r.label == prop]
-
-
 def environment_from_dict(doc: dict) -> Environment:
     """Build and validate an Environment from a parsed document."""
     try:
@@ -107,13 +99,3 @@ def environment_from_dict(doc: dict) -> Environment:
                        initial_pose=Pose(x, y, theta),
                        bounds=Rect(bx0, by0, bx1, by1))
 
-
-def load_environment(text: str) -> Environment:
-    """Parse an environment document (JSON) and validate all invariants."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"environment document is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ValueError("environment document must be a JSON object")
-    return environment_from_dict(doc)

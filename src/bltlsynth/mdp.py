@@ -2,9 +2,9 @@
 
 A state is the sequence of (action index, right tile, left tile) triples
 observed so far; the empty history is the initial state.  The state space is
-never enumerated: histories materialize only when sampled.  Below the horizon
-every commanded action is enabled; at the horizon only a dummy self-loop
-action remains.
+never enumerated: histories materialize only when sampled.  Every commanded
+action is enabled below the horizon, and each stage's tiles are drawn by
+inverse CDF (``dynamics.sample_noise_interval``).
 
 The sampler is table driven: the encoder reading of every (action, right
 tile, left tile) triple is measured once per sampler, and an episode takes all
@@ -43,9 +43,6 @@ from .tracegen import (StageIntervals, TraceWalk, UncertaintyTube, stage_interva
 from .uncertainty import (NominalStageState, StageTerms, build_tube, propagate_stage,
                           stage_terms)
 
-# Reserved action index for the horizon self-loop; never a policy choice.
-DUMMY_ACTION = -1
-
 # Stream purposes for deterministic seeding.
 STREAM_POLICY_EVAL = 0
 STREAM_BIE = 1
@@ -80,48 +77,6 @@ def parse_history_key(text: str) -> HistoryKey:
         a, jr, jl = part.split(",")
         out.append((int(a), int(jr), int(jl)))
     return tuple(out)
-
-
-def enabled_actions(state: HistoryKey, params: VehicleParams, horizon: int) -> list[int]:
-    """Action indices available at a state; the dummy one at the horizon."""
-    if len(state) > horizon:
-        raise ValueError("history longer than the horizon")
-    if len(state) == horizon:
-        return [DUMMY_ACTION]
-    return list(range(len(params.actions)))
-
-
-def transition_prob(state: HistoryKey, action: int, nxt: HistoryKey,
-                    nm: NoiseModel, horizon: int) -> float:
-    """Probability of moving from state to nxt under the given action."""
-    if len(state) == horizon:
-        return 1.0 if action == DUMMY_ACTION and nxt == state else 0.0
-    if action == DUMMY_ACTION:
-        return 0.0
-    if len(nxt) != len(state) + 1 or nxt[:len(state)] != state:
-        return 0.0
-    a, j_r, j_l = nxt[-1]
-    if a != action:
-        return 0.0
-    if not (1 <= j_r <= nm.right.n and 1 <= j_l <= nm.left.n):
-        return 0.0
-    return nm.right.probs[j_r - 1] * nm.left.probs[j_l - 1]
-
-
-def successors(state: HistoryKey, action: int, nm: NoiseModel, params: VehicleParams,
-               horizon: int) -> list[tuple[HistoryKey, float]]:
-    """All one-step extensions with their probabilities (they sum to 1)."""
-    enabled = enabled_actions(state, params, horizon)
-    if action not in enabled:
-        raise ValueError(f"action {action} not enabled at a length-{len(state)} state")
-    if action == DUMMY_ACTION:
-        return [(state, 1.0)]
-    out = []
-    for j_r in range(1, nm.right.n + 1):
-        for j_l in range(1, nm.left.n + 1):
-            p = nm.right.probs[j_r - 1] * nm.left.probs[j_l - 1]
-            out.append((state + ((action, j_r, j_l),), p))
-    return out
 
 
 def decide_tube(walk: TraceWalk, monitor: SequentialMonitor,
@@ -272,10 +227,6 @@ class PathSampler:
                 state = entry[0]
             yield entry[1], dt
             t0 += dt
-
-    def sample_path(self, policy, rng: np.random.Generator) -> PathSample:
-        """One rollout: sample a history, then tube, trace, and verdict."""
-        return self.finish(self.sample_history(policy, rng))
 
 
 def prefix_table_depth(branching: int, horizon: int) -> int:

@@ -23,8 +23,9 @@ whole-horizon form.
 
 With more than one worker, a command runs its episodes on one worker set
 (``_WorkerSet``): ``synthesize`` and ``validate_true_system`` each start
-``_pool_workers(workers)`` processes once and keep them until they return, so
-a worker's sampler keeps its prefix table from round to round.  Once per
+``_pool_workers(workers)`` processes once (validation no more than its
+``batch_size``) and keep them until they return, so a worker's sampler keeps
+its prefix table from round to round.  Once per
 round a synthesis sends every worker the histories the round appended to the
 policy index and the round's ``probs`` matrix; each worker rebuilds the
 stochastic policy and determinizes it itself (``_SynthesisRounds``).  Draws
@@ -708,11 +709,15 @@ def validate_true_system(policy: Policy, env: Environment, formula: Formula,
                          confidence: float, prior_alpha: float, prior_beta: float,
                          master_seed: int, batch_size: int = 1, workers: int = 1
                          ) -> BieResult:
-    """Estimate the closed-loop success probability of the real vehicle."""
+    """Estimate the closed-loop success probability of the real vehicle.
+
+    A draw holds ``batch_size`` episodes, so the worker set has at most that
+    many workers: any more would get none of them.
+    """
     spec = to_sequential(formula, env.unsafe)
     horizon = horizon_stages(formula, params.dt)
     task = _TrueSystemTask(env, spec, params, nm, policy, horizon, master_seed)
-    with _worker_set(task, workers) as pool:
+    with _worker_set(task, min(workers, batch_size)) as pool:
         def draw(start: int, count: int) -> list[bool]:
             return _map_episodes(task, range(start, start + count), pool)
 

@@ -46,7 +46,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 from .bltl import TraceStep
 from .dynamics import (OMEGA_STRAIGHT_EPS, Pose, VehicleParams, angle_diff,
                        integrate_body, wheel_to_body)
-from .env import Environment, Rect, Region
+from .env import Environment, Rect
 
 # Event times closer than this (seconds) are one breakpoint.
 BREAKPOINT_TOL = 1e-9
@@ -82,14 +82,9 @@ class Stage(NamedTuple):
     end: Pose
 
     def position_at(self, local_t: float) -> tuple[float, float]:
-        """Position local_t seconds into the stage (closed form)."""
-        if abs(self.omega) < OMEGA_STRAIGHT_EPS:
-            return (self.start.x + self.v * local_t * math.cos(self.start.theta),
-                    self.start.y + self.v * local_t * math.sin(self.start.theta))
-        th = self.start.theta + self.omega * local_t
-        x = self.start.x + (self.v / self.omega) * (math.sin(th) - math.sin(self.start.theta))
-        y = self.start.y - (self.v / self.omega) * (math.cos(th) - math.cos(self.start.theta))
-        return (x, y)
+        """Position local_t seconds into the stage (``integrate_body``)."""
+        pose = integrate_body(self.start, self.v, self.omega, local_t)
+        return pose.x, pose.y
 
 
 def make_stage(params: VehicleParams, start: Pose, w_r: float, w_l: float,
@@ -112,10 +107,6 @@ class Trajectory:
             gap = math.hypot(cur.start.x - prev.end.x, cur.start.y - prev.end.y)
             if gap > 1e-9 or angle_diff(cur.start.theta, prev.end.theta) > 1e-9:
                 raise ValueError("trajectory stages do not chain continuously")
-
-    @property
-    def total_duration(self) -> float:
-        return sum(s.duration for s in self.stages)
 
     @property
     def end(self) -> Pose:
@@ -164,20 +155,6 @@ def _touches(r: Rect, x: float, y: float, d: float) -> bool:
     dx = max(r.x0 - x, 0.0, x - r.x1)
     dy = max(r.y0 - y, 0.0, y - r.y1)
     return dx * dx + dy * dy <= d * d
-
-
-def disc_in_region(center: tuple[float, float], d: float, region: Region) -> bool:
-    """Closed disc of radius d entirely inside the closed rectangle."""
-    if d < 0:
-        raise ValueError("disc radius must be non-negative")
-    return _inside(region.rect, center[0], center[1], d)
-
-
-def disc_intersects_region(center: tuple[float, float], d: float, region: Region) -> bool:
-    """Closed disc of radius d touches the closed rectangle."""
-    if d < 0:
-        raise ValueError("disc radius must be non-negative")
-    return _touches(region.rect, center[0], center[1], d)
 
 
 # ---------------------------------------------------------------------------
@@ -364,15 +341,15 @@ class TraceWalk:
     trajectory duration.
 
     ``append`` appends a stage's intervals (``stage_intervals``, a pure
-    function of the stage, its radius and its start time), and ``extend``
-    computes and appends them; ``advance`` closes every step
-    that the stages so far fix.  A step is entered only once every rule's
-    intervals are known past its start + BREAKPOINT_TOL: a later stage can
-    extend an interval that ends within BREAKPOINT_TOL of the last stage end,
-    or start one there.  ``steps`` holds the closed steps; ``open`` the step
-    after them when its label is fixed but its end is not, with its duration
-    so far, a lower bound of the final one.  ``finish`` closes the rest; fed
-    every stage first, it gives the whole-trajectory walk.
+    function of the stage, its radius and its start time, as ``stage_feed``
+    gives them); ``advance`` closes every step that the stages so far fix.
+    A step is entered only once every rule's intervals are known past its
+    start + BREAKPOINT_TOL: a later stage can extend an interval that ends
+    within BREAKPOINT_TOL of the last stage end, or start one there.
+    ``steps`` holds the closed steps; ``open`` the step after them when its
+    label is fixed but its end is not, with its duration so far, a lower
+    bound of the final one.  ``finish`` closes the rest; fed every stage
+    first, it gives the whole-trajectory walk.
     """
 
     def __init__(self, rules: Sequence[Rule], unsafe: str):
@@ -385,10 +362,6 @@ class TraceWalk:
         self.entered: Optional[tuple[float, int]] = None  # (start, rule) of the open step
         self.steps: list[TraceStep] = []
         self.open: Optional[TraceStep] = None
-
-    def extend(self, stage: Stage, d: float) -> None:
-        """Append one stage, with disc radius d, to every rule's intervals."""
-        self.append(stage_intervals(self.rules, stage, d, self.total), stage.duration)
 
     def append(self, intervals: StageIntervals, duration: float) -> None:
         """Append one stage of the given duration by its rules' intervals
@@ -470,8 +443,8 @@ def _trace(walk: TraceWalk, traj: Trajectory, radii: Sequence[float]) -> list[Tr
     """The walk fed every stage of the trajectory, then finished."""
     if not traj.stages:
         raise ValueError("cannot trace an empty trajectory")
-    for stage, d in zip(traj.stages, radii):
-        walk.extend(stage, d)
+    for intervals, duration in stage_feed(walk.rules, zip(traj.stages, radii)):
+        walk.append(intervals, duration)
     return walk.finish()
 
 
@@ -539,14 +512,6 @@ def read_trajectory_csv(fp) -> list[tuple[float, float, float, float, float]]:
     if header is None or [h.strip() for h in header[:5]] != ["t", "x", "y", "theta", "d"]:
         raise ValueError("trajectory CSV must start with header t,x,y,theta,d")
     return [tuple(float(v) for v in row[:5]) for row in reader if row]
-
-
-def write_trace_csv(fp, trace: list[TraceStep]) -> None:
-    """Rows (label, duration); empty label means no region."""
-    writer = csv.writer(fp)
-    writer.writerow(["label", "duration"])
-    for label, dur in trace:
-        writer.writerow([label if label is not None else "", repr(dur)])
 
 
 def read_trace_csv(fp) -> list[TraceStep]:

@@ -8,7 +8,7 @@ uncertainty: eight corner cases pairing the extreme start orientations with
 the endpoints of each wheel's measured interval.
 
 The corner cases are the per-episode hot path, so they are integrated with
-plain floats in the closed form of ``dynamics.integrate_segment``, with the
+plain floats in the closed form of ``dynamics.integrate_body``, with the
 same expressions in the same order; the radii and spreads equal those of
 integrating each corner as a ``Pose`` bit for bit.  The terms that a stage's
 step fixes (nominal wheel speeds, body speeds of the nominal and of the
@@ -84,7 +84,7 @@ def propagate_stage(prev: NominalStageState,
     wheel-speed interval endpoints; the orientation spread is the largest
     wrapped heading difference over the same set.
 
-    The corners are integrated in the closed form of ``integrate_segment``,
+    The corners are integrated in the closed form of ``integrate_body``,
     term for term, without building a Pose: the step's ``terms`` hold the
     body speeds of the four wheel-speed corners, and sin/cos are taken once
     per start orientation.

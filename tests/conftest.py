@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bltlsynth.config import builtin_config_path, load_config
-from bltlsynth.dynamics import NoiseModel, Pose, VehicleParams
+from bltlsynth.dynamics import NoiseModel, Pose, VehicleParams, WheelNoise
 from bltlsynth.env import Environment, Rect, Region
 from bltlsynth.synthesis import Policy
 
@@ -31,6 +31,12 @@ COURIER_TRACE_INNER = [(None, 5.59), ("p", 1.45), (None, 0.53),
                        ("t", 0.56), (None, 1.62), ("d", 1.24)]
 
 
+def symmetric_noise(eps_min: float, delta: float, n: int, probs) -> NoiseModel:
+    """Identical noise on both wheels."""
+    w = WheelNoise(eps_min, delta, n, tuple(probs))
+    return NoiseModel(right=w, left=w)
+
+
 @pytest.fixture
 def demo_params() -> VehicleParams:
     return VehicleParams(WHEEL_RADIUS, WHEEL_SEP, DT,
@@ -39,13 +45,12 @@ def demo_params() -> VehicleParams:
 
 @pytest.fixture
 def demo_noise() -> NoiseModel:
-    return NoiseModel.symmetric(-1.5 * ENCODER_DELTA, ENCODER_DELTA, 3,
-                                (0.25, 0.5, 0.25))
+    return symmetric_noise(-1.5 * ENCODER_DELTA, ENCODER_DELTA, 3, (0.25, 0.5, 0.25))
 
 
 @pytest.fixture
 def zero_noise() -> NoiseModel:
-    return NoiseModel.symmetric(0.0, 0.0, 1, (1.0,))
+    return symmetric_noise(0.0, 0.0, 1, (1.0,))
 
 
 @pytest.fixture

@@ -2,8 +2,10 @@
 vehicle kinematics, vectorised positions along one segment or many, a random generator
 of mission instances, a closed-form Beta posterior for the all-success
 estimation run, a dense-sampling check of timed traces with a random
-generator of trace geometries, the straightforward forms of the episode
-kernel (eight ``integrate_segment`` corners per stage, scalar draws through
+generator of trace geometries, the mission formula of a phase decomposition
+and a generic bounded-semantics checker over it, the one-step kernel of the
+measurement-history MDP, a trace CSV writer, the straightforward forms of the episode
+kernel (eight ``make_stage`` corners per stage, scalar draws through
 ``Generator.choice`` and a per-call ``np.cumsum``) that the table-driven
 kernel must reproduce bit for bit, and the pair-keyed forms of the synthesis
 step (Q estimates per (history, action) pair, one policy row per history)
@@ -13,17 +15,20 @@ closed-loop runs, and the event-time solver that solves every edge of every
 near rectangle, which ``tracegen.stage_intervals`` must reproduce bit for
 bit."""
 
+import csv
 import math
 from bisect import bisect_right
 from typing import Optional, Sequence
 
 import numpy as np
 
-from bltlsynth.bltl import Disjunct, Phase, SequentialSpec, horizon_stages, to_sequential
-from bltlsynth.dynamics import (OMEGA_STRAIGHT_EPS, Pose, angle_diff, integrate_segment,
-                                wheel_to_body)
+from bltlsynth.bltl import (Always, And, Atom, Disjunct, Eventually, Formula, Not, Or, Phase,
+                            SequentialSpec, TraceStep, Until, _flatten_or, horizon_stages,
+                            to_sequential)
+from bltlsynth.dynamics import (OMEGA_STRAIGHT_EPS, NoiseModel, Pose, VehicleParams,
+                                angle_diff, wheel_to_body)
 from bltlsynth.env import Environment, Rect, Region
-from bltlsynth.mdp import EMPTY_HISTORY, STREAM_VALIDATE, episode_rng
+from bltlsynth.mdp import EMPTY_HISTORY, STREAM_VALIDATE, HistoryKey, episode_rng
 from bltlsynth.synthesis import bie_estimate, simulate_true_system
 from bltlsynth.tracegen import (_BOX_PAD, _TANGENT_SLACK, BREAKPOINT_TOL, Interval, Rule, Stage,
                                 StageIntervals, Trajectory, _inside, _touches, make_stage)
@@ -101,7 +106,7 @@ def chained_positions(params, q0, w_r, w_l, taus):
 
 
 def propagate_stage_corners(prev, action, interval, params, nm):
-    """One tube stage with a Pose per corner: ``integrate_segment`` from each
+    """One tube stage with a Pose per corner: ``make_stage`` from each
     extreme start orientation under each wheel-speed corner of the measured
     interval.  Returns (NominalStageState, Stage)."""
     u_r, u_l = action
@@ -116,7 +121,7 @@ def propagate_stage_corners(prev, action, interval, params, nm):
         start = Pose(prev.pose.x, prev.pose.y, prev.pose.theta + alpha)
         for w_r in (interval.r_lo, interval.r_hi):
             for w_l in (interval.l_lo, interval.l_hi):
-                q = integrate_segment(params, start, w_r, w_l, params.dt)
+                q = make_stage(params, start, w_r, w_l, params.dt).end
                 dist = ((q.x - nominal.x) ** 2 + (q.y - nominal.y) ** 2) ** 0.5
                 worst_d = max(worst_d, dist)
                 worst_th = max(worst_th, angle_diff(nominal.theta, q.theta))
@@ -639,3 +644,170 @@ def stage_intervals_reference(rules: Sequence[Rule], stage: Stage, d: float,
                 and (contact or (r.x1 - r.x0 >= 2 * d and r.y1 - r.y0 >= 2 * d))]
         out.append(_rule_intervals(path, d, near, contact) if near else ())
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# Mission formulas and the generic bounded-semantics checker
+
+def spec_to_formula(spec: SequentialSpec) -> Formula:
+    """Rebuild the mission formula from its phase decomposition."""
+
+    def guard(dis: Disjunct) -> Formula:
+        body: Formula = Atom(dis.props[0])
+        for name in dis.props[1:]:
+            body = Or(body, Atom(name))
+        return Always(body, dis.dwell)
+
+    def phase_formula(ph: Phase) -> Formula:
+        phi: Formula = guard(ph.disjuncts[0])
+        for dis in ph.disjuncts[1:]:
+            phi = Or(phi, guard(dis))
+        return phi
+
+    not_u: Formula = Not(Atom(spec.unsafe))
+    body = phase_formula(spec.phases[-1])
+    for j in range(len(spec.phases) - 2, -1, -1):
+        body = And(phase_formula(spec.phases[j]),
+                   Until(not_u, body, spec.phases[j + 1].time_bound))
+    return Until(not_u, body, spec.phases[0].time_bound)
+
+
+def _atomic_disjunction(phi: Formula) -> Optional[frozenset[str]]:
+    """The atom set if phi is an atom or a pure disjunction of atoms."""
+    parts = _flatten_or(phi)
+    if all(isinstance(p, Atom) for p in parts):
+        return frozenset(p.name for p in parts)
+    return None
+
+
+def check_generic(trace: Sequence[TraceStep], phi: Formula) -> bool:
+    """Evaluate an arbitrary bounded formula over the timed trace.
+
+    Suffix semantics: an until holds at position i if its right side holds at
+    some position k with the time accumulated over [i, k) at most the bound
+    and the left side holding on [i, k).  A bounded-always over a disjunction
+    of atoms is evaluated within the current state (label in the set, dwell at
+    least the bound), matching how a single region visit carries a dwell; over
+    general subformulas it requires the subformula at every position starting
+    within the window and the remaining trace to cover the window.  A window
+    reaching past the end of the trace counts as unsatisfied.
+    """
+    steps = [(o, float(t)) for o, t in trace]
+    if not steps:
+        raise ValueError("trace must be non-empty")
+    labels = [o for o, _ in steps]
+    durs = [t for _, t in steps]
+    length = len(steps)
+    remaining = [0.0] * (length + 1)
+    for i in range(length - 1, -1, -1):
+        remaining[i] = durs[i] + remaining[i + 1]
+    memo: dict[tuple[int, int], bool] = {}
+
+    def ev(node: Formula, i: int) -> bool:
+        key = (id(node), i)
+        if key in memo:
+            return memo[key]
+        memo[key] = result = _ev(node, i)
+        return result
+
+    def _ev(node: Formula, i: int) -> bool:
+        if isinstance(node, Atom):
+            return labels[i] == node.name
+        if isinstance(node, Not):
+            return not ev(node.child, i)
+        if isinstance(node, And):
+            return ev(node.left, i) and ev(node.right, i)
+        if isinstance(node, Or):
+            return ev(node.left, i) or ev(node.right, i)
+        if isinstance(node, (Until, Eventually)):
+            if isinstance(node, Until):
+                left, right, bound = node.left, node.right, node.bound
+            else:
+                left, right, bound = None, node.child, node.bound
+            spent = 0.0
+            for k in range(i, length):
+                if spent > bound:
+                    break
+                if ev(right, k):
+                    return True
+                if left is not None and not ev(left, k):
+                    break
+                spent += durs[k]
+            return False
+        if isinstance(node, Always):
+            atom_set = _atomic_disjunction(node.child)
+            if atom_set is not None:
+                return labels[i] in atom_set and durs[i] >= node.bound
+            if remaining[i] < node.bound:
+                return False
+            spent = 0.0
+            for k in range(i, length):
+                if k > i and spent >= node.bound:
+                    break
+                if not ev(node.child, k):
+                    return False
+                spent += durs[k]
+            return True
+        raise TypeError(f"not a formula node: {node!r}")
+
+    return ev(phi, 0)
+
+
+# ---------------------------------------------------------------------------
+# The one-step kernel of the measurement-history MDP
+
+# Below the horizon every commanded action is enabled; at the horizon only a
+# dummy self-loop action remains.
+
+# Reserved action index for the horizon self-loop; never a policy choice.
+DUMMY_ACTION = -1
+
+
+def enabled_actions(state: HistoryKey, params: VehicleParams, horizon: int) -> list[int]:
+    """Action indices available at a state; the dummy one at the horizon."""
+    if len(state) > horizon:
+        raise ValueError("history longer than the horizon")
+    if len(state) == horizon:
+        return [DUMMY_ACTION]
+    return list(range(len(params.actions)))
+
+
+def transition_prob(state: HistoryKey, action: int, nxt: HistoryKey,
+                    nm: NoiseModel, horizon: int) -> float:
+    """Probability of moving from state to nxt under the given action."""
+    if len(state) == horizon:
+        return 1.0 if action == DUMMY_ACTION and nxt == state else 0.0
+    if action == DUMMY_ACTION:
+        return 0.0
+    if len(nxt) != len(state) + 1 or nxt[:len(state)] != state:
+        return 0.0
+    a, j_r, j_l = nxt[-1]
+    if a != action:
+        return 0.0
+    if not (1 <= j_r <= nm.right.n and 1 <= j_l <= nm.left.n):
+        return 0.0
+    return nm.right.probs[j_r - 1] * nm.left.probs[j_l - 1]
+
+
+def successors(state: HistoryKey, action: int, nm: NoiseModel, params: VehicleParams,
+               horizon: int) -> list[tuple[HistoryKey, float]]:
+    """All one-step extensions with their probabilities (they sum to 1)."""
+    enabled = enabled_actions(state, params, horizon)
+    if action not in enabled:
+        raise ValueError(f"action {action} not enabled at a length-{len(state)} state")
+    if action == DUMMY_ACTION:
+        return [(state, 1.0)]
+    out = []
+    for j_r in range(1, nm.right.n + 1):
+        for j_l in range(1, nm.left.n + 1):
+            p = nm.right.probs[j_r - 1] * nm.left.probs[j_l - 1]
+            out.append((state + ((action, j_r, j_l),), p))
+    return out
+
+
+def write_trace_csv(fp, trace: list[TraceStep]) -> None:
+    """Rows (label, duration); empty label means no region."""
+    writer = csv.writer(fp)
+    writer.writerow(["label", "duration"])
+    for label, dur in trace:
+        writer.writerow([label if label is not None else "", repr(dur)])

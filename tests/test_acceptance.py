@@ -14,8 +14,8 @@ import pytest
 import bltlsynth as bs
 from bltlsynth.cli import _audit_lines, _policy_document
 from bltlsynth.config import builtin_config_path, config_from_dict
-from bltlsynth.dynamics import Pose, angle_diff, integrate_segment, measure, wrap_angle
-from bltlsynth.mdp import EMPTY_HISTORY, PathSampler, episode_rng, successors
+from bltlsynth.dynamics import Pose, angle_diff, measure, sample_noise_interval, wrap_angle
+from bltlsynth.mdp import PathSampler, episode_rng
 from bltlsynth.synthesis import (bie_estimate, synthesize, theorem_bound_holds,
                                  uniform_policy, validate_true_system)
 from bltlsynth.tracegen import Trajectory, make_stage, trace_from_trajectory
@@ -23,8 +23,9 @@ from bltlsynth.uncertainty import build_tube
 
 from conftest import (COURIER_FORMULA, COURIER_TRACE, COURIER_TRACE_INNER,
                       COURIER_TRACE_TUBE, MISSION_FORMULA, load_demo_config_doc)
-from oracles import (all_success_stop_count, chained_positions, random_spec, random_trace,
-                     rk4_pose, segment_positions_batch)
+from oracles import (all_success_stop_count, chained_positions, check_generic, random_spec,
+                     random_trace, rk4_pose, segment_positions_batch, spec_to_formula,
+                     successors)
 
 ACCEPTANCE_SEED = 2026
 REDUCED_EPISODES = 1000
@@ -86,11 +87,23 @@ def test_criterion_03_oracle_equivalence():
     for _ in range(10_000):
         spec = random_spec(rng, ["a", "b", "c"])
         trace = random_trace(rng, ["a", "b", "c", "u"])
-        phi = bs.spec_to_formula(spec)
-        if bs.check_sequential(trace, spec) != bs.check_generic(trace, phi):
+        phi = spec_to_formula(spec)
+        if bs.check_sequential(trace, spec) != check_generic(trace, phi):
             disagreements += 1
     assert disagreements == 0
     report(3, "checker/oracle equivalence on 10^4 instances", t0)
+
+
+def drawn_tile_mass(nm, wheel, j):
+    """The probability that ``sample_noise_interval`` draws tile j from a
+    uniform u in [0, 1): the length of the u it maps to j, between running
+    sums of ``WheelNoise.cdf`` (the last tile takes every u past the others)."""
+    wn = nm.wheel(wheel)
+    lo = wn.cdf[j - 2] if j > 1 else 0.0
+    hi = wn.cdf[j - 1] if j < wn.n else 1.0
+    if hi > lo:
+        assert sample_noise_interval(nm, wheel, lo) == j
+    return hi - lo
 
 
 def test_criterion_04_transition_probabilities(demo_cfg):
@@ -102,9 +115,14 @@ def test_criterion_04_transition_probabilities(demo_cfg):
         state = tuple((int(rng.integers(3)), int(rng.integers(1, 4)),
                        int(rng.integers(1, 4))) for _ in range(depth))
         action = int(rng.integers(3))
-        total = sum(p for _, p in successors(state, action, nm, params, 9))
+        succ = successors(state, action, nm, params, 9)
+        total = sum(p for _, p in succ)
         assert abs(total - 1.0) <= 1e-12
-    report(4, "successor probabilities sum to one", t0)
+        for nxt, p in succ:
+            _, j_r, j_l = nxt[-1]
+            drawn = drawn_tile_mass(nm, "r", j_r) * drawn_tile_mass(nm, "l", j_l)
+            assert abs(p - drawn) <= 1e-12
+    report(4, "successor probabilities sum to one and match the drawn tiles", t0)
 
 
 def test_criterion_05_integrator_fidelity(demo_cfg):
@@ -117,7 +135,7 @@ def test_criterion_05_integrator_fidelity(demo_cfg):
         for er in mids_r:
             for el in mids_l:
                 w_r, w_l = action[0] + er, action[1] + el
-                q = integrate_segment(params, q0, w_r, w_l, params.dt)
+                q = make_stage(params, q0, w_r, w_l, params.dt).end
                 x, y, th = rk4_pose(params, q0, w_r, w_l, params.dt, step=1e-4)
                 assert abs(q.x - x) <= 1e-9
                 assert abs(q.y - y) <= 1e-9

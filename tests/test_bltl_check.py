@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from bltlsynth.bltl import (Disjunct, Phase, SequentialSpec, check_generic,
-                            check_sequential, horizon_stages, nested_bound_sum,
-                            parse_formula, sequential_witness, spec_to_formula,
-                            to_sequential)
+from bltlsynth.bltl import (Disjunct, Phase, SequentialSpec, check_sequential,
+                            horizon_stages, nested_bound_sum, parse_formula,
+                            sequential_witness, to_sequential)
 
 from conftest import (COURIER_FORMULA, COURIER_TRACE, COURIER_TRACE_INNER,
                       COURIER_TRACE_TUBE, MISSION_FORMULA)
-from oracles import random_spec, random_trace
+from oracles import check_generic, random_spec, random_trace, spec_to_formula
 
 
 @pytest.fixture

@@ -3,10 +3,10 @@ import pytest
 
 from bltlsynth.bltl import (Always, And, Atom, Eventually, FragmentError, Not,
                             Or, ParseError, Until, format_formula, parse_formula,
-                            spec_to_formula, to_sequential)
+                            to_sequential)
 
 from conftest import COURIER_FORMULA, MISSION_FORMULA
-from oracles import random_spec
+from oracles import random_spec, spec_to_formula
 
 
 class TestParseFormula:

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from bltlsynth.dynamics import (MeasuredInterval, NoiseModel, Pose, VehicleParams,
-                                WheelNoise, angle_diff, integrate_segment, measure,
-                                sample_noise_in_interval, sample_noise_interval,
+from bltlsynth.dynamics import (NoiseModel, Pose, VehicleParams, WheelNoise, angle_diff,
+                                measure, sample_noise_in_interval, sample_noise_interval,
                                 wheel_to_body, wrap_angle)
+from bltlsynth.tracegen import make_stage
 
-from conftest import DT, ENCODER_DELTA, STRAIGHT, TURN_LEFT, TURN_RIGHT
+from conftest import DT, ENCODER_DELTA, STRAIGHT, TURN_LEFT, TURN_RIGHT, symmetric_noise
 from oracles import rk4_pose, segment_positions, tile_by_cumsum
 
 
@@ -32,21 +32,24 @@ class TestWheelToBody:
 
 
 class TestIntegrateSegment:
+    """The end pose of a constant wheel-speed stage (``make_stage``), the
+    closed form ``integrate_body`` of the wheel speeds' body motion."""
+
     def test_straight_line(self, demo_params):
-        q = integrate_segment(demo_params, Pose(0, 0, 0), *STRAIGHT, DT)
+        q = make_stage(demo_params, Pose(0, 0, 0), *STRAIGHT, DT).end
         assert q.x == pytest.approx(0.25 * DT, abs=1e-12)
         assert q.y == pytest.approx(0.0, abs=1e-12)
         assert q.theta == 0.0
 
     def test_equal_wheels_keep_heading(self, demo_params):
-        q = integrate_segment(demo_params, Pose(0, 0, 0), 2.2, 2.2, 1.7)
+        q = make_stage(demo_params, Pose(0, 0, 0), 2.2, 2.2, 1.7).end
         assert q.y == 0.0
         assert q.theta == 0.0
 
     def test_matches_rk4_on_slightly_curved_segment(self, demo_params):
         w_r = STRAIGHT[0] + 0.0032
         w_l = STRAIGHT[1] - 0.0032
-        q = integrate_segment(demo_params, Pose(0, 0, 0), w_r, w_l, DT)
+        q = make_stage(demo_params, Pose(0, 0, 0), w_r, w_l, DT).end
         x, y, th = rk4_pose(demo_params, Pose(0, 0, 0), w_r, w_l, DT)
         assert q.x == pytest.approx(x, abs=1e-9)
         assert q.y == pytest.approx(y, abs=1e-9)
@@ -58,19 +61,20 @@ class TestIntegrateSegment:
             q0 = Pose(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(0, 2 * math.pi))
             w_r, w_l = rng.uniform(1.5, 4.5, size=2)
             t1, t2 = rng.uniform(0, 3, size=2)
-            a = integrate_segment(demo_params, integrate_segment(demo_params, q0, w_r, w_l, t1),
-                                  w_r, w_l, t2)
-            b = integrate_segment(demo_params, q0, w_r, w_l, t1 + t2)
+            a = make_stage(demo_params, make_stage(demo_params, q0, w_r, w_l, t1).end,
+                           w_r, w_l, t2).end
+            b = make_stage(demo_params, q0, w_r, w_l, t1 + t2).end
             assert a.x == pytest.approx(b.x, abs=1e-12)
             assert a.y == pytest.approx(b.y, abs=1e-12)
             assert angle_diff(a.theta, b.theta) < 1e-12
 
     def test_rk4_agreement_over_actions_and_noise(self, demo_params, demo_noise):
+        r, l = demo_noise.right, demo_noise.left
         for action in demo_params.actions:
-            for eps_r in (demo_noise.right.eps_min, 0.0, demo_noise.right.eps_max):
-                for eps_l in (demo_noise.left.eps_min, 0.0, demo_noise.left.eps_max):
+            for eps_r in (r.eps_min, 0.0, r.eps_min + r.n * r.delta):
+                for eps_l in (l.eps_min, 0.0, l.eps_min + l.n * l.delta):
                     w_r, w_l = action[0] + eps_r, action[1] + eps_l
-                    q = integrate_segment(demo_params, Pose(0.3, -0.2, 1.1), w_r, w_l, DT)
+                    q = make_stage(demo_params, Pose(0.3, -0.2, 1.1), w_r, w_l, DT).end
                     x, y, th = rk4_pose(demo_params, Pose(0.3, -0.2, 1.1), w_r, w_l, DT,
                                         step=1e-3)
                     assert q.x == pytest.approx(x, abs=1e-9)
@@ -81,25 +85,25 @@ class TestIntegrateSegment:
         taus = np.linspace(0.0, DT, 17)
         xs, ys = segment_positions(demo_params, Pose(0.1, 0.2, 0.9), *TURN_RIGHT, taus)
         for t, x, y in zip(taus, xs, ys):
-            q = integrate_segment(demo_params, Pose(0.1, 0.2, 0.9), *TURN_RIGHT, float(t))
+            q = make_stage(demo_params, Pose(0.1, 0.2, 0.9), *TURN_RIGHT, float(t)).end
             assert x == pytest.approx(q.x, abs=1e-12)
             assert y == pytest.approx(q.y, abs=1e-12)
 
     def test_negative_tau_rejected(self, demo_params):
         with pytest.raises(ValueError):
-            integrate_segment(demo_params, Pose(0, 0, 0), 1.0, 1.0, -0.1)
+            make_stage(demo_params, Pose(0, 0, 0), 1.0, 1.0, -0.1)
 
 
 class TestNoiseModel:
     def test_demo_partition_tiles_exactly(self, demo_noise):
         wn = demo_noise.right
-        assert wn.n * wn.delta == pytest.approx(wn.eps_max - wn.eps_min, abs=0.0)
         edges = [wn.interval(j) for j in range(1, 4)]
+        assert wn.n * wn.delta == pytest.approx(edges[2][1] - edges[0][0], abs=0.0)
         # adjacent tiles share their endpoints exactly
         assert edges[0][1] == edges[1][0]
         assert edges[1][1] == edges[2][0]
         assert edges[0][0] == wn.eps_min
-        assert edges[2][1] == wn.eps_max
+        assert edges[2][1] == wn.eps_min + wn.n * wn.delta
 
     def test_partition_endpoints_near_nominal_values(self, demo_noise):
         wn = demo_noise.right
@@ -128,16 +132,16 @@ class TestNoiseModel:
 class TestSampleNoiseInterval:
     @pytest.mark.parametrize("u,expected", [(0.10, 1), (0.69, 2), (0.95, 3)])
     def test_inverse_cdf_thresholds(self, u, expected):
-        nm = NoiseModel.symmetric(-0.01, 0.005, 3, (0.2, 0.5, 0.3))
+        nm = symmetric_noise(-0.01, 0.005, 3, (0.2, 0.5, 0.3))
         assert sample_noise_interval(nm, "r", u) == expected
 
     def test_degenerate_distribution(self):
-        nm = NoiseModel.symmetric(-0.01, 0.02, 1, (1.0,))
+        nm = symmetric_noise(-0.01, 0.02, 1, (1.0,))
         for u in (0.0, 0.5, 0.999999):
             assert sample_noise_interval(nm, "l", u) == 1
 
     def test_empirical_frequencies(self):
-        nm = NoiseModel.symmetric(-0.01, 0.005, 3, (0.2, 0.5, 0.3))
+        nm = symmetric_noise(-0.01, 0.005, 3, (0.2, 0.5, 0.3))
         rng = np.random.default_rng(11)
         n = 20000
         counts = np.zeros(3)
@@ -173,10 +177,10 @@ class TestMeasure:
         assert (m.action_index, m.j_r, m.j_l) == (1, 2, 2)
 
     def test_intervals_tile_command_plus_noise_range(self, demo_params, demo_noise):
-        u_r = demo_params.actions[0][0]
+        u_r, wn = demo_params.actions[0][0], demo_noise.right
         pieces = [measure(demo_noise, demo_params, 0, j, 1) for j in (1, 2, 3)]
-        assert pieces[0].r_lo == pytest.approx(u_r + demo_noise.right.eps_min, rel=1e-12)
-        assert pieces[2].r_hi == pytest.approx(u_r + demo_noise.right.eps_max, rel=1e-12)
+        assert pieces[0].r_lo == pytest.approx(u_r + wn.eps_min, rel=1e-12)
+        assert pieces[2].r_hi == pytest.approx(u_r + wn.eps_min + wn.n * wn.delta, rel=1e-12)
         assert pieces[0].r_hi == pieces[1].r_lo
         assert pieces[1].r_hi == pieces[2].r_lo
 

@@ -3,7 +3,7 @@ online mission monitor, ``PathSampler.decide`` and its prefix table, and the
 closed-loop validation task, each checked against its whole-horizon form
 (``trace_from_tube``, ``sequential_witness`` and ``check_generic``,
 ``PathSampler.finish``, ``simulate_true_system``) or its table-free form (a
-fresh sampler, ``TraceWalk.extend``)."""
+fresh sampler, ``stage_feed``)."""
 
 import json
 import pickle
@@ -11,8 +11,8 @@ import pickle
 import numpy as np
 import pytest
 
-from bltlsynth.bltl import (SequentialMonitor, check_generic, horizon_stages, parse_formula,
-                            sequential_witness, spec_to_formula, to_sequential)
+from bltlsynth.bltl import (SequentialMonitor, horizon_stages, parse_formula,
+                            sequential_witness, to_sequential)
 from bltlsynth.config import builtin_config_path, config_from_dict
 from bltlsynth import mdp
 from bltlsynth.dynamics import measure
@@ -25,7 +25,8 @@ from bltlsynth.tracegen import (TraceWalk, UncertaintyTube, stage_feed, stage_in
 from bltlsynth.uncertainty import build_tube
 
 from conftest import DT, simple_env
-from oracles import random_spec, random_trace, random_trace_case, whole_horizon_validation
+from oracles import (check_generic, random_spec, random_trace, random_trace_case,
+                     spec_to_formula, whole_horizon_validation)
 from test_tracegen import straight_trajectory
 
 
@@ -44,8 +45,8 @@ def walk_by_stage(env, traj, radii):
     finished trace, from one walk fed stage by stage."""
     walk = tube_walk(env)
     seen = []
-    for stage, d in zip(traj.stages, radii):
-        walk.extend(stage, d)
+    for intervals, duration in stage_feed(tube_rules(env), zip(traj.stages, radii)):
+        walk.append(intervals, duration)
         walk.advance()
         seen.append((list(walk.steps), walk.open))
     return seen[:-1], walk.finish()
@@ -439,8 +440,9 @@ def test_warm_table_decides_as_a_fresh_sampler(name):
 
 def test_table_fed_walk_keeps_the_extended_walks_lists(demo_config):
     """After each stage, the interval lists of a walk fed by the sampler's
-    table, and of one fed ``stage_intervals`` through ``append``, equal those
-    of a walk fed the tube's stages through ``extend``."""
+    table, and of one fed ``stage_intervals`` at its total duration, equal
+    those of a walk fed the tube's stages through ``stage_feed``, as
+    ``trace_from_tube`` feeds them."""
     cfg = demo_config
     sampler = PathSampler(cfg.env, to_sequential(cfg.formula, cfg.env.unsafe), cfg.params,
                           cfg.nm, 9)
@@ -450,15 +452,16 @@ def test_table_fed_walk_keeps_the_extended_walks_lists(demo_config):
     for e in range(40):
         history = sampler.sample_history(policy, episode_rng(7, 12, 0, e))
         tube = sampler.finish(history).tube
-        extended, appended, tabled = (tube_walk(cfg.env) for _ in range(3))
+        streamed, appended, tabled = (tube_walk(cfg.env) for _ in range(3))
         feed = sampler._stage_feed(history)
-        for stage, d in zip(tube.trajectory.stages, tube.radii):
-            extended.extend(stage, d)
+        pairs = list(zip(tube.trajectory.stages, tube.radii))
+        for (stage, d), fed in zip(pairs, stage_feed(rules, pairs)):
+            streamed.append(*fed)
             appended.append(stage_intervals(rules, stage, d, appended.total), stage.duration)
             tabled.append(*next(feed))
-            assert appended.lists == extended.lists
-            assert tabled.lists == extended.lists
-            assert tabled.total == appended.total == extended.total
+            assert appended.lists == streamed.lists
+            assert tabled.lists == streamed.lists
+            assert tabled.total == appended.total == streamed.total
     assert any(len(key) == 3 for key in sampler.prefixes)
 
 

@@ -1,110 +1,86 @@
-import json
-
 import pytest
 
-from bltlsynth.env import load_environment, satisfying_set
+from bltlsynth.env import environment_from_dict
+from bltlsynth.tracegen import point_rules
 
 from conftest import env_doc_dict
 
 
-def doc_text(**overrides) -> str:
-    return json.dumps(env_doc_dict(**overrides))
+def load_doc(**overrides):
+    return environment_from_dict(env_doc_dict(**overrides))
 
 
 class TestLoadEnvironment:
+    """Environment documents as the config loader reads them."""
+
     def test_two_disjoint_regions(self):
-        env = load_environment(doc_text())
+        env = load_doc()
         assert len(env.regions) == 2
         assert env.unsafe == "u"
         assert env.initial_pose.x == 0.0
 
     def test_overlapping_regions_rejected(self):
-        text = doc_text(regions=[
-            {"id": "a", "label": "p", "rect": [0.0, 0.0, 2.0, 2.0]},
-            {"id": "b", "label": "u", "rect": [1.0, 1.0, 3.0, 3.0]},
-        ])
         with pytest.raises(ValueError, match="overlap"):
-            load_environment(text)
+            load_doc(regions=[
+                {"id": "a", "label": "p", "rect": [0.0, 0.0, 2.0, 2.0]},
+                {"id": "b", "label": "u", "rect": [1.0, 1.0, 3.0, 3.0]},
+            ])
 
     def test_touching_edges_allowed(self):
-        env = load_environment(doc_text(regions=[
+        env = load_doc(regions=[
             {"id": "a", "label": "p", "rect": [1.0, 0.0, 2.0, 2.0]},
             {"id": "b", "label": "u", "rect": [2.0, 0.0, 3.0, 2.0]},
-        ]))
+        ])
         assert len(env.regions) == 2
 
     def test_unknown_proposition_rejected(self):
-        text = doc_text(regions=[
-            {"id": "a", "label": "dropoff", "rect": [1.0, 0.0, 2.0, 2.0]},
-        ])
         with pytest.raises(ValueError, match="unknown proposition"):
-            load_environment(text)
+            load_doc(regions=[
+                {"id": "a", "label": "dropoff", "rect": [1.0, 0.0, 2.0, 2.0]},
+            ])
 
     def test_start_inside_unsafe_rejected(self):
-        text = doc_text(q_init=[3.5, 0.0, 0.0])
         with pytest.raises(ValueError, match="unsafe"):
-            load_environment(text)
+            load_doc(q_init=[3.5, 0.0, 0.0])
 
     def test_start_outside_bounds_rejected(self):
-        text = doc_text(q_init=[40.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="bounds"):
-            load_environment(text)
+            load_doc(q_init=[40.0, 0.0, 0.0])
 
     def test_start_inside_goal_region_allowed(self):
-        env = load_environment(doc_text(q_init=[1.5, 0.0, 0.0]))
+        env = load_doc(q_init=[1.5, 0.0, 0.0])
         assert env.initial_pose.x == 1.5
 
     def test_region_touching_workspace_boundary_allowed(self):
-        env = load_environment(doc_text(regions=[
+        env = load_doc(regions=[
             {"id": "edge", "label": "p", "rect": [-5.0, -5.0, -3.0, 5.0]},
-        ]))
+        ])
         assert len(env.regions) == 1
-
-    def test_malformed_json(self):
-        with pytest.raises(ValueError, match="JSON"):
-            load_environment("{not json")
 
     def test_missing_field(self):
         with pytest.raises(ValueError, match="malformed"):
-            load_environment(json.dumps({"propositions": ["u"]}))
+            environment_from_dict({"propositions": ["u"]})
 
     def test_unsafe_not_in_propositions(self):
         with pytest.raises(ValueError, match="unsafe"):
-            load_environment(doc_text(unsafe="lava"))
+            load_doc(unsafe="lava")
 
     def test_degenerate_rectangle_rejected(self):
-        text = doc_text(regions=[
-            {"id": "flat", "label": "p", "rect": [1.0, 0.0, 1.0, 2.0]},
-        ])
         with pytest.raises(ValueError, match="rectangle"):
-            load_environment(text)
+            load_doc(regions=[
+                {"id": "flat", "label": "p", "rect": [1.0, 0.0, 1.0, 2.0]},
+            ])
 
 
 class TestSatisfyingSet:
-    def test_all_regions_for_label(self):
-        env = load_environment(doc_text(
-            propositions=["u", "p"],
-            regions=[
-                {"id": "a", "label": "p", "rect": [1.0, 0.0, 2.0, 1.0]},
-                {"id": "b", "label": "p", "rect": [3.0, 0.0, 4.0, 1.0]},
-                {"id": "c", "label": "u", "rect": [-3.0, 0.0, -2.0, 1.0]},
-            ]))
-        assert [r.name for r in satisfying_set(env, "p")] == ["a", "b"]
-
-    def test_unlabeled_proposition_is_empty(self):
-        env = load_environment(doc_text(propositions=["u", "p", "ghost"]))
-        assert satisfying_set(env, "ghost") == []
-
-    def test_unknown_proposition_error(self):
-        env = load_environment(doc_text())
-        with pytest.raises(ValueError, match="unknown proposition"):
-            satisfying_set(env, "nope")
-
     def test_partition_of_regions_by_label(self, demo_env):
+        # the point trace's rules group every region's rectangle under its label
         seen = []
-        for prop in sorted(demo_env.propositions):
-            seen.extend(r.name for r in satisfying_set(demo_env, prop))
-        assert sorted(seen) == sorted(r.name for r in demo_env.regions)
+        for label, rects, _ in point_rules(demo_env):
+            assert label in demo_env.propositions
+            seen += [(label, rect) for rect in rects]
+        assert sorted(seen, key=repr) == sorted(((r.label, r.rect) for r in demo_env.regions),
+                                                key=repr)
 
     def test_demo_env_interiors_disjoint(self, demo_env):
         regions = demo_env.regions

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from bltlsynth.bltl import parse_formula, to_sequential
-from bltlsynth.dynamics import NoiseModel, measure
-from bltlsynth.mdp import (DUMMY_ACTION, EMPTY_HISTORY, PathSampler, enabled_actions,
-                           episode_rng, history_key_string, parse_history_key,
-                           successors, transition_prob)
+from bltlsynth.dynamics import measure
+from bltlsynth.mdp import (EMPTY_HISTORY, PathSampler, episode_rng, history_key_string,
+                           parse_history_key)
 from bltlsynth.synthesis import Policy, uniform_policy
 
-from conftest import policy_from_rows, simple_env
-from oracles import sample_history_scalar
+from conftest import policy_from_rows, simple_env, symmetric_noise
+from oracles import (DUMMY_ACTION, enabled_actions, sample_history_scalar, successors,
+                     transition_prob)
 
 
 @pytest.fixture
@@ -43,7 +43,7 @@ class TestEnabledActions:
 
 class TestTransitionProb:
     def test_extension_probability_is_product(self, demo_noise):
-        nm = NoiseModel.symmetric(-0.01, 0.005, 2, (0.3, 0.7))
+        nm = symmetric_noise(-0.01, 0.005, 2, (0.3, 0.7))
         state = ((1, 1, 1),)
         nxt = state + ((0, 1, 2),)
         assert transition_prob(state, 0, nxt, nm, 9) == pytest.approx(0.3 * 0.7)
@@ -76,7 +76,7 @@ class TestSuccessors:
         assert abs(sum(p for _, p in succ) - 1.0) <= 1e-12
 
     def test_uniform_tiles_give_equal_probabilities(self, demo_params):
-        nm = NoiseModel.symmetric(-0.01, 0.005, 3, (1 / 3, 1 / 3, 1 / 3))
+        nm = symmetric_noise(-0.01, 0.005, 3, (1 / 3, 1 / 3, 1 / 3))
         succ = successors(EMPTY_HISTORY, 2, nm, demo_params, 9)
         assert all(p == pytest.approx(1 / 9) for _, p in succ)
 
@@ -106,19 +106,19 @@ class TestPathSampler:
     def test_replay_determinism(self, small_env, small_spec, demo_params, demo_noise):
         sampler = PathSampler(small_env, small_spec, demo_params, demo_noise, 3)
         policy = uniform_policy(3)
-        a = sampler.sample_path(policy, episode_rng(42, 0, 1, 5))
-        b = sampler.sample_path(policy, episode_rng(42, 0, 1, 5))
+        a = sampler.finish(sampler.sample_history(policy, episode_rng(42, 0, 1, 5)))
+        b = sampler.finish(sampler.sample_history(policy, episode_rng(42, 0, 1, 5)))
         assert a.state == b.state
         assert a.trace == b.trace
         assert a.satisfied == b.satisfied
-        c = sampler.sample_path(policy, episode_rng(42, 0, 1, 6))
+        c = sampler.finish(sampler.sample_history(policy, episode_rng(42, 0, 1, 6)))
         assert c.state != a.state or c.trace != a.trace
 
     def test_zero_noise_deterministic_policy_single_path(self, small_env, small_spec,
                                                          demo_params, zero_noise):
         sampler = PathSampler(small_env, small_spec, demo_params, zero_noise, 3)
         det = Policy(3, {}, actions=[])
-        paths = {sampler.sample_path(det, episode_rng(1, 0, 0, i)).state
+        paths = {sampler.finish(sampler.sample_history(det, episode_rng(1, 0, 0, i))).state
                  for i in range(5)}
         assert len(paths) == 1
         assert paths.pop() == ((0, 1, 1),) * 3
@@ -127,14 +127,15 @@ class TestPathSampler:
         from bltlsynth.bltl import check_sequential
         sampler = PathSampler(small_env, small_spec, demo_params, demo_noise, 4)
         for i in range(10):
-            path = sampler.sample_path(uniform_policy(3), episode_rng(9, 0, 0, i))
+            path = sampler.finish(sampler.sample_history(uniform_policy(3),
+                                                         episode_rng(9, 0, 0, i)))
             assert len(path.state) == 4
             assert abs(sum(t for _, t in path.trace) - 4 * demo_params.dt) < 1e-9
             assert path.satisfied == check_sequential(list(path.trace), small_spec)
 
     def test_tile_frequencies_match_transition_probs(self, small_env, small_spec,
                                                      demo_params):
-        nm = NoiseModel.symmetric(-0.01, 0.005, 3, (0.2, 0.5, 0.3))
+        nm = symmetric_noise(-0.01, 0.005, 3, (0.2, 0.5, 0.3))
         sampler = PathSampler(small_env, small_spec, demo_params, nm, 1)
         det = Policy(3, {}, actions=[])
         rng = np.random.default_rng(123)
@@ -152,7 +153,7 @@ class TestPathSampler:
     def test_one_draw_matches_scalar_draws(self, small_env, small_spec, demo_params,
                                            deterministic):
         # rows on some states only, so the walk also meets unseen states
-        nm = NoiseModel.symmetric(-0.01, 0.005, 3, (0.2, 0.5, 0.3))
+        nm = symmetric_noise(-0.01, 0.005, 3, (0.2, 0.5, 0.3))
         sampler = PathSampler(small_env, small_spec, demo_params, nm, 5)
         rng = np.random.default_rng(77)
         rows = {}

@@ -185,7 +185,9 @@ def random_rect(rnd, stage, d, xs, ys):
         c = rnd.choice(ys if kind else xs)
         roots = _Path(stage, 0.0).line_times(kind, c)
         if roots and rnd.random() < 0.5:
-            t = rnd.choice(roots) + rnd.uniform(-2.0, 2.0) * BREAKPOINT_TOL
+            # a root within 2 BREAKPOINT_TOL of the stage start can put t
+            # before it, where the stage has no position
+            t = max(rnd.choice(roots) + rnd.uniform(-2.0, 2.0) * BREAKPOINT_TOL, 0.0)
         else:
             t = rnd.uniform(0, stage.duration)
         a0, a1 = span(rnd, c, off, h if kind else w)

@@ -7,7 +7,6 @@ import pytest
 
 from bltlsynth import synthesis
 from bltlsynth.bltl import parse_formula, to_sequential
-from bltlsynth.dynamics import NoiseModel
 from bltlsynth.mdp import EMPTY_HISTORY, STREAM_POLICY_EVAL, PathSampler, episode_rng
 from bltlsynth.synthesis import (Policy, QTable, bie_estimate, determinize,
                                  evaluate_policy, improve_policy,
@@ -16,7 +15,7 @@ from bltlsynth.synthesis import (Policy, QTable, bie_estimate, determinize,
                                  validate_true_system)
 from bltlsynth.synthesis import _TrueSystemTask, _map_episodes, _worker_set
 
-from conftest import policy_from_rows, simple_env
+from conftest import policy_from_rows, simple_env, symmetric_noise
 from oracles import (all_success_stop_count, determinize_rows, generator_drawing,
                      improve_rows, merged_pairs, pair_counts, tile_by_cumsum)
 
@@ -317,7 +316,8 @@ class TestPairOracle:
         entries, rows = {}, {}
         for round_index in range(1, 4):
             results = [(path.state, path.satisfied) for path in (
-                sampler.sample_path(mu, episode_rng(31, STREAM_POLICY_EVAL, round_index, i))
+                sampler.finish(sampler.sample_history(
+                    mu, episode_rng(31, STREAM_POLICY_EVAL, round_index, i)))
                 for i in range(40))]
             q, n_sat = evaluate_policy(mu, 40, q, sampler, history_weight=0.6,
                                        master_seed=31, round_index=round_index)
@@ -532,7 +532,7 @@ class TestValidateTrueSystem:
 
     def test_one_draw_matches_four_scalar_draws_per_stage(self, easy_setup, demo_params):
         env, _, spec, _ = easy_setup
-        nm = NoiseModel.symmetric(-0.01, 0.005, 3, (0.2, 0.5, 0.3))
+        nm = symmetric_noise(-0.01, 0.005, 3, (0.2, 0.5, 0.3))
         pol = Policy(3, {EMPTY_HISTORY: 0}, actions=[2])
         for i in range(20):
             traj, history, _ = simulate_true_system(
@@ -612,7 +612,7 @@ class TestParallelism:
     # Wide wheel noise and a goal edge that straight runs reach about 85% of
     # the time: verdicts are mixed, so a mismatched episode key would show.
     MIXED_ENV = [("a", (0.9, -1.2, 2.0, 1.2)), ("u", (3.0, 2.0, 4.0, 3.0))]
-    WIDE_NOISE = NoiseModel.symmetric(-0.45, 0.3, 3, (0.25, 0.5, 0.25))
+    WIDE_NOISE = symmetric_noise(-0.45, 0.3, 3, (0.25, 0.5, 0.25))
     VALIDATE = dict(delta=0.1, confidence=0.8, prior_alpha=1.0, prior_beta=1.0,
                     master_seed=17, batch_size=4)
 
@@ -663,6 +663,14 @@ class TestParallelism:
                              workers=2, **self.VALIDATE)
         assert len(process_starts) == usable_set_size(2)
         assert multiprocessing.active_children() == []
+        # a draw of batch size 1 runs in the parent, so no worker would get one
+        one_each = dict(self.VALIDATE, batch_size=1)
+        del process_starts[:]
+        serial = validate_true_system(result.policy, env, formula, demo_params,
+                                      self.WIDE_NOISE, workers=1, **one_each)
+        assert validate_true_system(result.policy, env, formula, demo_params,
+                                    self.WIDE_NOISE, workers=2, **one_each) == serial
+        assert process_starts == []
 
     def test_sampler_reaches_each_worker_at_most_once(self, demo_params, monkeypatch,
                                                       two_cpus):

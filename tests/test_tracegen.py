@@ -7,49 +7,48 @@ import numpy as np
 import pytest
 
 from bltlsynth.bltl import check_sequential, parse_formula, to_sequential
-from bltlsynth.dynamics import Pose, VehicleParams, measure
-from bltlsynth.env import Rect, Region
-from bltlsynth.tracegen import (Stage, Trajectory, UncertaintyTube, disc_in_region,
-                                disc_intersects_region, make_stage, read_trace_csv,
-                                read_trajectory_csv, trace_from_trajectory,
-                                trace_from_tube, write_trace_csv,
+from bltlsynth.dynamics import (OMEGA_STRAIGHT_EPS, Pose, VehicleParams, integrate_body,
+                                measure)
+from bltlsynth.env import Rect
+from bltlsynth.tracegen import (Trajectory, UncertaintyTube, _inside, _touches,
+                                make_stage, read_trace_csv, read_trajectory_csv,
+                                trace_from_trajectory, trace_from_tube,
                                 write_trajectory_csv)
 from bltlsynth.uncertainty import build_tube
 
 from conftest import DT, STRAIGHT, TURN_LEFT, simple_env
-from oracles import dense_trace_disagreements, random_trace_case
+from oracles import dense_trace_disagreements, random_trace_case, write_trace_csv
 
-BOX = Region("box", "a", Rect(0.0, 0.0, 2.0, 1.0))
+BOX = Rect(0.0, 0.0, 2.0, 1.0)
 
 
 class TestDiscPredicates:
+    """The closed-disc predicates of the event-time kernel: containment in a
+    closed rectangle (``_inside``) and contact with one (``_touches``)."""
+
     def test_containment_centered(self):
-        assert disc_in_region((1.0, 0.5), 0.4, BOX)
+        assert _inside(BOX, 1.0, 0.5, 0.4)
 
     def test_zero_radius_on_boundary_contained(self):
-        assert disc_in_region((0.0, 0.5), 0.0, BOX)
+        assert _inside(BOX, 0.0, 0.5, 0.0)
 
     def test_oversized_disc_not_contained(self):
-        assert not disc_in_region((1.0, 0.5), 0.51, BOX)
+        assert not _inside(BOX, 1.0, 0.5, 0.51)
 
     def test_intersection_center_inside(self):
-        assert disc_intersects_region((1.0, 0.5), 0.0, BOX)
-        assert disc_intersects_region((1.0, 0.5), 5.0, BOX)
+        assert _touches(BOX, 1.0, 0.5, 0.0)
+        assert _touches(BOX, 1.0, 0.5, 5.0)
 
     def test_intersection_at_exact_distance(self):
-        assert disc_intersects_region((-0.3, 0.5), 0.3, BOX)
+        assert _touches(BOX, -0.3, 0.5, 0.3)
 
     def test_separation_beyond_radius(self):
-        assert not disc_intersects_region((-0.3 - 1e-6, 0.5), 0.3, BOX)
+        assert not _touches(BOX, -0.3 - 1e-6, 0.5, 0.3)
 
     def test_corner_distance(self):
         d = math.hypot(0.3, 0.4)
-        assert disc_intersects_region((-0.3, 1.4), d + 1e-12, BOX)
-        assert not disc_intersects_region((-0.3, 1.4), d - 1e-6, BOX)
-
-    def test_negative_radius_rejected(self):
-        with pytest.raises(ValueError):
-            disc_in_region((0, 0), -0.1, BOX)
+        assert _touches(BOX, -0.3, 1.4, d + 1e-12)
+        assert not _touches(BOX, -0.3, 1.4, d - 1e-6)
 
 
 def straight_trajectory(params, n_stages, start=Pose(0.0, 0.0, 0.0)):
@@ -279,7 +278,8 @@ class TestExactEvents:
                     trace = trace_from_tube(UncertaintyTube(traj, radii, spreads), env)
                 else:
                     trace = trace_from_trajectory(traj, env)
-            assert sum(t for _, t in trace) == pytest.approx(traj.total_duration, abs=1e-9)
+            total = sum(st.duration for st in traj.stages)
+            assert sum(t for _, t in trace) == pytest.approx(total, abs=1e-9)
             assert all(t >= 0.0 for _, t in trace)
             for (l1, _), (l2, _) in zip(trace, trace[1:]):
                 assert l1 is None or l2 is None
@@ -347,7 +347,8 @@ class TestDwellDominance:
         compared = 0
         unsafe = cfg.env.unsafe
         for i in range(60):
-            path = sampler.sample_path(uniform_policy(3), episode_rng(15, 0, 0, i))
+            path = sampler.finish(sampler.sample_history(uniform_policy(3),
+                                                         episode_rng(15, 0, 0, i)))
             # containment dominance concerns goal labels only; the unsafe
             # label is contact-based and deliberately wider on the tube
             tube_visits = [(l, t) for l, t in path.trace
@@ -420,3 +421,30 @@ class TestTrajectoryType:
         x, y = st.position_at(DT)
         assert x == pytest.approx(st.end.x, abs=1e-12)
         assert y == pytest.approx(st.end.y, abs=1e-12)
+
+    def test_position_at_is_the_body_integrator(self, demo_config, zero_noise):
+        """Chain and closed-loop stages, straight and turning, place every
+        point where ``integrate_body`` puts the stage's start pose."""
+        from bltlsynth.bltl import to_sequential
+        from bltlsynth.mdp import EMPTY_HISTORY, PathSampler, episode_rng
+        from bltlsynth.synthesis import Policy, _closed_loop_stages, uniform_policy
+        cfg = demo_config
+        spec = to_sequential(cfg.formula, cfg.env.unsafe)
+        sampler = PathSampler(cfg.env, spec, cfg.params, cfg.nm, 9)
+        chain = list(sampler.finish(((1, 2, 2), (0, 1, 3), (1, 1, 1))).tube.trajectory.stages)
+        closed_loop = []
+        policy = uniform_policy(3)
+        straight_first = Policy(3, {EMPTY_HISTORY: 0}, actions=[1])  # then turns left
+        for i in range(5):
+            sample = sampler.finish(sampler.sample_history(policy, episode_rng(8, 0, 0, i)))
+            chain += sample.tube.trajectory.stages
+            for nm in (cfg.nm, zero_noise):
+                closed_loop += [st for st, _ in _closed_loop_stages(
+                    straight_first, cfg.env, cfg.params, nm, 9, episode_rng(8, 2, 0, i))]
+        for stages in (chain, closed_loop):
+            straight = [abs(st.omega) < OMEGA_STRAIGHT_EPS for st in stages]
+            assert any(straight) and not all(straight)
+        for st in chain + closed_loop:
+            for t in (0.0, st.duration / 3, st.duration / 2, st.duration):
+                pose = integrate_body(st.start, st.v, st.omega, t)
+                assert st.position_at(t) == (pose.x, pose.y)

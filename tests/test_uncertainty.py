@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from bltlsynth.bltl import to_sequential
-from bltlsynth.dynamics import (NoiseModel, Pose, integrate_segment, measure,
-                                sample_noise_in_interval)
+from bltlsynth.dynamics import Pose, measure
 from bltlsynth.mdp import PathSampler
+from bltlsynth.tracegen import make_stage
 from bltlsynth.uncertainty import NominalStageState, build_tube, propagate_stage, stage_terms
 
-from conftest import DT, ENCODER_DELTA, STRAIGHT
+from conftest import DT, ENCODER_DELTA, STRAIGHT, symmetric_noise
 from oracles import propagate_stage_corners, segment_positions
 
 
@@ -43,14 +43,14 @@ def enumerate_stage_growth(params, nm, prev_pose, prev_d, prev_dth, action, j_r,
     u_r, u_l = action
     r_lo, r_hi = nm.right.interval(j_r)
     l_lo, l_hi = nm.left.interval(j_l)
-    nominal = integrate_segment(params, prev_pose, u_r + (r_lo + r_hi) / 2,
-                                u_l + (l_lo + l_hi) / 2, params.dt)
+    nominal = make_stage(params, prev_pose, u_r + (r_lo + r_hi) / 2,
+                         u_l + (l_lo + l_hi) / 2, params.dt).end
     worst_d, worst_th = 0.0, 0.0
     for alpha in {prev_dth, -prev_dth}:
         start = Pose(prev_pose.x, prev_pose.y, prev_pose.theta + alpha)
         for er in (r_lo, r_hi):
             for el in (l_lo, l_hi):
-                q = integrate_segment(params, start, u_r + er, u_l + el, params.dt)
+                q = make_stage(params, start, u_r + er, u_l + el, params.dt).end
                 worst_d = max(worst_d, math.hypot(q.x - nominal.x, q.y - nominal.y))
                 diff = abs(nominal.theta - q.theta) % (2 * math.pi)
                 worst_th = max(worst_th, min(diff, 2 * math.pi - diff))
@@ -101,7 +101,7 @@ class TestPropagateStage:
 
 
 class TestCornerOracle:
-    """The allocation-free corner loop equals eight ``integrate_segment``
+    """The allocation-free corner loop equals eight ``make_stage``
     corners per stage bit for bit."""
 
     ACTIONS = ((3.0, 3.0), (2.0, -2.0), (3.8, 2.1), (0.5, 8.0))  # straight, spin, turns
@@ -117,7 +117,7 @@ class TestCornerOracle:
             # zero speed on the spin at some corners
             eps_min = -0.1 if case % 2 else float(rng.uniform(-0.5, 0.0))
             delta = 0.2 / n if case % 2 else float(rng.uniform(0.0, 0.4))
-            nm = NoiseModel.symmetric(eps_min, delta, n, [1.0 / n] * n)
+            nm = symmetric_noise(eps_min, delta, n, [1.0 / n] * n)
             a = int(rng.integers(len(self.ACTIONS)))
             interval = measure(nm, params, a, int(rng.integers(1, n + 1)),
                                int(rng.integers(1, n + 1)))
@@ -136,14 +136,14 @@ class TestCornerOracle:
     @pytest.mark.parametrize("spread", ["zero", "positive"])
     def test_sampler_step_table_matches(self, spread, demo_config):
         """Each entry of a sampler's step table, fed to ``propagate_stage``,
-        gives the stage and state of eight ``integrate_segment`` corners."""
+        gives the stage and state of eight ``make_stage`` corners."""
         from bltlsynth.dynamics import VehicleParams
         rng = np.random.default_rng(34 if spread == "zero" else 35)
         cfg = demo_config
         spec = to_sequential(cfg.formula, cfg.env.unsafe)
         variants = [(cfg.params, cfg.nm),
                     (VehicleParams(0.085, 0.295, 1.3, self.ACTIONS),
-                     NoiseModel.symmetric(-0.1, 0.1, 2, [0.5, 0.5]))]
+                     symmetric_noise(-0.1, 0.1, 2, [0.5, 0.5]))]
         for params, nm in variants:
             sampler = PathSampler(cfg.env, spec, params, nm, 3)
             assert sampler.terms.keys() == sampler.measured.keys()
@@ -213,7 +213,7 @@ def inner_positions(params, q0, wheel_speeds, times_per_stage):
     for w_r, w_l in wheel_speeds:
         xs, ys = segment_positions(params, pose, w_r, w_l, times_per_stage)
         out.append((xs, ys))
-        pose = integrate_segment(params, pose, w_r, w_l, params.dt)
+        pose = make_stage(params, pose, w_r, w_l, params.dt).end
     return out
 
 
@@ -239,7 +239,7 @@ class TestContainment:
                                                local_ts)
                     dist = np.hypot(xs - nx, ys - ny)
                     assert (dist <= tube.radii[k] + 1e-9).all()
-                    pose = integrate_segment(demo_params, pose, w_r, w_l, DT)
+                    pose = make_stage(demo_params, pose, w_r, w_l, DT).end
 
     def test_midpoint_inner_equals_nominal(self, demo_params, demo_noise):
         history = [(1, measure(demo_noise, demo_params, 1, 2, 2))] * 4
@@ -248,7 +248,7 @@ class TestContainment:
         for k, (_, m) in enumerate(history):
             w_r = (m.r_lo + m.r_hi) / 2
             w_l = (m.l_lo + m.l_hi) / 2
-            pose = integrate_segment(demo_params, pose, w_r, w_l, DT)
+            pose = make_stage(demo_params, pose, w_r, w_l, DT).end
             st = tube.trajectory.stages[k]
             assert pose.x == pytest.approx(st.end.x, abs=1e-12)
             assert pose.y == pytest.approx(st.end.y, abs=1e-12)

@@ -6,7 +6,8 @@ from .bltl import (Always, And, Atom, Disjunct, Eventually, Formula,
                    FragmentError, Not, Or, ParseError, Phase, SequentialMonitor,
                    SequentialSpec, Until, check_sequential, format_formula,
                    horizon_stages, parse_formula, sequential_witness, to_sequential)
-from .config import RunConfig, builtin_config_path, config_from_dict, load_config
+from .config import (AlgorithmParams, RunConfig, builtin_config_path, config_from_dict,
+                     load_config)
 from .dynamics import (MeasuredInterval, NoiseModel, Pose, VehicleParams,
                        WheelNoise, integrate_body, measure,
                        sample_noise_in_interval, sample_noise_interval,

@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 from typing import Optional
 
@@ -142,20 +143,13 @@ def _policy_json(doc: dict) -> str:
 
 
 def _audit_lines(result: SynthesisResult) -> str:
+    """One JSON line per round record, its ``round_index`` under the key
+    ``round``."""
     lines = []
     for rec in result.rounds:
-        lines.append(json.dumps({
-            "round": rec.round_index,
-            "eval_satisfied": rec.eval_satisfied,
-            "eval_episodes": rec.eval_episodes,
-            "p_hat": rec.p_hat,
-            "n": rec.n,
-            "successes": rec.successes,
-            "coverage": rec.coverage,
-            "change_from_previous": rec.change_from_previous,
-            "q_pairs": rec.q_pairs,
-            "policy_states": rec.policy_states,
-        }, sort_keys=True))
+        doc = asdict(rec)
+        doc["round"] = doc.pop("round_index")
+        lines.append(json.dumps(doc, sort_keys=True))
     return "\n".join(lines) + "\n"
 
 
@@ -178,16 +172,8 @@ def cmd_synth(args) -> int:
     horizon = horizon_stages(cfg.formula, cfg.params.dt)
     print(f"horizon: {horizon} stages of {cfg.params.dt} s")
     started = time.time()
-    result = synthesize(
-        cfg.env, cfg.formula, cfg.params, cfg.nm,
-        episodes_per_round=cfg.algorithm.episodes_per_round,
-        greediness=cfg.algorithm.greediness,
-        history_weight=cfg.algorithm.history_weight,
-        delta=cfg.algorithm.delta, confidence=cfg.algorithm.confidence,
-        prior_alpha=cfg.algorithm.prior_alpha, prior_beta=cfg.algorithm.prior_beta,
-        stop_radius=cfg.algorithm.stop_radius, master_seed=cfg.seed,
-        max_rounds=cfg.algorithm.max_rounds, batch_size=cfg.algorithm.batch_size,
-        workers=cfg.workers)
+    result = synthesize(cfg.env, cfg.formula, cfg.params, cfg.nm, cfg.algorithm,
+                        master_seed=cfg.seed, workers=cfg.workers)
     for rec in result.rounds:
         change = "" if rec.change_from_previous is None else \
             f"  change {rec.change_from_previous:.4f}"
@@ -232,12 +218,9 @@ def cmd_validate(args) -> int:
         print("policy action count does not match the config", file=sys.stderr)
         return EXIT_ERROR
 
-    estimate = validate_true_system(
-        policy, cfg.env, cfg.formula, cfg.params, cfg.nm,
-        delta=cfg.algorithm.delta, confidence=cfg.algorithm.confidence,
-        prior_alpha=cfg.algorithm.prior_alpha, prior_beta=cfg.algorithm.prior_beta,
-        master_seed=cfg.seed, batch_size=cfg.algorithm.batch_size,
-        workers=cfg.workers)
+    estimate = validate_true_system(policy, cfg.env, cfg.formula, cfg.params, cfg.nm,
+                                    cfg.algorithm, master_seed=cfg.seed,
+                                    workers=cfg.workers)
 
     p_chain = float(meta["p_hat"])
     delta = cfg.algorithm.delta
@@ -313,13 +296,14 @@ def _region_colors(env: Environment) -> dict[str, str]:
     return colors
 
 
-def render_svg(env: Environment, trajectories: list[tuple[str, list[tuple[float, float]]]],
-               width: float = 800.0) -> str:
+def render_svg(env: Environment,
+               trajectories: list[tuple[str, list[tuple[float, float]]]]) -> str:
     """Environment plus polylines; each trajectory is (style, points).
 
     Style 'sat' draws black, 'viol' red, anything else gray.  Points outside
     the workspace must be clipped by the caller.
     """
+    width = 800.0  # pixels; the height follows the workspace
     b = env.bounds
     scale = width / (b.x1 - b.x0)
     height = (b.y1 - b.y0) * scale

@@ -2,6 +2,11 @@
 
 A run config is one JSON document naming the environment file, the mission
 formula, the vehicle and noise parameters, and the algorithm parameters.  The
+vehicle, noise and algorithm sections are read field by field from the
+dataclasses they fill (``VehicleParams``, ``WheelNoise`` per side,
+``AlgorithmParams``): a field's annotation picks its reader, and a field with
+a dataclass default may be omitted.  Every number is a finite JSON number;
+NaN, ±Infinity, booleans and strings are errors that name the key.  The
 resolved form inlines the environment document so a single hash pins down
 everything that determines the results (the worker count deliberately does
 not participate: it must not change any output).
@@ -11,7 +16,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, fields
+import math
+from contextlib import suppress
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -22,6 +29,8 @@ from .env import Environment, environment_from_dict
 
 @dataclass(frozen=True)
 class AlgorithmParams:
+    """The synthesis loop's and the Bayesian estimator's parameters."""
+
     episodes_per_round: int
     greediness: float
     history_weight: float
@@ -30,8 +39,8 @@ class AlgorithmParams:
     prior_alpha: float
     prior_beta: float
     stop_radius: float
-    max_rounds: int
-    batch_size: int
+    max_rounds: int = 50
+    batch_size: int = 1
 
     def __post_init__(self):
         if self.episodes_per_round < 1:
@@ -44,8 +53,8 @@ class AlgorithmParams:
             raise ValueError("delta out of (0, ½)")
         if not 0.5 < self.confidence < 1.0:
             raise ValueError("confidence out of (½, 1)")
-        if self.prior_alpha <= 0 or self.prior_beta <= 0:
-            raise ValueError("prior coefficients must be positive")
+        if not (0.0 < self.prior_alpha < math.inf and 0.0 < self.prior_beta < math.inf):
+            raise ValueError("prior coefficients must be positive and finite")
         if not 0.0 < self.stop_radius < 1.0:
             raise ValueError("stop_radius out of (0, 1)")
         if self.max_rounds < 2:
@@ -73,33 +82,10 @@ class RunConfig:
         return {
             "environment": self.env_doc,
             "formula": self.formula_text,
-            "vehicle": {
-                "wheel_radius": self.params.wheel_radius,
-                "wheel_separation": self.params.wheel_separation,
-                "dt": self.params.dt,
-                "actions": [list(a) for a in self.params.actions],
-            },
-            "noise": {
-                side: {
-                    "eps_min": wn.eps_min,
-                    "delta": wn.delta,
-                    "n": wn.n,
-                    "probs": list(wn.probs),
-                }
-                for side, wn in (("right", self.nm.right), ("left", self.nm.left))
-            },
-            "algorithm": {
-                "episodes_per_round": self.algorithm.episodes_per_round,
-                "greediness": self.algorithm.greediness,
-                "history_weight": self.algorithm.history_weight,
-                "delta": self.algorithm.delta,
-                "confidence": self.algorithm.confidence,
-                "prior_alpha": self.algorithm.prior_alpha,
-                "prior_beta": self.algorithm.prior_beta,
-                "stop_radius": self.algorithm.stop_radius,
-                "max_rounds": self.algorithm.max_rounds,
-                "batch_size": self.algorithm.batch_size,
-            },
+            "vehicle": asdict(self.params),
+            "noise": {side: {f.name: getattr(wn, f.name) for f in fields(wn) if f.init}
+                      for side, wn in (("right", self.nm.right), ("left", self.nm.left))},
+            "algorithm": asdict(self.algorithm),
             "seed": self.seed,
         }
 
@@ -108,13 +94,11 @@ class RunConfig:
         return hashlib.sha256(canon.encode()).hexdigest()
 
 
-# Keys a config may hold, per section; anything else is a mistake to report.
+# Keys a config may hold at the top level and in its noise section; the
+# vehicle, wheel and algorithm sections hold the init fields of their classes.
 _TOP_KEYS = frozenset({"environment", "formula", "vehicle", "noise", "algorithm",
                        "seed", "workers"})
-_VEHICLE_KEYS = frozenset(f.name for f in fields(VehicleParams))
 _NOISE_KEYS = frozenset({"right", "left"})
-_WHEEL_KEYS = frozenset(f.name for f in fields(WheelNoise) if f.init)
-_ALGORITHM_KEYS = frozenset(f.name for f in fields(AlgorithmParams))
 
 
 def _reject_unknown_keys(section: dict, known: frozenset, where: str) -> None:
@@ -133,30 +117,72 @@ def _reject_unknown_keys(section: dict, known: frozenset, where: str) -> None:
 
 
 def _integer(value, key: str) -> int:
-    """An integer config value; a boolean or a non-integral number is an error
-    naming the key, where ``int`` would read it as 1 or 0 or truncate it."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"config key {key} must be an integer, not {value!r}")
-    return int(value)
+    """An integer config value: an int, or a float with an integral value.
+    Anything else is an error naming the key, where ``int`` would read a
+    boolean as 1 or 0, truncate 2.5 and parse the string "3"."""
+    if type(value) is int or (type(value) is float and value.is_integer()):
+        return int(value)
+    raise ValueError(f"config key {key} must be an integer, not {value!r}")
 
 
-def _wheel_noise_from_dict(doc: dict, side: str) -> WheelNoise:
-    _reject_unknown_keys(doc, _WHEEL_KEYS, f"noise.{side}.")
-    try:
-        return WheelNoise(eps_min=float(doc["eps_min"]), delta=float(doc["delta"]),
-                          n=_integer(doc["n"], f"noise.{side}.n"),
-                          probs=tuple(float(p) for p in doc["probs"]))
-    except KeyError as exc:
-        raise ValueError(f"noise.{side} is missing field {exc}") from exc
+def _real(value, key: str) -> float:
+    """A real config value: a finite number that is not a boolean.  Anything
+    else is an error naming the key, where ``float`` would read ``true`` or
+    ``"0.6"`` as a number and pass NaN through every ``<=`` range check."""
+    if type(value) in (int, float):
+        with suppress(OverflowError):  # an integer beyond the float range
+            if math.isfinite(value):
+                return float(value)
+    raise ValueError(f"config key {key} must be a finite number, not {value!r}")
 
 
-def config_from_dict(doc: dict, base_dir: Optional[Path] = None,
-                     env_doc: Optional[dict] = None) -> RunConfig:
+def _list(value, key: str, length: Optional[int] = None) -> list:
+    """A list config value (a tuple, as ``resolved_dict`` gives, passes too),
+    of ``length`` entries when that is given."""
+    if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
+        what = "a list" if length is None else f"a list of {length} entries"
+        raise ValueError(f"config key {key} must be {what}, not {value!r}")
+    return value
+
+
+def _reals(value, key: str, length: Optional[int] = None) -> tuple[float, ...]:
+    return tuple(_real(v, f"{key}[{i}]") for i, v in enumerate(_list(value, key, length)))
+
+
+def _pairs(value, key: str) -> tuple[tuple[float, float], ...]:
+    return tuple(_reals(v, f"{key}[{i}]", 2) for i, v in enumerate(_list(value, key)))
+
+
+# The reader of a section's field, by the text of the field's annotation
+# (``config`` and ``dynamics`` postpone annotations, so ``Field.type`` is text).
+_READERS = {"int": _integer, "float": _real, "tuple[float, ...]": _reals,
+            "tuple[tuple[float, float], ...]": _pairs}
+
+
+def _section(cls, doc: dict, where: str):
+    """A ``cls`` built from the config section at dotted path ``where``.
+
+    Keys that are not init fields of ``cls`` are rejected; each field is read
+    by its annotation's reader under the key ``where.<field>``, and one with a
+    default may be omitted.
+    """
+    init = [f for f in fields(cls) if f.init]
+    _reject_unknown_keys(doc, frozenset(f.name for f in init), where + ".")
+    values = {}
+    for f in init:
+        if f.name in doc:
+            values[f.name] = _READERS[f.type](doc[f.name], f"{where}.{f.name}")
+        elif f.default is MISSING:
+            raise ValueError(f"{where} is missing field '{f.name}'")
+    return cls(**values)
+
+
+def config_from_dict(doc: dict, base_dir: Optional[Path] = None) -> RunConfig:
     """Build a RunConfig from a parsed document.
 
     ``environment`` may be a path (resolved against base_dir) or an inline
-    object; ``env_doc`` overrides both when given.  Unknown keys in the
-    document and in its vehicle, noise and algorithm sections are rejected.
+    object.  Unknown keys in the document and in its vehicle, noise and
+    algorithm sections are rejected.
     """
     _reject_unknown_keys(doc, _TOP_KEYS, "")
     try:
@@ -172,51 +198,24 @@ def config_from_dict(doc: dict, base_dir: Optional[Path] = None,
     if workers < 1:
         raise ValueError("workers must be at least 1")
 
-    if env_doc is None:
-        if isinstance(env_field, dict):
-            env_doc = env_field
-        else:
-            path = Path(env_field)
-            if base_dir is not None and not path.is_absolute():
-                path = base_dir / path
-            env_doc = json.loads(path.read_text())
+    if isinstance(env_field, dict):
+        env_doc = env_field
+    else:
+        path = Path(env_field)
+        if base_dir is not None and not path.is_absolute():
+            path = base_dir / path
+        env_doc = json.loads(path.read_text())
     env = environment_from_dict(env_doc)
 
-    _reject_unknown_keys(veh, _VEHICLE_KEYS, "vehicle.")
+    params = _section(VehicleParams, veh, "vehicle")
     _reject_unknown_keys(noise, _NOISE_KEYS, "noise.")
-    _reject_unknown_keys(alg, _ALGORITHM_KEYS, "algorithm.")
-    try:
-        params = VehicleParams(
-            wheel_radius=float(veh["wheel_radius"]),
-            wheel_separation=float(veh["wheel_separation"]),
-            dt=float(veh["dt"]),
-            actions=tuple((float(a[0]), float(a[1])) for a in veh["actions"]),
-        )
-    except KeyError as exc:
-        raise ValueError(f"vehicle is missing field {exc}") from exc
     try:
         right, left = noise["right"], noise["left"]
     except KeyError as exc:
         raise ValueError(f"noise is missing side {exc}") from exc
-    nm = NoiseModel(right=_wheel_noise_from_dict(right, "right"),
-                    left=_wheel_noise_from_dict(left, "left"))
-
-    try:
-        algorithm = AlgorithmParams(
-            episodes_per_round=_integer(alg["episodes_per_round"],
-                                        "algorithm.episodes_per_round"),
-            greediness=float(alg["greediness"]),
-            history_weight=float(alg["history_weight"]),
-            delta=float(alg["delta"]),
-            confidence=float(alg["confidence"]),
-            prior_alpha=float(alg["prior_alpha"]),
-            prior_beta=float(alg["prior_beta"]),
-            stop_radius=float(alg["stop_radius"]),
-            max_rounds=_integer(alg.get("max_rounds", 50), "algorithm.max_rounds"),
-            batch_size=_integer(alg.get("batch_size", 1), "algorithm.batch_size"),
-        )
-    except KeyError as exc:
-        raise ValueError(f"algorithm is missing field {exc}") from exc
+    nm = NoiseModel(right=_section(WheelNoise, right, "noise.right"),
+                    left=_section(WheelNoise, left, "noise.left"))
+    algorithm = _section(AlgorithmParams, alg, "algorithm")
 
     formula = parse_formula(formula_text)
     unknown = atoms_of(formula) - env.propositions

@@ -35,6 +35,7 @@ order, so no result depends on the worker count.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import pickle
@@ -52,6 +53,7 @@ from scipy.special import betainc
 
 from .bltl import (Formula, SequentialMonitor, SequentialSpec, check_sequential,
                    horizon_stages, to_sequential)
+from .config import AlgorithmParams
 from .dynamics import (NoiseModel, VehicleParams, sample_noise_in_interval,
                        sample_noise_interval)
 from .env import Environment
@@ -520,8 +522,7 @@ def posterior_interval_coverage(x: int, n: int, alpha: float, beta: float,
 
 def bie_estimate(draw: Callable[[int, int], Sequence[bool]], delta: float,
                  confidence: float, alpha: float, beta: float,
-                 batch_size: int = 1,
-                 max_samples: Optional[int] = None) -> BieResult:
+                 batch_size: int = 1) -> BieResult:
     """Sample Bernoulli verdicts until the posterior concentrates.
 
     ``draw(start, count)`` returns ``count`` verdicts for episode indices
@@ -535,8 +536,8 @@ def bie_estimate(draw: Callable[[int, int], Sequence[bool]], delta: float,
         raise ValueError("delta must lie in (0, 1/2)")
     if not 0.5 < confidence < 1.0:
         raise ValueError("confidence must lie in (1/2, 1)")
-    if alpha <= 0 or beta <= 0:
-        raise ValueError("prior coefficients must be positive")
+    if not (0.0 < alpha < math.inf and 0.0 < beta < math.inf):
+        raise ValueError("prior coefficients must be positive and finite")
     if batch_size < 1:
         raise ValueError("batch size must be at least 1")
     n = 0
@@ -550,8 +551,6 @@ def bie_estimate(draw: Callable[[int, int], Sequence[bool]], delta: float,
         p_hat, lo, hi, coverage = posterior_interval_coverage(x, n, alpha, beta, delta)
         if coverage >= confidence:
             return BieResult(p_hat, n, x, lo, hi, coverage)
-        if max_samples is not None and n >= max_samples:
-            raise RuntimeError(f"estimation did not converge within {max_samples} samples")
 
 
 # ---------------------------------------------------------------------------
@@ -584,22 +583,15 @@ class SynthesisResult:
 
 
 def synthesize(env: Environment, formula: Formula, params: VehicleParams,
-               nm: NoiseModel, *, episodes_per_round: int, greediness: float,
-               history_weight: float, delta: float, confidence: float,
-               prior_alpha: float, prior_beta: float, stop_radius: float,
-               master_seed: int, max_rounds: int = 50, batch_size: int = 1,
+               nm: NoiseModel, algorithm: AlgorithmParams, *, master_seed: int,
                workers: int = 1) -> SynthesisResult:
     """Iterate evaluation, improvement, and estimation until estimates settle.
 
     The loop always runs at least two rounds and stops when consecutive
-    deterministic-policy estimates differ by at most the stop radius; if
-    max_rounds pass without that happening the result is flagged as not
-    converged.
+    deterministic-policy estimates differ by at most the algorithm's stop
+    radius; if its max_rounds pass without that happening the result is
+    flagged as not converged.
     """
-    if not 0.0 < stop_radius < 1.0:
-        raise ValueError("stop radius must lie in (0, 1)")
-    if max_rounds < 2:
-        raise ValueError("need at least two rounds")
     spec = to_sequential(formula, env.unsafe)
     horizon = horizon_stages(formula, params.dt)
     sampler = PathSampler(env, spec, params, nm, horizon)
@@ -613,15 +605,15 @@ def synthesize(env: Environment, formula: Formula, params: VehicleParams,
 
     first = _ChainTask(sampler, policy, master_seed, STREAM_POLICY_EVAL, 1)
     with _worker_set(_SynthesisRounds(first, policy), workers) as pool:
-        for round_index in range(1, max_rounds + 1):
+        for round_index in range(1, algorithm.max_rounds + 1):
             if pool is not None and round_index > 1:
                 pool.send(_SynthesisRounds.evaluating, round_index)
             qtable, n_sat = evaluate_policy(
-                policy, episodes_per_round, qtable, sampler,
-                history_weight=history_weight, master_seed=master_seed,
+                policy, algorithm.episodes_per_round, qtable, sampler,
+                history_weight=algorithm.history_weight, master_seed=master_seed,
                 round_index=round_index, pool=pool)
             rows = len(policy.index)
-            policy = improve_policy(policy, qtable, greediness)
+            policy = improve_policy(policy, qtable, algorithm.greediness)
             det = determinize(policy)
             if pool is not None:
                 pool.send(_SynthesisRounds.estimating,
@@ -633,17 +625,18 @@ def synthesize(env: Environment, formula: Formula, params: VehicleParams,
                 episodes = _map_episodes(task, range(start, start + count), pool)
                 return [satisfied for _, satisfied in episodes]
 
-            estimate = bie_estimate(draw, delta, confidence, prior_alpha, prior_beta,
-                                    batch_size=batch_size)
+            estimate = bie_estimate(draw, algorithm.delta, algorithm.confidence,
+                                    algorithm.prior_alpha, algorithm.prior_beta,
+                                    batch_size=algorithm.batch_size)
             change = (None if prev_estimate is None
                       else abs(estimate.p_hat - prev_estimate))
             rounds.append(RoundRecord(
                 round_index=round_index, eval_satisfied=n_sat,
-                eval_episodes=episodes_per_round, p_hat=estimate.p_hat,
+                eval_episodes=algorithm.episodes_per_round, p_hat=estimate.p_hat,
                 n=estimate.n, successes=estimate.successes,
                 coverage=estimate.coverage, change_from_previous=change,
                 q_pairs=qtable.q_pairs, policy_states=len(det.index)))
-            if change is not None and change <= stop_radius:
+            if change is not None and change <= algorithm.stop_radius:
                 converged = True
                 break
             prev_estimate = estimate.p_hat
@@ -705,24 +698,25 @@ def simulate_true_system(policy: Policy, env: Environment, spec: SequentialSpec,
 
 
 def validate_true_system(policy: Policy, env: Environment, formula: Formula,
-                         params: VehicleParams, nm: NoiseModel, *, delta: float,
-                         confidence: float, prior_alpha: float, prior_beta: float,
-                         master_seed: int, batch_size: int = 1, workers: int = 1
-                         ) -> BieResult:
-    """Estimate the closed-loop success probability of the real vehicle.
+                         params: VehicleParams, nm: NoiseModel,
+                         algorithm: AlgorithmParams, *, master_seed: int,
+                         workers: int = 1) -> BieResult:
+    """Estimate the closed-loop success probability of the real vehicle, with
+    the algorithm's estimation parameters.
 
-    A draw holds ``batch_size`` episodes, so the worker set has at most that
-    many workers: any more would get none of them.
+    A draw holds the algorithm's ``batch_size`` episodes, so the worker set
+    has at most that many workers: any more would get none of them.
     """
     spec = to_sequential(formula, env.unsafe)
     horizon = horizon_stages(formula, params.dt)
     task = _TrueSystemTask(env, spec, params, nm, policy, horizon, master_seed)
-    with _worker_set(task, min(workers, batch_size)) as pool:
+    with _worker_set(task, min(workers, algorithm.batch_size)) as pool:
         def draw(start: int, count: int) -> list[bool]:
             return _map_episodes(task, range(start, start + count), pool)
 
-        return bie_estimate(draw, delta, confidence, prior_alpha, prior_beta,
-                            batch_size=batch_size)
+        return bie_estimate(draw, algorithm.delta, algorithm.confidence,
+                            algorithm.prior_alpha, algorithm.prior_beta,
+                            batch_size=algorithm.batch_size)
 
 
 def theorem_bound_holds(p_chain: float, p_system: float, delta: float) -> bool:

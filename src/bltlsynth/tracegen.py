@@ -487,23 +487,21 @@ def trace_from_tube(tube: UncertaintyTube, env: Environment) -> list[TraceStep]:
 # ---------------------------------------------------------------------------
 # CSV export/import
 
-def write_trajectory_csv(fp, traj: Trajectory, radii: Optional[tuple[float, ...]] = None,
-                         samples_per_stage: int = 32) -> None:
-    """Rows (t, x, y, theta, d); d is 0 without a tube."""
+def write_trajectory_csv(fp, traj: Trajectory) -> None:
+    """Rows (t, x, y, theta, d), 32 per stage and one for the end pose; d, a
+    tube radius, is 0 on a closed-loop trajectory."""
     writer = csv.writer(fp)
     writer.writerow(["t", "x", "y", "theta", "d"])
     t0 = 0.0
-    for k, st in enumerate(traj.stages):
-        d = radii[k] if radii is not None else 0.0
-        for i in range(samples_per_stage):
-            lt = st.duration * i / samples_per_stage
+    for st in traj.stages:
+        for i in range(32):
+            lt = st.duration * i / 32
             x, y = st.position_at(lt)
             th = st.start.theta + st.omega * lt
-            writer.writerow([repr(t0 + lt), repr(x), repr(y), repr(th % (2 * math.pi)), repr(d)])
+            writer.writerow([repr(t0 + lt), repr(x), repr(y), repr(th % (2 * math.pi)), "0.0"])
         t0 += st.duration
     end = traj.end
-    writer.writerow([repr(t0), repr(end.x), repr(end.y), repr(end.theta),
-                     repr(radii[-1] if radii is not None else 0.0)])
+    writer.writerow([repr(t0), repr(end.x), repr(end.y), repr(end.theta), "0.0"])
 
 
 def read_trajectory_csv(fp) -> list[tuple[float, float, float, float, float]]:

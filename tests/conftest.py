@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from bltlsynth.config import builtin_config_path, load_config
+from bltlsynth.config import AlgorithmParams, builtin_config_path, load_config
 from bltlsynth.dynamics import NoiseModel, Pose, VehicleParams, WheelNoise
 from bltlsynth.env import Environment, Rect, Region
 from bltlsynth.synthesis import Policy
@@ -20,6 +20,11 @@ TURN_RIGHT = ((1 - WHEEL_SEP) / (4 * WHEEL_RADIUS), (1 + WHEEL_SEP) / (4 * WHEEL
 
 MISSION_FORMULA = ("!u U[<=14] (G[<=0.8] p & !u U[<=5] "
                    "((G[<=1] t1 | G[<=0.8] t2) & !u U[<=4] d))")
+# Loose algorithm parameters for small runs; tests replace fields as needed.
+TEST_ALGORITHM = AlgorithmParams(episodes_per_round=40, greediness=0.6, history_weight=0.6,
+                                 delta=0.05, confidence=0.95, prior_alpha=1.0,
+                                 prior_beta=1.0, stop_radius=0.05)
+
 COURIER_FORMULA = "!u U[<=6.2] (p & !u U[<=2.3] (G[<=0.2] t & !u U[<=2.3] d))"
 
 # worked-example traces for the courier mission above

@@ -235,10 +235,10 @@ def determinize_rows(rows):
     return {state: int(np.argmax(row)) for state, row in rows.items()}
 
 
-def whole_horizon_validation(policy, env, formula, params, nm, *, delta, confidence,
-                             prior_alpha, prior_beta, master_seed, batch_size=1):
-    """``bie_estimate`` over the verdicts of whole-horizon closed-loop runs
-    (``simulate_true_system``) on the validation episode streams."""
+def whole_horizon_validation(policy, env, formula, params, nm, algorithm, *, master_seed):
+    """``bie_estimate`` with the algorithm's estimation parameters over the
+    verdicts of whole-horizon closed-loop runs (``simulate_true_system``) on
+    the validation episode streams."""
     spec = to_sequential(formula, env.unsafe)
     horizon = horizon_stages(formula, params.dt)
 
@@ -247,8 +247,8 @@ def whole_horizon_validation(policy, env, formula, params, nm, *, delta, confide
                                      episode_rng(master_seed, STREAM_VALIDATE, 0, i))[2]
                 for i in range(start, start + count)]
 
-    return bie_estimate(draw, delta, confidence, prior_alpha, prior_beta,
-                        batch_size=batch_size)
+    return bie_estimate(draw, algorithm.delta, algorithm.confidence, algorithm.prior_alpha,
+                        algorithm.prior_beta, batch_size=algorithm.batch_size)
 
 
 DURATION_GRID = [0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5, 3.0]

@@ -46,16 +46,8 @@ def demo_cfg():
 
 
 def run_reduced_synthesis(cfg):
-    return synthesize(
-        cfg.env, cfg.formula, cfg.params, cfg.nm,
-        episodes_per_round=cfg.algorithm.episodes_per_round,
-        greediness=cfg.algorithm.greediness,
-        history_weight=cfg.algorithm.history_weight,
-        delta=cfg.algorithm.delta, confidence=cfg.algorithm.confidence,
-        prior_alpha=cfg.algorithm.prior_alpha, prior_beta=cfg.algorithm.prior_beta,
-        stop_radius=cfg.algorithm.stop_radius, master_seed=cfg.seed,
-        max_rounds=cfg.algorithm.max_rounds, batch_size=cfg.algorithm.batch_size,
-        workers=cfg.workers)
+    return synthesize(cfg.env, cfg.formula, cfg.params, cfg.nm, cfg.algorithm,
+                      master_seed=cfg.seed, workers=cfg.workers)
 
 
 @pytest.fixture(scope="module")
@@ -236,10 +228,7 @@ def test_criterion_09_probability_lower_bound(demo_cfg, synthesis_run):
     assert 0.0 < result.estimate.p_hat < 1.0
     validation = validate_true_system(
         result.policy, demo_cfg.env, demo_cfg.formula, demo_cfg.params, demo_cfg.nm,
-        delta=demo_cfg.algorithm.delta, confidence=demo_cfg.algorithm.confidence,
-        prior_alpha=demo_cfg.algorithm.prior_alpha,
-        prior_beta=demo_cfg.algorithm.prior_beta, master_seed=demo_cfg.seed,
-        batch_size=demo_cfg.algorithm.batch_size, workers=demo_cfg.workers)
+        demo_cfg.algorithm, master_seed=demo_cfg.seed, workers=demo_cfg.workers)
     delta = demo_cfg.algorithm.delta
     assert theorem_bound_holds(result.estimate.p_hat, validation.p_hat, delta)
     # conservative tube abstraction: the closed-loop system does better

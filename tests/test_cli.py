@@ -2,6 +2,7 @@ import gzip
 import json
 import multiprocessing
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,11 @@ from bltlsynth.mdp import PathSampler, history_key_string
 from bltlsynth.synthesis import _TrueSystemTask
 
 from conftest import env_doc_dict, load_demo_config_doc
+
+# Content hashes of the bundled demo config and of ``tiny_setup`` with
+# max_rounds 50 and batch_size 1, the algorithm defaults.
+DEMO_HASH = "3da2f2e19e10aaff45e25249fb7a56d9ccec46dc460617ae5b6e2a6644aa3f05"
+TINY_DEFAULTS_HASH = "cd0dccc979171c01fcb206804be165acb8ee5aa4e93d7fb1ac5111130dd59f90"
 
 REFERENCE_POLICY = (Path(__file__).resolve().parents[1] / "bench" / "reference"
                     / "policy.json.gz")
@@ -116,7 +122,8 @@ class TestConfig:
         (("seed",), 2026.9), (("seed",), True), (("workers",), 2.5),
         (("noise", "right", "n"), 3.5), (("noise", "left", "n"), False),
         (("algorithm", "episodes_per_round"), 40.5), (("algorithm", "max_rounds"), 4.2),
-        (("algorithm", "batch_size"), True)])
+        (("algorithm", "batch_size"), True), (("workers",), "2"),
+        (("algorithm", "max_rounds"), "4")])
     def test_non_integral_integer_rejected_by_name(self, tmp_path, tiny_setup, capsys,
                                                    path, value):
         doc = json.loads(tiny_setup.read_text())
@@ -134,6 +141,54 @@ class TestConfig:
             assert rc == 2
             assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("path, key", [
+        (("algorithm", "prior_alpha"), "algorithm.prior_alpha"),
+        (("vehicle", "dt"), "vehicle.dt"),
+        (("vehicle", "actions", 1, 0), "vehicle.actions[1][0]"),
+        (("noise", "left", "eps_min"), "noise.left.eps_min"),
+        (("noise", "right", "probs", 2), "noise.right.probs[2]")])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), True, "0.6"])
+    def test_non_finite_real_rejected_by_name(self, tmp_path, tiny_setup, capsys,
+                                              path, key, value):
+        doc = json.loads(tiny_setup.read_text())
+        section = doc
+        for step in path[:-1]:
+            section = section[step]
+        section[path[-1]] = value
+        bad = tmp_path / "mission.json"
+        bad.write_text(json.dumps(doc))  # NaN and Infinity as JSON reads them
+        message = f"config key {key} must be a finite number"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_config(bad)
+        for command in (["synth"], ["validate", "--policy", str(tmp_path / "none.json"),
+                                    "--override-hash"]):
+            rc = main(command + ["--config", str(bad), "--out-dir", str(tmp_path / "o")])
+            assert rc == 2
+            assert message in capsys.readouterr().err
+
+    def test_action_must_be_a_pair(self, tmp_path, tiny_setup):
+        doc = json.loads(tiny_setup.read_text())
+        doc["vehicle"]["actions"][1].append(0.0)
+        bad = tmp_path / "mission.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=re.escape(
+                "config key vehicle.actions[1] must be a list of 2 entries")):
+            load_config(bad)
+
+    def test_integral_ints_for_reals_keep_the_hash(self, tmp_path, tiny_setup):
+        doc = json.loads(tiny_setup.read_text())
+        doc["algorithm"].update(prior_alpha=1, prior_beta=1)
+        doc["noise"]["right"]["probs"] = [0, 1, 0]
+        ints = tmp_path / "ints.json"
+        ints.write_text(json.dumps(doc))
+        doc["noise"]["right"]["probs"] = [0.0, 1.0, 0.0]
+        floats = tmp_path / "floats.json"
+        floats.write_text(json.dumps(doc))
+        cfg = load_config(ints)
+        assert cfg.algorithm.prior_alpha == 1.0 and type(cfg.algorithm.prior_alpha) is float
+        assert cfg.content_hash() == load_config(floats).content_hash()
+        assert cfg.content_hash() != load_config(tiny_setup).content_hash()
+
     def test_integral_floats_accepted(self, tmp_path, tiny_setup):
         doc = json.loads(tiny_setup.read_text())
         doc["seed"] = 31.0
@@ -145,6 +200,19 @@ class TestConfig:
         cfg = load_config(floats)
         assert cfg.content_hash() == load_config(tiny_setup).content_hash()
         assert (cfg.seed, cfg.workers, cfg.algorithm.episodes_per_round) == (31, 2, 40)
+
+    def test_demo_hash_is_pinned(self, demo_config):
+        assert demo_config.content_hash() == DEMO_HASH
+
+    @pytest.mark.parametrize("defaults", ["omitted", "written"])
+    def test_tiny_hash_is_pinned(self, tmp_path, tiny_setup, defaults):
+        doc = json.loads(tiny_setup.read_text())
+        del doc["algorithm"]["max_rounds"], doc["algorithm"]["batch_size"]
+        if defaults == "written":
+            doc["algorithm"].update(max_rounds=50, batch_size=1)
+        path = tmp_path / "mission.json"
+        path.write_text(json.dumps(doc))
+        assert load_config(path).content_hash() == TINY_DEFAULTS_HASH
 
     def test_resolved_config_loads_back(self, demo_config):
         from bltlsynth.config import config_from_dict

@@ -7,6 +7,7 @@ fresh sampler, ``stage_feed``)."""
 
 import json
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from bltlsynth.tracegen import (TraceWalk, UncertaintyTube, stage_feed, stage_in
                                 trace_from_tube, tube_rules)
 from bltlsynth.uncertainty import build_tube
 
-from conftest import DT, simple_env
+from conftest import DT, TEST_ALGORITHM, simple_env
 from oracles import (check_generic, random_spec, random_trace, random_trace_case,
                      spec_to_formula, whole_horizon_validation)
 from test_tracegen import straight_trajectory
@@ -392,12 +393,11 @@ def test_validation_decision_matches_simulate_true_system(name):
 def test_validation_matches_whole_horizon_oracle(workers, batch_size):
     cfg = variant_config("demo")
     policy = random_strategy(cfg.nm.right.n, np.random.default_rng(62))
-    kwargs = dict(delta=0.05, confidence=0.9, prior_alpha=1.0, prior_beta=1.0,
-                  master_seed=63, batch_size=batch_size)
+    algorithm = replace(TEST_ALGORITHM, confidence=0.9, batch_size=batch_size)
     result = validate_true_system(policy, cfg.env, cfg.formula, cfg.params, cfg.nm,
-                                  workers=workers, **kwargs)
+                                  algorithm, master_seed=63, workers=workers)
     assert result == whole_horizon_validation(policy, cfg.env, cfg.formula, cfg.params,
-                                              cfg.nm, **kwargs)
+                                              cfg.nm, algorithm, master_seed=63)
     assert 0 < result.successes < result.n
 
 

@@ -1,6 +1,7 @@
 import multiprocessing
 import os
 import signal
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from bltlsynth.synthesis import (Policy, QTable, bie_estimate, determinize,
                                  validate_true_system)
 from bltlsynth.synthesis import _TrueSystemTask, _map_episodes, _worker_set
 
-from conftest import policy_from_rows, simple_env, symmetric_noise
+from conftest import TEST_ALGORITHM, policy_from_rows, simple_env, symmetric_noise
 from oracles import (all_success_stop_count, determinize_rows, generator_drawing,
                      improve_rows, merged_pairs, pair_counts, tile_by_cumsum)
 
@@ -387,20 +388,18 @@ class TestBieEstimate:
             bie_estimate(draw, 0.05, 0.4, 1.0, 1.0)
         with pytest.raises(ValueError):
             bie_estimate(draw, 0.05, 0.95, 0.0, 1.0)
-
-    def test_max_samples_guard(self):
-        with pytest.raises(RuntimeError):
-            bie_estimate(bernoulli_draw(0.5, 1), 0.01, 0.99, 1.0, 1.0,
-                         max_samples=10)
+        for prior in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                bie_estimate(draw, 0.05, 0.95, prior, 1.0)
+            with pytest.raises(ValueError, match="finite"):
+                bie_estimate(draw, 0.05, 0.95, 1.0, prior)
 
 
 class TestSynthesize:
     def test_trivially_satisfiable_mission(self, easy_setup, demo_params, zero_noise):
         env, formula, _, _ = easy_setup
-        result = synthesize(env, formula, demo_params, zero_noise,
-                            episodes_per_round=40, greediness=0.6, history_weight=0.6,
-                            delta=0.05, confidence=0.95, prior_alpha=1.0,
-                            prior_beta=1.0, stop_radius=0.05, master_seed=3)
+        result = synthesize(env, formula, demo_params, zero_noise, TEST_ALGORITHM,
+                            master_seed=3)
         assert result.converged
         assert len(result.rounds) == 2
         assert result.estimate.p_hat >= 1 - 0.05
@@ -408,29 +407,23 @@ class TestSynthesize:
 
     def test_unsatisfiable_mission(self, hard_setup, demo_params, zero_noise):
         env, formula, _ = hard_setup
-        result = synthesize(env, formula, demo_params, zero_noise,
-                            episodes_per_round=40, greediness=0.6, history_weight=0.6,
-                            delta=0.05, confidence=0.95, prior_alpha=1.0,
-                            prior_beta=1.0, stop_radius=0.05, master_seed=3)
+        result = synthesize(env, formula, demo_params, zero_noise, TEST_ALGORITHM,
+                            master_seed=3)
         assert result.estimate.p_hat <= 0.05
 
     def test_stored_state_count_bounded(self, easy_setup, demo_params, zero_noise):
         env, formula, _, _ = easy_setup
         n, max_rounds = 25, 3
         result = synthesize(env, formula, demo_params, zero_noise,
-                            episodes_per_round=n, greediness=0.6, history_weight=0.6,
-                            delta=0.05, confidence=0.95, prior_alpha=1.0,
-                            prior_beta=1.0, stop_radius=0.05, master_seed=4,
-                            max_rounds=max_rounds)
+                            replace(TEST_ALGORITHM, episodes_per_round=n,
+                                    max_rounds=max_rounds), master_seed=4)
         horizon = result.horizon
         assert len(result.qtable.index) <= n * horizon * len(result.rounds)
 
     def test_audit_records_round_sequence(self, easy_setup, demo_params, zero_noise):
         env, formula, _, _ = easy_setup
         result = synthesize(env, formula, demo_params, zero_noise,
-                            episodes_per_round=30, greediness=0.6, history_weight=0.6,
-                            delta=0.05, confidence=0.95, prior_alpha=1.0,
-                            prior_beta=1.0, stop_radius=0.05, master_seed=8)
+                            replace(TEST_ALGORITHM, episodes_per_round=30), master_seed=8)
         assert [r.round_index for r in result.rounds] == list(
             range(1, len(result.rounds) + 1))
         assert result.rounds[0].change_from_previous is None
@@ -502,17 +495,14 @@ class TestValidateTrueSystem:
         env, formula, _, _ = easy_setup
         pol = Policy(3, {}, actions=[])
         result = validate_true_system(pol, env, formula, demo_params, zero_noise,
-                                      delta=0.05, confidence=0.95, prior_alpha=1.0,
-                                      prior_beta=1.0, master_seed=10)
+                                      TEST_ALGORITHM, master_seed=10)
         assert result.p_hat >= 1 - 0.05
 
     def test_same_seed_reproduces(self, easy_setup, demo_params, demo_noise):
         env, formula, _, _ = easy_setup
         pol = Policy(3, {}, actions=[])
-        kwargs = dict(delta=0.05, confidence=0.95, prior_alpha=1.0,
-                      prior_beta=1.0, master_seed=11)
-        a = validate_true_system(pol, env, formula, demo_params, demo_noise, **kwargs)
-        b = validate_true_system(pol, env, formula, demo_params, demo_noise, **kwargs)
+        a, b = (validate_true_system(pol, env, formula, demo_params, demo_noise,
+                                     TEST_ALGORITHM, master_seed=11) for _ in range(2))
         assert a == b
 
     def test_episode_history_matches_measurements(self, easy_setup, demo_params,
@@ -606,21 +596,20 @@ def usable_set_size(workers):
 
 
 class TestParallelism:
-    SYNTH = dict(episodes_per_round=40, greediness=0.6, history_weight=0.6,
-                 delta=0.1, confidence=0.8, prior_alpha=1.0, prior_beta=1.0,
-                 stop_radius=0.2, master_seed=13, max_rounds=3)
+    SYNTH = replace(TEST_ALGORITHM, delta=0.1, confidence=0.8, stop_radius=0.2,
+                    max_rounds=3)
     # Wide wheel noise and a goal edge that straight runs reach about 85% of
     # the time: verdicts are mixed, so a mismatched episode key would show.
     MIXED_ENV = [("a", (0.9, -1.2, 2.0, 1.2)), ("u", (3.0, 2.0, 4.0, 3.0))]
     WIDE_NOISE = symmetric_noise(-0.45, 0.3, 3, (0.25, 0.5, 0.25))
-    VALIDATE = dict(delta=0.1, confidence=0.8, prior_alpha=1.0, prior_beta=1.0,
-                    master_seed=17, batch_size=4)
+    VALIDATE = replace(TEST_ALGORITHM, delta=0.1, confidence=0.8, batch_size=4)
 
     def assert_same_synthesis(self, regions, params, nm, batch_size):
         env = simple_env(regions)
         formula = parse_formula("!u U[<=5] a")
-        one, two = (synthesize(env, formula, params, nm, workers=w,
-                               batch_size=batch_size, **self.SYNTH) for w in (1, 2))
+        one, two = (synthesize(env, formula, params, nm,
+                               replace(self.SYNTH, batch_size=batch_size),
+                               master_seed=13, workers=w) for w in (1, 2))
         assert one.estimate == two.estimate
         assert one.rounds == two.rounds
         assert list(one.qtable.index.items()) == list(two.qtable.index.items())
@@ -646,7 +635,8 @@ class TestParallelism:
         formula = parse_formula("!u U[<=5] a")
         straight = Policy(3, {EMPTY_HISTORY: 0}, actions=[1])
         one, two = (validate_true_system(straight, env, formula, demo_params,
-                                         self.WIDE_NOISE, workers=w, **self.VALIDATE)
+                                         self.WIDE_NOISE, self.VALIDATE, master_seed=17,
+                                         workers=w)
                     for w in (1, 2))
         assert one == two
         assert 0 < one.successes < one.n and one.n > 4
@@ -654,22 +644,23 @@ class TestParallelism:
     def test_one_worker_set_per_command(self, demo_params, process_starts):
         env = simple_env(self.MIXED_ENV)
         formula = parse_formula("!u U[<=5] a")
-        result = synthesize(env, formula, demo_params, self.WIDE_NOISE, workers=2,
-                            batch_size=4, **self.SYNTH)
+        result = synthesize(env, formula, demo_params, self.WIDE_NOISE,
+                            replace(self.SYNTH, batch_size=4), master_seed=13, workers=2)
         assert len(result.rounds) > 1
         assert len(process_starts) == usable_set_size(2)
         del process_starts[:]
         validate_true_system(result.policy, env, formula, demo_params, self.WIDE_NOISE,
-                             workers=2, **self.VALIDATE)
+                             self.VALIDATE, master_seed=17, workers=2)
         assert len(process_starts) == usable_set_size(2)
         assert multiprocessing.active_children() == []
         # a draw of batch size 1 runs in the parent, so no worker would get one
-        one_each = dict(self.VALIDATE, batch_size=1)
+        one_each = replace(self.VALIDATE, batch_size=1)
         del process_starts[:]
         serial = validate_true_system(result.policy, env, formula, demo_params,
-                                      self.WIDE_NOISE, workers=1, **one_each)
+                                      self.WIDE_NOISE, one_each, master_seed=17, workers=1)
         assert validate_true_system(result.policy, env, formula, demo_params,
-                                    self.WIDE_NOISE, workers=2, **one_each) == serial
+                                    self.WIDE_NOISE, one_each, master_seed=17,
+                                    workers=2) == serial
         assert process_starts == []
 
     def test_sampler_reaches_each_worker_at_most_once(self, demo_params, monkeypatch,
@@ -684,7 +675,8 @@ class TestParallelism:
         monkeypatch.setattr(PathSampler, "__getstate__", counted)
         env = simple_env(self.MIXED_ENV)
         result = synthesize(env, parse_formula("!u U[<=5] a"), demo_params,
-                            self.WIDE_NOISE, workers=2, batch_size=4, **self.SYNTH)
+                            self.WIDE_NOISE, replace(self.SYNTH, batch_size=4),
+                            master_seed=13, workers=2)
         assert len(result.rounds) > 1
         assert len(pickled) <= 2
 
@@ -747,13 +739,14 @@ class TestParallelism:
                                                    two_cpus, process_starts):
         env = simple_env(self.MIXED_ENV)
         formula = parse_formula("!u U[<=5] a")
-        kwargs = dict(batch_size=4, **self.SYNTH)
-        one = synthesize(env, formula, demo_params, self.WIDE_NOISE, workers=1, **kwargs)
+        algorithm = replace(self.SYNTH, batch_size=4)
+        one = synthesize(env, formula, demo_params, self.WIDE_NOISE, algorithm,
+                         master_seed=13, workers=1)
         get_context = multiprocessing.get_context
         monkeypatch.setattr(multiprocessing, "get_context",
                             lambda method=None: get_context("spawn"))
-        spawned = synthesize(env, formula, demo_params, self.WIDE_NOISE, workers=2,
-                             **kwargs)
+        spawned = synthesize(env, formula, demo_params, self.WIDE_NOISE, algorithm,
+                             master_seed=13, workers=2)
         assert len(process_starts) == 2
         assert spawned.rounds == one.rounds and len(one.rounds) > 1
         assert list(spawned.policy.index.items()) == list(one.policy.index.items())

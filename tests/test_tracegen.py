@@ -393,14 +393,15 @@ class TestCsv:
     def test_trajectory_round_trip(self, demo_params):
         traj = straight_trajectory(demo_params, 2)
         buf = io.StringIO()
-        write_trajectory_csv(buf, traj, radii=(0.1, 0.2), samples_per_stage=8)
+        write_trajectory_csv(buf, traj)
         buf.seek(0)
         rows = read_trajectory_csv(buf)
-        assert len(rows) == 17
+        assert len(rows) == 2 * 32 + 1
         assert rows[0][:3] == (0.0, 0.0, 0.0)
+        assert rows[32][0] == pytest.approx(DT)
         assert rows[-1][0] == pytest.approx(2 * DT)
         assert rows[-1][1] == pytest.approx(2 * DT * 0.25)
-        assert rows[-1][4] == 0.2
+        assert all(row[4] == 0.0 for row in rows)
 
 
 class TestTrajectoryType:

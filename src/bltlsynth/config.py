@@ -194,6 +194,8 @@ def config_from_dict(doc: dict, base_dir: Optional[Path] = None) -> RunConfig:
         seed = _integer(doc["seed"], "seed")
     except KeyError as exc:
         raise ValueError(f"config is missing field {exc}") from exc
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
     workers = _integer(doc.get("workers", 1), "workers")
     if workers < 1:
         raise ValueError("workers must be at least 1")

@@ -58,12 +58,12 @@ class VehicleParams:
     actions: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        if self.wheel_radius <= 0:
-            raise ValueError("wheel_radius must be positive")
-        if self.wheel_separation <= 0:
-            raise ValueError("wheel_separation must be positive")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0 < self.wheel_radius < math.inf:
+            raise ValueError("wheel_radius must be positive and finite")
+        if not 0 < self.wheel_separation < math.inf:
+            raise ValueError("wheel_separation must be positive and finite")
+        if not 0 < self.dt < math.inf:
+            raise ValueError("dt must be positive and finite")
         acts = tuple((float(r), float(l)) for r, l in self.actions)
         if not acts:
             raise ValueError("actions must be non-empty")
@@ -92,14 +92,16 @@ class WheelNoise:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("interval count n must be a positive integer")
-        if self.delta < 0:
-            raise ValueError("delta must be non-negative")
+        if not math.isfinite(self.eps_min):
+            raise ValueError("eps_min must be finite")
+        if not 0 <= self.delta < math.inf:
+            raise ValueError("delta must be non-negative and finite")
         probs = tuple(float(p) for p in self.probs)
         if len(probs) != self.n:
             raise ValueError(f"expected {self.n} probabilities, got {len(probs)}")
-        if any(p < 0 for p in probs):
-            raise ValueError("interval probabilities must be non-negative")
-        if abs(sum(probs) - 1.0) > 1e-12:
+        if not all(0 <= p < math.inf for p in probs):
+            raise ValueError("interval probabilities must be non-negative and finite")
+        if not abs(sum(probs) - 1.0) <= 1e-12:
             raise ValueError(f"interval probabilities must sum to 1, got {sum(probs)!r}")
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "cdf", tuple(accumulate(probs)))

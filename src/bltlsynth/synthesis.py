@@ -49,7 +49,6 @@ from itertools import accumulate, islice
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
-from scipy.special import betainc
 
 from .bltl import (Formula, SequentialMonitor, SequentialSpec, check_sequential,
                    horizon_stages, to_sequential)
@@ -497,6 +496,18 @@ def determinize(policy: Policy) -> Policy:
 # ---------------------------------------------------------------------------
 # Bayesian interval estimation
 
+# Terms of the incomplete Beta continued fraction before it is taken not to
+# converge; near x = a/(a+b) it needs O(sqrt(max(a, b))) of them.
+_FRACTION_TERMS = 100_000
+# The tail sums of ``coverage_upper_bound``: steps per tail, and each step's
+# width in posterior standard deviations.
+_TAIL_STEPS = 6
+_TAIL_STEP_SD = 0.5
+# How far the bound must lie below the confidence before the exact mass is
+# skipped.  The bound's own rounding error grows as ~1e-15 n (2e-9 at n = 10^6).
+_BOUND_MARGIN = 1e-8
+
+
 @dataclass(frozen=True)
 class BieResult:
     """Posterior-mean estimate with its half-width-delta credible interval."""
@@ -509,15 +520,116 @@ class BieResult:
     coverage: float
 
 
+def beta_cdf(x: float, a: float, b: float) -> float:
+    """Regularized incomplete Beta function I_x(a, b) for a, b > 0.
+
+    The continued fraction of Numerical Recipes' ``betacf``, evaluated by the
+    modified Lentz method, times an ``lgamma`` prefactor.  The fraction
+    converges fast for x < (a+1)/(a+b+2); above that point the symmetry
+    I_x(a, b) = 1 - I_{1-x}(b, a) is used.
+    """
+    if x <= 0.0:
+        return 0.0
+    if x >= 1.0:
+        return 1.0
+    front = math.exp(a * math.log(x) + b * math.log1p(-x) - _log_beta(a, b))
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _beta_fraction(a, b, x) / a
+    return 1.0 - front * _beta_fraction(b, a, 1.0 - x) / b
+
+
+def _log_beta(a: float, b: float) -> float:
+    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+
+
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """The continued fraction of I_x(a, b), to double precision, for
+    0 < x < (a+1)/(a+b+2), where its first denominator is positive."""
+    tiny = 1e-300  # stands in for a zero denominator
+    c = 1.0
+    d = 1.0 / (1.0 - (a + b) * x / (a + 1.0))
+    h = d
+    for m in range(1, _FRACTION_TERMS):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((a - 1.0 + m2) * (a + m2))
+        d = 1.0 + aa * d
+        d = 1.0 / d if abs(d) >= tiny else 1.0 / tiny
+        c = 1.0 + aa / c
+        if abs(c) < tiny:
+            c = tiny
+        h *= d * c
+        aa = -(a + m) * (a + b + m) * x / ((a + m2) * (a + 1.0 + m2))
+        d = 1.0 + aa * d
+        d = 1.0 / d if abs(d) >= tiny else 1.0 / tiny
+        c = 1.0 + aa / c
+        if abs(c) < tiny:
+            c = tiny
+        step = d * c
+        h *= step
+        if abs(step - 1.0) <= 1e-15:
+            return h
+    raise ArithmeticError(f"incomplete Beta fraction did not converge at a={a}, b={b}, x={x}")
+
+
+def coverage_upper_bound(a: float, b: float, lo: float, hi: float, below: float = 0.0) -> float:
+    """An upper bound on the Beta(a, b) mass on [lo, hi], for a, b > 1.
+
+    The density f is log-concave, so over a step [s, t] it is at least the
+    geometric interpolation of f(s) and f(t), whose integral is the step
+    width times the logarithmic mean (f(t) - f(s)) / (ln f(t) - ln f(s)),
+    here taken from the larger of the two so that it cannot overflow.
+    Summed over ``_TAIL_STEPS`` steps of ``_TAIL_STEP_SD`` posterior standard
+    deviations outward from lo and from hi, these bound the two tails' mass
+    from below, and one minus them bounds the mass on [lo, hi] from above.
+    The sums stop as soon as the bound is below ``below``.
+    """
+    log, log1p, exp, expm1 = math.log, math.log1p, math.exp, math.expm1
+    am1, bm1 = a - 1.0, b - 1.0
+    step = _TAIL_STEP_SD * math.sqrt(a * b / (a + b + 1.0)) / (a + b)
+    log_norm = log(step) - _log_beta(a, b)
+    # log f at each tail's inner step end (f vanishes at 0 and 1)
+    log_fl = am1 * log(lo) + bm1 * log1p(-lo) if 0.0 < lo < 1.0 else -math.inf
+    log_fr = am1 * log(hi) + bm1 * log1p(-hi) if 0.0 < hi < 1.0 else -math.inf
+    bound = 1.0
+    for k in range(1, _TAIL_STEPS + 1):  # the two tails in turn, nearest steps first
+        t = lo - k * step
+        if t > 0.0:
+            log_ft = am1 * log(t) + bm1 * log1p(-t)
+            d = abs(log_fl - log_ft)
+            bound -= exp(max(log_fl, log_ft) + log_norm) * (-expm1(-d) / d if d else 1.0)
+            if bound < below:
+                return bound
+            log_fl = log_ft
+        t = hi + k * step
+        if t < 1.0:
+            log_ft = am1 * log(t) + bm1 * log1p(-t)
+            d = abs(log_fr - log_ft)
+            bound -= exp(max(log_fr, log_ft) + log_norm) * (-expm1(-d) / d if d else 1.0)
+            if bound < below:
+                return bound
+            log_fr = log_ft
+    return bound
+
+
 def posterior_interval_coverage(x: int, n: int, alpha: float, beta: float,
-                                delta: float) -> tuple[float, float, float, float]:
-    """Posterior mean and the Beta mass on [mean-delta, mean+delta] in [0, 1]."""
+                                delta: float, below: float = 0.0
+                                ) -> tuple[float, float, float, float]:
+    """Posterior mean, its interval [mean-delta, mean+delta] clipped to [0, 1],
+    and the Beta(x+alpha, n-x+beta) mass on that interval.
+
+    Where ``coverage_upper_bound`` shows the mass to lie below ``below`` by
+    far more than the bound's rounding error, that bound stands in for the
+    exact mass, which costs several times more.
+    """
     p_hat = (x + alpha) / (n + alpha + beta)
     lo = max(0.0, p_hat - delta)
     hi = min(1.0, p_hat + delta)
     a, b = x + alpha, n - x + beta
-    coverage = float(betainc(a, b, hi) - betainc(a, b, lo))
-    return p_hat, lo, hi, coverage
+    if a > 1.0 and b > 1.0:
+        bound = coverage_upper_bound(a, b, lo, hi, below - _BOUND_MARGIN)
+        if bound < below - _BOUND_MARGIN:
+            return p_hat, lo, hi, bound
+    return p_hat, lo, hi, beta_cdf(hi, a, b) - beta_cdf(lo, a, b)
 
 
 def bie_estimate(draw: Callable[[int, int], Sequence[bool]], delta: float,
@@ -528,7 +640,9 @@ def bie_estimate(draw: Callable[[int, int], Sequence[bool]], delta: float,
     ``draw(start, count)`` returns ``count`` verdicts for episode indices
     ``start..start+count-1``.  After each batch the Beta(x+alpha, n-x+beta)
     posterior mass on the clipped interval [p_hat-delta, p_hat+delta] is
-    evaluated; sampling stops once it reaches the confidence level.  The
+    evaluated; sampling stops once it reaches the confidence level.  The mass
+    is computed exactly only where ``coverage_upper_bound`` cannot show it to
+    be below the confidence, so each stop is the one the exact rule makes.  The
     sample count is batch-granular; batch size 1 is the exact sequential
     procedure.
     """
@@ -548,7 +662,8 @@ def bie_estimate(draw: Callable[[int, int], Sequence[bool]], delta: float,
             raise ValueError("draw returned the wrong number of verdicts")
         x += sum(bool(v) for v in verdicts)
         n += batch_size
-        p_hat, lo, hi, coverage = posterior_interval_coverage(x, n, alpha, beta, delta)
+        p_hat, lo, hi, coverage = posterior_interval_coverage(x, n, alpha, beta, delta,
+                                                              confidence)
         if coverage >= confidence:
             return BieResult(p_hat, n, x, lo, hi, coverage)
 

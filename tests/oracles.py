@@ -1,8 +1,9 @@
 """Independent oracles used by the tests: a fixed-step RK4 integrator for the
 vehicle kinematics, vectorised positions along one segment or many, a random generator
-of mission instances, a closed-form Beta posterior for the all-success
-estimation run, a dense-sampling check of timed traces with a random
-generator of trace geometries, the mission formula of a phase decomposition
+of mission instances, the stop count of the all-success estimation run and
+the Bayesian interval estimate with scipy's incomplete Beta function, a
+dense-sampling check of timed traces with a random generator of trace
+geometries, the mission formula of a phase decomposition
 and a generic bounded-semantics checker over it, the one-step kernel of the
 measurement-history MDP, a trace CSV writer, the straightforward forms of the episode
 kernel (eight ``make_stage`` corners per stage, scalar draws through
@@ -286,17 +287,22 @@ def random_spec(rng: np.random.Generator, goal_props, unsafe="u",
     return SequentialSpec(unsafe=unsafe, phases=tuple(phases))
 
 
+def beta_cdf_reference(x: float, a: float, b: float) -> float:
+    """scipy's regularized incomplete Beta function I_x(a, b), which
+    ``synthesis.beta_cdf`` must match (scipy is a test dependency only)."""
+    from scipy.special import betainc
+
+    return float(betainc(a, b, x))
+
+
 def all_success_stop_count(alpha: float, beta: float, delta: float,
                            confidence: float) -> int:
     """Smallest n at which an all-success run satisfies the posterior
-    concentration rule, from the closed-form Beta(n+alpha, beta) distribution
-    evaluated with mpmath-free arithmetic.
+    concentration rule, with the Beta(n+alpha, beta) mass evaluated by scipy.
 
-    For integer beta the distribution function is a finite sum; with beta = 1
-    it is simply z**a.
+    With beta = 1 the distribution function is simply z**a, and each step
+    checks scipy against that closed form.
     """
-    from scipy.special import betainc
-
     n = 0
     while True:
         n += 1
@@ -304,12 +310,30 @@ def all_success_stop_count(alpha: float, beta: float, delta: float,
         p_hat = (n + alpha) / (n + alpha + beta)
         lo = max(0.0, p_hat - delta)
         hi = min(1.0, p_hat + delta)
-        mass = betainc(a, b, hi) - betainc(a, b, lo)
+        mass = beta_cdf_reference(hi, a, b) - beta_cdf_reference(lo, a, b)
         if beta == 1.0 and hi == 1.0:
             closed = 1.0 - lo ** a
             assert abs(closed - mass) < 1e-12
         if mass >= confidence:
             return n
+
+
+def bie_estimate_reference(draw, delta: float, confidence: float, alpha: float,
+                           beta: float, batch_size: int = 1) -> tuple[int, int, float, float, float]:
+    """(n, successes, lo, hi, coverage) of the Bayesian interval estimate with
+    the exact posterior mass from scipy's ``betainc`` after every batch, which
+    ``synthesis.bie_estimate`` must reproduce."""
+    n = x = 0
+    while True:
+        x += sum(bool(v) for v in draw(n, batch_size))
+        n += batch_size
+        p_hat = (x + alpha) / (n + alpha + beta)
+        lo = max(0.0, p_hat - delta)
+        hi = min(1.0, p_hat + delta)
+        a, b = x + alpha, n - x + beta
+        coverage = beta_cdf_reference(hi, a, b) - beta_cdf_reference(lo, a, b)
+        if coverage >= confidence:
+            return n, x, lo, hi, coverage
 
 
 def labels_holding(env, x, y, d, tube):

@@ -3,11 +3,14 @@ import json
 import multiprocessing
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bltlsynth
 from bltlsynth.bltl import horizon_stages, to_sequential
 from bltlsynth.cli import _history_key_strings, _policy_json, load_policy_file, main
 from bltlsynth.config import builtin_config_path, load_config
@@ -165,6 +168,23 @@ class TestConfig:
             rc = main(command + ["--config", str(bad), "--out-dir", str(tmp_path / "o")])
             assert rc == 2
             assert message in capsys.readouterr().err
+
+    def test_negative_seed_rejected_by_name(self, tmp_path, tiny_setup, capsys):
+        doc = json.loads(tiny_setup.read_text())
+        doc["seed"] = -5
+        bad = tmp_path / "mission.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            load_config(bad)
+        policy = ["--policy", str(tmp_path / "none.json")]
+        for argv in (["synth", "--config", str(bad)], ["validate", "--config", str(bad), *policy],
+                     ["synth", "--config", str(tiny_setup), "--seed", "-5"],
+                     ["validate", "--config", str(tiny_setup), "--seed", "-5", *policy]):
+            rc = main(argv + ["--out-dir", str(tmp_path / "o")])
+            captured = capsys.readouterr()
+            assert rc == 2
+            assert "seed must be non-negative" in captured.err
+            assert "horizon" not in captured.out
 
     def test_action_must_be_a_pair(self, tmp_path, tiny_setup):
         doc = json.loads(tiny_setup.read_text())
@@ -526,3 +546,33 @@ def test_worker_error_keeps_the_synth_exit_code(tiny_setup, tmp_path, monkeypatc
     assert rc == 2
     assert "no verdict for this history" in capsys.readouterr().err
     assert multiprocessing.active_children() == []
+
+
+class TestWithoutScipy:
+    """scipy is a test dependency only: the commands run without it."""
+
+    @staticmethod
+    def python(code, *args):
+        src = str(Path(bltlsynth.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        return subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                              capture_output=True, text=True, timeout=300)
+
+    def test_cli_import_leaves_scipy_out(self):
+        proc = self.python("import sys, bltlsynth.cli; print('scipy' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_synth_and_validate_with_scipy_blocked(self, tiny_setup, tmp_path):
+        code = ("import sys\n"
+                "sys.modules['scipy'] = None  # any import of scipy now fails\n"
+                "from bltlsynth.cli import main\n"
+                "config, out = sys.argv[1:]\n"
+                "assert main(['synth', '--config', config, '--out-dir', out]) == 0\n"
+                "sys.exit(main(['validate', '--policy', out + '/policy.json',\n"
+                "               '--config', config, '--out-dir', out]))\n")
+        proc = self.python(code, tiny_setup, tmp_path / "out")
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "system estimate" in proc.stdout
+        assert (tmp_path / "out" / "validation.json").is_file()

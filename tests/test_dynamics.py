@@ -119,6 +119,15 @@ class TestNoiseModel:
         with pytest.raises(ValueError):
             WheelNoise(-0.01, 0.005, 2, (0.5, 0.3, 0.2))
 
+    @pytest.mark.parametrize("args", [
+        (0.0, math.nan, 1, (1.0,)), (0.0, math.inf, 1, (1.0,)),
+        (0.0, 0.1, 2, (math.nan, 1.0)), (0.0, 0.1, 2, (math.inf, 1.0)),
+        (math.nan, 0.1, 1, (1.0,)), (-math.inf, 0.1, 1, (1.0,))])
+    def test_non_finite_fields_rejected(self, args):
+        # the loader rejects these by key; library callers reach the dataclass directly
+        with pytest.raises(ValueError, match="finite"):
+            WheelNoise(*args)
+
     def test_interval_index_out_of_range(self, demo_noise):
         with pytest.raises(IndexError):
             demo_noise.right.interval(0)
@@ -228,3 +237,10 @@ class TestVehicleParams:
             VehicleParams(0.1, 0.3, 2.6, ())
         with pytest.raises(ValueError):
             VehicleParams(0.1, 0.3, 2.6, ((1.0, 1.0), (1.0, 1.0)))
+
+    @pytest.mark.parametrize("geometry", [
+        (math.nan, 0.295, 2.6), (math.inf, 0.295, 2.6), (0.1, math.nan, 2.6),
+        (0.1, math.inf, 2.6), (0.1, 0.295, math.nan), (0.1, 0.295, math.inf)])
+    def test_non_finite_geometry_rejected(self, geometry):
+        with pytest.raises(ValueError, match="positive and finite"):
+            VehicleParams(*geometry, ((1.0, 1.0),))

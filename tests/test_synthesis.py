@@ -9,7 +9,8 @@ import pytest
 from bltlsynth import synthesis
 from bltlsynth.bltl import parse_formula, to_sequential
 from bltlsynth.mdp import EMPTY_HISTORY, STREAM_POLICY_EVAL, PathSampler, episode_rng
-from bltlsynth.synthesis import (Policy, QTable, bie_estimate, determinize,
+from bltlsynth.synthesis import (Policy, QTable, beta_cdf, bie_estimate,
+                                 coverage_upper_bound, determinize,
                                  evaluate_policy, improve_policy,
                                  posterior_interval_coverage, simulate_true_system,
                                  synthesize, theorem_bound_holds, uniform_policy,
@@ -17,8 +18,9 @@ from bltlsynth.synthesis import (Policy, QTable, bie_estimate, determinize,
 from bltlsynth.synthesis import _TrueSystemTask, _map_episodes, _worker_set
 
 from conftest import TEST_ALGORITHM, policy_from_rows, simple_env, symmetric_noise
-from oracles import (all_success_stop_count, determinize_rows, generator_drawing,
-                     improve_rows, merged_pairs, pair_counts, tile_by_cumsum)
+from oracles import (all_success_stop_count, beta_cdf_reference, bie_estimate_reference,
+                     determinize_rows, generator_drawing, improve_rows, merged_pairs,
+                     pair_counts, tile_by_cumsum)
 
 
 def table_of(pairs, n_actions=3):
@@ -393,6 +395,78 @@ class TestBieEstimate:
                 bie_estimate(draw, 0.05, 0.95, prior, 1.0)
             with pytest.raises(ValueError, match="finite"):
                 bie_estimate(draw, 0.05, 0.95, 1.0, prior)
+
+
+def posterior_shapes():
+    """(a, b) of Beta(x+alpha, n-x+beta) posteriors: lopsided and balanced
+    (x, n) up to n = 5000, under priors below and above 1."""
+    for n in (1, 2, 7, 60, 400, 5000):
+        for x in sorted({0, 1, n // 50, n // 4, n // 2, n - 1, n}):
+            for alpha, beta in ((0.3, 2.5), (0.5, 0.5), (1.0, 1.0), (1.7, 0.3), (2.5, 1.7)):
+                yield x + alpha, n - x + beta
+
+
+def around_the_mean(a, b):
+    """Points at 0, 1 and the posterior mean plus -6..6 standard deviations."""
+    mean = a / (a + b)
+    sd = (a * b / (a + b + 1.0)) ** 0.5 / (a + b)
+    return [0.0, 1.0] + [min(1.0, max(0.0, mean + k * sd)) for k in range(-6, 7)]
+
+
+class TestBetaCdf:
+    def test_matches_scipy_on_grid(self):
+        worst = 0.0
+        for a, b in posterior_shapes():
+            for x in around_the_mean(a, b) + [1e-300, 1e-9, 0.5, 1.0 - 1e-9]:
+                worst = max(worst, abs(beta_cdf(x, a, b) - beta_cdf_reference(x, a, b)))
+        assert worst < 1e-10
+
+    def test_upper_bound_is_never_below_the_exact_mass(self):
+        checked = 0
+        for a, b in posterior_shapes():
+            if a <= 1.0 or b <= 1.0:
+                continue
+            points = around_the_mean(a, b)
+            for lo in points:
+                for hi in points:
+                    if lo > hi:
+                        continue
+                    exact = beta_cdf_reference(hi, a, b) - beta_cdf_reference(lo, a, b)
+                    # a bound cut short by ``below`` is a partial tail sum, still a bound
+                    for below in (0.0, 0.5, 0.95):
+                        assert coverage_upper_bound(a, b, lo, hi, below) >= exact - 1e-12
+                    checked += 1
+        assert checked > 5000
+
+    def test_exact_mass_where_the_bound_cannot_rule_out(self):
+        # (x, n) = (900, 1000) at delta 0.05 is far above 0.95: the exact mass
+        for below in (0.0, 0.95):
+            p_hat, lo, hi, cov = posterior_interval_coverage(900, 1000, 1.0, 1.0, 0.05, below)
+            exact = beta_cdf_reference(hi, 901.0, 101.0) - beta_cdf_reference(lo, 901.0, 101.0)
+            assert cov == pytest.approx(exact, abs=1e-10)
+        # 9 of 20 is far below: the bound stands in, and says so by lying below
+        p_hat, lo, hi, cov = posterior_interval_coverage(9, 20, 1.0, 1.0, 0.05, 0.95)
+        exact = beta_cdf_reference(hi, 10.0, 12.0) - beta_cdf_reference(lo, 10.0, 12.0)
+        assert exact <= cov < 0.95
+
+    @pytest.mark.parametrize("delta, confidence, alpha, beta, batch_size", [
+        (0.05, 0.95, 1.0, 1.0, 1),  # the demo's estimation
+        (0.01, 0.95, 1.0, 1.0, 1),  # closed-loop validation
+        (0.05, 0.95, 1.0, 1.0, 32),
+        (0.1, 0.8, 1.0, 1.0, 1),
+        (0.05, 0.99, 0.5, 0.5, 1),
+        (0.02, 0.9, 2.5, 0.3, 3)])
+    def test_bie_estimate_matches_the_scipy_oracle(self, delta, confidence, alpha, beta,
+                                                    batch_size):
+        for p in (0.0, 0.03, 0.5, 0.8, 0.97, 1.0):
+            for seed in range(4):
+                verdicts = list(np.random.default_rng(seed).random(40_000) < p)
+                draw = lambda start, count: verdicts[start:start + count]
+                got = bie_estimate(draw, delta, confidence, alpha, beta, batch_size)
+                n, x, lo, hi, coverage = bie_estimate_reference(
+                    draw, delta, confidence, alpha, beta, batch_size)
+                assert (got.n, got.successes, got.lo, got.hi) == (n, x, lo, hi)
+                assert got.coverage == pytest.approx(coverage, abs=1e-10)
 
 
 class TestSynthesize:

@@ -419,13 +419,24 @@ class SequentialMonitor:
     * no live state remains, because an unsafe step began or every live
       phase's time bound has passed: violated.
 
-    A trace that ends without either is violated (``result``).
+    A trace that ends without either is violated (``result``).  ``snapshot``
+    gives the monitor's state as an immutable value, and ``restore`` puts it
+    into a monitor of the same spec.
     """
 
     def __init__(self, spec: SequentialSpec):
         self.spec = spec
         self._spent: list[Optional[float]] = [0.0] + [None] * (len(spec.phases) - 1)
         self.verdict: Optional[bool] = None
+
+    def snapshot(self) -> tuple:
+        """The live states and the verdict so far."""
+        return tuple(self._spent), self.verdict
+
+    def restore(self, state: tuple) -> None:
+        """Take the state of a ``snapshot`` of a monitor of the same spec."""
+        spent, self.verdict = state
+        self._spent = list(spent)
 
     def push(self, label: Optional[str], duration: float,
              closed: bool = True) -> Optional[bool]:

@@ -20,7 +20,7 @@ from .bltl import (Atom, FragmentError, Not, ParseError, Until,
 from .config import RunConfig, load_config
 from .dynamics import NoiseModel
 from .env import Environment, environment_from_dict
-from .mdp import (STREAM_VALIDATE, HistoryKey, episode_rng, history_key_string,
+from .mdp import (STREAM_VALIDATE, EpisodeStream, HistoryKey, history_key_string,
                   parse_history_key)
 from .synthesis import (Policy, SynthesisResult, simulate_true_system, synthesize,
                         theorem_bound_holds, validate_true_system)
@@ -81,14 +81,28 @@ def _policy_document(result: SynthesisResult, cfg: RunConfig) -> dict:
 def load_policy_file(path: Path, nm: Optional[NoiseModel] = None) -> tuple[dict, Policy]:
     """Metadata and deterministic policy of a policy file.
 
-    Every action must be an integer index into the file's action set.  Every
-    history key must parse into steps whose actions are in that set and,
-    given the noise model, whose tiles are in 1..n of its sides; and no two
-    keys may parse to the same history.
+    The file must hold an object whose ``metadata`` and ``policy`` are
+    objects.  The metadata's ``n_actions`` must be an integer of at least 1
+    and its ``p_hat`` a finite number in [0, 1], neither a boolean.  Every action
+    must be an integer index into the file's action set.  Every history key
+    must parse into steps whose actions are in that set and, given the noise
+    model, whose tiles are in 1..n of its sides; and no two keys may parse to
+    the same history.
     """
     doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict):
+        raise ValueError("policy file must hold a JSON object")
     meta = doc["metadata"]
-    n_actions = int(meta["n_actions"])
+    for key in ("metadata", "policy"):
+        if not isinstance(doc[key], dict):
+            raise ValueError(f"policy file key {key} must be an object")
+    n_actions = meta["n_actions"]
+    if type(n_actions) is not int or n_actions < 1:
+        raise ValueError(f"policy metadata n_actions must be an integer of at least 1, "
+                         f"not {n_actions!r}")
+    p_hat = meta["p_hat"]
+    if type(p_hat) not in (int, float) or not 0 <= p_hat <= 1:  # NaN fails the range
+        raise ValueError(f"policy metadata p_hat must be a number in [0, 1], not {p_hat!r}")
     tiles = None if nm is None else (nm.right.n, nm.left.n)
     steps: dict[str, tuple[int, int, int]] = {}  # step text already checked -> step
     index: dict[HistoryKey, int] = {}
@@ -204,6 +218,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    if args.export_trajectories < 0:
+        raise ValueError(f"--export-trajectories must be non-negative, "
+                         f"not {args.export_trajectories}")
     cfg = load_config(_resolve_config_path(args.config), seed_override=args.seed,
                       workers_override=args.workers)
     meta, policy = load_policy_file(Path(args.policy), cfg.nm)
@@ -245,10 +262,10 @@ def cmd_validate(args) -> int:
     if args.export_trajectories > 0:
         spec = to_sequential(cfg.formula, cfg.env.unsafe)
         horizon = horizon_stages(cfg.formula, cfg.params.dt)
+        episodes = EpisodeStream(cfg.seed, STREAM_VALIDATE, 0)
         for i in range(args.export_trajectories):
             traj, _, sat = simulate_true_system(
-                policy, cfg.env, spec, cfg.params, cfg.nm, horizon,
-                episode_rng(cfg.seed, STREAM_VALIDATE, 0, i))
+                policy, cfg.env, spec, cfg.params, cfg.nm, horizon, episodes.rng(i))
             suffix = "sat" if sat else "viol"
             with open(out_dir / f"traj_{i:04d}_{suffix}.csv", "w", newline="") as fp:
                 write_trajectory_csv(fp, traj)

@@ -18,19 +18,28 @@ fed through the trace walk into the mission monitor, and building stops at
 the stage that fixes the verdict.  The verdict equals that of the
 whole-horizon tube, trace and check of ``PathSampler.finish``.
 
-Episodes share their first stages, so a sampler builds each history prefix's
-stage once, in a prefix table of the stage-end tube state and the stage's
-trace intervals.  Both are pure functions of the prefix (so is the stage's
-start time: every stage lasts ``dt``), hence verdicts do not change.  The table
-stops at the deepest level whose full history tree has at most
-PREFIX_TABLE_NODES nodes (depth 3 on the demo): the tree bounds its size, not
-the number of episodes.
+Episodes share their first stages, so a sampler decides each history
+prefix's stages once, in a prefix table.  An entry holds the prefix's
+stage-end tube state and the states of the trace walk and the mission monitor
+after its stages (``TraceWalk.snapshot``, ``SequentialMonitor.snapshot``), or
+the verdict when its stages fix it; ``decide`` resumes from the deepest
+tabled prefix of a history.  All of these are pure functions of the prefix
+(so is each stage's start time: every stage lasts ``dt``), hence verdicts and
+stage counts do not change.  The table stops at the deepest level whose full
+history tree has at most PREFIX_TABLE_NODES nodes (depth 3 on the demo): the
+tree bounds its size, not the number of episodes.
+
+An episode's uniforms come from its stream, ``EpisodeStream(master seed,
+purpose, round).rng(index)``: the doubles of numpy's
+``default_rng(SeedSequence(master seed, spawn_key=(purpose, round, index)))``,
+computed without building a ``SeedSequence`` and a bit generator per episode.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from itertools import islice
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -57,11 +66,109 @@ EMPTY_HISTORY: HistoryKey = ()
 PREFIX_TABLE_NODES = 2 ** 15
 
 
-def episode_rng(master_seed: int, purpose: int, round_index: int,
-                episode_index: int) -> np.random.Generator:
-    """Independent generator for one episode, reproducible from the master seed."""
-    ss = np.random.SeedSequence(master_seed, spawn_key=(purpose, round_index, episode_index))
-    return np.random.default_rng(ss)
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): the constants
+# of its entropy hash, of its pool-word mix and of ``generate_state``.
+_HASH_INIT, _HASH_MULT = 0x43B0D7E5, 0x931E8875
+_MIX_LEFT, _MIX_RIGHT = 0xCA01F9DD, 0x4973F715
+_STATE_INIT, _STATE_MULT = 0x8B51F9DD, 0x58F38DED
+_WORD = 0xFFFFFFFF
+# PCG64's 128-bit LCG multiplier, and the episode indices seeded in one block.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_MASK = (1 << 128) - 1
+SEED_BLOCK = 256
+
+
+def _hash_constants(init: int, mult: int, first: int, count: int) -> list[int]:
+    """The hash constants ``init * mult**k`` mod 2^32 for k from ``first``."""
+    return [init * pow(mult, k, 1 << 32) & _WORD for k in range(first, first + count)]
+
+
+class EpisodeStream:
+    """The episode generators of one (master seed, purpose, round) stream.
+
+    ``rng(index)`` gives a generator whose doubles are those of numpy's
+    ``default_rng(SeedSequence(master_seed, spawn_key=(purpose, round_index,
+    index)))``.  The index is the last entropy word, mixed into each pool
+    word after all others, so the stream starts from the pool of the key
+    without it, ``SeedSequence(master_seed, spawn_key=(purpose,
+    round_index))``.  For a block of SEED_BLOCK indices the index word is
+    hashed in and PCG64's seed words are drawn as numpy uint64 arrays
+    (32-bit products fit, and masking takes them mod 2^32); only the current
+    block is kept.  Each index's (state, inc) then goes onto the one PCG64
+    the stream owns, so the generator ``rng`` returns is reseeded by the next
+    call: use it up before asking for another.  Indices must lie in
+    [0, 2^32), where the index is one entropy word.
+    """
+
+    def __init__(self, master_seed: int, purpose: int, round_index: int):
+        self.key = (master_seed, purpose, round_index)
+        self._block_start: Optional[int] = None
+        self._seeds: list[list[int]] = []
+        self._bits: Optional[np.random.PCG64] = None  # built with the first block
+
+    def _start(self) -> None:
+        """Hash the pool of the key without the index, and build the stream's
+        bit generator; the first ``rng`` call does, so a process that hands
+        every episode to workers never loads numpy's random module."""
+        prefix = np.random.SeedSequence(self.key[0], spawn_key=self.key[1:])
+        size = prefix.pool_size
+        # 32-bit words per key entry; a spawn key pads the seed's to the pool
+        words = [max(1, -(-n.bit_length() // 32)) for n in self.key]
+        words[0] = max(words[0], size)
+        # mixing the pool took one hash per pool word per entropy word
+        index_hash = _hash_constants(_HASH_INIT, _HASH_MULT, size * sum(words), size + 1)
+        self._index_x = np.array(index_hash[:-1], dtype=np.uint64)
+        self._index_m = np.array(index_hash[1:], dtype=np.uint64)
+        self._pool_left = prefix.pool.astype(np.uint64) * np.uint64(_MIX_LEFT) & np.uint64(_WORD)
+        state_hash = _hash_constants(_STATE_INIT, _STATE_MULT, 0, 2 * size + 1)
+        self._state_x = [np.uint64(c) for c in state_hash[:-1]]
+        self._state_m = [np.uint64(c) for c in state_hash[1:]]
+        self._bits = np.random.PCG64(0)
+        self._rng = np.random.Generator(self._bits)
+        self._state = {"state": 0, "inc": 0}
+        self._bits_state = {"bit_generator": "PCG64", "state": self._state,
+                            "has_uint32": 0, "uinteger": 0}
+
+    def __reduce__(self):
+        return EpisodeStream, self.key
+
+    def _seed_block(self, start: int) -> None:
+        """PCG64's seed and increment words for the block from ``start``."""
+        if self._bits is None:
+            self._start()
+        word, half = np.uint64(_WORD), np.uint64(16)
+        w = np.arange(start, start + SEED_BLOCK, dtype=np.uint64)
+        pool = []
+        for x, m, left in zip(self._index_x, self._index_m, self._pool_left):
+            v = (w ^ x) * m & word
+            v ^= v >> half
+            p = (left - np.uint64(_MIX_RIGHT) * v) & word  # wraps mod 2^64, so mod 2^32
+            pool.append(p ^ (p >> half))
+        out = []
+        for i, (x, m) in enumerate(zip(self._state_x, self._state_m)):
+            v = (pool[i % len(pool)] ^ x) * m & word
+            out.append(v ^ (v >> half))
+        high = np.uint64(32)
+        # generate_state(4, uint64): seed high, seed low, inc high, inc low
+        self._seeds = [(out[k] | out[k + 1] << high).tolist() for k in range(0, 8, 2)]
+        self._block_start = start
+
+    def rng(self, index: int) -> np.random.Generator:
+        """The stream's generator, seeded for episode ``index``."""
+        if not 0 <= index <= _WORD:
+            raise ValueError(f"episode index {index} lies outside [0, 2**32)")
+        j = index % SEED_BLOCK
+        if index - j != self._block_start:
+            self._seed_block(index - j)
+        seed_hi, seed_lo, inc_hi, inc_lo = self._seeds
+        # PCG64's seeding: inc = 2 * initseq + 1, then state = inc; state +=
+        # seed; one LCG step
+        inc = ((inc_hi[j] << 65) | (inc_lo[j] << 1) | 1) & _PCG_MASK
+        state = ((inc + (seed_hi[j] << 64 | seed_lo[j])) * _PCG_MULT + inc) & _PCG_MASK
+        self._state["state"] = state
+        self._state["inc"] = inc
+        self._bits.state = self._bits_state
+        return self._rng
 
 
 def history_key_string(history: HistoryKey) -> str:
@@ -79,6 +186,36 @@ def parse_history_key(text: str) -> HistoryKey:
     return tuple(out)
 
 
+def feed_stage(walk: TraceWalk, monitor: SequentialMonitor, intervals: StageIntervals,
+               duration: float) -> Optional[bool]:
+    """Append one stage to the walk, then push every step it closes, and its
+    open step, into the monitor; the verdict once that fixes it, else None.
+
+    The monitor must hold every step the walk closed before this stage.
+    """
+    fed = len(walk.steps)
+    walk.append(intervals, duration)
+    walk.advance()
+    steps = walk.steps
+    while fed < len(steps):
+        fed += 1
+        if monitor.push(*steps[fed - 1]) is not None:
+            return monitor.verdict
+    if walk.open is not None:
+        return monitor.push(*walk.open, closed=False)
+    return None
+
+
+def finish_trace(walk: TraceWalk, monitor: SequentialMonitor) -> bool:
+    """The verdict once the stages run out: the walk finished, and the steps
+    it closes pushed into the monitor."""
+    fed = len(walk.steps)
+    steps = walk.finish()
+    while fed < len(steps) and monitor.push(*steps[fed]) is None:
+        fed += 1
+    return monitor.result()
+
+
 def decide_tube(walk: TraceWalk, monitor: SequentialMonitor,
                 stages: Iterable[tuple[StageIntervals, float]]) -> tuple[bool, int]:
     """Mission verdict of a tube given stage by stage, and the stages it took.
@@ -86,29 +223,20 @@ def decide_tube(walk: TraceWalk, monitor: SequentialMonitor,
     Each stage comes as its rules' intervals and its duration (``stage_feed``
     computes them from (stage, radius) pairs).  They go through the empty
     trace ``walk``, and every step the walk closes, then its open step,
-    through the fresh mission ``monitor``.  The walk has the environment's
-    ``tube_rules`` for a chain episode's tube, or its ``point_rules`` for a
-    closed-loop trajectory, whose stages all come at radius 0.  No further
-    stage is taken once the monitor fixes the verdict; when the stages run out
-    first, the walk is finished and the verdict is that of the whole trace.
+    through the fresh mission ``monitor`` (``feed_stage``).  The walk has the
+    environment's ``tube_rules`` for a chain episode's tube, or its
+    ``point_rules`` for a closed-loop trajectory, whose stages all come at
+    radius 0.  No further stage is taken once the monitor fixes the verdict;
+    when the stages run out first, the verdict is that of the whole trace
+    (``finish_trace``).
     """
-    fed = k = 0
+    k = 0
     for k, (intervals, duration) in enumerate(stages, 1):
-        walk.append(intervals, duration)
-        walk.advance()
-        steps = walk.steps
-        while fed < len(steps):
-            fed += 1
-            if monitor.push(*steps[fed - 1]) is not None:
-                return monitor.verdict, k
-        if walk.open is not None and monitor.push(*walk.open, closed=False) is not None:
+        if feed_stage(walk, monitor, intervals, duration) is not None:
             return monitor.verdict, k
     if k == 0:
         raise ValueError("cannot trace an empty trajectory")
-    steps = walk.finish()
-    while fed < len(steps) and monitor.push(*steps[fed]) is None:
-        fed += 1
-    return monitor.result(), k
+    return finish_trace(walk, monitor), k
 
 
 @dataclass(frozen=True)
@@ -131,14 +259,16 @@ class PathSampler:
     encoder reading and the stage terms it fixes.
 
     ``prefixes`` maps each history prefix up to ``prefix_depth`` stages long
-    that ``decide`` has met to its stage-end ``NominalStageState`` and its
-    stage's ``stage_intervals``.  Both are functions of the prefix alone (a
-    stage starts at the sum of the durations before it, all ``dt``), so a
-    stored entry is what rebuilding the stage would give, bit for bit, and
-    results do not depend on what the table holds.  It fills as episodes run
-    and is left out of pickles.  Each worker of a command's worker set keeps
-    its own sampler, and so its own table, for the whole command: a forked
-    worker starts from the parent's table, a spawned one from an empty one.
+    that ``decide`` has met to its stage-end ``NominalStageState`` and the
+    ``TraceWalk`` and ``SequentialMonitor`` snapshots after its stages (the
+    walk's is None when the monitor's holds a verdict).  All are functions of
+    the prefix alone (a stage starts at the sum of the durations before it,
+    all ``dt``), so resuming from an entry goes on as deciding the prefix
+    again would, bit for bit, and results do not depend on what the table
+    holds.  It fills as episodes run and is left out of pickles.  Each worker
+    of a command's worker set keeps its own sampler, and so its own table,
+    for the whole command: a forked worker starts from the parent's table, a
+    spawned one from an empty one.
     """
 
     def __init__(self, env: Environment, spec: SequentialSpec, params: VehicleParams,
@@ -159,7 +289,7 @@ class PathSampler:
             step: stage_terms(interval, params, nm) for step, interval in self.measured.items()}
         self._rules = tube_rules(env)
         self.prefix_depth = prefix_table_depth(len(self.measured), horizon)
-        self.prefixes: dict[HistoryKey, tuple[NominalStageState, StageIntervals]] = {}
+        self.prefixes: dict[HistoryKey, tuple[NominalStageState, Optional[tuple], tuple]] = {}
 
     def __getstate__(self):
         state = self.__dict__.copy()
@@ -203,30 +333,40 @@ class PathSampler:
         """Verdict of a complete history, building stages only until it is fixed.
 
         The verdict equals ``finish(history).satisfied``; also returns the
-        number of stages taken (see ``decide_tube``).
+        number of stages taken, as ``decide_tube`` counts them.  Deciding
+        resumes after the deepest prefix in the table, and tables each
+        prefix of at most ``prefix_depth`` stages that it decides.
         """
-        return decide_tube(TraceWalk(self._rules, self.env.unsafe),
-                           SequentialMonitor(self.spec), self._stage_feed(history))
-
-    def _stage_feed(self, history: HistoryKey) -> Iterator[tuple[StageIntervals, float]]:
-        """The history's tube stages as the walk takes them, each built when
-        it is asked for unless the prefix table holds it."""
-        terms, rules = self.terms, self._rules
-        table, depth, dt = self.prefixes, self.prefix_depth, self.params.dt
-        state = NominalStageState(self.env.initial_pose, 0.0, 0.0)
-        t0 = 0.0
-        for k, step in enumerate(history):
-            key = history[:k + 1] if k < depth else None
-            entry = None if key is None else table.get(key)
-            if entry is None:
-                state, stage = propagate_stage(state, terms[step])
-                entry = state, stage_intervals(rules, stage, state.d, t0)
-                if key is not None:
-                    table[key] = entry
-            else:
-                state = entry[0]
-            yield entry[1], dt
-            t0 += dt
+        if not history:
+            raise ValueError("cannot trace an empty trajectory")
+        table, depth = self.prefixes, self.prefix_depth
+        walk = TraceWalk(self._rules, self.env.unsafe)
+        monitor = SequentialMonitor(self.spec)
+        k = min(depth, len(history))
+        entry = None
+        while k and (entry := table.get(history[:k])) is None:
+            k -= 1
+        if entry is None:
+            state = NominalStageState(self.env.initial_pose, 0.0, 0.0)
+        else:
+            state, walk_state, monitor_state = entry
+            monitor.restore(monitor_state)
+            if monitor.verdict is not None:
+                return monitor.verdict, k
+            walk.restore(walk_state)
+        terms, rules, dt = self.terms, self._rules, self.params.dt
+        for step in islice(history, k, None):
+            k += 1
+            state, stage = propagate_stage(state, terms[step])
+            # a stage starts at the walk's total duration
+            verdict = feed_stage(walk, monitor,
+                                 stage_intervals(rules, stage, state.d, walk.total), dt)
+            if k <= depth:
+                table[history[:k]] = (state, None if verdict is not None else walk.snapshot(),
+                                      monitor.snapshot())
+            if verdict is not None:
+                return verdict, k
+        return finish_trace(walk, monitor), k
 
 
 def prefix_table_depth(branching: int, horizon: int) -> int:

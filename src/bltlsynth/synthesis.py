@@ -31,6 +31,11 @@ policy index and the round's ``probs`` matrix; each worker rebuilds the
 stochastic policy and determinizes it itself (``_SynthesisRounds``).  Draws
 go out as index chunks, one per worker, and results come back in index
 order, so no result depends on the worker count.
+
+Each episode task owns the ``mdp.EpisodeStream`` of its master seed, purpose
+and round (a chain task's evaluation or estimation round, validation's round
+0), and episode ``i`` draws from that stream's generator seeded for ``i``, so
+an episode's draws do not depend on which process runs it.
 """
 
 from __future__ import annotations
@@ -56,8 +61,8 @@ from .config import AlgorithmParams
 from .dynamics import (NoiseModel, VehicleParams, sample_noise_in_interval,
                        sample_noise_interval)
 from .env import Environment
-from .mdp import (EMPTY_HISTORY, HistoryKey, PathSampler, STREAM_BIE,
-                  STREAM_POLICY_EVAL, STREAM_VALIDATE, decide_tube, episode_rng)
+from .mdp import (EMPTY_HISTORY, EpisodeStream, HistoryKey, PathSampler, STREAM_BIE,
+                  STREAM_POLICY_EVAL, STREAM_VALIDATE, decide_tube)
 from .tracegen import (Stage, TraceWalk, Trajectory, make_stage, point_rules, stage_feed,
                        trace_from_trajectory)
 
@@ -76,12 +81,21 @@ class Policy:
     policies, action 0 for deterministic ones.  Rows never include the dummy
     horizon action.  An index is never changed once a policy or table holds
     it, so they may share one.
+
+    ``sample_action`` reads each row of ``probs``, and the default row, once:
+    its normalised CDF is kept from the first draw on (and left out of
+    pickles), so ``probs`` must not change once actions are drawn.
     """
 
     n_actions: int
     index: dict[HistoryKey, int]
     probs: Optional[np.ndarray] = None
     actions: Optional[list[int]] = None
+    _cdf: dict[Optional[int], list[float]] = field(default_factory=dict, init=False,
+                                                   repr=False, compare=False)
+
+    def __getstate__(self):
+        return {**self.__dict__, "_cdf": {}}
 
     def __eq__(self, other):
         if not isinstance(other, Policy):
@@ -116,10 +130,12 @@ class Policy:
         if self.actions is not None:
             return self.best_action(state)
         i = self.index.get(state)
-        row = [1.0 / self.n_actions] * self.n_actions if i is None else self.probs[i].tolist()
-        cdf = list(accumulate(row))
-        total = cdf[-1]
-        return bisect_right([c / total for c in cdf], u)
+        cdf = self._cdf.get(i)
+        if cdf is None:
+            row = [1.0 / self.n_actions] * self.n_actions if i is None else self.probs[i].tolist()
+            sums = list(accumulate(row))
+            cdf = self._cdf[i] = [c / sums[-1] for c in sums]
+        return bisect_right(cdf, u)
 
 
 def uniform_policy(n_actions: int) -> Policy:
@@ -171,17 +187,25 @@ class QTable:
 
 @dataclass(frozen=True)
 class _ChainTask:
-    """Chain episodes under a policy on one seed stream: (history, verdict)."""
+    """Chain episodes under a policy on one seed stream: (history, verdict).
+
+    The task owns its ``EpisodeStream`` of (master seed, stream, round), so
+    its worker-side copies each seed their own episodes.
+    """
 
     sampler: PathSampler
     policy: Policy
     master_seed: int
     stream: int
     round_index: int
+    episodes: EpisodeStream = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "episodes",
+                           EpisodeStream(self.master_seed, self.stream, self.round_index))
 
     def run(self, index: int) -> tuple[HistoryKey, bool]:
-        rng = episode_rng(self.master_seed, self.stream, self.round_index, index)
-        history = self.sampler.sample_history(self.policy, rng)
+        history = self.sampler.sample_history(self.policy, self.episodes.rng(index))
         return history, self.sampler.decide(history)[0]
 
 
@@ -229,7 +253,8 @@ class _TrueSystemTask:
     through the point-trace walk into the mission monitor; simulation stops
     at the stage that fixes the verdict (under the pinned seed-2026
     benchmark policy, after 4.19 of 9 stages on average).  The verdict
-    equals that of ``simulate_true_system`` on the same episode generator.
+    equals that of ``simulate_true_system`` on the same episode generator,
+    which comes from the task's own stream of (master seed, validation, 0).
     """
 
     env: Environment
@@ -240,15 +265,16 @@ class _TrueSystemTask:
     horizon: int
     master_seed: int
     rules: list = field(init=False, repr=False, compare=False)
+    episodes: EpisodeStream = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "rules", point_rules(self.env))
+        object.__setattr__(self, "episodes", EpisodeStream(self.master_seed, STREAM_VALIDATE, 0))
 
     def decide(self, index: int) -> tuple[bool, int]:
         """Verdict of episode ``index``, and the stages simulated to fix it."""
-        rng = episode_rng(self.master_seed, STREAM_VALIDATE, 0, index)
         stages = _closed_loop_stages(self.policy, self.env, self.params, self.nm,
-                                     self.horizon, rng)
+                                     self.horizon, self.episodes.rng(index))
         return decide_tube(TraceWalk(self.rules, self.env.unsafe), SequentialMonitor(self.spec),
                            stage_feed(self.rules, ((stage, 0.0) for stage, _ in stages)))
 

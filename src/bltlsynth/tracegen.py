@@ -349,7 +349,9 @@ class TraceWalk:
     ``steps`` holds the closed steps; ``open`` the step after them when its
     label is fixed but its end is not, with its duration so far, a lower
     bound of the final one.  ``finish`` closes the rest; fed every stage
-    first, it gives the whole-trajectory walk.
+    first, it gives the whole-trajectory walk.  ``snapshot`` gives the walk's
+    state as an immutable value, and ``restore`` puts it into a walk of the
+    same rules, which then goes on as the snapshotted walk would.
     """
 
     def __init__(self, rules: Sequence[Rule], unsafe: str):
@@ -386,6 +388,18 @@ class TraceWalk:
         """Close every remaining step; the whole trace."""
         self._walk(True)
         return self.steps
+
+    def snapshot(self) -> tuple:
+        """The walk's state, as tuples that later appends do not change."""
+        return (tuple(map(tuple, self.lists)), tuple(self.nxt), self.total, self.t,
+                self.entered, tuple(self.steps), self.open)
+
+    def restore(self, state: tuple) -> None:
+        """Take the state of a ``snapshot`` of a walk with the same rules."""
+        lists, nxt, self.total, self.t, self.entered, steps, self.open = state
+        self.lists = [list(ivs) for ivs in lists]
+        self.nxt = list(nxt)
+        self.steps = list(steps)
 
     def _walk(self, final: bool) -> None:
         lists, nxt, cutter, out = self.lists, self.nxt, self.cutter, self.steps

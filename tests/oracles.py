@@ -12,9 +12,10 @@ kernel must reproduce bit for bit, and the pair-keyed forms of the synthesis
 step (Q estimates per (history, action) pair, one policy row per history)
 that the state-indexed tables must reproduce bit for bit, a generator
 whose next uniform draw is a chosen value, validation from whole-horizon
-closed-loop runs, and the event-time solver that solves every edge of every
+closed-loop runs, the event-time solver that solves every edge of every
 near rectangle, which ``tracegen.stage_intervals`` must reproduce bit for
-bit."""
+bit, and an episode's generator built by numpy from its seed sequence, which
+``mdp.EpisodeStream`` must reproduce bit for bit."""
 
 import csv
 import math
@@ -29,11 +30,18 @@ from bltlsynth.bltl import (Always, And, Atom, Disjunct, Eventually, Formula, No
 from bltlsynth.dynamics import (OMEGA_STRAIGHT_EPS, NoiseModel, Pose, VehicleParams,
                                 angle_diff, wheel_to_body)
 from bltlsynth.env import Environment, Rect, Region
-from bltlsynth.mdp import EMPTY_HISTORY, STREAM_VALIDATE, HistoryKey, episode_rng
+from bltlsynth.mdp import EMPTY_HISTORY, STREAM_VALIDATE, HistoryKey
 from bltlsynth.synthesis import bie_estimate, simulate_true_system
 from bltlsynth.tracegen import (_BOX_PAD, _TANGENT_SLACK, BREAKPOINT_TOL, Interval, Rule, Stage,
                                 StageIntervals, Trajectory, _inside, _touches, make_stage)
 from bltlsynth.uncertainty import NominalStageState
+
+
+def episode_rng(master_seed: int, purpose: int, round_index: int,
+                episode_index: int) -> np.random.Generator:
+    """An episode's generator as numpy builds it from its seed sequence."""
+    ss = np.random.SeedSequence(master_seed, spawn_key=(purpose, round_index, episode_index))
+    return np.random.default_rng(ss)
 
 
 def rk4_pose(params, q0, w_r, w_l, tau, step=1e-4):

@@ -15,7 +15,7 @@ import bltlsynth as bs
 from bltlsynth.cli import _audit_lines, _policy_document
 from bltlsynth.config import builtin_config_path, config_from_dict
 from bltlsynth.dynamics import Pose, angle_diff, measure, sample_noise_interval, wrap_angle
-from bltlsynth.mdp import PathSampler, episode_rng
+from bltlsynth.mdp import PathSampler
 from bltlsynth.synthesis import (bie_estimate, synthesize, theorem_bound_holds,
                                  uniform_policy, validate_true_system)
 from bltlsynth.tracegen import Trajectory, make_stage, trace_from_trajectory
@@ -23,9 +23,9 @@ from bltlsynth.uncertainty import build_tube
 
 from conftest import (COURIER_FORMULA, COURIER_TRACE, COURIER_TRACE_INNER,
                       COURIER_TRACE_TUBE, MISSION_FORMULA, load_demo_config_doc)
-from oracles import (all_success_stop_count, chained_positions, check_generic, random_spec,
-                     random_trace, rk4_pose, segment_positions_batch, spec_to_formula,
-                     successors)
+from oracles import (all_success_stop_count, chained_positions, check_generic, episode_rng,
+                     random_spec, random_trace, rk4_pose, segment_positions_batch,
+                     spec_to_formula, successors)
 
 ACCEPTANCE_SEED = 2026
 REDUCED_EPISODES = 1000

@@ -1,4 +1,5 @@
 import gzip
+import hashlib
 import json
 import multiprocessing
 import os
@@ -26,6 +27,15 @@ TINY_DEFAULTS_HASH = "cd0dccc979171c01fcb206804be165acb8ee5aa4e93d7fb1ac5111130d
 
 REFERENCE_POLICY = (Path(__file__).resolve().parents[1] / "bench" / "reference"
                     / "policy.json.gz")
+
+# sha256 of the artifacts of the seed-2026 demo with 200 episodes per round
+# (``short_demo``): its synthesis's policy and audit log, and the validation
+# report of that policy.
+SHORT_DEMO_DIGESTS = {
+    "policy.json": "87f68e60e378228ec866f5247c73a1c1709c15dfab8e193494d5c2ec39ebb123",
+    "audit.jsonl": "4ee82ade5b89322d0ef77a7d2e2e80268105c690c4cc2e1fd41012ae421af343",
+    "validation.json": "8f78de10622a5bb655ec3f0243f7628af24265ff232d7fde4b6a8edb94e86ea7",
+}
 
 
 @pytest.fixture
@@ -58,6 +68,22 @@ def tiny_setup(tmp_path):
 def synth_into(cfg_path, out_dir):
     rc = main(["synth", "--config", str(cfg_path), "--out-dir", str(out_dir)])
     return rc
+
+
+@pytest.fixture(scope="module")
+def short_demo(tmp_path_factory):
+    """The bundled demo, environment inlined, at 200 episodes per round."""
+    doc = load_demo_config_doc()
+    doc["environment"] = json.loads(
+        (builtin_config_path().parent / doc["environment"]).read_text())
+    doc["algorithm"].update({"episodes_per_round": 200, "max_rounds": 10})
+    path = tmp_path_factory.mktemp("short") / "short.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 class TestConfig:
@@ -411,6 +437,86 @@ class TestValidateCommand:
         suffixes = [f.stem.rsplit("_", 1)[1] for f in files]
         assert suffixes == ["sat" if task.run(i) else "viol" for i in range(16)]
         assert set(suffixes) == {"sat", "viol"}
+
+
+    @pytest.mark.parametrize("key,value", [
+        ("p_hat", float("nan")), ("p_hat", "0.5"), ("p_hat", True), ("p_hat", 1.5),
+        ("p_hat", -0.1), ("p_hat", float("inf")), ("p_hat", None),
+        ("n_actions", True), ("n_actions", 0), ("n_actions", "3"), ("n_actions", 3.0),
+    ])
+    def test_bad_policy_metadata_rejected_by_name(self, tiny_setup, tmp_path, capsys,
+                                                  monkeypatch, key, value):
+        out = tmp_path / "out"
+        synth_into(tiny_setup, out)
+        doc = json.loads((out / "policy.json").read_text())
+        doc["metadata"][key] = value
+        bad = tmp_path / "policy.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"policy metadata {key} "):
+            load_policy_file(bad)
+
+        def no_episodes(*args, **kwargs):
+            raise AssertionError("validation ran episodes")
+
+        monkeypatch.setattr("bltlsynth.cli.validate_true_system", no_episodes)
+        capsys.readouterr()
+        rc = main(["validate", "--policy", str(bad), "--config", str(tiny_setup),
+                   "--out-dir", str(out)])
+        assert rc == 2
+        assert f"policy metadata {key} " in capsys.readouterr().err
+        assert not (out / "validation.json").exists()
+
+    @pytest.mark.parametrize("shape", ["list", "metadata", "policy"])
+    def test_policy_file_shape_rejected(self, tiny_setup, tmp_path, capsys, shape):
+        out = tmp_path / "out"
+        synth_into(tiny_setup, out)
+        doc = json.loads((out / "policy.json").read_text())
+        if shape == "list":
+            doc = [doc]
+        else:
+            doc[shape] = list(doc[shape])
+        bad = tmp_path / "policy.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = main(["validate", "--policy", str(bad), "--config", str(tiny_setup),
+                   "--out-dir", str(out)])
+        assert rc == 2
+        assert "policy file" in capsys.readouterr().err
+
+    def test_integral_p_hat_accepted(self, tiny_setup, tmp_path):
+        out = tmp_path / "out"
+        synth_into(tiny_setup, out)
+        doc = json.loads((out / "policy.json").read_text())
+        doc["metadata"]["p_hat"] = 1
+        (out / "policy.json").write_text(json.dumps(doc))
+        meta, _ = load_policy_file(out / "policy.json")
+        assert meta["p_hat"] == 1
+
+    def test_negative_trajectory_export_rejected(self, tiny_setup, tmp_path, capsys):
+        out = tmp_path / "out"
+        synth_into(tiny_setup, out)
+        capsys.readouterr()
+        rc = main(["validate", "--policy", str(out / "policy.json"),
+                   "--config", str(tiny_setup), "--out-dir", str(out),
+                   "--export-trajectories", "-3"])
+        assert rc == 2
+        assert "--export-trajectories" in capsys.readouterr().err
+        assert not (out / "validation.json").exists()
+
+
+class TestArtifactDigests:
+    """The bytes of a short demo run's artifacts are pinned: a change that
+    moves them must say why."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_short_demo_synth_and_validate(self, short_demo, tmp_path, workers):
+        out = tmp_path / "out"
+        assert main(["synth", "--config", str(short_demo), "--out-dir", str(out),
+                     "--workers", str(workers)]) == 0
+        assert main(["validate", "--policy", str(out / "policy.json"),
+                     "--config", str(short_demo), "--out-dir", str(out),
+                     "--workers", str(workers)]) == 0
+        assert {name: sha256(out / name) for name in SHORT_DEMO_DIGESTS} == SHORT_DEMO_DIGESTS
 
 
 class TestCheckCommand:

@@ -18,7 +18,7 @@ from bltlsynth.config import builtin_config_path, config_from_dict
 from bltlsynth import mdp
 from bltlsynth.dynamics import measure
 from bltlsynth.mdp import (PREFIX_TABLE_NODES, STREAM_VALIDATE, PathSampler, decide_tube,
-                           episode_rng, prefix_table_depth)
+                           prefix_table_depth)
 from bltlsynth.synthesis import (Policy, _TrueSystemTask, simulate_true_system,
                                  uniform_policy, validate_true_system)
 from bltlsynth.tracegen import (TraceWalk, UncertaintyTube, stage_feed, stage_intervals,
@@ -26,8 +26,8 @@ from bltlsynth.tracegen import (TraceWalk, UncertaintyTube, stage_feed, stage_in
 from bltlsynth.uncertainty import build_tube
 
 from conftest import DT, TEST_ALGORITHM, simple_env
-from oracles import (check_generic, random_spec, random_trace, random_trace_case,
-                     spec_to_formula, whole_horizon_validation)
+from oracles import (check_generic, episode_rng, random_spec, random_trace,
+                     random_trace_case, spec_to_formula, whole_horizon_validation)
 from test_tracegen import straight_trajectory
 
 
@@ -290,7 +290,10 @@ def demo_doc():
 def variant_config(name):
     """The demo mission with wider noise, a spin-in-place action, or sharp
     turns; or the demo world with a dropoff deadline just after a straight
-    run arrives there, so that verdicts are fixed only in the last stage."""
+    run arrives there, so that verdicts are fixed only in the last stage; or,
+    with verdicts fixed within the prefix table's depth, the demo mission
+    with a barrier that a left turn meets in its first two stages, or a
+    three-stage pickup mission."""
     doc = demo_doc()
     if name == "wide-noise":
         for side in ("right", "left"):
@@ -302,6 +305,10 @@ def variant_config(name):
         doc["vehicle"]["actions"][2] = [0.9, 5.5]
     elif name == "late-dropoff":
         doc["formula"] = "!unsafe U[<=9.65] dropoff"
+    elif name == "early-contact":
+        doc["environment"]["regions"][4]["rect"] = [0.2, 0.3, 0.75, 1.0]
+    elif name == "short-horizon":
+        doc["formula"] = "!unsafe U[<=7.5] pickup"
     return config_from_dict(doc)
 
 
@@ -439,29 +446,36 @@ def test_warm_table_decides_as_a_fresh_sampler(name):
 
 
 def test_table_fed_walk_keeps_the_extended_walks_lists(demo_config):
-    """After each stage, the interval lists of a walk fed by the sampler's
-    table, and of one fed ``stage_intervals`` at its total duration, equal
-    those of a walk fed the tube's stages through ``stage_feed``, as
-    ``trace_from_tube`` feeds them."""
+    """After each stage, the interval lists of a walk fed ``stage_intervals``
+    at its total duration equal those of a walk fed the tube's stages through
+    ``stage_feed``, as ``trace_from_tube`` feeds them; and a walk restored
+    from the sampler's table entry of a prefix equals the latter after the
+    prefix's stages, closed and open steps included."""
     cfg = demo_config
     sampler = PathSampler(cfg.env, to_sequential(cfg.formula, cfg.env.unsafe), cfg.params,
                           cfg.nm, 9)
     rules = tube_rules(cfg.env)
     rng = np.random.default_rng(72)
     policy = random_strategy(cfg.nm.right.n, rng)
+    restored = 0
     for e in range(40):
         history = sampler.sample_history(policy, episode_rng(7, 12, 0, e))
+        sampler.decide(history)
         tube = sampler.finish(history).tube
         streamed, appended, tabled = (tube_walk(cfg.env) for _ in range(3))
-        feed = sampler._stage_feed(history)
         pairs = list(zip(tube.trajectory.stages, tube.radii))
-        for (stage, d), fed in zip(pairs, stage_feed(rules, pairs)):
+        for k, ((stage, d), fed) in enumerate(zip(pairs, stage_feed(rules, pairs)), 1):
             streamed.append(*fed)
+            streamed.advance()
             appended.append(stage_intervals(rules, stage, d, appended.total), stage.duration)
-            tabled.append(*next(feed))
             assert appended.lists == streamed.lists
-            assert tabled.lists == streamed.lists
-            assert tabled.total == appended.total == streamed.total
+            assert appended.total == streamed.total
+            entry = sampler.prefixes.get(history[:k])
+            if entry is not None and entry[1] is not None:
+                tabled.restore(entry[1])
+                assert vars(tabled) == vars(streamed)
+                restored += 1
+    assert restored > 40
     assert any(len(key) == 3 for key in sampler.prefixes)
 
 
@@ -494,12 +508,54 @@ def test_table_stays_within_its_depth_and_budget(budget, monkeypatch):
 
 
 def test_pickled_sampler_carries_an_empty_table():
+    """Neither the prefix table, with its walk states, nor a policy's CDF
+    rows go into a pickle."""
     cfg, sampler = config_sampler("demo")
-    histories = [sampler.sample_history(uniform_policy(3), episode_rng(7, 14, 0, e))
+    policy = random_strategy(cfg.nm.right.n, np.random.default_rng(73))
+    stochastic = Policy(3, policy.index, probs=np.eye(3)[policy.actions] * 0.4 + 0.2)
+    histories = [sampler.sample_history(stochastic, episode_rng(7, 14, 0, e))
                  for e in range(50)]
     verdicts = [sampler.decide(h) for h in histories]
     held = dict(sampler.prefixes)
+    assert any(walk is not None for _, walk, _ in held.values())
     clone = pickle.loads(pickle.dumps(sampler))
     assert clone.prefixes == {}
     assert sampler.prefixes == held and held
     assert [clone.decide(h) for h in histories] == verdicts
+    rows = dict(stochastic._cdf)
+    assert None in rows and len(rows) > 1
+    policy_clone = pickle.loads(pickle.dumps(stochastic))
+    assert policy_clone._cdf == {} and policy_clone == stochastic
+    assert stochastic._cdf == rows
+    assert [policy_clone.sample_action(h[:2], 0.5) for h in histories] == \
+        [stochastic.sample_action(h[:2], 0.5) for h in histories]
+
+
+@pytest.mark.parametrize("name", ["early-contact", "short-horizon"])
+def test_verdicts_fixed_within_the_table_depth(name, monkeypatch):
+    """On missions whose verdicts are often fixed within the table's depth, a
+    cold sampler, a warm one that resumes from its table (walk states and
+    verdict entries) and one with no table decide alike, and as ``finish``."""
+    cfg, warm = config_sampler(name)
+    assert warm.prefix_depth == 3
+    if name == "short-horizon":
+        assert warm.horizon == 3
+    with monkeypatch.context() as patch:
+        patch.setattr(mdp, "PREFIX_TABLE_NODES", 20)
+        untabled = fresh_copy(warm)
+    assert untabled.prefix_depth == 0 and fresh_copy(warm).prefix_depth == 3
+    rng = np.random.default_rng(74)
+    policies = [uniform_policy(3), random_strategy(cfg.nm.right.n, rng)]
+    early = resumed = 0
+    for p, policy in enumerate(policies):
+        for e in range(150):
+            history = warm.sample_history(policy, episode_rng(7, 15, p, e))
+            tabled = [warm.prefixes.get(history[:k]) for k in range(1, 4)]
+            resumed += any(entry is not None for entry in tabled)
+            verdict = warm.decide(history)
+            assert verdict == fresh_copy(warm).decide(history) == untabled.decide(history)
+            assert verdict[0] == warm.finish(history).satisfied
+            early += verdict[1] <= 3 and any(entry is not None and entry[1] is None
+                                             for entry in tabled)
+    assert untabled.prefixes == {}
+    assert resumed > 150 and early > 20

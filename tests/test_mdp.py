@@ -1,17 +1,18 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from bltlsynth.bltl import parse_formula, to_sequential
 from bltlsynth.dynamics import measure
-from bltlsynth.mdp import (EMPTY_HISTORY, PathSampler, episode_rng, history_key_string,
-                           parse_history_key)
+from bltlsynth.mdp import (EMPTY_HISTORY, SEED_BLOCK, EpisodeStream, PathSampler,
+                           history_key_string, parse_history_key)
 from bltlsynth.synthesis import Policy, uniform_policy
 
 from conftest import policy_from_rows, simple_env, symmetric_noise
-from oracles import (DUMMY_ACTION, enabled_actions, sample_history_scalar, successors,
-                     transition_prob)
+from oracles import (DUMMY_ACTION, enabled_actions, episode_rng, sample_history_scalar,
+                     successors, transition_prob)
 
 
 @pytest.fixture
@@ -100,6 +101,56 @@ class TestHistoryKeys:
     def test_empty_history(self):
         assert history_key_string(EMPTY_HISTORY) == ""
         assert parse_history_key("") == EMPTY_HISTORY
+
+
+class TestEpisodeStream:
+    """``EpisodeStream(seed, purpose, round).rng(index)`` draws the doubles of
+    numpy's generator for the seed sequence of (seed, (purpose, round, index)),
+    the oracle's ``episode_rng``."""
+
+    SEEDS = [0, 1, 2026, 2 ** 32 - 1, 2 ** 32 + 5, 2 ** 40 + 3, 2 ** 64 + 9, 2 ** 128 + 11,
+             3 ** 90]
+    INDICES = [0, 1, 2, SEED_BLOCK - 1, SEED_BLOCK, SEED_BLOCK + 1, 2 * SEED_BLOCK - 1,
+               2 * SEED_BLOCK, 1000, 7, 2 ** 31, 2 ** 32 - 1, 3]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_draws_equal_numpys(self, seed):
+        assert SEED_BLOCK == 256
+        for purpose in (0, 1, 2):
+            for round_index in (0, 1, 2, 5, 2 ** 32 + 1):
+                stream = EpisodeStream(seed, purpose, round_index)
+                for index in self.INDICES:
+                    want = episode_rng(seed, purpose, round_index, index).random(30)
+                    assert stream.rng(index).random(30).tolist() == want.tolist()
+
+    def test_every_index_of_a_block_and_its_neighbours(self):
+        stream = EpisodeStream(2026, 0, 3)
+        for index in [*range(SEED_BLOCK - 3, 3 * SEED_BLOCK + 3), 4, 3 * SEED_BLOCK + 2]:
+            rng = stream.rng(index)
+            assert rng.random(3).tolist() == episode_rng(2026, 0, 3, index).random(3).tolist()
+            assert rng.random() == episode_rng(2026, 0, 3, index).random(4)[3]
+
+    def test_indices_outside_one_word_rejected(self):
+        stream = EpisodeStream(2026, 1, 1)
+        for index in (-1, 2 ** 32, 2 ** 40):
+            with pytest.raises(ValueError, match="outside"):
+                stream.rng(index)
+        with pytest.raises(ValueError, match="non-negative"):
+            EpisodeStream(-5, 0, 0).rng(0)
+
+    def test_one_generator_reseeded_per_episode(self):
+        stream = EpisodeStream(7, 2, 0)
+        first = stream.rng(10)
+        assert stream.rng(11) is first
+        assert first.random(5).tolist() == episode_rng(7, 2, 0, 11).random(5).tolist()
+
+    def test_pickle_rebuilds_the_stream(self):
+        stream = EpisodeStream(2 ** 40 + 3, 1, 4)
+        stream.rng(300)
+        clone = pickle.loads(pickle.dumps(stream))
+        assert clone._block_start is None
+        assert [clone.rng(i).random() for i in range(3)] == \
+            [episode_rng(2 ** 40 + 3, 1, 4, i).random() for i in range(3)]
 
 
 class TestPathSampler:

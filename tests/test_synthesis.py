@@ -8,7 +8,7 @@ import pytest
 
 from bltlsynth import synthesis
 from bltlsynth.bltl import parse_formula, to_sequential
-from bltlsynth.mdp import EMPTY_HISTORY, STREAM_POLICY_EVAL, PathSampler, episode_rng
+from bltlsynth.mdp import EMPTY_HISTORY, STREAM_POLICY_EVAL, PathSampler
 from bltlsynth.synthesis import (Policy, QTable, beta_cdf, bie_estimate,
                                  coverage_upper_bound, determinize,
                                  evaluate_policy, improve_policy,
@@ -19,8 +19,8 @@ from bltlsynth.synthesis import _TrueSystemTask, _map_episodes, _worker_set
 
 from conftest import TEST_ALGORITHM, policy_from_rows, simple_env, symmetric_noise
 from oracles import (all_success_stop_count, beta_cdf_reference, bie_estimate_reference,
-                     determinize_rows, generator_drawing, improve_rows, merged_pairs,
-                     pair_counts, tile_by_cumsum)
+                     determinize_rows, episode_rng, generator_drawing, improve_rows,
+                     merged_pairs, pair_counts, tile_by_cumsum)
 
 
 def table_of(pairs, n_actions=3):
@@ -139,6 +139,22 @@ class TestSampleAction:
         for _ in range(500):
             assert policy.sample_action(((1, 2, 2),), a.random()) == \
                 int(b.choice(3, p=np.full(3, 1.0 / 3.0)))
+
+
+    def test_rows_and_default_row_interleaved(self):
+        # the CDF rows a policy keeps after a row's first draw give choice's
+        # action on every later draw, whichever rows came in between
+        rng = np.random.default_rng(11)
+        rows = {((a, 1, 1),): rng.dirichlet(np.ones(3)) for a in range(3)}
+        rows[((0, 2, 2),)] = np.array([0.0, 1.0, 0.0])
+        policy = policy_from_rows(rows, 3)
+        states = [*rows, EMPTY_HISTORY, ((2, 3, 3),)]
+        a, b = np.random.default_rng(12), np.random.default_rng(12)
+        for _ in range(3000):
+            state = states[int(rng.integers(len(states)))]
+            row = rows.get(state, np.full(3, 1.0 / 3.0))
+            assert policy.sample_action(state, a.random()) == int(b.choice(3, p=row))
+        assert set(policy._cdf) == {0, 1, 2, 3, None}
 
 
 class TestQTable:

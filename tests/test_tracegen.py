@@ -17,7 +17,7 @@ from bltlsynth.tracegen import (Trajectory, UncertaintyTube, _inside, _touches,
 from bltlsynth.uncertainty import build_tube
 
 from conftest import DT, STRAIGHT, TURN_LEFT, simple_env
-from oracles import dense_trace_disagreements, random_trace_case, write_trace_csv
+from oracles import dense_trace_disagreements, episode_rng, random_trace_case, write_trace_csv
 
 BOX = Rect(0.0, 0.0, 2.0, 1.0)
 
@@ -338,7 +338,7 @@ class TestDwellDominance:
         # for paths whose tube and inner traces visit the same label sequence,
         # each tube dwell is a lower bound on the matched inner dwell
         from bltlsynth.bltl import to_sequential
-        from bltlsynth.mdp import PathSampler, episode_rng
+        from bltlsynth.mdp import PathSampler
         from bltlsynth.synthesis import uniform_policy
         cfg = demo_config
         spec = to_sequential(cfg.formula, cfg.env.unsafe)
@@ -427,7 +427,7 @@ class TestTrajectoryType:
         """Chain and closed-loop stages, straight and turning, place every
         point where ``integrate_body`` puts the stage's start pose."""
         from bltlsynth.bltl import to_sequential
-        from bltlsynth.mdp import EMPTY_HISTORY, PathSampler, episode_rng
+        from bltlsynth.mdp import EMPTY_HISTORY, PathSampler
         from bltlsynth.synthesis import Policy, _closed_loop_stages, uniform_policy
         cfg = demo_config
         spec = to_sequential(cfg.formula, cfg.env.unsafe)

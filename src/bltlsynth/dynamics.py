@@ -14,12 +14,13 @@ positions into ``VehicleParams.actions``.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
 
 # Below this body angular rate the exact arc formula degenerates; treat as straight.
 OMEGA_STRAIGHT_EPS = 1e-12
+# The modulus of wrap_angle.
+_TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -80,7 +81,10 @@ class WheelNoise:
     [eps_min + (j-1)*delta, eps_min + j*delta] and carries mass probs[j-1].
     Constructing from (eps_min, delta, n) makes the tiling exact by design.
     ``cdf`` holds the running sums of ``probs``, computed once, for drawing
-    tiles by inverse CDF.
+    tiles by inverse CDF: a uniform u in [0, 1) draws tile
+    min(bisect_right(cdf, u) + 1, n), and a second one the noise lo + u*(hi - lo)
+    inside tile j = [lo, hi].  The chain sampler and the closed loop bind
+    these fields once and evaluate both expressions inline.
     """
 
     eps_min: float
@@ -124,13 +128,6 @@ class NoiseModel:
     right: WheelNoise
     left: WheelNoise
 
-    def wheel(self, which: str) -> WheelNoise:
-        if which == "r":
-            return self.right
-        if which == "l":
-            return self.left
-        raise ValueError(f"wheel must be 'r' or 'l', got {which!r}")
-
 
 @dataclass(frozen=True)
 class MeasuredInterval:
@@ -157,25 +154,19 @@ def wheel_to_body(params: VehicleParams, w_r: float, w_l: float) -> tuple[float,
     return v, omega
 
 
-def integrate_body(q0: Pose, v: float, omega: float, tau: float) -> Pose:
-    """Propagate the pose for tau seconds at constant body speed v and turn
-    rate omega: a straight line below OMEGA_STRAIGHT_EPS, else an arc."""
+def integrate_body(x: float, y: float, theta: float, v: float, omega: float,
+                   tau: float) -> tuple[float, float, float]:
+    """The pose (x, y, theta) after tau seconds at constant body speed v and
+    turn rate omega from the given one: a straight line below
+    OMEGA_STRAIGHT_EPS, else an arc.  The end heading is wrapped as ``Pose``
+    stores it (on a line, the start heading is wrapped again)."""
     if tau < 0:
         raise ValueError("tau must be non-negative")
     if abs(omega) < OMEGA_STRAIGHT_EPS:
-        return Pose(q0.x + v * tau * math.cos(q0.theta),
-                    q0.y + v * tau * math.sin(q0.theta),
-                    q0.theta)
-    th1 = q0.theta + omega * tau
-    x1 = q0.x + (v / omega) * (math.sin(th1) - math.sin(q0.theta))
-    y1 = q0.y - (v / omega) * (math.cos(th1) - math.cos(q0.theta))
-    return Pose(x1, y1, th1)
-
-
-def sample_noise_interval(nm: NoiseModel, wheel: str, u: float) -> int:
-    """Draw a noise-interval index (1-based) by inverse CDF from u in [0, 1)."""
-    wn = nm.wheel(wheel)
-    return min(bisect_right(wn.cdf, u) + 1, wn.n)
+        return x + v * tau * math.cos(theta), y + v * tau * math.sin(theta), theta % _TWO_PI
+    th1 = theta + omega * tau
+    return (x + (v / omega) * (math.sin(th1) - math.sin(theta)),
+            y - (v / omega) * (math.cos(th1) - math.cos(theta)), th1 % _TWO_PI)
 
 
 def measure(nm: NoiseModel, params: VehicleParams, action_index: int,
@@ -188,9 +179,3 @@ def measure(nm: NoiseModel, params: VehicleParams, action_index: int,
     l_lo, l_hi = nm.left.interval(j_l)
     return MeasuredInterval(action_index, j_r, j_l,
                             u_r + r_lo, u_r + r_hi, u_l + l_lo, u_l + l_hi)
-
-
-def sample_noise_in_interval(nm: NoiseModel, wheel: str, j: int, u: float) -> float:
-    """Draw a noise value uniformly inside interval j (u in [0, 1))."""
-    lo, hi = nm.wheel(wheel).interval(j)
-    return lo + u * (hi - lo)

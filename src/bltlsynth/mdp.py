@@ -4,7 +4,7 @@ A state is the sequence of (action index, right tile, left tile) triples
 observed so far; the empty history is the initial state.  The state space is
 never enumerated: histories materialize only when sampled.  Every commanded
 action is enabled below the horizon, and each stage's tiles are drawn by
-inverse CDF (``dynamics.sample_noise_interval``).
+inverse CDF over ``WheelNoise.cdf``, bound once per sampler.
 
 The sampler is table driven: the encoder reading of every (action, right
 tile, left tile) triple is measured once per sampler, and an episode takes all
@@ -13,21 +13,23 @@ come (action when the policy is stochastic, then right tile, then left tile),
 so the histories equal those of the scalar draws.
 
 An episode's verdict is decided stage by stage (``PathSampler.decide``): the
-history is sampled whole, then its tube stages are built one at a time and
-fed through the trace walk into the mission monitor, and building stops at
-the stage that fixes the verdict.  The verdict equals that of the
-whole-horizon tube, trace and check of ``PathSampler.finish``.
+history is sampled whole, then its tube stages are built one at a time, as
+plain floats (``uncertainty.propagate_stage``), and fed through the trace
+walk into the mission monitor, and building stops at the stage that fixes
+the verdict.  The verdict equals that of the whole-horizon tube, trace and
+check of ``PathSampler.finish``.
 
 Episodes share their first stages, so a sampler decides each history
 prefix's stages once, in a prefix table.  An entry holds the prefix's
-stage-end tube state and the states of the trace walk and the mission monitor
-after its stages (``TraceWalk.snapshot``, ``SequentialMonitor.snapshot``), or
-the verdict when its stages fix it; ``decide`` resumes from the deepest
-tabled prefix of a history.  All of these are pure functions of the prefix
-(so is each stage's start time: every stage lasts ``dt``), hence verdicts and
-stage counts do not change.  The table stops at the deepest level whose full
-history tree has at most PREFIX_TABLE_NODES nodes (depth 3 on the demo): the
-tree bounds its size, not the number of episodes.
+stage-end tube state (x, y, theta, d, dtheta) and the states of the trace
+walk and the mission monitor after its stages (``TraceWalk.snapshot``,
+``SequentialMonitor.snapshot``), or the verdict when its stages fix it;
+``decide`` resumes from the deepest tabled prefix of a history.  All of
+these are pure functions of the prefix (so is each stage's start time:
+every stage lasts ``dt``), hence verdicts and stage counts do not change.
+The table stops at the deepest level whose full history tree has at most
+PREFIX_TABLE_NODES nodes (depth 3 on the demo): the tree bounds its size,
+not the number of episodes.
 
 An episode's uniforms come from its stream, ``EpisodeStream(master seed,
 purpose, round).rng(index)``: the doubles of numpy's
@@ -37,6 +39,7 @@ computed without building a ``SeedSequence`` and a bit generator per episode.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator, Optional
@@ -44,13 +47,11 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from .bltl import SequentialMonitor, SequentialSpec, TraceStep, check_sequential
-from .dynamics import (MeasuredInterval, NoiseModel, VehicleParams,
-                       measure, sample_noise_interval)
+from .dynamics import MeasuredInterval, NoiseModel, VehicleParams, measure
 from .env import Environment
 from .tracegen import (StageIntervals, TraceWalk, UncertaintyTube, stage_intervals,
                        trace_from_tube, tube_rules)
-from .uncertainty import (NominalStageState, StageTerms, build_tube, propagate_stage,
-                          stage_terms)
+from .uncertainty import StageTerms, TubeState, build_tube, propagate_stage, stage_terms
 
 # Stream purposes for deterministic seeding.
 STREAM_POLICY_EVAL = 0
@@ -259,7 +260,7 @@ class PathSampler:
     encoder reading and the stage terms it fixes.
 
     ``prefixes`` maps each history prefix up to ``prefix_depth`` stages long
-    that ``decide`` has met to its stage-end ``NominalStageState`` and the
+    that ``decide`` has met to its stage-end ``TubeState`` and the
     ``TraceWalk`` and ``SequentialMonitor`` snapshots after its stages (the
     walk's is None when the monitor's holds a verdict).  All are functions of
     the prefix alone (a stage starts at the sum of the durations before it,
@@ -288,8 +289,11 @@ class PathSampler:
         self.terms: dict[tuple[int, int, int], StageTerms] = {
             step: stage_terms(interval, params, nm) for step, interval in self.measured.items()}
         self._rules = tube_rules(env)
+        self._origin: TubeState = (env.initial_pose.x, env.initial_pose.y,
+                                   env.initial_pose.theta, 0.0, 0.0)
+        self._tiles = (nm.right.cdf, nm.right.n, nm.left.cdf, nm.left.n)
         self.prefix_depth = prefix_table_depth(len(self.measured), horizon)
-        self.prefixes: dict[HistoryKey, tuple[NominalStageState, Optional[tuple], tuple]] = {}
+        self.prefixes: dict[HistoryKey, tuple[TubeState, Optional[tuple], tuple]] = {}
 
     def __getstate__(self):
         state = self.__dict__.copy()
@@ -306,14 +310,15 @@ class PathSampler:
         stochastic = not policy.deterministic
         k = 3 if stochastic else 2
         u = rng.random(k * self.horizon).tolist()
+        cdf_r, n_r, cdf_l, n_l = self._tiles
         history: HistoryKey = EMPTY_HISTORY
         for i in range(0, k * self.horizon, k):
             if stochastic:
                 action = policy.sample_action(history, u[i])
             else:
                 action = policy.best_action(history)
-            j_r = sample_noise_interval(self.nm, "r", u[i + k - 2])
-            j_l = sample_noise_interval(self.nm, "l", u[i + k - 1])
+            j_r = min(bisect_right(cdf_r, u[i + k - 2]) + 1, n_r)
+            j_l = min(bisect_right(cdf_l, u[i + k - 1]) + 1, n_l)
             history = history + ((action, j_r, j_l),)
         return history
 
@@ -347,7 +352,7 @@ class PathSampler:
         while k and (entry := table.get(history[:k])) is None:
             k -= 1
         if entry is None:
-            state = NominalStageState(self.env.initial_pose, 0.0, 0.0)
+            state = self._origin
         else:
             state, walk_state, monitor_state = entry
             monitor.restore(monitor_state)
@@ -360,7 +365,7 @@ class PathSampler:
             state, stage = propagate_stage(state, terms[step])
             # a stage starts at the walk's total duration
             verdict = feed_stage(walk, monitor,
-                                 stage_intervals(rules, stage, state.d, walk.total), dt)
+                                 stage_intervals(rules, stage, state[3], walk.total), dt)
             if k <= depth:
                 table[history[:k]] = (state, None if verdict is not None else walk.snapshot(),
                                       monitor.snapshot())

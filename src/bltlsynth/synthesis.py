@@ -27,8 +27,9 @@ With more than one worker, a command runs its episodes on one worker set
 ``batch_size``) and keep them until they return, so a worker's sampler keeps
 its prefix table from round to round.  Once per
 round a synthesis sends every worker the histories the round appended to the
-policy index and the round's ``probs`` matrix; each worker rebuilds the
-stochastic policy and determinizes it itself (``_SynthesisRounds``).  Draws
+policy index and the argmax column of the round's Q estimates; each worker
+takes the round's convex step (``_improved_probs``) and determinizes the
+policy itself (``_SynthesisRounds``).  Draws
 go out as index chunks, one per worker, and results come back in index
 order, so no result depends on the worker count.
 
@@ -58,13 +59,12 @@ import numpy as np
 from .bltl import (Formula, SequentialMonitor, SequentialSpec, check_sequential,
                    horizon_stages, to_sequential)
 from .config import AlgorithmParams
-from .dynamics import (NoiseModel, VehicleParams, sample_noise_in_interval,
-                       sample_noise_interval)
+from .dynamics import NoiseModel, VehicleParams, integrate_body, wheel_to_body
 from .env import Environment
 from .mdp import (EMPTY_HISTORY, EpisodeStream, HistoryKey, PathSampler, STREAM_BIE,
                   STREAM_POLICY_EVAL, STREAM_VALIDATE, decide_tube)
-from .tracegen import (Stage, TraceWalk, Trajectory, make_stage, point_rules, stage_feed,
-                       trace_from_trajectory)
+from .tracegen import (Stage, StageRecord, TraceWalk, Trajectory, point_rules,
+                       stage_intervals, trace_from_trajectory)
 
 
 # ---------------------------------------------------------------------------
@@ -218,25 +218,29 @@ class _SynthesisRounds:
 
     The parent moves every worker from phase to phase with
     ``_WorkerSet.send``: ``estimating`` takes the round's policy as the
-    histories the round appended to the index and the round's ``probs``
-    matrix, and ``evaluating`` starts the next round's evaluation.
+    histories the round appended to the index and the argmax column of the
+    round's Q estimates, from which it takes the round's convex step as the
+    parent's ``improve_policy`` does, and ``evaluating`` starts the next
+    round's evaluation.
     """
 
     chain: _ChainTask
     policy: Policy
+    greediness: float
 
     def run(self, index: int) -> tuple[HistoryKey, bool]:
         return self.chain.run(index)
 
     def estimating(self, new_histories: list[HistoryKey],
-                   probs: np.ndarray) -> "_SynthesisRounds":
+                   best: np.ndarray) -> "_SynthesisRounds":
         """The round's estimation, under the determinization of its policy."""
         index = dict(self.policy.index)
         for history in new_histories:
             index[history] = len(index)
+        probs = _improved_probs(self.policy.probs, best, self.greediness)
         policy = Policy(self.policy.n_actions, index, probs=probs)
-        return _SynthesisRounds(replace(self.chain, policy=determinize(policy),
-                                        stream=STREAM_BIE), policy)
+        return replace(self, chain=replace(self.chain, policy=determinize(policy),
+                                           stream=STREAM_BIE), policy=policy)
 
     def evaluating(self, round_index: int) -> "_SynthesisRounds":
         """The evaluation of round ``round_index``, under the last round's policy."""
@@ -275,8 +279,11 @@ class _TrueSystemTask:
         """Verdict of episode ``index``, and the stages simulated to fix it."""
         stages = _closed_loop_stages(self.policy, self.env, self.params, self.nm,
                                      self.horizon, self.episodes.rng(index))
-        return decide_tube(TraceWalk(self.rules, self.env.unsafe), SequentialMonitor(self.spec),
-                           stage_feed(self.rules, ((stage, 0.0) for stage, _ in stages)))
+        rules, dt = self.rules, self.params.dt
+        walk = TraceWalk(rules, self.env.unsafe)
+        # a stage starts at the walk's total duration
+        feed = ((stage_intervals(rules, stage, 0.0, walk.total), dt) for stage, _ in stages)
+        return decide_tube(walk, SequentialMonitor(self.spec), feed)
 
     def run(self, index: int) -> bool:
         return self.decide(index)[0]
@@ -505,12 +512,20 @@ def improve_policy(policy: Policy, qtable: QTable, greediness: float) -> Policy:
         raise ValueError("greediness must lie in (0, 1)")
     if any(qtable.index.get(state) != i for state, i in policy.index.items()):
         raise ValueError("the policy's rows are not the first rows of the table")
-    g = greediness
-    probs = np.full(qtable.estimate.shape, 1.0 / policy.n_actions)
-    probs[:len(policy.index)] = policy.probs
-    probs *= 1.0 - g
-    probs[np.arange(len(probs)), qtable.estimate.argmax(axis=1)] += g
+    probs = _improved_probs(policy.probs, qtable.estimate.argmax(axis=1), greediness)
     return Policy(policy.n_actions, qtable.index, probs=probs)
+
+
+def _improved_probs(probs: np.ndarray, best: np.ndarray, greediness: float) -> np.ndarray:
+    """The convex step of ``improve_policy`` on the arrays: the rows of
+    ``probs``, then uniform rows up to one per entry of ``best``, each times
+    (1-g), plus g at its ``best`` column."""
+    n_actions = probs.shape[1]
+    out = np.full((len(best), n_actions), 1.0 / n_actions)
+    out[:len(probs)] = probs
+    out *= 1.0 - greediness
+    out[np.arange(len(out)), best] += greediness
+    return out
 
 
 def determinize(policy: Policy) -> Policy:
@@ -745,7 +760,7 @@ def synthesize(env: Environment, formula: Formula, params: VehicleParams,
     converged = False
 
     first = _ChainTask(sampler, policy, master_seed, STREAM_POLICY_EVAL, 1)
-    with _worker_set(_SynthesisRounds(first, policy), workers) as pool:
+    with _worker_set(_SynthesisRounds(first, policy, algorithm.greediness), workers) as pool:
         for round_index in range(1, algorithm.max_rounds + 1):
             if pool is not None and round_index > 1:
                 pool.send(_SynthesisRounds.evaluating, round_index)
@@ -757,8 +772,8 @@ def synthesize(env: Environment, formula: Formula, params: VehicleParams,
             policy = improve_policy(policy, qtable, algorithm.greediness)
             det = determinize(policy)
             if pool is not None:
-                pool.send(_SynthesisRounds.estimating,
-                          list(islice(policy.index, rows, None)), policy.probs)
+                pool.send(_SynthesisRounds.estimating, list(islice(policy.index, rows, None)),
+                          qtable.estimate.argmax(axis=1))
 
             task = _ChainTask(sampler, det, master_seed, STREAM_BIE, round_index)
 
@@ -792,30 +807,41 @@ def synthesize(env: Environment, formula: Formula, params: VehicleParams,
 
 def _closed_loop_stages(policy: Policy, env: Environment, params: VehicleParams,
                         nm: NoiseModel, horizon: int, rng: np.random.Generator
-                        ) -> Iterator[tuple[Stage, HistoryKey]]:
+                        ) -> Iterator[tuple[StageRecord, HistoryKey]]:
     """The closed loop's stages under the strategy, simulated as they are
     asked for, each with the history that ends with its encoder reading.
 
     Per stage: look up the action for the history so far, draw each wheel's
     noise (tile by its probability, position uniformly within the tile),
-    integrate the exact kinematics, and append the encoder reading.  The
-    episode's uniforms are one draw up front, in the order of four scalar
-    draws per stage, so the stream is the same however many stages are taken.
+    integrate the exact kinematics (``integrate_body``), and append the
+    encoder reading.  A stage is a plain tuple in ``Stage``'s field order.
+    Each wheel's draw tables are bound once per episode.  The episode's
+    uniforms are one draw up front, in the order of four scalar draws per
+    stage, so the stream is the same however many stages are taken.
     """
-    pose = env.initial_pose
+    p = env.initial_pose
+    x, y, theta = p.x, p.y, p.theta
+    right, left = nm.right, nm.left
+    cdf_r, n_r, min_r, delta_r = right.cdf, right.n, right.eps_min, right.delta
+    cdf_l, n_l, min_l, delta_l = left.cdf, left.n, left.eps_min, left.delta
+    actions, dt = params.actions, params.dt
     history: HistoryKey = EMPTY_HISTORY
     u = rng.random(4 * horizon).tolist()
     for i in range(0, 4 * horizon, 4):
         action = policy.best_action(history)
-        u_r, u_l = params.actions[action]
-        j_r = sample_noise_interval(nm, "r", u[i])
-        eps_r = sample_noise_in_interval(nm, "r", j_r, u[i + 1])
-        j_l = sample_noise_interval(nm, "l", u[i + 2])
-        eps_l = sample_noise_in_interval(nm, "l", j_l, u[i + 3])
-        stage = make_stage(params, pose, u_r + eps_r, u_l + eps_l, params.dt)
-        pose = stage.end
+        u_r, u_l = actions[action]
+        # tile j spans [eps_min + (j - 1) * delta, eps_min + j * delta]
+        j_r = min(bisect_right(cdf_r, u[i]) + 1, n_r)
+        lo_r, hi_r = min_r + (j_r - 1) * delta_r, min_r + j_r * delta_r
+        j_l = min(bisect_right(cdf_l, u[i + 2]) + 1, n_l)
+        lo_l, hi_l = min_l + (j_l - 1) * delta_l, min_l + j_l * delta_l
+        w_r = u_r + (lo_r + u[i + 1] * (hi_r - lo_r))
+        w_l = u_l + (lo_l + u[i + 3] * (hi_l - lo_l))
+        v, omega = wheel_to_body(params, w_r, w_l)
+        x1, y1, theta1 = integrate_body(x, y, theta, v, omega, dt)
         history = history + ((action, j_r, j_l),)
-        yield stage, history
+        yield (x, y, theta, w_r, w_l, v, omega, dt, x1, y1, theta1), history
+        x, y, theta = x1, y1, theta1
 
 
 def simulate_true_system(policy: Policy, env: Environment, spec: SequentialSpec,
@@ -832,7 +858,7 @@ def simulate_true_system(policy: Policy, env: Environment, spec: SequentialSpec,
     history: HistoryKey = EMPTY_HISTORY
     stages = []
     for stage, history in _closed_loop_stages(policy, env, params, nm, horizon, rng):
-        stages.append(stage)
+        stages.append(Stage._make(stage))
     traj = Trajectory(tuple(stages))
     trace = trace_from_trajectory(traj, env)
     return traj, history, check_sequential(trace, spec)

@@ -22,7 +22,10 @@ touch) gives no trace state.  ``stage_intervals`` is one flat kernel per
 stage: of the rectangles the disc can reach it solves only the edges that
 cross the stage's box widened by the solver's tangent tolerance, since no
 other edge has a root inside the stage, so its intervals are the same bits
-as solving every edge.  A ``Stage`` is a named tuple.
+as solving every edge.  A stage is one flat record of floats (start pose,
+wheel and body speeds, duration, end pose): the kernels pass it as a plain
+tuple, and ``Stage`` names its fields in the same order on the export and
+test paths.
 
 The walk (``TraceWalk``) can take a tube or a point trajectory one stage at a
 time.  After each stage it closes every trace step that the stages so far
@@ -32,8 +35,9 @@ validation episode to stop simulating, once the verdict is fixed (see
 ``mdp.decide_tube``).  Fed every stage and then finished, the same walk gives
 the whole-trajectory trace of ``trace_from_tube`` and
 ``trace_from_trajectory``.  A stage's intervals (``stage_intervals``) depend
-only on the stage, its radius and its start time, so a chain sampler computes
-them once per history prefix and hands them to the walk.
+only on the stage, its radius and its start time, so the walk's state after a
+history prefix's stages is a function of the prefix, which a chain sampler
+tables (``TraceWalk.snapshot``).
 """
 
 from __future__ import annotations
@@ -44,8 +48,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .bltl import TraceStep
-from .dynamics import (OMEGA_STRAIGHT_EPS, Pose, VehicleParams, angle_diff,
-                       integrate_body, wheel_to_body)
+from .dynamics import OMEGA_STRAIGHT_EPS, angle_diff, integrate_body
 from .env import Environment, Rect
 
 # Event times closer than this (seconds) are one breakpoint.
@@ -66,31 +69,37 @@ StageIntervals = tuple[tuple[Interval, ...], ...]
 # Trajectories and tubes
 
 class Stage(NamedTuple):
-    """One constant-input segment: start pose, applied wheel speeds, duration.
+    """One constant-input segment as a flat record: start pose, applied wheel
+    speeds, body speed and turn rate, duration, end pose.
 
-    Body speed and turn rate are precomputed so later geometry needs no
-    vehicle parameters.  A named tuple: one is built per stage of every
-    episode, and its fields are only read.
+    Headings are wrapped to [0, 2*pi) as ``Pose`` stores them.  Body speed
+    and turn rate are precomputed so later geometry needs no vehicle
+    parameters.  The kernels (``uncertainty.propagate_stage``, the closed loop
+    of ``synthesis``, ``stage_intervals``) build and read plain tuples in this
+    field order; a ``Stage`` is built from one only on the export and test
+    paths.
     """
 
-    start: Pose
+    x0: float
+    y0: float
+    theta0: float
     w_r: float
     w_l: float
-    duration: float
     v: float
     omega: float
-    end: Pose
+    duration: float
+    x1: float
+    y1: float
+    theta1: float
 
     def position_at(self, local_t: float) -> tuple[float, float]:
         """Position local_t seconds into the stage (``integrate_body``)."""
-        pose = integrate_body(self.start, self.v, self.omega, local_t)
-        return pose.x, pose.y
+        x, y, _ = integrate_body(self.x0, self.y0, self.theta0, self.v, self.omega, local_t)
+        return x, y
 
 
-def make_stage(params: VehicleParams, start: Pose, w_r: float, w_l: float,
-               duration: float) -> Stage:
-    v, omega = wheel_to_body(params, w_r, w_l)
-    return Stage(start, w_r, w_l, duration, v, omega, integrate_body(start, v, omega, duration))
+# A stage as the kernels pass it: a plain tuple in ``Stage``'s field order.
+StageRecord = tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -104,15 +113,9 @@ class Trajectory:
 
     def __post_init__(self):
         for prev, cur in zip(self.stages, self.stages[1:]):
-            gap = math.hypot(cur.start.x - prev.end.x, cur.start.y - prev.end.y)
-            if gap > 1e-9 or angle_diff(cur.start.theta, prev.end.theta) > 1e-9:
+            gap = math.hypot(cur.x0 - prev.x1, cur.y0 - prev.y1)
+            if gap > 1e-9 or angle_diff(cur.theta0, prev.theta1) > 1e-9:
                 raise ValueError("trajectory stages do not chain continuously")
-
-    @property
-    def end(self) -> Pose:
-        if not self.stages:
-            raise ValueError("empty trajectory has no end pose")
-        return self.stages[-1].end
 
 
 @dataclass(frozen=True)
@@ -166,7 +169,7 @@ _HALF_PI = 0.5 * math.pi
 _UNIT = 1.0 + _TANGENT_SLACK
 
 
-def stage_intervals(rules: Sequence[Rule], stage: Stage, d: float,
+def stage_intervals(rules: Sequence[Rule], stage: StageRecord, d: float,
                     t0: float) -> StageIntervals:
     """Each rule's maximal time intervals on one stage, with disc radius d,
     for the stage placed at absolute time t0.
@@ -187,9 +190,7 @@ def stage_intervals(rules: Sequence[Rule], stage: Stage, d: float,
     edge evaluates, so the intervals are the same bits.  An interval that
     starts within BREAKPOINT_TOL of the end of the one before extends it.
     """
-    start, end, duration = stage.start, stage.end, stage.duration
-    x0, y0, theta0 = start.x, start.y, start.theta
-    v, omega = stage.v, stage.omega
+    x0, y0, theta0, _, _, v, omega, duration, x1, y1, _ = stage
     sin0, cos0 = math.sin(theta0), math.cos(theta0)
     straight = abs(omega) < OMEGA_STRAIGHT_EPS
     if straight:
@@ -204,8 +205,8 @@ def stage_intervals(rules: Sequence[Rule], stage: Stage, d: float,
     # A sweep of at most pi stays in the disc that has the chord as diameter;
     # a longer one only in the full circle.
     if straight or rate * duration <= math.pi:
-        mx, my = (x0 + end.x) / 2.0, (y0 + end.y) / 2.0
-        rho = math.hypot(end.x - x0, end.y - y0) / 2.0
+        mx, my = (x0 + x1) / 2.0, (y0 + y1) / 2.0
+        rho = math.hypot(x1 - x0, y1 - y0) / 2.0
     else:
         mx, my, rho = cx, cy, abs(radius)
     rho += _BOX_PAD
@@ -504,6 +505,8 @@ def trace_from_tube(tube: UncertaintyTube, env: Environment) -> list[TraceStep]:
 def write_trajectory_csv(fp, traj: Trajectory) -> None:
     """Rows (t, x, y, theta, d), 32 per stage and one for the end pose; d, a
     tube radius, is 0 on a closed-loop trajectory."""
+    if not traj.stages:
+        raise ValueError("empty trajectory has no end pose")
     writer = csv.writer(fp)
     writer.writerow(["t", "x", "y", "theta", "d"])
     t0 = 0.0
@@ -511,11 +514,11 @@ def write_trajectory_csv(fp, traj: Trajectory) -> None:
         for i in range(32):
             lt = st.duration * i / 32
             x, y = st.position_at(lt)
-            th = st.start.theta + st.omega * lt
+            th = st.theta0 + st.omega * lt
             writer.writerow([repr(t0 + lt), repr(x), repr(y), repr(th % (2 * math.pi)), "0.0"])
         t0 += st.duration
-    end = traj.end
-    writer.writerow([repr(t0), repr(end.x), repr(end.y), repr(end.theta), "0.0"])
+    end = traj.stages[-1]
+    writer.writerow([repr(t0), repr(end.x1), repr(end.y1), repr(end.theta1), "0.0"])
 
 
 def read_trajectory_csv(fp) -> list[tuple[float, float, float, float, float]]:
@@ -538,7 +541,11 @@ def read_trace_csv(fp) -> list[TraceStep]:
         if len(row) < 2:
             raise ValueError(f"malformed trace row: {row!r}")
         label = row[0].strip() or None
-        out.append((label, float(row[1])))
+        duration = float(row[1])
+        if not 0.0 <= duration < math.inf:  # a NaN passes every time bound
+            raise ValueError(f"trace CSV line {reader.line_num}: duration must be finite "
+                             f"and non-negative, got {row[1].strip()!r}")
+        out.append((label, duration))
     if not out:
         raise ValueError("trace CSV has no states")
     return out

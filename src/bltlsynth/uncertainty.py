@@ -7,39 +7,35 @@ stage by the largest end-of-stage deviation reachable from the previous
 uncertainty: eight corner cases pairing the extreme start orientations with
 the endpoints of each wheel's measured interval.
 
-The corner cases are the per-episode hot path, so they are integrated with
-plain floats in the closed form of ``dynamics.integrate_body``, with the
-same expressions in the same order; the radii and spreads equal those of
-integrating each corner as a ``Pose`` bit for bit.  The terms that a stage's
-step fixes (nominal wheel speeds, body speeds of the nominal and of the
-corners) come precomputed as ``StageTerms``, built once per step.
+A stage is the per-episode hot path, so it runs on plain floats: the tube
+state after a stage is the tuple (x, y, theta, d, dtheta) of the nominal
+pose and its distance and orientation uncertainty, and the stage is a flat
+record in ``tracegen.Stage``'s field order, both plain tuples.  The nominal
+pose comes from ``dynamics.integrate_body`` and the corner cases are
+integrated in its closed form, with the same expressions in the same order
+as integrating each corner as a ``Pose``, and headings wrapped where a
+``Pose`` would wrap them, so the radii and spreads are the same bits.  The
+terms that a stage's step fixes (nominal wheel speeds, body speeds of the
+nominal and of the corners) come precomputed as ``StageTerms``, built once
+per step.  ``build_tube`` names the stages as ``Stage``s for export and
+tests.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .dynamics import (OMEGA_STRAIGHT_EPS, MeasuredInterval, NoiseModel, Pose,
                        VehicleParams, integrate_body, wheel_to_body)
-from .tracegen import Stage, Trajectory, UncertaintyTube
+from .tracegen import Stage, StageRecord, Trajectory, UncertaintyTube
 
 # The modulus of wrap_angle and angle_diff, inlined in the corner loop.
 _TWO_PI = 2.0 * math.pi
 
-
-@dataclass(frozen=True)
-class NominalStageState:
-    """Stage-end nominal pose with its distance and orientation uncertainty."""
-
-    pose: Pose
-    d: float
-    dtheta: float
-
-    def __post_init__(self):
-        if self.d < 0 or self.dtheta < 0:
-            raise ValueError("uncertainty values must be non-negative")
+# A stage-end tube state: nominal pose (x, y, theta) with its distance and
+# orientation uncertainty (d, dtheta), both non-negative.
+TubeState = tuple[float, float, float, float, float]
 
 
 class StageTerms(NamedTuple):
@@ -74,51 +70,49 @@ def stage_terms(interval: MeasuredInterval, params: VehicleParams,
     return StageTerms(w_r, w_l, v, omega, tau, tuple(corners))
 
 
-def propagate_stage(prev: NominalStageState,
-                    terms: StageTerms) -> tuple[NominalStageState, Stage]:
+def propagate_stage(prev: TubeState, terms: StageTerms) -> tuple[TubeState, StageRecord]:
     """Advance one stage: nominal midpoint motion plus worst-case growth.
 
-    Returns the new stage-end state and the nominal Stage traversed.  The
+    Returns the new stage-end state and the nominal stage traversed.  The
     distance increment is the largest endpoint deviation over the eight
     combinations of start orientation (+/- previous spread) and measured
     wheel-speed interval endpoints; the orientation spread is the largest
     wrapped heading difference over the same set.
 
     The corners are integrated in the closed form of ``integrate_body``,
-    term for term, without building a Pose: the step's ``terms`` hold the
-    body speeds of the four wheel-speed corners, and sin/cos are taken once
-    per start orientation.
+    term for term: the step's ``terms`` hold the body speeds of the four
+    wheel-speed corners, and sin/cos are taken once per start orientation.
     """
+    sin, cos, two_pi = math.sin, math.cos, _TWO_PI
+    x0, y0, theta, d, dtheta = prev
     w_r, w_l, v, omega, tau, corners = terms
-    nominal = integrate_body(prev.pose, v, omega, tau)
-    stage = Stage(prev.pose, w_r, w_l, tau, v, omega, nominal)
-    nx, ny, nth = nominal.x, nominal.y, nominal.theta
+    nx, ny, nth = integrate_body(x0, y0, theta, v, omega, tau)
+    stage = (x0, y0, theta, w_r, w_l, v, omega, tau, nx, ny, nth)
 
-    x0, y0 = prev.pose.x, prev.pose.y
     worst_d = 0.0
     worst_th = 0.0
-    alphas = (prev.dtheta, -prev.dtheta) if prev.dtheta > 0 else (0.0,)
+    alphas = (dtheta, -dtheta) if dtheta > 0 else (0.0,)
     for alpha in alphas:
-        th0 = (prev.pose.theta + alpha) % _TWO_PI  # wrap_angle, as Pose stores it
-        sin0, cos0 = math.sin(th0), math.cos(th0)
+        th0 = (theta + alpha) % two_pi  # wrap_angle, as Pose stores it
+        sin0, cos0 = sin(th0), cos(th0)
         for straight, scale, turn in corners:
             if straight:
-                qx, qy, qth = x0 + scale * cos0, y0 + scale * sin0, th0 % _TWO_PI
+                qx, qy, qth = x0 + scale * cos0, y0 + scale * sin0, th0 % two_pi
             else:
                 th1 = th0 + turn
-                qx = x0 + scale * (math.sin(th1) - sin0)
-                qy = y0 - scale * (math.cos(th1) - cos0)
-                qth = th1 % _TWO_PI
+                qx = x0 + scale * (sin(th1) - sin0)
+                qy = y0 - scale * (cos(th1) - cos0)
+                qth = th1 % two_pi
             dist = ((qx - nx) ** 2 + (qy - ny) ** 2) ** 0.5
             if dist > worst_d:
                 worst_d = dist
             # angle_diff(nth, qth)
-            spread = abs(nth - qth) % _TWO_PI
-            if _TWO_PI - spread < spread:
-                spread = _TWO_PI - spread
+            spread = abs(nth - qth) % two_pi
+            if two_pi - spread < spread:
+                spread = two_pi - spread
             if spread > worst_th:
                 worst_th = spread
-    return NominalStageState(nominal, prev.d + worst_d, worst_th), stage
+    return (nx, ny, nth, d + worst_d, worst_th), stage
 
 
 def build_tube(history: Sequence[tuple[int, MeasuredInterval]], q_init: Pose,
@@ -129,7 +123,7 @@ def build_tube(history: Sequence[tuple[int, MeasuredInterval]], q_init: Pose,
     output for that stage.  The tube's radius over stage k is the stage-end
     value d^k.
     """
-    state = NominalStageState(q_init, 0.0, 0.0)
+    state = (q_init.x, q_init.y, q_init.theta, 0.0, 0.0)
     stages: list[Stage] = []
     radii: list[float] = []
     dthetas: list[float] = []
@@ -137,7 +131,7 @@ def build_tube(history: Sequence[tuple[int, MeasuredInterval]], q_init: Pose,
         if interval.action_index != action_index:
             raise ValueError("measured interval does not match the commanded action")
         state, stage = propagate_stage(state, stage_terms(interval, params, nm))
-        stages.append(stage)
-        radii.append(state.d)
-        dthetas.append(state.dtheta)
+        stages.append(Stage._make(stage))
+        radii.append(state[3])
+        dthetas.append(state[4])
     return UncertaintyTube(Trajectory(tuple(stages)), tuple(radii), tuple(dthetas))

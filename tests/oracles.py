@@ -5,10 +5,12 @@ the Bayesian interval estimate with scipy's incomplete Beta function, a
 dense-sampling check of timed traces with a random generator of trace
 geometries, the mission formula of a phase decomposition
 and a generic bounded-semantics checker over it, the one-step kernel of the
-measurement-history MDP, a trace CSV writer, the straightforward forms of the episode
-kernel (eight ``make_stage`` corners per stage, scalar draws through
-``Generator.choice`` and a per-call ``np.cumsum``) that the table-driven
-kernel must reproduce bit for bit, and the pair-keyed forms of the synthesis
+measurement-history MDP, a trace CSV writer, the object-based forms of the
+episode kernel (a ``Pose`` per integrated pose, eight ``make_stage`` corners
+per stage, per-call noise draws that look their wheel up by name, the closed
+loop's stages built from them, scalar draws through ``Generator.choice`` and a
+per-call ``np.cumsum``) that the flat, table-driven kernel must reproduce bit
+for bit, and the pair-keyed forms of the synthesis
 step (Q estimates per (history, action) pair, one policy row per history)
 that the state-indexed tables must reproduce bit for bit, a generator
 whose next uniform draw is a chosen value, validation from whole-horizon
@@ -28,13 +30,12 @@ from bltlsynth.bltl import (Always, And, Atom, Disjunct, Eventually, Formula, No
                             SequentialSpec, TraceStep, Until, _flatten_or, horizon_stages,
                             to_sequential)
 from bltlsynth.dynamics import (OMEGA_STRAIGHT_EPS, NoiseModel, Pose, VehicleParams,
-                                angle_diff, wheel_to_body)
+                                WheelNoise, angle_diff, wheel_to_body)
 from bltlsynth.env import Environment, Rect, Region
 from bltlsynth.mdp import EMPTY_HISTORY, STREAM_VALIDATE, HistoryKey
 from bltlsynth.synthesis import bie_estimate, simulate_true_system
 from bltlsynth.tracegen import (_BOX_PAD, _TANGENT_SLACK, BREAKPOINT_TOL, Interval, Rule, Stage,
-                                StageIntervals, Trajectory, _inside, _touches, make_stage)
-from bltlsynth.uncertainty import NominalStageState
+                                StageIntervals, Trajectory, _inside, _touches)
 
 
 def episode_rng(master_seed: int, purpose: int, round_index: int,
@@ -114,27 +115,128 @@ def chained_positions(params, q0, w_r, w_l, taus):
     return segment_positions_batch(params, x, y, th[:, :-1], w_r, w_l, taus)
 
 
+def integrate_pose(q0: Pose, v: float, omega: float, tau: float) -> Pose:
+    """Propagate the pose for tau seconds at constant body speed v and turn
+    rate omega: a straight line below OMEGA_STRAIGHT_EPS, else an arc."""
+    if tau < 0:
+        raise ValueError("tau must be non-negative")
+    if abs(omega) < OMEGA_STRAIGHT_EPS:
+        return Pose(q0.x + v * tau * math.cos(q0.theta),
+                    q0.y + v * tau * math.sin(q0.theta),
+                    q0.theta)
+    th1 = q0.theta + omega * tau
+    x1 = q0.x + (v / omega) * (math.sin(th1) - math.sin(q0.theta))
+    y1 = q0.y - (v / omega) * (math.cos(th1) - math.cos(q0.theta))
+    return Pose(x1, y1, th1)
+
+
+def pose_stage(start: Pose, w_r: float, w_l: float, duration: float, v: float,
+               omega: float) -> Stage:
+    """The stage record of a constant-input segment from a start pose, its
+    end integrated as a ``Pose``."""
+    end = integrate_pose(start, v, omega, duration)
+    return Stage(start.x, start.y, start.theta, w_r, w_l, v, omega, duration,
+                 end.x, end.y, end.theta)
+
+
+def make_stage(params: VehicleParams, start: Pose, w_r: float, w_l: float,
+               duration: float) -> Stage:
+    """The stage of wheel speeds (w_r, w_l) held for ``duration`` from a start pose."""
+    v, omega = wheel_to_body(params, w_r, w_l)
+    return pose_stage(start, w_r, w_l, duration, v, omega)
+
+
+def stage_end(params: VehicleParams, start: Pose, w_r: float, w_l: float,
+              duration: float) -> Pose:
+    """The end pose of ``make_stage``."""
+    return end_pose(make_stage(params, start, w_r, w_l, duration))
+
+
+def stored_pose(x: float, y: float, theta: float) -> Pose:
+    """The ``Pose`` that stores the heading theta, already wrapped as it is:
+    ``Pose(x, y, theta)`` would wrap it again, which moves a stored 2*pi
+    (a tiny negative angle, wrapped) to 0."""
+    pose = Pose(x, y, theta)
+    object.__setattr__(pose, "theta", theta)
+    return pose
+
+
+def start_pose(stage: Stage) -> Pose:
+    return stored_pose(stage.x0, stage.y0, stage.theta0)
+
+
+def end_pose(stage: Stage) -> Pose:
+    return stored_pose(stage.x1, stage.y1, stage.theta1)
+
+
 def propagate_stage_corners(prev, action, interval, params, nm):
     """One tube stage with a Pose per corner: ``make_stage`` from each
     extreme start orientation under each wheel-speed corner of the measured
-    interval.  Returns (NominalStageState, Stage)."""
+    interval.  ``prev`` is the tube state (x, y, theta, d, dtheta); returns
+    the next one and the nominal Stage."""
+    x, y, theta, d, dtheta = prev
+    pose = stored_pose(x, y, theta)
     u_r, u_l = action
     mid_r = nm.right.midpoint(interval.j_r)
     mid_l = nm.left.midpoint(interval.j_l)
-    stage = make_stage(params, prev.pose, u_r + mid_r, u_l + mid_l, params.dt)
-    nominal = stage.end
+    stage = make_stage(params, pose, u_r + mid_r, u_l + mid_l, params.dt)
+    nominal = end_pose(stage)
     worst_d = 0.0
     worst_th = 0.0
-    alphas = (prev.dtheta, -prev.dtheta) if prev.dtheta > 0 else (0.0,)
+    alphas = (dtheta, -dtheta) if dtheta > 0 else (0.0,)
     for alpha in alphas:
-        start = Pose(prev.pose.x, prev.pose.y, prev.pose.theta + alpha)
+        start = Pose(pose.x, pose.y, pose.theta + alpha)
         for w_r in (interval.r_lo, interval.r_hi):
             for w_l in (interval.l_lo, interval.l_hi):
-                q = make_stage(params, start, w_r, w_l, params.dt).end
+                q = stage_end(params, start, w_r, w_l, params.dt)
                 dist = ((q.x - nominal.x) ** 2 + (q.y - nominal.y) ** 2) ** 0.5
                 worst_d = max(worst_d, dist)
                 worst_th = max(worst_th, angle_diff(nominal.theta, q.theta))
-    return NominalStageState(nominal, prev.d + worst_d, worst_th), stage
+    return (nominal.x, nominal.y, nominal.theta, d + worst_d, worst_th), stage
+
+
+def wheel_noise(nm: NoiseModel, wheel: str) -> WheelNoise:
+    """The right ('r') or left ('l') wheel's noise."""
+    if wheel == "r":
+        return nm.right
+    if wheel == "l":
+        return nm.left
+    raise ValueError(f"wheel must be 'r' or 'l', got {wheel!r}")
+
+
+def sample_noise_interval(nm: NoiseModel, wheel: str, u: float) -> int:
+    """Draw a noise-interval index (1-based) by inverse CDF from u in [0, 1)."""
+    wn = wheel_noise(nm, wheel)
+    return min(bisect_right(wn.cdf, u) + 1, wn.n)
+
+
+def sample_noise_in_interval(nm: NoiseModel, wheel: str, j: int, u: float) -> float:
+    """Draw a noise value uniformly inside interval j (u in [0, 1))."""
+    lo, hi = wheel_noise(nm, wheel).interval(j)
+    return lo + u * (hi - lo)
+
+
+def closed_loop_stages_reference(policy, env, params, nm, horizon, rng):
+    """The closed loop's stages under the strategy, each with the history
+    that ends with its encoder reading, built as ``make_stage`` Stages from
+    ``Pose``s with a per-call noise draw per wheel: four uniforms per stage,
+    one ``rng.random(4 * horizon)`` draw up front."""
+    pose = env.initial_pose
+    history = EMPTY_HISTORY
+    u = rng.random(4 * horizon).tolist()
+    out = []
+    for i in range(0, 4 * horizon, 4):
+        action = policy.best_action(history)
+        u_r, u_l = params.actions[action]
+        j_r = sample_noise_interval(nm, "r", u[i])
+        eps_r = sample_noise_in_interval(nm, "r", j_r, u[i + 1])
+        j_l = sample_noise_interval(nm, "l", u[i + 2])
+        eps_l = sample_noise_in_interval(nm, "l", j_l, u[i + 3])
+        stage = make_stage(params, pose, u_r + eps_r, u_l + eps_l, params.dt)
+        pose = end_pose(stage)
+        history = history + ((action, j_r, j_l),)
+        out.append((stage, history))
+    return out
 
 
 def tile_by_cumsum(wheel_noise, u):
@@ -430,7 +532,7 @@ def random_trace_case(rng: np.random.Generator, params, tube: bool):
             w_r, w_l = (v + omega * sep / 2) / r, (v - omega * sep / 2) / r
         st = make_stage(params, pose, w_r, w_l, duration)
         stages.append(st)
-        pose = st.end
+        pose = end_pose(st)
     traj = Trajectory(tuple(stages))
     if tube:
         radii = np.cumsum(rng.uniform(0.0, 0.15, size=len(stages)))
@@ -440,7 +542,7 @@ def random_trace_case(rng: np.random.Generator, params, tube: bool):
     else:
         radii = (0.0,) * len(stages)
 
-    start = traj.stages[0].start
+    start = start_pose(traj.stages[0])
     rects = []  # (label, Rect)
 
     def free(rect, label):
@@ -457,11 +559,11 @@ def random_trace_case(rng: np.random.Generator, params, tube: bool):
         px, py = st.position_at(lt)
         if st.omega == 0.0:
             side = float(rng.choice([-1.0, 1.0]))
-            nx, ny = -side * math.sin(st.start.theta), side * math.cos(st.start.theta)
+            nx, ny = -side * math.sin(st.theta0), side * math.cos(st.theta0)
         else:
             rad = st.v / st.omega
-            cx = st.start.x - rad * math.sin(st.start.theta)
-            cy = st.start.y + rad * math.cos(st.start.theta)
+            cx = st.x0 - rad * math.sin(st.theta0)
+            cy = st.y0 + rad * math.cos(st.theta0)
             norm = math.hypot(px - cx, py - cy)
             nx, ny = (px - cx) / norm, (py - cy) / norm
         d = radii[k]
@@ -516,24 +618,25 @@ class _Path:
     __slots__ = ("stage", "t0", "duration", "straight", "x0", "y0", "vx", "vy",
                  "theta0", "omega", "radius", "cx", "cy", "box")
 
-    def __init__(self, stage: Stage, t0: float):
+    def __init__(self, stage: Sequence[float], t0: float):
+        stage = Stage._make(stage)  # the kernels pass plain tuples
         self.stage, self.t0, self.duration = stage, t0, stage.duration
-        s, e = stage.start, stage.end
+        x0, y0, theta0, x1, y1 = stage.x0, stage.y0, stage.theta0, stage.x1, stage.y1
         self.straight = abs(stage.omega) < OMEGA_STRAIGHT_EPS
         if self.straight:
-            self.x0, self.y0 = s.x, s.y
-            self.vx = stage.v * math.cos(s.theta)
-            self.vy = stage.v * math.sin(s.theta)
+            self.x0, self.y0 = x0, y0
+            self.vx = stage.v * math.cos(theta0)
+            self.vy = stage.v * math.sin(theta0)
         else:
-            self.theta0, self.omega = s.theta, stage.omega
+            self.theta0, self.omega = theta0, stage.omega
             self.radius = stage.v / stage.omega
-            self.cx = s.x - self.radius * math.sin(s.theta)
-            self.cy = s.y + self.radius * math.cos(s.theta)
+            self.cx = x0 - self.radius * math.sin(theta0)
+            self.cy = y0 + self.radius * math.cos(theta0)
         # Bounding disc: a sweep of at most pi stays in the disc that has the
         # chord as diameter; a longer one only in the full circle.
         if self.straight or abs(stage.omega) * stage.duration <= math.pi:
-            mx, my = (s.x + e.x) / 2.0, (s.y + e.y) / 2.0
-            rho = math.hypot(e.x - s.x, e.y - s.y) / 2.0
+            mx, my = (x0 + x1) / 2.0, (y0 + y1) / 2.0
+            rho = math.hypot(x1 - x0, y1 - y0) / 2.0
         else:
             mx, my, rho = self.cx, self.cy, abs(self.radius)
         rho += _BOX_PAD
@@ -641,23 +744,6 @@ def _rule_intervals(path: _Path, d: float, near: Sequence[Rect],
                 out[-1] = (out[-1][0], hi)
             else:
                 out.append((lo, hi))
-    return tuple(out)
-
-
-def stage_intervals(rules: Sequence[Rule], stage: Stage, d: float,
-                    t0: float) -> StageIntervals:
-    """Each rule's maximal time intervals on one stage, with disc radius d,
-    for the stage placed at absolute time t0.
-
-    A pure function of its arguments: a walk fed the stage after stages of
-    total duration t0 appends exactly these (``TraceWalk.append``).
-    """
-    path = _Path(stage, t0)
-    out = []
-    for _, rects, contact in rules:
-        near = [r for r in rects if path.near(r, d)
-                and (contact or (r.x1 - r.x0 >= 2 * d and r.y1 - r.y0 >= 2 * d))]
-        out.append(_rule_intervals(path, d, near, contact) if near else ())
     return tuple(out)
 
 

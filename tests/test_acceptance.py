@@ -14,18 +14,19 @@ import pytest
 import bltlsynth as bs
 from bltlsynth.cli import _audit_lines, _policy_document
 from bltlsynth.config import builtin_config_path, config_from_dict
-from bltlsynth.dynamics import Pose, angle_diff, measure, sample_noise_interval, wrap_angle
+from bltlsynth.dynamics import Pose, angle_diff, integrate_body, measure, wheel_to_body, wrap_angle
 from bltlsynth.mdp import PathSampler
 from bltlsynth.synthesis import (bie_estimate, synthesize, theorem_bound_holds,
                                  uniform_policy, validate_true_system)
-from bltlsynth.tracegen import Trajectory, make_stage, trace_from_trajectory
+from bltlsynth.tracegen import Trajectory, trace_from_trajectory
 from bltlsynth.uncertainty import build_tube
 
 from conftest import (COURIER_FORMULA, COURIER_TRACE, COURIER_TRACE_INNER,
                       COURIER_TRACE_TUBE, MISSION_FORMULA, load_demo_config_doc)
-from oracles import (all_success_stop_count, chained_positions, check_generic, episode_rng,
-                     random_spec, random_trace, rk4_pose, segment_positions_batch,
-                     spec_to_formula, successors)
+from oracles import (all_success_stop_count, chained_positions, check_generic, end_pose,
+                     episode_rng, make_stage, random_spec, random_trace, rk4_pose,
+                     sample_noise_interval, segment_positions_batch, spec_to_formula,
+                     successors, wheel_noise)
 
 ACCEPTANCE_SEED = 2026
 REDUCED_EPISODES = 1000
@@ -90,7 +91,7 @@ def drawn_tile_mass(nm, wheel, j):
     """The probability that ``sample_noise_interval`` draws tile j from a
     uniform u in [0, 1): the length of the u it maps to j, between running
     sums of ``WheelNoise.cdf`` (the last tile takes every u past the others)."""
-    wn = nm.wheel(wheel)
+    wn = wheel_noise(nm, wheel)
     lo = wn.cdf[j - 2] if j > 1 else 0.0
     hi = wn.cdf[j - 1] if j < wn.n else 1.0
     if hi > lo:
@@ -127,11 +128,12 @@ def test_criterion_05_integrator_fidelity(demo_cfg):
         for er in mids_r:
             for el in mids_l:
                 w_r, w_l = action[0] + er, action[1] + el
-                q = make_stage(params, q0, w_r, w_l, params.dt).end
+                qx, qy, qth = integrate_body(q0.x, q0.y, q0.theta,
+                                             *wheel_to_body(params, w_r, w_l), params.dt)
                 x, y, th = rk4_pose(params, q0, w_r, w_l, params.dt, step=1e-4)
-                assert abs(q.x - x) <= 1e-9
-                assert abs(q.y - y) <= 1e-9
-                assert angle_diff(q.theta, wrap_angle(th)) <= 1e-9
+                assert abs(qx - x) <= 1e-9
+                assert abs(qy - y) <= 1e-9
+                assert angle_diff(qth, wrap_angle(th)) <= 1e-9
     report(5, "closed-form integrator vs RK4", t0)
 
 
@@ -149,8 +151,8 @@ def test_criterion_06_tube_containment(demo_cfg):
         tube = build_tube(history, q_init, params, nm)
         stages = tube.trajectory.stages
         nx, ny = segment_positions_batch(
-            params, *(np.array([getattr(st.start, c) for st in stages])
-                      for c in ("x", "y", "theta")),
+            params, *(np.array([getattr(st, c) for st in stages])
+                      for c in ("x0", "y0", "theta0")),
             np.array([st.w_r for st in stages]), np.array([st.w_l for st in stages]),
             local_ts)
         # five inner samples' wheel speeds, drawn as one rng.uniform call per
@@ -190,7 +192,7 @@ def test_criterion_07_conservatism(demo_cfg):
                 w_l = rng.uniform(m.l_lo, m.l_hi)
                 st = make_stage(params, pose, w_r, w_l, params.dt)
                 stages.append(st)
-                pose = st.end
+                pose = end_pose(st)
             inner_trace = trace_from_trajectory(Trajectory(tuple(stages)), env)
             if not bs.check_sequential(inner_trace, spec):
                 violations += 1

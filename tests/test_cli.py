@@ -519,7 +519,33 @@ class TestArtifactDigests:
         assert {name: sha256(out / name) for name in SHORT_DEMO_DIGESTS} == SHORT_DEMO_DIGESTS
 
 
+class TestTrajectoryExport:
+    """The trajectory CSVs that ``validate --export-trajectories`` writes
+    from the closed loop's float stages are pinned: the sha256 of each of the
+    first five seed-2026 validation episodes of the ``short_demo`` policy,
+    computed when the closed loop built a ``Pose`` and a ``Stage`` per stage."""
+
+    DIGESTS = {
+        "traj_0000_sat.csv": "116c7d7e5628bdf6a30c86604d106c89166a8909c615eb0c0ea1087bcd2e84bd",
+        "traj_0001_sat.csv": "a51d7d41852c46a803502e5a827367f4540752bfb65fc819002a9c5a1c50b988",
+        "traj_0002_sat.csv": "a91807c7e7228113783bf6439b286a28db67f1b1e5c8e184369bacc5d2d900f3",
+        "traj_0003_sat.csv": "a933cdc947c5da80113103b8d2d6b86c61a92082f7fdca8447ef157d85cf9f03",
+        "traj_0004_sat.csv": "d3fe391344959234b15a7fff45fd68f40891c1298aa1c7487ee72609a02d34ed",
+    }
+
+    def test_short_demo_export_digests(self, short_demo, tmp_path):
+        out = tmp_path / "out"
+        assert main(["synth", "--config", str(short_demo), "--out-dir", str(out)]) == 0
+        assert main(["validate", "--policy", str(out / "policy.json"),
+                     "--config", str(short_demo), "--out-dir", str(out),
+                     "--export-trajectories", "5"]) == 0
+        assert {path.name: sha256(path) for path in out.glob("traj_*.csv")} == self.DIGESTS
+
+
 class TestCheckCommand:
+    # The demo mission: pickup, then test1 or test2, then dropoff.
+    DEMO_FORMULA = load_demo_config_doc()["formula"]
+
     def test_worked_example_witness(self, tmp_path, capsys):
         trace = tmp_path / "trace.csv"
         trace.write_text("label,duration\n,6.12\np,0.75\n,0.44\nt,0.61\n,1.66\nd,1.22\n")
@@ -538,6 +564,28 @@ class TestCheckCommand:
         rc = main(["check", "--trace", str(trace), "--formula", "!u U[<=5] p"])
         assert rc == 1
         assert "violated" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("gap, verdict", [("20", "violated"), ("20.0", "violated"),
+                                              ("0", "satisfied")])
+    def test_demo_trace_with_a_gap(self, tmp_path, capsys, gap, verdict):
+        trace = tmp_path / "trace.csv"
+        trace.write_text(f"label,duration\npickup,1\n,{gap}\ntest1,1.5\n,0\ndropoff,1\n")
+        rc = main(["check", "--trace", str(trace), "--formula", self.DEMO_FORMULA])
+        assert capsys.readouterr().out.splitlines()[0] == verdict
+        assert rc == (0 if verdict == "satisfied" else 1)
+
+    @pytest.mark.parametrize("gap", ["nan", "NaN", "inf", "-inf", "Infinity", "-20", "-1e-300"])
+    def test_non_finite_or_negative_duration_rejected(self, tmp_path, capsys, gap):
+        """A NaN gap passes every time bound, so the demo trace whose 20 s
+        gap is written as ``nan`` would print ``satisfied``."""
+        trace = tmp_path / "trace.csv"
+        trace.write_text(f"label,duration\npickup,1\n,{gap}\ntest1,1.5\n,0\ndropoff,1\n")
+        rc = main(["check", "--trace", str(trace), "--formula", self.DEMO_FORMULA])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert f"trace CSV line 3: duration must be finite and non-negative, got {gap!r}" \
+            in captured.err
 
     def test_empty_trace_file_is_error(self, tmp_path, capsys):
         trace = tmp_path / "trace.csv"

@@ -3,13 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from bltlsynth.dynamics import (NoiseModel, Pose, VehicleParams, WheelNoise, angle_diff,
-                                measure, sample_noise_in_interval, sample_noise_interval,
-                                wheel_to_body, wrap_angle)
-from bltlsynth.tracegen import make_stage
+from bltlsynth.dynamics import (OMEGA_STRAIGHT_EPS, NoiseModel, Pose, VehicleParams,
+                                WheelNoise, angle_diff, integrate_body, measure, wheel_to_body,
+                                wrap_angle)
 
 from conftest import DT, ENCODER_DELTA, STRAIGHT, TURN_LEFT, TURN_RIGHT, symmetric_noise
-from oracles import rk4_pose, segment_positions, tile_by_cumsum
+from oracles import (integrate_pose, rk4_pose, sample_noise_in_interval, sample_noise_interval,
+                     segment_positions, tile_by_cumsum)
+
+
+def body_end(params, q0, w_r, w_l, tau):
+    """The end pose of wheel speeds (w_r, w_l) held for tau seconds from q0:
+    ``integrate_body`` of their body motion."""
+    return Pose(*integrate_body(q0.x, q0.y, q0.theta, *wheel_to_body(params, w_r, w_l), tau))
 
 
 class TestWheelToBody:
@@ -32,24 +38,24 @@ class TestWheelToBody:
 
 
 class TestIntegrateSegment:
-    """The end pose of a constant wheel-speed stage (``make_stage``), the
-    closed form ``integrate_body`` of the wheel speeds' body motion."""
+    """The end pose of a constant wheel-speed stage, the closed form
+    ``integrate_body`` of the wheel speeds' body motion."""
 
     def test_straight_line(self, demo_params):
-        q = make_stage(demo_params, Pose(0, 0, 0), *STRAIGHT, DT).end
+        q = body_end(demo_params, Pose(0, 0, 0), *STRAIGHT, DT)
         assert q.x == pytest.approx(0.25 * DT, abs=1e-12)
         assert q.y == pytest.approx(0.0, abs=1e-12)
         assert q.theta == 0.0
 
     def test_equal_wheels_keep_heading(self, demo_params):
-        q = make_stage(demo_params, Pose(0, 0, 0), 2.2, 2.2, 1.7).end
+        q = body_end(demo_params, Pose(0, 0, 0), 2.2, 2.2, 1.7)
         assert q.y == 0.0
         assert q.theta == 0.0
 
     def test_matches_rk4_on_slightly_curved_segment(self, demo_params):
         w_r = STRAIGHT[0] + 0.0032
         w_l = STRAIGHT[1] - 0.0032
-        q = make_stage(demo_params, Pose(0, 0, 0), w_r, w_l, DT).end
+        q = body_end(demo_params, Pose(0, 0, 0), w_r, w_l, DT)
         x, y, th = rk4_pose(demo_params, Pose(0, 0, 0), w_r, w_l, DT)
         assert q.x == pytest.approx(x, abs=1e-9)
         assert q.y == pytest.approx(y, abs=1e-9)
@@ -61,9 +67,8 @@ class TestIntegrateSegment:
             q0 = Pose(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(0, 2 * math.pi))
             w_r, w_l = rng.uniform(1.5, 4.5, size=2)
             t1, t2 = rng.uniform(0, 3, size=2)
-            a = make_stage(demo_params, make_stage(demo_params, q0, w_r, w_l, t1).end,
-                           w_r, w_l, t2).end
-            b = make_stage(demo_params, q0, w_r, w_l, t1 + t2).end
+            a = body_end(demo_params, body_end(demo_params, q0, w_r, w_l, t1), w_r, w_l, t2)
+            b = body_end(demo_params, q0, w_r, w_l, t1 + t2)
             assert a.x == pytest.approx(b.x, abs=1e-12)
             assert a.y == pytest.approx(b.y, abs=1e-12)
             assert angle_diff(a.theta, b.theta) < 1e-12
@@ -74,7 +79,7 @@ class TestIntegrateSegment:
             for eps_r in (r.eps_min, 0.0, r.eps_min + r.n * r.delta):
                 for eps_l in (l.eps_min, 0.0, l.eps_min + l.n * l.delta):
                     w_r, w_l = action[0] + eps_r, action[1] + eps_l
-                    q = make_stage(demo_params, Pose(0.3, -0.2, 1.1), w_r, w_l, DT).end
+                    q = body_end(demo_params, Pose(0.3, -0.2, 1.1), w_r, w_l, DT)
                     x, y, th = rk4_pose(demo_params, Pose(0.3, -0.2, 1.1), w_r, w_l, DT,
                                         step=1e-3)
                     assert q.x == pytest.approx(x, abs=1e-9)
@@ -85,13 +90,30 @@ class TestIntegrateSegment:
         taus = np.linspace(0.0, DT, 17)
         xs, ys = segment_positions(demo_params, Pose(0.1, 0.2, 0.9), *TURN_RIGHT, taus)
         for t, x, y in zip(taus, xs, ys):
-            q = make_stage(demo_params, Pose(0.1, 0.2, 0.9), *TURN_RIGHT, float(t)).end
+            q = body_end(demo_params, Pose(0.1, 0.2, 0.9), *TURN_RIGHT, float(t))
             assert x == pytest.approx(q.x, abs=1e-12)
             assert y == pytest.approx(q.y, abs=1e-12)
 
     def test_negative_tau_rejected(self, demo_params):
         with pytest.raises(ValueError):
-            make_stage(demo_params, Pose(0, 0, 0), 1.0, 1.0, -0.1)
+            body_end(demo_params, Pose(0, 0, 0), 1.0, 1.0, -0.1)
+
+    def test_floats_match_the_pose_integrator(self):
+        """The float integrator equals the ``Pose`` form bit for bit: the
+        same expressions, and the end heading wrapped where a ``Pose`` wraps
+        it, also from a stored heading of 2*pi, which a tiny negative angle
+        wraps to."""
+        assert Pose(0, 0, -1e-300).theta == 2 * math.pi
+        rng = np.random.default_rng(8)
+        for case in range(3000):
+            start = Pose(float(rng.normal()), float(rng.normal()),
+                         [float(rng.uniform(-10, 10)), 0.0, -1e-300][case % 3])
+            omega = [0.0, OMEGA_STRAIGHT_EPS / 2, OMEGA_STRAIGHT_EPS * 2, float(rng.normal()),
+                     -start.theta / 1.3][case % 5]
+            v = float(rng.normal())
+            want = integrate_pose(start, v, omega, 1.3)
+            assert (integrate_body(start.x, start.y, start.theta, v, omega, 1.3)
+                    == (want.x, want.y, want.theta))
 
 
 class TestNoiseModel:

@@ -12,22 +12,23 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bltlsynth.bltl import (SequentialMonitor, horizon_stages, parse_formula,
-                            sequential_witness, to_sequential)
+from bltlsynth.bltl import (SequentialMonitor, check_sequential, horizon_stages,
+                            parse_formula, sequential_witness, to_sequential)
 from bltlsynth.config import builtin_config_path, config_from_dict
 from bltlsynth import mdp
 from bltlsynth.dynamics import measure
 from bltlsynth.mdp import (PREFIX_TABLE_NODES, STREAM_VALIDATE, PathSampler, decide_tube,
                            prefix_table_depth)
-from bltlsynth.synthesis import (Policy, _TrueSystemTask, simulate_true_system,
-                                 uniform_policy, validate_true_system)
-from bltlsynth.tracegen import (TraceWalk, UncertaintyTube, stage_feed, stage_intervals,
-                                trace_from_tube, tube_rules)
+from bltlsynth.synthesis import (Policy, _closed_loop_stages, _TrueSystemTask,
+                                 simulate_true_system, uniform_policy, validate_true_system)
+from bltlsynth.tracegen import (TraceWalk, Trajectory, UncertaintyTube, point_rules, stage_feed,
+                                stage_intervals, trace_from_trajectory, trace_from_tube,
+                                tube_rules)
 from bltlsynth.uncertainty import build_tube
 
 from conftest import DT, TEST_ALGORITHM, simple_env
-from oracles import (check_generic, episode_rng, random_spec, random_trace,
-                     random_trace_case, spec_to_formula, whole_horizon_validation)
+from oracles import (check_generic, closed_loop_stages_reference, episode_rng, random_spec,
+                     random_trace, random_trace_case, spec_to_formula, whole_horizon_validation)
 from test_tracegen import straight_trajectory
 
 
@@ -394,6 +395,46 @@ def test_validation_decision_matches_simulate_true_system(name):
     assert 0 < satisfied < episodes
     if name == "demo":  # 5.2 of 9 stages on average
         assert simulated < 0.7 * 9 * episodes
+
+
+@pytest.mark.parametrize("name", ["demo", "wide-noise", "spin", "sharp-turn"])
+def test_closed_loop_float_stages_match_the_pose_reference(name):
+    """The closed loop's float stages equal, field for field, the ``Stage``s
+    built from a ``Pose`` per stage with per-call noise draws, and so do
+    ``simulate_true_system``'s; the stage-by-stage verdict and its stage
+    count equal those of the reference stages, under random stochastic and
+    deterministic policies."""
+    cfg = variant_config(name)
+    s = to_sequential(cfg.formula, cfg.env.unsafe)
+    horizon = horizon_stages(cfg.formula, cfg.params.dt)
+    rules = point_rules(cfg.env)
+    rng = np.random.default_rng(64)
+    n_tiles = cfg.nm.right.n
+    strategy = random_strategy(n_tiles, rng)
+    policies = [strategy, random_strategy(n_tiles, rng, drop=0.25),
+                Policy(3, strategy.index, probs=rng.dirichlet(np.ones(3), len(strategy.index))),
+                uniform_policy(3)]
+    counts, verdicts = set(), set()
+    for seed, policy in enumerate(policies):
+        task = _TrueSystemTask(cfg.env, s, cfg.params, cfg.nm, policy, horizon, seed)
+        for e in range(60):
+            ref = closed_loop_stages_reference(policy, cfg.env, cfg.params, cfg.nm, horizon,
+                                               episode_rng(seed, STREAM_VALIDATE, 0, e))
+            got = list(_closed_loop_stages(policy, cfg.env, cfg.params, cfg.nm, horizon,
+                                           episode_rng(seed, STREAM_VALIDATE, 0, e)))
+            assert [(tuple(st), h) for st, h in got] == [(tuple(st), h) for st, h in ref]
+            traj, history, verdict = simulate_true_system(
+                policy, cfg.env, s, cfg.params, cfg.nm, horizon,
+                episode_rng(seed, STREAM_VALIDATE, 0, e))
+            assert traj.stages == tuple(st for st, _ in ref) and history == ref[-1][1]
+            stages = Trajectory(tuple(st for st, _ in ref))
+            assert verdict == check_sequential(trace_from_trajectory(stages, cfg.env), s)
+            want = decide_tube(TraceWalk(rules, cfg.env.unsafe), SequentialMonitor(s),
+                               stage_feed(rules, ((st, 0.0) for st in stages.stages)))
+            assert task.decide(e) == want and want[0] == verdict
+            counts.add(want[1])
+            verdicts.add(verdict)
+    assert len(counts) > 2 and verdicts == {True, False}
 
 
 @pytest.mark.parametrize("workers,batch_size", [(1, 1), (1, 4), (2, 1), (2, 4)])

@@ -11,17 +11,16 @@ from pathlib import Path
 import pytest
 
 import bltlsynth.mdp as mdp
-import bltlsynth.tracegen as tracegen
+import bltlsynth.synthesis as synthesis
 from bltlsynth.bltl import horizon_stages, to_sequential
 from bltlsynth.cli import load_policy_file
-from bltlsynth.dynamics import OMEGA_STRAIGHT_EPS, Pose, integrate_body
+from bltlsynth.dynamics import OMEGA_STRAIGHT_EPS, Pose
 from bltlsynth.env import Rect
 from bltlsynth.mdp import PathSampler
 from bltlsynth.synthesis import QTable, _TrueSystemTask, evaluate_policy, uniform_policy
-from bltlsynth.tracegen import (_BOX_PAD, _TANGENT_SLACK, BREAKPOINT_TOL, Stage,
-                                stage_intervals)
+from bltlsynth.tracegen import _BOX_PAD, _TANGENT_SLACK, BREAKPOINT_TOL, stage_intervals
 
-from oracles import _Path, stage_intervals_reference
+from oracles import _Path, pose_stage, stage_intervals_reference
 
 PINNED_POLICY = Path(__file__).resolve().parents[1] / "bench" / "reference" / "policy.json.gz"
 
@@ -56,7 +55,7 @@ def test_closed_loop_stages_match_the_reference(demo_config, monkeypatch, tmp_pa
     """Every stage of 500 seed-2026 validation episodes under the pinned
     benchmark policy."""
     calls = []
-    monkeypatch.setattr(tracegen, "stage_intervals", checked_kernel(calls))
+    monkeypatch.setattr(synthesis, "stage_intervals", checked_kernel(calls))
     cfg = demo_config
     policy_path = tmp_path / "policy.json"
     policy_path.write_bytes(gzip.decompress(PINNED_POLICY.read_bytes()))
@@ -77,7 +76,7 @@ def test_edge_within_the_tangent_tolerance_of_a_near_straight_arc():
     the edge too."""
     start = Pose(-1.4320790707565745, 0.3001757166539063, 4.712388980384547)
     v, omega, duration = -0.21871803692956507, 1.5e-12, 0.3
-    stage = Stage(start, 0.0, 0.0, duration, v, omega, integrate_body(start, v, omega, duration))
+    stage = pose_stage(start, 0.0, 0.0, duration, v, omega)
     d = 0.06877430436225238
     rect = Rect(-1.3961348165219247, 0.3825482658441597, -1.356424919885829, 0.4694226976833564)
     (_, _, bx1, _), _ = box_of(stage)
@@ -95,14 +94,14 @@ def test_edge_within_the_tangent_tolerance_of_a_near_straight_arc():
 def box_of(stage):
     """The kernel's padded box of the stage and its arc centre and radius
     (None for a line)."""
-    s, e = stage.start, stage.end
+    x0, y0, theta0, x1, y1 = stage.x0, stage.y0, stage.theta0, stage.x1, stage.y1
     arc = None
     if abs(stage.omega) >= OMEGA_STRAIGHT_EPS:
         radius = stage.v / stage.omega
-        arc = (s.x - radius * math.sin(s.theta), s.y + radius * math.cos(s.theta), radius)
+        arc = (x0 - radius * math.sin(theta0), y0 + radius * math.cos(theta0), radius)
     if arc is None or abs(stage.omega) * stage.duration <= math.pi:
-        mx, my = (s.x + e.x) / 2.0, (s.y + e.y) / 2.0
-        rho = math.hypot(e.x - s.x, e.y - s.y) / 2.0
+        mx, my = (x0 + x1) / 2.0, (y0 + y1) / 2.0
+        rho = math.hypot(x1 - x0, y1 - y0) / 2.0
     else:
         mx, my, rho = arc[0], arc[1], abs(arc[2])
     rho += _BOX_PAD
@@ -136,7 +135,7 @@ def random_stage(rnd):
     else:
         theta = rnd.choice([axis_heading, rnd.uniform(0, 2 * math.pi)])
     start = Pose(rnd.uniform(-3, 3), rnd.uniform(-3, 3), theta)
-    return Stage(start, 0.0, 0.0, duration, v, omega, integrate_body(start, v, omega, duration))
+    return pose_stage(start, 0.0, 0.0, duration, v, omega)
 
 
 def random_edge_values(rnd, stage):
@@ -144,8 +143,8 @@ def random_edge_values(rnd, stage):
     arc's extremes, its start and end, each nudged by a multiple of _BOX_PAD,
     of |R|*_TANGENT_SLACK or by one ulp."""
     (bx0, by0, bx1, by1), arc = box_of(stage)
-    xs = [bx0, bx1, stage.start.x, stage.end.x]
-    ys = [by0, by1, stage.start.y, stage.end.y]
+    xs = [bx0, bx1, stage.x0, stage.x1]
+    ys = [by0, by1, stage.y0, stage.y1]
     scale = _BOX_PAD
     if arc is not None:
         cx, cy, radius = arc

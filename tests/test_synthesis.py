@@ -654,6 +654,15 @@ class _CountedTask:
         return self.__dict__
 
 
+def _assert_round_policy(task, policy):
+    """A worker-set update that leaves a synthesis worker's task as it is,
+    once its round policy, and the determinization its estimation runs
+    under, equal the parent's."""
+    assert task.policy == policy
+    assert task.chain.policy == determinize(policy)
+    return task
+
+
 @pytest.fixture
 def two_cpus(monkeypatch):
     """Two usable CPUs, whatever this machine has, so a set of two starts."""
@@ -719,6 +728,40 @@ class TestParallelism:
                                             self.WIDE_NOISE, batch_size=4)
         assert any(0 < r.successes < r.n for r in result.rounds)
         assert any(r.n > 4 for r in result.rounds)
+
+    def test_workers_hold_the_parents_policy_after_every_round(self, demo_params, monkeypatch,
+                                                               two_cpus):
+        """Each round, the workers get the argmax column of the Q estimates,
+        not the ``probs`` matrix, and take the convex step themselves: after
+        every round of a pooled synthesis, each worker's policy equals the
+        parent's."""
+        improved = []
+        improve = synthesis.improve_policy
+
+        def recorded(*args):
+            improved.append(improve(*args))
+            return improved[-1]
+
+        checked = []
+
+        class CheckedWorkers(synthesis._WorkerSet):
+            def send(self, update, *args):
+                super().send(update, *args)
+                if update is synthesis._SynthesisRounds.estimating:
+                    best = args[1]
+                    assert best.shape == (len(improved[-1].index),)
+                    assert best.dtype.kind == "i"
+                    super().send(_assert_round_policy, improved[-1])  # to every worker
+                    checked.append(len(improved))
+
+        monkeypatch.setattr(synthesis, "improve_policy", recorded)
+        monkeypatch.setattr(synthesis, "_WorkerSet", CheckedWorkers)
+        result = synthesize(simple_env(self.MIXED_ENV), parse_formula("!u U[<=5] a"),
+                            demo_params, self.WIDE_NOISE, replace(self.SYNTH, batch_size=4),
+                            master_seed=13, workers=2)
+        assert len(result.rounds) >= 2
+        assert checked == list(range(1, len(result.rounds) + 1))
+        assert result.policy == determinize(improved[-1])
 
     def test_worker_count_does_not_change_validation(self, demo_params):
         env = simple_env(self.MIXED_ENV)

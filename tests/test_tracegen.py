@@ -7,17 +7,16 @@ import numpy as np
 import pytest
 
 from bltlsynth.bltl import check_sequential, parse_formula, to_sequential
-from bltlsynth.dynamics import (OMEGA_STRAIGHT_EPS, Pose, VehicleParams, integrate_body,
-                                measure)
+from bltlsynth.dynamics import OMEGA_STRAIGHT_EPS, Pose, VehicleParams, measure
 from bltlsynth.env import Rect
-from bltlsynth.tracegen import (Trajectory, UncertaintyTube, _inside, _touches,
-                                make_stage, read_trace_csv, read_trajectory_csv,
-                                trace_from_trajectory, trace_from_tube,
-                                write_trajectory_csv)
+from bltlsynth.tracegen import (Stage, Trajectory, UncertaintyTube, _inside, _touches,
+                                read_trace_csv, read_trajectory_csv, trace_from_trajectory,
+                                trace_from_tube, write_trajectory_csv)
 from bltlsynth.uncertainty import build_tube
 
 from conftest import DT, STRAIGHT, TURN_LEFT, simple_env
-from oracles import dense_trace_disagreements, episode_rng, random_trace_case, write_trace_csv
+from oracles import (dense_trace_disagreements, end_pose, episode_rng, integrate_pose,
+                     make_stage, random_trace_case, start_pose, write_trace_csv)
 
 BOX = Rect(0.0, 0.0, 2.0, 1.0)
 
@@ -57,7 +56,7 @@ def straight_trajectory(params, n_stages, start=Pose(0.0, 0.0, 0.0)):
     for _ in range(n_stages):
         st = make_stage(params, pose, *STRAIGHT, params.dt)
         stages.append(st)
-        pose = st.end
+        pose = end_pose(st)
     return Trajectory(tuple(stages))
 
 
@@ -114,7 +113,7 @@ class TestTraceFromTrajectory:
                 action = demo_params.actions[int(rng.integers(3))]
                 st = make_stage(demo_params, pose, *action, demo_params.dt)
                 stages.append(st)
-                pose = st.end
+                pose = end_pose(st)
             trace = trace_from_trajectory(Trajectory(tuple(stages)), env)
             assert abs(sum(t for _, t in trace) - 6 * DT) < 1e-9
             for (l1, _), (l2, _) in zip(trace, trace[1:]):
@@ -362,7 +361,7 @@ class TestDwellDominance:
                 w_l = rng.uniform(m.l_lo, m.l_hi)
                 st = make_stage(cfg.params, pose, w_r, w_l, cfg.params.dt)
                 stages.append(st)
-                pose = st.end
+                pose = end_pose(st)
             inner = trace_from_trajectory(Trajectory(tuple(stages)), cfg.env)
             inner_visits = [(l, t) for l, t in inner
                             if l is not None and l != unsafe]
@@ -418,14 +417,14 @@ class TestTrajectoryType:
 
     def test_turn_stage_end_matches_integrator(self, demo_params):
         st = make_stage(demo_params, Pose(0, 0, 0), *TURN_LEFT, DT)
-        assert st.end.theta == pytest.approx(0.5 * DT, rel=1e-12)
+        assert st.theta1 == pytest.approx(0.5 * DT, rel=1e-12)
         x, y = st.position_at(DT)
-        assert x == pytest.approx(st.end.x, abs=1e-12)
-        assert y == pytest.approx(st.end.y, abs=1e-12)
+        assert x == pytest.approx(st.x1, abs=1e-12)
+        assert y == pytest.approx(st.y1, abs=1e-12)
 
     def test_position_at_is_the_body_integrator(self, demo_config, zero_noise):
         """Chain and closed-loop stages, straight and turning, place every
-        point where ``integrate_body`` puts the stage's start pose."""
+        point where the ``Pose`` integrator puts the stage's start pose."""
         from bltlsynth.bltl import to_sequential
         from bltlsynth.mdp import EMPTY_HISTORY, PathSampler
         from bltlsynth.synthesis import Policy, _closed_loop_stages, uniform_policy
@@ -440,12 +439,12 @@ class TestTrajectoryType:
             sample = sampler.finish(sampler.sample_history(policy, episode_rng(8, 0, 0, i)))
             chain += sample.tube.trajectory.stages
             for nm in (cfg.nm, zero_noise):
-                closed_loop += [st for st, _ in _closed_loop_stages(
+                closed_loop += [Stage._make(st) for st, _ in _closed_loop_stages(
                     straight_first, cfg.env, cfg.params, nm, 9, episode_rng(8, 2, 0, i))]
         for stages in (chain, closed_loop):
             straight = [abs(st.omega) < OMEGA_STRAIGHT_EPS for st in stages]
             assert any(straight) and not all(straight)
         for st in chain + closed_loop:
             for t in (0.0, st.duration / 3, st.duration / 2, st.duration):
-                pose = integrate_body(st.start, st.v, st.omega, t)
+                pose = integrate_pose(start_pose(st), st.v, st.omega, t)
                 assert st.position_at(t) == (pose.x, pose.y)

@@ -6,11 +6,12 @@ import pytest
 from bltlsynth.bltl import to_sequential
 from bltlsynth.dynamics import Pose, measure
 from bltlsynth.mdp import PathSampler
-from bltlsynth.tracegen import make_stage
-from bltlsynth.uncertainty import NominalStageState, build_tube, propagate_stage, stage_terms
+from bltlsynth.uncertainty import build_tube, propagate_stage, stage_terms
 
 from conftest import DT, ENCODER_DELTA, STRAIGHT, symmetric_noise
-from oracles import propagate_stage_corners, segment_positions
+from oracles import propagate_stage_corners, segment_positions, stage_end, start_pose
+
+ORIGIN = (0.0, 0.0, 0.0, 0.0, 0.0)  # tube state (x, y, theta, d, dtheta) at the origin
 
 
 class TestRepresentativeNoise:
@@ -43,14 +44,14 @@ def enumerate_stage_growth(params, nm, prev_pose, prev_d, prev_dth, action, j_r,
     u_r, u_l = action
     r_lo, r_hi = nm.right.interval(j_r)
     l_lo, l_hi = nm.left.interval(j_l)
-    nominal = make_stage(params, prev_pose, u_r + (r_lo + r_hi) / 2,
-                         u_l + (l_lo + l_hi) / 2, params.dt).end
+    nominal = stage_end(params, prev_pose, u_r + (r_lo + r_hi) / 2,
+                        u_l + (l_lo + l_hi) / 2, params.dt)
     worst_d, worst_th = 0.0, 0.0
     for alpha in {prev_dth, -prev_dth}:
         start = Pose(prev_pose.x, prev_pose.y, prev_pose.theta + alpha)
         for er in (r_lo, r_hi):
             for el in (l_lo, l_hi):
-                q = make_stage(params, start, u_r + er, u_l + el, params.dt).end
+                q = stage_end(params, start, u_r + er, u_l + el, params.dt)
                 worst_d = max(worst_d, math.hypot(q.x - nominal.x, q.y - nominal.y))
                 diff = abs(nominal.theta - q.theta) % (2 * math.pi)
                 worst_th = max(worst_th, min(diff, 2 * math.pi - diff))
@@ -60,49 +61,49 @@ def enumerate_stage_growth(params, nm, prev_pose, prev_d, prev_dth, action, j_r,
 class TestPropagateStage:
     def test_straight_stage_growth_matches_enumeration(self, demo_params, demo_noise):
         interval = measure(demo_noise, demo_params, 1, 2, 2)
-        state, stage = propagate_stage(NominalStageState(Pose(0, 0, 0), 0.0, 0.0),
-                                       stage_terms(interval, demo_params, demo_noise))
+        state, stage = propagate_stage(ORIGIN, stage_terms(interval, demo_params, demo_noise))
         nominal, d_ref, th_ref = enumerate_stage_growth(
             demo_params, demo_noise, Pose(0, 0, 0), 0.0, 0.0, STRAIGHT, 2, 2)
-        assert state.d == pytest.approx(d_ref, abs=1e-15)
-        assert state.dtheta == pytest.approx(th_ref, abs=1e-15)
-        assert state.pose == nominal
+        x, y, theta, d, dtheta = state
+        assert d == pytest.approx(d_ref, abs=1e-15)
+        assert dtheta == pytest.approx(th_ref, abs=1e-15)
+        assert (x, y, theta) == (nominal.x, nominal.y, nominal.theta)
         # frozen magnitudes for the demo vehicle: about 1.56 mm and 4.79 mrad
-        assert state.d == pytest.approx(1.5566e-3, rel=2e-3)
-        assert state.dtheta == pytest.approx(4.7894e-3, rel=2e-3)
-        assert stage.end == nominal
+        assert d == pytest.approx(1.5566e-3, rel=2e-3)
+        assert dtheta == pytest.approx(4.7894e-3, rel=2e-3)
+        assert stage[-3:] == (nominal.x, nominal.y, nominal.theta)
 
     def test_zero_width_noise_means_no_growth(self, demo_params, zero_noise):
         interval = measure(zero_noise, demo_params, 0, 1, 1)
-        prev = NominalStageState(Pose(0.2, -0.1, 0.4), 0.123, 0.0)
+        prev = (0.2, -0.1, 0.4, 0.123, 0.0)
         state, _ = propagate_stage(prev, stage_terms(interval, demo_params, zero_noise))
-        assert state.d == pytest.approx(prev.d, abs=1e-15)
-        assert state.dtheta == 0.0
+        assert state[3] == pytest.approx(prev[3], abs=1e-15)
+        assert state[4] == 0.0
 
     def test_radius_never_shrinks(self, demo_params, demo_noise):
         rng = np.random.default_rng(12)
-        state = NominalStageState(Pose(0, 0, 0), 0.0, 0.0)
+        state = ORIGIN
         for _ in range(9):
             a = int(rng.integers(3))
             interval = measure(demo_noise, demo_params, a,
                                int(rng.integers(1, 4)), int(rng.integers(1, 4)))
             nxt, _ = propagate_stage(state, stage_terms(interval, demo_params, demo_noise))
-            assert nxt.d >= state.d
+            assert nxt[3] >= state[3]
             state = nxt
 
     def test_orientation_spread_feeds_distance_growth(self, demo_params, demo_noise):
         interval = measure(demo_noise, demo_params, 1, 2, 2)
-        base = NominalStageState(Pose(0, 0, 0), 0.0, 0.0)
-        tilted = NominalStageState(Pose(0, 0, 0), 0.0, 0.05)
+        tilted = (0.0, 0.0, 0.0, 0.0, 0.05)
         terms = stage_terms(interval, demo_params, demo_noise)
-        flat, _ = propagate_stage(base, terms)
+        flat, _ = propagate_stage(ORIGIN, terms)
         wide, _ = propagate_stage(tilted, terms)
-        assert wide.d > flat.d + 0.02
+        assert wide[3] > flat[3] + 0.02
 
 
 class TestCornerOracle:
-    """The allocation-free corner loop equals eight ``make_stage``
-    corners per stage bit for bit."""
+    """The float kernel, tube state and stage record, equals eight
+    ``make_stage`` corners per stage, each integrated as a ``Pose``, bit for
+    bit."""
 
     ACTIONS = ((3.0, 3.0), (2.0, -2.0), (3.8, 2.1), (0.5, 8.0))  # straight, spin, turns
 
@@ -123,14 +124,15 @@ class TestCornerOracle:
                                int(rng.integers(1, n + 1)))
             theta = 0.0 if case % 5 == 0 else float(rng.uniform(0, 2 * math.pi))
             dtheta = 0.0 if spread == "zero" else float(rng.uniform(0.0, 4.0))
-            prev = NominalStageState(Pose(float(rng.normal()), float(rng.normal()), theta),
-                                     float(rng.uniform(0, 0.2)), dtheta)
+            prev = (float(rng.normal()), float(rng.normal()), theta,
+                    float(rng.uniform(0, 0.2)), dtheta)
             got, got_stage = propagate_stage(prev, stage_terms(interval, params, nm))
             ref, ref_stage = propagate_stage_corners(prev, self.ACTIONS[a], interval,
                                                      params, nm)
-            assert got.d == ref.d
-            assert got.dtheta == ref.dtheta
-            assert got.pose == ref.pose
+            # d, then dtheta, then the nominal pose
+            assert got[3] == ref[3]
+            assert got[4] == ref[4]
+            assert got[:3] == ref[:3]
             assert got_stage == ref_stage
 
     @pytest.mark.parametrize("spread", ["zero", "positive"])
@@ -152,22 +154,37 @@ class TestCornerOracle:
                 for _ in range(5):
                     theta = float(rng.uniform(0, 2 * math.pi))
                     dtheta = 0.0 if spread == "zero" else float(rng.uniform(0.0, 4.0))
-                    prev = NominalStageState(Pose(float(rng.normal()), float(rng.normal()), theta),
-                                             float(rng.uniform(0, 0.2)), dtheta)
+                    prev = (float(rng.normal()), float(rng.normal()), theta,
+                            float(rng.uniform(0, 0.2)), dtheta)
                     assert propagate_stage(prev, terms) == propagate_stage_corners(
                         prev, params.actions[step[0]], interval, params, nm)
+
+    def test_stored_heading_of_two_pi(self, demo_config):
+        """A heading stored as 2*pi (a tiny negative angle, wrapped) is not
+        wrapped again where a ``Pose`` would not wrap it."""
+        cfg = demo_config
+        theta = Pose(0, 0, -1e-300).theta
+        assert theta == 2 * math.pi
+        sampler = PathSampler(cfg.env, to_sequential(cfg.formula, cfg.env.unsafe), cfg.params,
+                              cfg.nm, 3)
+        for step, terms in sampler.terms.items():
+            for dtheta in (0.0, 0.3):
+                prev = (0.4, -0.3, theta, 0.01, dtheta)
+                assert propagate_stage(prev, terms) == propagate_stage_corners(
+                    prev, cfg.params.actions[step[0]], sampler.measured[step], cfg.params, cfg.nm)
 
     def test_demo_tubes_match(self, demo_params, demo_noise):
         rng = np.random.default_rng(33)
         for _ in range(100):
-            state = ref = NominalStageState(Pose(0.3, -0.2, 6.2), 0.0, 0.0)
+            start = Pose(0.3, -0.2, 6.2)
+            state = ref = (start.x, start.y, start.theta, 0.0, 0.0)
             for a in rng.integers(0, 3, size=9):
                 interval = measure(demo_noise, demo_params, int(a),
                                    int(rng.integers(1, 4)), int(rng.integers(1, 4)))
                 state, _ = propagate_stage(state, stage_terms(interval, demo_params, demo_noise))
                 ref, _ = propagate_stage_corners(ref, demo_params.actions[a], interval,
                                                  demo_params, demo_noise)
-                assert (state.d, state.dtheta, state.pose) == (ref.d, ref.dtheta, ref.pose)
+                assert state == ref
 
 
 class TestBuildTube:
@@ -182,8 +199,9 @@ class TestBuildTube:
         assert len(tube.radii) == 9
         assert all(b > a for a, b in zip(tube.radii, tube.radii[1:]))
         # nominal runs along +x from theta=0
-        assert tube.trajectory.end.y == pytest.approx(0.0, abs=1e-12)
-        assert tube.trajectory.end.x == pytest.approx(9 * DT * 0.25, rel=1e-9)
+        end = tube.trajectory.stages[-1]
+        assert end.y1 == pytest.approx(0.0, abs=1e-12)
+        assert end.x1 == pytest.approx(9 * DT * 0.25, rel=1e-9)
 
     def test_stages_chain_continuously(self, demo_params, demo_noise):
         rng = np.random.default_rng(13)
@@ -192,7 +210,7 @@ class TestBuildTube:
                    for a in rng.integers(0, 3, size=7)]
         tube = build_tube(history, Pose(0.5, 0.5, 1.0), demo_params, demo_noise)
         for prev, cur in zip(tube.trajectory.stages, tube.trajectory.stages[1:]):
-            assert cur.start == prev.end
+            assert (cur.x0, cur.y0, cur.theta0) == (prev.x1, prev.y1, prev.theta1)
 
     def test_mismatched_action_rejected(self, demo_params, demo_noise):
         interval = measure(demo_noise, demo_params, 1, 2, 2)
@@ -213,7 +231,7 @@ def inner_positions(params, q0, wheel_speeds, times_per_stage):
     for w_r, w_l in wheel_speeds:
         xs, ys = segment_positions(params, pose, w_r, w_l, times_per_stage)
         out.append((xs, ys))
-        pose = make_stage(params, pose, w_r, w_l, params.dt).end
+        pose = stage_end(params, pose, w_r, w_l, params.dt)
     return out
 
 
@@ -235,11 +253,11 @@ class TestContainment:
                 for k, (w_r, w_l) in enumerate(speeds):
                     xs, ys = segment_positions(demo_params, pose, w_r, w_l, local_ts)
                     st = tube.trajectory.stages[k]
-                    nx, ny = segment_positions(demo_params, st.start, st.w_r, st.w_l,
+                    nx, ny = segment_positions(demo_params, start_pose(st), st.w_r, st.w_l,
                                                local_ts)
                     dist = np.hypot(xs - nx, ys - ny)
                     assert (dist <= tube.radii[k] + 1e-9).all()
-                    pose = make_stage(demo_params, pose, w_r, w_l, DT).end
+                    pose = stage_end(demo_params, pose, w_r, w_l, DT)
 
     def test_midpoint_inner_equals_nominal(self, demo_params, demo_noise):
         history = [(1, measure(demo_noise, demo_params, 1, 2, 2))] * 4
@@ -248,7 +266,7 @@ class TestContainment:
         for k, (_, m) in enumerate(history):
             w_r = (m.r_lo + m.r_hi) / 2
             w_l = (m.l_lo + m.l_hi) / 2
-            pose = make_stage(demo_params, pose, w_r, w_l, DT).end
+            pose = stage_end(demo_params, pose, w_r, w_l, DT)
             st = tube.trajectory.stages[k]
-            assert pose.x == pytest.approx(st.end.x, abs=1e-12)
-            assert pose.y == pytest.approx(st.end.y, abs=1e-12)
+            assert pose.x == pytest.approx(st.x1, abs=1e-12)
+            assert pose.y == pytest.approx(st.y1, abs=1e-12)

@@ -16,8 +16,7 @@ from .synthesis import (BieResult, Policy, QTable, SynthesisResult,
                         bie_estimate, determinize, evaluate_policy,
                         improve_policy, simulate_true_system, synthesize,
                         theorem_bound_holds, validate_true_system)
-from .tracegen import (Stage, Trajectory, UncertaintyTube, trace_from_trajectory,
-                       trace_from_tube)
+from .tracegen import Trajectory, UncertaintyTube, trace_from_trajectory, trace_from_tube
 from .uncertainty import StageTerms, build_tube, propagate_stage, stage_terms
 
 __version__ = "0.1.0"

@@ -14,13 +14,14 @@ positions into ``VehicleParams.actions``.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
 
 # Below this body angular rate the exact arc formula degenerates; treat as straight.
 OMEGA_STRAIGHT_EPS = 1e-12
-# The modulus of wrap_angle.
-_TWO_PI = 2.0 * math.pi
+# The modulus of wrap_angle and angle_diff.
+TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -37,13 +38,13 @@ class Pose:
 
 def wrap_angle(theta: float) -> float:
     """Wrap an angle to [0, 2*pi)."""
-    return theta % (2.0 * math.pi)
+    return theta % TWO_PI
 
 
 def angle_diff(a: float, b: float) -> float:
     """Absolute angular difference on the circle, in [0, pi]."""
-    d = abs(a - b) % (2.0 * math.pi)
-    return min(d, 2.0 * math.pi - d)
+    d = abs(a - b) % TWO_PI
+    return min(d, TWO_PI - d)
 
 
 @dataclass(frozen=True)
@@ -81,10 +82,7 @@ class WheelNoise:
     [eps_min + (j-1)*delta, eps_min + j*delta] and carries mass probs[j-1].
     Constructing from (eps_min, delta, n) makes the tiling exact by design.
     ``cdf`` holds the running sums of ``probs``, computed once, for drawing
-    tiles by inverse CDF: a uniform u in [0, 1) draws tile
-    min(bisect_right(cdf, u) + 1, n), and a second one the noise lo + u*(hi - lo)
-    inside tile j = [lo, hi].  The chain sampler and the closed loop bind
-    these fields once and evaluate both expressions inline.
+    tiles by inverse CDF (``tile``).
     """
 
     eps_min: float
@@ -115,6 +113,16 @@ class WheelNoise:
         if not 1 <= j <= self.n:
             raise IndexError(f"noise interval index {j} out of range 1..{self.n}")
         return (self.eps_min + (j - 1) * self.delta, self.eps_min + j * self.delta)
+
+    def tile(self, u: float) -> int:
+        """The tile (1-based) that a uniform u in [0, 1) draws by inverse CDF;
+        a u past the last running sum, short of 1 by rounding, draws tile n."""
+        return min(bisect_right(self.cdf, u) + 1, self.n)
+
+    def noise_in_tile(self, j: int, u: float) -> float:
+        """The noise that a uniform u in [0, 1) draws inside tile j."""
+        lo, hi = self.interval(j)
+        return lo + u * (hi - lo)
 
     def midpoint(self, j: int) -> float:
         lo, hi = self.interval(j)
@@ -163,10 +171,10 @@ def integrate_body(x: float, y: float, theta: float, v: float, omega: float,
     if tau < 0:
         raise ValueError("tau must be non-negative")
     if abs(omega) < OMEGA_STRAIGHT_EPS:
-        return x + v * tau * math.cos(theta), y + v * tau * math.sin(theta), theta % _TWO_PI
+        return x + v * tau * math.cos(theta), y + v * tau * math.sin(theta), theta % TWO_PI
     th1 = theta + omega * tau
     return (x + (v / omega) * (math.sin(th1) - math.sin(theta)),
-            y - (v / omega) * (math.cos(th1) - math.cos(theta)), th1 % _TWO_PI)
+            y - (v / omega) * (math.cos(th1) - math.cos(theta)), th1 % TWO_PI)
 
 
 def measure(nm: NoiseModel, params: VehicleParams, action_index: int,

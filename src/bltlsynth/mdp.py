@@ -4,7 +4,7 @@ A state is the sequence of (action index, right tile, left tile) triples
 observed so far; the empty history is the initial state.  The state space is
 never enumerated: histories materialize only when sampled.  Every commanded
 action is enabled below the horizon, and each stage's tiles are drawn by
-inverse CDF over ``WheelNoise.cdf``, bound once per sampler.
+inverse CDF (``WheelNoise.tile``, bound once per episode).
 
 The sampler is table driven: the encoder reading of every (action, right
 tile, left tile) triple is measured once per sampler, and an episode takes all
@@ -39,7 +39,6 @@ computed without building a ``SeedSequence`` and a bit generator per episode.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator, Optional
@@ -291,7 +290,6 @@ class PathSampler:
         self._rules = tube_rules(env)
         self._origin: TubeState = (env.initial_pose.x, env.initial_pose.y,
                                    env.initial_pose.theta, 0.0, 0.0)
-        self._tiles = (nm.right.cdf, nm.right.n, nm.left.cdf, nm.left.n)
         self.prefix_depth = prefix_table_depth(len(self.measured), horizon)
         self.prefixes: dict[HistoryKey, tuple[TubeState, Optional[tuple], tuple]] = {}
 
@@ -310,15 +308,15 @@ class PathSampler:
         stochastic = not policy.deterministic
         k = 3 if stochastic else 2
         u = rng.random(k * self.horizon).tolist()
-        cdf_r, n_r, cdf_l, n_l = self._tiles
+        tile_r, tile_l = self.nm.right.tile, self.nm.left.tile
         history: HistoryKey = EMPTY_HISTORY
         for i in range(0, k * self.horizon, k):
             if stochastic:
                 action = policy.sample_action(history, u[i])
             else:
                 action = policy.best_action(history)
-            j_r = min(bisect_right(cdf_r, u[i + k - 2]) + 1, n_r)
-            j_l = min(bisect_right(cdf_l, u[i + k - 1]) + 1, n_l)
+            j_r = tile_r(u[i + k - 2])
+            j_l = tile_l(u[i + k - 1])
             history = history + ((action, j_r, j_l),)
         return history
 

@@ -63,8 +63,8 @@ from .dynamics import NoiseModel, VehicleParams, integrate_body, wheel_to_body
 from .env import Environment
 from .mdp import (EMPTY_HISTORY, EpisodeStream, HistoryKey, PathSampler, STREAM_BIE,
                   STREAM_POLICY_EVAL, STREAM_VALIDATE, decide_tube)
-from .tracegen import (Stage, StageRecord, TraceWalk, Trajectory, point_rules,
-                       stage_intervals, trace_from_trajectory)
+from .tracegen import (Stage, TraceWalk, Trajectory, point_rules, stage_feed,
+                       trace_from_trajectory)
 
 
 # ---------------------------------------------------------------------------
@@ -279,11 +279,8 @@ class _TrueSystemTask:
         """Verdict of episode ``index``, and the stages simulated to fix it."""
         stages = _closed_loop_stages(self.policy, self.env, self.params, self.nm,
                                      self.horizon, self.episodes.rng(index))
-        rules, dt = self.rules, self.params.dt
-        walk = TraceWalk(rules, self.env.unsafe)
-        # a stage starts at the walk's total duration
-        feed = ((stage_intervals(rules, stage, 0.0, walk.total), dt) for stage, _ in stages)
-        return decide_tube(walk, SequentialMonitor(self.spec), feed)
+        return decide_tube(TraceWalk(self.rules, self.env.unsafe), SequentialMonitor(self.spec),
+                           stage_feed(self.rules, ((stage, 0.0) for stage, _ in stages)))
 
     def run(self, index: int) -> bool:
         return self.decide(index)[0]
@@ -807,40 +804,35 @@ def synthesize(env: Environment, formula: Formula, params: VehicleParams,
 
 def _closed_loop_stages(policy: Policy, env: Environment, params: VehicleParams,
                         nm: NoiseModel, horizon: int, rng: np.random.Generator
-                        ) -> Iterator[tuple[StageRecord, HistoryKey]]:
+                        ) -> Iterator[tuple[Stage, HistoryKey]]:
     """The closed loop's stages under the strategy, simulated as they are
     asked for, each with the history that ends with its encoder reading.
 
     Per stage: look up the action for the history so far, draw each wheel's
     noise (tile by its probability, position uniformly within the tile),
-    integrate the exact kinematics (``integrate_body``), and append the
-    encoder reading.  A stage is a plain tuple in ``Stage``'s field order.
-    Each wheel's draw tables are bound once per episode.  The episode's
-    uniforms are one draw up front, in the order of four scalar draws per
-    stage, so the stream is the same however many stages are taken.
+    integrate the exact kinematics (``integrate_body``) on floats, and append
+    the encoder reading.  Each wheel's draws are bound once per episode.  The
+    episode's uniforms are one draw up front, in the order of four scalar
+    draws per stage, so the stream is the same however many stages are taken.
     """
     p = env.initial_pose
     x, y, theta = p.x, p.y, p.theta
-    right, left = nm.right, nm.left
-    cdf_r, n_r, min_r, delta_r = right.cdf, right.n, right.eps_min, right.delta
-    cdf_l, n_l, min_l, delta_l = left.cdf, left.n, left.eps_min, left.delta
+    tile_r, noise_r = nm.right.tile, nm.right.noise_in_tile
+    tile_l, noise_l = nm.left.tile, nm.left.noise_in_tile
     actions, dt = params.actions, params.dt
     history: HistoryKey = EMPTY_HISTORY
     u = rng.random(4 * horizon).tolist()
     for i in range(0, 4 * horizon, 4):
         action = policy.best_action(history)
         u_r, u_l = actions[action]
-        # tile j spans [eps_min + (j - 1) * delta, eps_min + j * delta]
-        j_r = min(bisect_right(cdf_r, u[i]) + 1, n_r)
-        lo_r, hi_r = min_r + (j_r - 1) * delta_r, min_r + j_r * delta_r
-        j_l = min(bisect_right(cdf_l, u[i + 2]) + 1, n_l)
-        lo_l, hi_l = min_l + (j_l - 1) * delta_l, min_l + j_l * delta_l
-        w_r = u_r + (lo_r + u[i + 1] * (hi_r - lo_r))
-        w_l = u_l + (lo_l + u[i + 3] * (hi_l - lo_l))
+        j_r = tile_r(u[i])
+        w_r = u_r + noise_r(j_r, u[i + 1])
+        j_l = tile_l(u[i + 2])
+        w_l = u_l + noise_l(j_l, u[i + 3])
         v, omega = wheel_to_body(params, w_r, w_l)
         x1, y1, theta1 = integrate_body(x, y, theta, v, omega, dt)
         history = history + ((action, j_r, j_l),)
-        yield (x, y, theta, w_r, w_l, v, omega, dt, x1, y1, theta1), history
+        yield Stage(x, y, theta, w_r, w_l, v, omega, dt, x1, y1, theta1), history
         x, y, theta = x1, y1, theta1
 
 
@@ -858,7 +850,7 @@ def simulate_true_system(policy: Policy, env: Environment, spec: SequentialSpec,
     history: HistoryKey = EMPTY_HISTORY
     stages = []
     for stage, history in _closed_loop_stages(policy, env, params, nm, horizon, rng):
-        stages.append(Stage._make(stage))
+        stages.append(stage)
     traj = Trajectory(tuple(stages))
     trace = trace_from_trajectory(traj, env)
     return traj, history, check_sequential(trace, spec)

@@ -22,10 +22,9 @@ touch) gives no trace state.  ``stage_intervals`` is one flat kernel per
 stage: of the rectangles the disc can reach it solves only the edges that
 cross the stage's box widened by the solver's tangent tolerance, since no
 other edge has a root inside the stage, so its intervals are the same bits
-as solving every edge.  A stage is one flat record of floats (start pose,
-wheel and body speeds, duration, end pose): the kernels pass it as a plain
-tuple, and ``Stage`` names its fields in the same order on the export and
-test paths.
+as solving every edge.  A ``Stage`` is one flat named tuple of floats
+(start pose, wheel and body speeds, duration, end pose), which
+``stage_intervals`` unpacks positionally.
 
 The walk (``TraceWalk``) can take a tube or a point trajectory one stage at a
 time.  After each stage it closes every trace step that the stages so far
@@ -48,7 +47,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .bltl import TraceStep
-from .dynamics import OMEGA_STRAIGHT_EPS, angle_diff, integrate_body
+from .dynamics import OMEGA_STRAIGHT_EPS, TWO_PI, angle_diff, integrate_body
 from .env import Environment, Rect
 
 # Event times closer than this (seconds) are one breakpoint.
@@ -74,10 +73,9 @@ class Stage(NamedTuple):
 
     Headings are wrapped to [0, 2*pi) as ``Pose`` stores them.  Body speed
     and turn rate are precomputed so later geometry needs no vehicle
-    parameters.  The kernels (``uncertainty.propagate_stage``, the closed loop
-    of ``synthesis``, ``stage_intervals``) build and read plain tuples in this
-    field order; a ``Stage`` is built from one only on the export and test
-    paths.
+    parameters.  One is built per stage of every episode, from floats
+    (``uncertainty.propagate_stage``, the closed loop of ``synthesis``), and
+    its fields are only read.
     """
 
     x0: float
@@ -96,10 +94,6 @@ class Stage(NamedTuple):
         """Position local_t seconds into the stage (``integrate_body``)."""
         x, y, _ = integrate_body(self.x0, self.y0, self.theta0, self.v, self.omega, local_t)
         return x, y
-
-
-# A stage as the kernels pass it: a plain tuple in ``Stage``'s field order.
-StageRecord = tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -163,13 +157,12 @@ def _touches(r: Rect, x: float, y: float, d: float) -> bool:
 # ---------------------------------------------------------------------------
 # Closed-form event times
 
-_TWO_PI = 2.0 * math.pi
 _HALF_PI = 0.5 * math.pi
 # A sine value up to this magnitude is a root, clamped to [-1, 1].
 _UNIT = 1.0 + _TANGENT_SLACK
 
 
-def stage_intervals(rules: Sequence[Rule], stage: StageRecord, d: float,
+def stage_intervals(rules: Sequence[Rule], stage: Stage, d: float,
                     t0: float) -> StageIntervals:
     """Each rule's maximal time intervals on one stage, with disc radius d,
     for the stage placed at absolute time t0.
@@ -201,7 +194,7 @@ def stage_intervals(rules: Sequence[Rule], stage: StageRecord, d: float,
         radius = v / omega
         cx, cy = x0 - radius * sin0, y0 + radius * cos0
         rate = abs(omega)
-        period = _TWO_PI / rate
+        period = TWO_PI / rate
     # A sweep of at most pi stays in the disc that has the chord as diameter;
     # a longer one only in the full circle.
     if straight or rate * duration <= math.pi:
@@ -280,7 +273,7 @@ def stage_intervals(rules: Sequence[Rule], stage: StageRecord, d: float,
                         angles += (psi + a, psi + math.pi - a)
         for a in angles:
             lag = a - theta0 if omega > 0 else theta0 - a
-            t = (lag % _TWO_PI) / rate
+            t = (lag % TWO_PI) / rate
             while t < duration:
                 if t > 0.0:
                     times.append(t)
@@ -515,7 +508,7 @@ def write_trajectory_csv(fp, traj: Trajectory) -> None:
             lt = st.duration * i / 32
             x, y = st.position_at(lt)
             th = st.theta0 + st.omega * lt
-            writer.writerow([repr(t0 + lt), repr(x), repr(y), repr(th % (2 * math.pi)), "0.0"])
+            writer.writerow([repr(t0 + lt), repr(x), repr(y), repr(th % TWO_PI), "0.0"])
         t0 += st.duration
     end = traj.stages[-1]
     writer.writerow([repr(t0), repr(end.x1), repr(end.y1), repr(end.theta1), "0.0"])

@@ -9,16 +9,14 @@ the endpoints of each wheel's measured interval.
 
 A stage is the per-episode hot path, so it runs on plain floats: the tube
 state after a stage is the tuple (x, y, theta, d, dtheta) of the nominal
-pose and its distance and orientation uncertainty, and the stage is a flat
-record in ``tracegen.Stage``'s field order, both plain tuples.  The nominal
-pose comes from ``dynamics.integrate_body`` and the corner cases are
+pose and its distance and orientation uncertainty, and the stage is a
+``tracegen.Stage``, a flat named tuple of floats.  The nominal pose comes from ``dynamics.integrate_body`` and the corner cases are
 integrated in its closed form, with the same expressions in the same order
 as integrating each corner as a ``Pose``, and headings wrapped where a
 ``Pose`` would wrap them, so the radii and spreads are the same bits.  The
 terms that a stage's step fixes (nominal wheel speeds, body speeds of the
 nominal and of the corners) come precomputed as ``StageTerms``, built once
-per step.  ``build_tube`` names the stages as ``Stage``s for export and
-tests.
+per step.
 """
 
 from __future__ import annotations
@@ -26,12 +24,9 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence
 
-from .dynamics import (OMEGA_STRAIGHT_EPS, MeasuredInterval, NoiseModel, Pose,
+from .dynamics import (OMEGA_STRAIGHT_EPS, TWO_PI, MeasuredInterval, NoiseModel, Pose,
                        VehicleParams, integrate_body, wheel_to_body)
-from .tracegen import Stage, StageRecord, Trajectory, UncertaintyTube
-
-# The modulus of wrap_angle and angle_diff, inlined in the corner loop.
-_TWO_PI = 2.0 * math.pi
+from .tracegen import Stage, Trajectory, UncertaintyTube
 
 # A stage-end tube state: nominal pose (x, y, theta) with its distance and
 # orientation uncertainty (d, dtheta), both non-negative.
@@ -70,7 +65,7 @@ def stage_terms(interval: MeasuredInterval, params: VehicleParams,
     return StageTerms(w_r, w_l, v, omega, tau, tuple(corners))
 
 
-def propagate_stage(prev: TubeState, terms: StageTerms) -> tuple[TubeState, StageRecord]:
+def propagate_stage(prev: TubeState, terms: StageTerms) -> tuple[TubeState, Stage]:
     """Advance one stage: nominal midpoint motion plus worst-case growth.
 
     Returns the new stage-end state and the nominal stage traversed.  The
@@ -83,11 +78,11 @@ def propagate_stage(prev: TubeState, terms: StageTerms) -> tuple[TubeState, Stag
     term for term: the step's ``terms`` hold the body speeds of the four
     wheel-speed corners, and sin/cos are taken once per start orientation.
     """
-    sin, cos, two_pi = math.sin, math.cos, _TWO_PI
+    sin, cos, two_pi = math.sin, math.cos, TWO_PI
     x0, y0, theta, d, dtheta = prev
     w_r, w_l, v, omega, tau, corners = terms
     nx, ny, nth = integrate_body(x0, y0, theta, v, omega, tau)
-    stage = (x0, y0, theta, w_r, w_l, v, omega, tau, nx, ny, nth)
+    stage = Stage(x0, y0, theta, w_r, w_l, v, omega, tau, nx, ny, nth)
 
     worst_d = 0.0
     worst_th = 0.0
@@ -131,7 +126,7 @@ def build_tube(history: Sequence[tuple[int, MeasuredInterval]], q_init: Pose,
         if interval.action_index != action_index:
             raise ValueError("measured interval does not match the commanded action")
         state, stage = propagate_stage(state, stage_terms(interval, params, nm))
-        stages.append(Stage._make(stage))
+        stages.append(stage)
         radii.append(state[3])
         dthetas.append(state[4])
     return UncertaintyTube(Trajectory(tuple(stages)), tuple(radii), tuple(dthetas))

@@ -618,8 +618,7 @@ class _Path:
     __slots__ = ("stage", "t0", "duration", "straight", "x0", "y0", "vx", "vy",
                  "theta0", "omega", "radius", "cx", "cy", "box")
 
-    def __init__(self, stage: Sequence[float], t0: float):
-        stage = Stage._make(stage)  # the kernels pass plain tuples
+    def __init__(self, stage: Stage, t0: float):
         self.stage, self.t0, self.duration = stage, t0, stage.duration
         x0, y0, theta0, x1, y1 = stage.x0, stage.y0, stage.theta0, stage.x1, stage.y1
         self.straight = abs(stage.omega) < OMEGA_STRAIGHT_EPS

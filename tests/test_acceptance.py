@@ -25,8 +25,7 @@ from conftest import (COURIER_FORMULA, COURIER_TRACE, COURIER_TRACE_INNER,
                       COURIER_TRACE_TUBE, MISSION_FORMULA, load_demo_config_doc)
 from oracles import (all_success_stop_count, chained_positions, check_generic, end_pose,
                      episode_rng, make_stage, random_spec, random_trace, rk4_pose,
-                     sample_noise_interval, segment_positions_batch, spec_to_formula,
-                     successors, wheel_noise)
+                     segment_positions_batch, spec_to_formula, successors, wheel_noise)
 
 ACCEPTANCE_SEED = 2026
 REDUCED_EPISODES = 1000
@@ -88,14 +87,14 @@ def test_criterion_03_oracle_equivalence():
 
 
 def drawn_tile_mass(nm, wheel, j):
-    """The probability that ``sample_noise_interval`` draws tile j from a
+    """The probability that ``WheelNoise.tile`` draws tile j from a
     uniform u in [0, 1): the length of the u it maps to j, between running
     sums of ``WheelNoise.cdf`` (the last tile takes every u past the others)."""
     wn = wheel_noise(nm, wheel)
     lo = wn.cdf[j - 2] if j > 1 else 0.0
     hi = wn.cdf[j - 1] if j < wn.n else 1.0
     if hi > lo:
-        assert sample_noise_interval(nm, wheel, lo) == j
+        assert wn.tile(lo) == j
     return hi - lo
 
 

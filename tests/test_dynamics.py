@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from bltlsynth.dynamics import (OMEGA_STRAIGHT_EPS, NoiseModel, Pose, VehicleParams,
+from bltlsynth.dynamics import (OMEGA_STRAIGHT_EPS, Pose, VehicleParams,
                                 WheelNoise, angle_diff, integrate_body, measure, wheel_to_body,
                                 wrap_angle)
 
 from conftest import DT, ENCODER_DELTA, STRAIGHT, TURN_LEFT, TURN_RIGHT, symmetric_noise
-from oracles import (integrate_pose, rk4_pose, sample_noise_in_interval, sample_noise_interval,
-                     segment_positions, tile_by_cumsum)
+from oracles import integrate_pose, rk4_pose, segment_positions, tile_by_cumsum
 
 
 def body_end(params, q0, w_r, w_l, tau):
@@ -164,12 +163,12 @@ class TestSampleNoiseInterval:
     @pytest.mark.parametrize("u,expected", [(0.10, 1), (0.69, 2), (0.95, 3)])
     def test_inverse_cdf_thresholds(self, u, expected):
         nm = symmetric_noise(-0.01, 0.005, 3, (0.2, 0.5, 0.3))
-        assert sample_noise_interval(nm, "r", u) == expected
+        assert nm.right.tile(u) == expected
 
     def test_degenerate_distribution(self):
         nm = symmetric_noise(-0.01, 0.02, 1, (1.0,))
         for u in (0.0, 0.5, 0.999999):
-            assert sample_noise_interval(nm, "l", u) == 1
+            assert nm.left.tile(u) == 1
 
     def test_empirical_frequencies(self):
         nm = symmetric_noise(-0.01, 0.005, 3, (0.2, 0.5, 0.3))
@@ -177,7 +176,7 @@ class TestSampleNoiseInterval:
         n = 20000
         counts = np.zeros(3)
         for _ in range(n):
-            counts[sample_noise_interval(nm, "r", rng.random()) - 1] += 1
+            counts[nm.right.tile(rng.random()) - 1] += 1
         for freq, p in zip(counts / n, (0.2, 0.5, 0.3)):
             assert abs(freq - p) < 3 * math.sqrt(p * (1 - p) / n)
 
@@ -192,10 +191,9 @@ class TestSampleNoiseInterval:
                 wn = WheelNoise(-0.01, 0.005, n, probs)
             except ValueError:  # rounding left the sum off 1 by more than 1e-12
                 continue
-            nm = NoiseModel(right=wn, left=wn)
             us = list(rng.random(50)) + list(wn.cdf) + [0.0, np.nextafter(1.0, 0.0)]
             for u in us:
-                assert sample_noise_interval(nm, "r", float(u)) == tile_by_cumsum(wn, float(u))
+                assert wn.tile(float(u)) == tile_by_cumsum(wn, float(u))
 
 
 class TestMeasure:
@@ -225,14 +223,14 @@ class TestMeasure:
 class TestSampleNoiseInInterval:
     def test_endpoints_and_midpoint(self, demo_noise):
         lo, hi = demo_noise.right.interval(2)
-        assert sample_noise_in_interval(demo_noise, "r", 2, 0.0) == lo
-        mid = sample_noise_in_interval(demo_noise, "r", 2, 0.5)
+        assert demo_noise.right.noise_in_tile(2, 0.0) == lo
+        mid = demo_noise.right.noise_in_tile(2, 0.5)
         assert mid == pytest.approx((lo + hi) / 2, rel=1e-12)
 
     def test_empirical_mean_is_midpoint(self, demo_noise):
         rng = np.random.default_rng(3)
         n = 20000
-        draws = [sample_noise_in_interval(demo_noise, "l", 3, rng.random())
+        draws = [demo_noise.left.noise_in_tile(3, rng.random())
                  for _ in range(n)]
         lo, hi = demo_noise.left.interval(3)
         width = hi - lo

@@ -294,11 +294,15 @@ def variant_config(name):
     run arrives there, so that verdicts are fixed only in the last stage; or,
     with verdicts fixed within the prefix table's depth, the demo mission
     with a barrier that a left turn meets in its first two stages, or a
-    three-stage pickup mission."""
+    three-stage pickup mission; or the demo mission with a different noise
+    model on each wheel."""
     doc = demo_doc()
     if name == "wide-noise":
         for side in ("right", "left"):
             doc["noise"][side].update(eps_min=-0.03, delta=0.02)
+    elif name == "lopsided-noise":
+        doc["noise"]["right"].update(probs=[0.6, 0.3, 0.1])
+        doc["noise"]["left"].update(eps_min=-0.012, delta=0.008, probs=[0.1, 0.3, 0.6])
     elif name == "spin":
         doc["vehicle"]["actions"][2] = [2.0, -2.0]
     elif name == "sharp-turn":
@@ -397,7 +401,7 @@ def test_validation_decision_matches_simulate_true_system(name):
         assert simulated < 0.7 * 9 * episodes
 
 
-@pytest.mark.parametrize("name", ["demo", "wide-noise", "spin", "sharp-turn"])
+@pytest.mark.parametrize("name", ["demo", "wide-noise", "spin", "sharp-turn", "lopsided-noise"])
 def test_closed_loop_float_stages_match_the_pose_reference(name):
     """The closed loop's float stages equal, field for field, the ``Stage``s
     built from a ``Pose`` per stage with per-call noise draws, and so do

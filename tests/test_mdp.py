@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bltlsynth.bltl import parse_formula, to_sequential
-from bltlsynth.dynamics import measure
+from bltlsynth.dynamics import NoiseModel, WheelNoise, measure
 from bltlsynth.mdp import (EMPTY_HISTORY, SEED_BLOCK, EpisodeStream, PathSampler,
                            history_key_string, parse_history_key)
 from bltlsynth.synthesis import Policy, uniform_policy
@@ -204,7 +204,9 @@ class TestPathSampler:
     def test_one_draw_matches_scalar_draws(self, small_env, small_spec, demo_params,
                                            deterministic):
         # rows on some states only, so the walk also meets unseen states
-        nm = symmetric_noise(-0.01, 0.005, 3, (0.2, 0.5, 0.3))
+        # a different tile distribution on each wheel
+        nm = NoiseModel(right=WheelNoise(-0.01, 0.005, 3, (0.2, 0.5, 0.3)),
+                        left=WheelNoise(-0.01, 0.005, 3, (0.6, 0.1, 0.3)))
         sampler = PathSampler(small_env, small_spec, demo_params, nm, 5)
         rng = np.random.default_rng(77)
         rows = {}

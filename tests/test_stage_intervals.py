@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import bltlsynth.mdp as mdp
-import bltlsynth.synthesis as synthesis
+import bltlsynth.tracegen as tracegen
 from bltlsynth.bltl import horizon_stages, to_sequential
 from bltlsynth.cli import load_policy_file
 from bltlsynth.dynamics import OMEGA_STRAIGHT_EPS, Pose
@@ -55,7 +55,7 @@ def test_closed_loop_stages_match_the_reference(demo_config, monkeypatch, tmp_pa
     """Every stage of 500 seed-2026 validation episodes under the pinned
     benchmark policy."""
     calls = []
-    monkeypatch.setattr(synthesis, "stage_intervals", checked_kernel(calls))
+    monkeypatch.setattr(tracegen, "stage_intervals", checked_kernel(calls))
     cfg = demo_config
     policy_path = tmp_path / "policy.json"
     policy_path.write_bytes(gzip.decompress(PINNED_POLICY.read_bytes()))

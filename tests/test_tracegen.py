@@ -9,7 +9,7 @@ import pytest
 from bltlsynth.bltl import check_sequential, parse_formula, to_sequential
 from bltlsynth.dynamics import OMEGA_STRAIGHT_EPS, Pose, VehicleParams, measure
 from bltlsynth.env import Rect
-from bltlsynth.tracegen import (Stage, Trajectory, UncertaintyTube, _inside, _touches,
+from bltlsynth.tracegen import (Trajectory, UncertaintyTube, _inside, _touches,
                                 read_trace_csv, read_trajectory_csv, trace_from_trajectory,
                                 trace_from_tube, write_trajectory_csv)
 from bltlsynth.uncertainty import build_tube
@@ -439,7 +439,7 @@ class TestTrajectoryType:
             sample = sampler.finish(sampler.sample_history(policy, episode_rng(8, 0, 0, i)))
             chain += sample.tube.trajectory.stages
             for nm in (cfg.nm, zero_noise):
-                closed_loop += [Stage._make(st) for st, _ in _closed_loop_stages(
+                closed_loop += [st for st, _ in _closed_loop_stages(
                     straight_first, cfg.env, cfg.params, nm, 9, episode_rng(8, 2, 0, i))]
         for stages in (chain, closed_loop):
             straight = [abs(st.omega) < OMEGA_STRAIGHT_EPS for st in stages]

@@ -32,9 +32,9 @@ PREFIX_TABLE_NODES nodes (depth 3 on the demo): the tree bounds its size,
 not the number of episodes.
 
 An episode's uniforms come from its stream, ``EpisodeStream(master seed,
-purpose, round).rng(index)``: the doubles of numpy's
-``default_rng(SeedSequence(master seed, spawn_key=(purpose, round, index)))``,
-computed without building a ``SeedSequence`` and a bit generator per episode.
+purpose, round).rng(index)``: numpy's counter-based Philox generator, keyed
+once per stream by ``SeedSequence(master seed, spawn_key=(purpose, round))``,
+with the episode index, in [0, 2^64), as one word of its counter.
 """
 
 from __future__ import annotations
@@ -66,108 +66,56 @@ EMPTY_HISTORY: HistoryKey = ()
 PREFIX_TABLE_NODES = 2 ** 15
 
 
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): the constants
-# of its entropy hash, of its pool-word mix and of ``generate_state``.
-_HASH_INIT, _HASH_MULT = 0x43B0D7E5, 0x931E8875
-_MIX_LEFT, _MIX_RIGHT = 0xCA01F9DD, 0x4973F715
-_STATE_INIT, _STATE_MULT = 0x8B51F9DD, 0x58F38DED
-_WORD = 0xFFFFFFFF
-# PCG64's 128-bit LCG multiplier, and the episode indices seeded in one block.
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_PCG_MASK = (1 << 128) - 1
-SEED_BLOCK = 256
-
-
-def _hash_constants(init: int, mult: int, first: int, count: int) -> list[int]:
-    """The hash constants ``init * mult**k`` mod 2^32 for k from ``first``."""
-    return [init * pow(mult, k, 1 << 32) & _WORD for k in range(first, first + count)]
+# Episode indices fill one 64-bit word of a Philox counter.
+_INDEX_LIMIT = 1 << 64
 
 
 class EpisodeStream:
     """The episode generators of one (master seed, purpose, round) stream.
 
-    ``rng(index)`` gives a generator whose doubles are those of numpy's
-    ``default_rng(SeedSequence(master_seed, spawn_key=(purpose, round_index,
-    index)))``.  The index is the last entropy word, mixed into each pool
-    word after all others, so the stream starts from the pool of the key
-    without it, ``SeedSequence(master_seed, spawn_key=(purpose,
-    round_index))``.  For a block of SEED_BLOCK indices the index word is
-    hashed in and PCG64's seed words are drawn as numpy uint64 arrays
-    (32-bit products fit, and masking takes them mod 2^32); only the current
-    block is kept.  Each index's (state, inc) then goes onto the one PCG64
-    the stream owns, so the generator ``rng`` returns is reseeded by the next
-    call: use it up before asking for another.  Indices must lie in
-    [0, 2^32), where the index is one entropy word.
+    The stream is counter based (Philox; Salmon et al., "Parallel random
+    numbers: as easy as 1, 2, 3", SC 2011).  Its key is
+    ``SeedSequence(master_seed, spawn_key=(purpose, round_index))
+    .generate_state(2, np.uint64)``, computed once, and ``rng(index)`` gives
+    the doubles of ``Generator(Philox(key=key, counter=[0, index, 0, 0]))``.
+    Philox steps the counter's low word once per four outputs, so an episode
+    would reach the next one's counter only after 2^66 draws.  The stream
+    owns one Philox and sets its state per call (that counter, an empty
+    output buffer, no spare 32-bit half), so the generator ``rng`` returns is
+    reset by the next call: use it up before asking for another.  Indices
+    must be ints in [0, 2^64).
     """
 
     def __init__(self, master_seed: int, purpose: int, round_index: int):
         self.key = (master_seed, purpose, round_index)
-        self._block_start: Optional[int] = None
-        self._seeds: list[list[int]] = []
-        self._bits: Optional[np.random.PCG64] = None  # built with the first block
-
-    def _start(self) -> None:
-        """Hash the pool of the key without the index, and build the stream's
-        bit generator; the first ``rng`` call does, so a process that hands
-        every episode to workers never loads numpy's random module."""
-        prefix = np.random.SeedSequence(self.key[0], spawn_key=self.key[1:])
-        size = prefix.pool_size
-        # 32-bit words per key entry; a spawn key pads the seed's to the pool
-        words = [max(1, -(-n.bit_length() // 32)) for n in self.key]
-        words[0] = max(words[0], size)
-        # mixing the pool took one hash per pool word per entropy word
-        index_hash = _hash_constants(_HASH_INIT, _HASH_MULT, size * sum(words), size + 1)
-        self._index_x = np.array(index_hash[:-1], dtype=np.uint64)
-        self._index_m = np.array(index_hash[1:], dtype=np.uint64)
-        self._pool_left = prefix.pool.astype(np.uint64) * np.uint64(_MIX_LEFT) & np.uint64(_WORD)
-        state_hash = _hash_constants(_STATE_INIT, _STATE_MULT, 0, 2 * size + 1)
-        self._state_x = [np.uint64(c) for c in state_hash[:-1]]
-        self._state_m = [np.uint64(c) for c in state_hash[1:]]
-        self._bits = np.random.PCG64(0)
-        self._rng = np.random.Generator(self._bits)
-        self._state = {"state": 0, "inc": 0}
-        self._bits_state = {"bit_generator": "PCG64", "state": self._state,
-                            "has_uint32": 0, "uinteger": 0}
+        self._rng: Optional[np.random.Generator] = None  # built by the first ``rng``
 
     def __reduce__(self):
         return EpisodeStream, self.key
 
-    def _seed_block(self, start: int) -> None:
-        """PCG64's seed and increment words for the block from ``start``."""
-        if self._bits is None:
-            self._start()
-        word, half = np.uint64(_WORD), np.uint64(16)
-        w = np.arange(start, start + SEED_BLOCK, dtype=np.uint64)
-        pool = []
-        for x, m, left in zip(self._index_x, self._index_m, self._pool_left):
-            v = (w ^ x) * m & word
-            v ^= v >> half
-            p = (left - np.uint64(_MIX_RIGHT) * v) & word  # wraps mod 2^64, so mod 2^32
-            pool.append(p ^ (p >> half))
-        out = []
-        for i, (x, m) in enumerate(zip(self._state_x, self._state_m)):
-            v = (pool[i % len(pool)] ^ x) * m & word
-            out.append(v ^ (v >> half))
-        high = np.uint64(32)
-        # generate_state(4, uint64): seed high, seed low, inc high, inc low
-        self._seeds = [(out[k] | out[k + 1] << high).tolist() for k in range(0, 8, 2)]
-        self._block_start = start
+    def _start(self) -> None:
+        """Key the stream and build its generator; the first ``rng`` call
+        does, so a process that hands every episode to workers never loads
+        numpy's random module."""
+        seq = np.random.SeedSequence(self.key[0], spawn_key=self.key[1:])
+        key = seq.generate_state(2, np.uint64)
+        self._bits = np.random.Philox(key=key)
+        self._rng = np.random.Generator(self._bits)
+        self._counter = [0, 0, 0, 0]
+        # buffer_pos 4: the four-word output buffer is empty
+        self._state = {"bit_generator": "Philox",
+                       "state": {"counter": self._counter, "key": key.tolist()},
+                       "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+                       "has_uint32": 0, "uinteger": 0}
 
     def rng(self, index: int) -> np.random.Generator:
-        """The stream's generator, seeded for episode ``index``."""
-        if not 0 <= index <= _WORD:
-            raise ValueError(f"episode index {index} lies outside [0, 2**32)")
-        j = index % SEED_BLOCK
-        if index - j != self._block_start:
-            self._seed_block(index - j)
-        seed_hi, seed_lo, inc_hi, inc_lo = self._seeds
-        # PCG64's seeding: inc = 2 * initseq + 1, then state = inc; state +=
-        # seed; one LCG step
-        inc = ((inc_hi[j] << 65) | (inc_lo[j] << 1) | 1) & _PCG_MASK
-        state = ((inc + (seed_hi[j] << 64 | seed_lo[j])) * _PCG_MULT + inc) & _PCG_MASK
-        self._state["state"] = state
-        self._state["inc"] = inc
-        self._bits.state = self._bits_state
+        """The stream's generator, set to the start of episode ``index``."""
+        if not (isinstance(index, int) and 0 <= index < _INDEX_LIMIT):
+            raise ValueError(f"episode index {index!r} is not an int in [0, 2**64)")
+        if self._rng is None:
+            self._start()
+        self._counter[1] = index
+        self._bits.state = self._state
         return self._rng
 
 

@@ -27,7 +27,8 @@ With more than one worker, a command runs its episodes on one worker set
 ``batch_size``) and keep them until they return, so a worker's sampler keeps
 its prefix table from round to round.  Once per
 round a synthesis sends every worker the histories the round appended to the
-policy index and the argmax column of the round's Q estimates; each worker
+policy index and the argmax column of the round's Q estimates, at the
+smallest signed integer dtype that holds an action index; each worker
 takes the round's convex step (``_improved_probs``) and determinizes the
 policy itself (``_SynthesisRounds``).  Draws
 go out as index chunks, one per worker, and results come back in index
@@ -35,8 +36,10 @@ order, so no result depends on the worker count.
 
 Each episode task owns the ``mdp.EpisodeStream`` of its master seed, purpose
 and round (a chain task's evaluation or estimation round, validation's round
-0), and episode ``i`` draws from that stream's generator seeded for ``i``, so
-an episode's draws do not depend on which process runs it.
+0): a Philox generator keyed once by ``SeedSequence(master seed,
+spawn_key=(purpose, round))``.  Episode ``i``, for ``i`` in [0, 2^64), draws
+from it with the counter set to ``[0, i, 0, 0]``, so an episode's draws do
+not depend on which process runs it.
 """
 
 from __future__ import annotations
@@ -190,7 +193,7 @@ class _ChainTask:
     """Chain episodes under a policy on one seed stream: (history, verdict).
 
     The task owns its ``EpisodeStream`` of (master seed, stream, round), so
-    its worker-side copies each seed their own episodes.
+    its worker-side copies each set up their own episodes' generators.
     """
 
     sampler: PathSampler
@@ -769,8 +772,10 @@ def synthesize(env: Environment, formula: Formula, params: VehicleParams,
             policy = improve_policy(policy, qtable, algorithm.greediness)
             det = determinize(policy)
             if pool is not None:
-                pool.send(_SynthesisRounds.estimating, list(islice(policy.index, rows, None)),
-                          qtable.estimate.argmax(axis=1))
+                # the smallest signed type that holds -n_actions holds every action
+                best = qtable.estimate.argmax(axis=1).astype(np.min_scalar_type(-policy.n_actions))
+                pool.send(_SynthesisRounds.estimating,
+                          list(islice(policy.index, rows, None)), best)
 
             task = _ChainTask(sampler, det, master_seed, STREAM_BIE, round_index)
 

@@ -519,7 +519,16 @@ def read_trajectory_csv(fp) -> list[tuple[float, float, float, float, float]]:
     header = next(reader, None)
     if header is None or [h.strip() for h in header[:5]] != ["t", "x", "y", "theta", "d"]:
         raise ValueError("trajectory CSV must start with header t,x,y,theta,d")
-    return [tuple(float(v) for v in row[:5]) for row in reader if row]
+    out = []
+    for row in reader:
+        if not row:
+            continue
+        cells = tuple(float(v) for v in row[:5])
+        if not all(map(math.isfinite, cells)):  # min/max would pass a NaN to the plot
+            raise ValueError(f"trajectory CSV line {reader.line_num}: every cell must be "
+                             f"finite, got {','.join(v.strip() for v in row[:5])!r}")
+        out.append(cells)
+    return out
 
 
 def read_trace_csv(fp) -> list[TraceStep]:

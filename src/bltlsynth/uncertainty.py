@@ -10,10 +10,11 @@ the endpoints of each wheel's measured interval.
 A stage is the per-episode hot path, so it runs on plain floats: the tube
 state after a stage is the tuple (x, y, theta, d, dtheta) of the nominal
 pose and its distance and orientation uncertainty, and the stage is a
-``tracegen.Stage``, a flat named tuple of floats.  The nominal pose comes from ``dynamics.integrate_body`` and the corner cases are
-integrated in its closed form, with the same expressions in the same order
-as integrating each corner as a ``Pose``, and headings wrapped where a
-``Pose`` would wrap them, so the radii and spreads are the same bits.  The
+``tracegen.Stage``, a flat named tuple of floats.  The nominal pose comes
+from ``dynamics.integrate_body`` and the corner cases are integrated in its
+closed form, with the same expressions in the same order as integrating
+each corner as a ``Pose``, and headings wrapped where a ``Pose`` would wrap
+them, so the radii and spreads are the same bits.  The
 terms that a stage's step fixes (nominal wheel speeds, body speeds of the
 nominal and of the corners) come precomputed as ``StageTerms``, built once
 per step.

@@ -16,8 +16,9 @@ that the state-indexed tables must reproduce bit for bit, a generator
 whose next uniform draw is a chosen value, validation from whole-horizon
 closed-loop runs, the event-time solver that solves every edge of every
 near rectangle, which ``tracegen.stage_intervals`` must reproduce bit for
-bit, and an episode's generator built by numpy from its seed sequence, which
-``mdp.EpisodeStream`` must reproduce bit for bit."""
+bit, and an episode's generator built directly with numpy's public API
+(a Philox keyed by the stream's seed sequence, the episode index in its
+counter), which ``mdp.EpisodeStream`` must reproduce bit for bit."""
 
 import csv
 import math
@@ -40,9 +41,13 @@ from bltlsynth.tracegen import (_BOX_PAD, _TANGENT_SLACK, BREAKPOINT_TOL, Interv
 
 def episode_rng(master_seed: int, purpose: int, round_index: int,
                 episode_index: int) -> np.random.Generator:
-    """An episode's generator as numpy builds it from its seed sequence."""
-    ss = np.random.SeedSequence(master_seed, spawn_key=(purpose, round_index, episode_index))
-    return np.random.default_rng(ss)
+    """An episode's generator, built directly: numpy's Philox keyed by the
+    stream's seed sequence, with the episode index as the counter's second
+    word."""
+    seq = np.random.SeedSequence(master_seed, spawn_key=(purpose, round_index))
+    counter = np.array([0, episode_index, 0, 0], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=seq.generate_state(2, np.uint64),
+                                                counter=counter))
 
 
 def rk4_pose(params, q0, w_r, w_l, tau, step=1e-4):

@@ -32,9 +32,9 @@ REFERENCE_POLICY = (Path(__file__).resolve().parents[1] / "bench" / "reference"
 # (``short_demo``): its synthesis's policy and audit log, and the validation
 # report of that policy.
 SHORT_DEMO_DIGESTS = {
-    "policy.json": "87f68e60e378228ec866f5247c73a1c1709c15dfab8e193494d5c2ec39ebb123",
-    "audit.jsonl": "4ee82ade5b89322d0ef77a7d2e2e80268105c690c4cc2e1fd41012ae421af343",
-    "validation.json": "8f78de10622a5bb655ec3f0243f7628af24265ff232d7fde4b6a8edb94e86ea7",
+    "policy.json": "aca0d2e6d917339e49759b10752eafd75af9143884694dca8d401adb37580084",
+    "audit.jsonl": "da6f5d5d3300d51cbb4b4d2699626a39f9920e90a68e30f262477adea1df0a44",
+    "validation.json": "41e908f8d7deb8fb3cb0b65f6ec5472f8a3ad34bee2fa78affa7872669b848f2",
 }
 
 
@@ -522,15 +522,14 @@ class TestArtifactDigests:
 class TestTrajectoryExport:
     """The trajectory CSVs that ``validate --export-trajectories`` writes
     from the closed loop's float stages are pinned: the sha256 of each of the
-    first five seed-2026 validation episodes of the ``short_demo`` policy,
-    computed when the closed loop built a ``Pose`` and a ``Stage`` per stage."""
+    first five seed-2026 validation episodes of the ``short_demo`` policy."""
 
     DIGESTS = {
-        "traj_0000_sat.csv": "116c7d7e5628bdf6a30c86604d106c89166a8909c615eb0c0ea1087bcd2e84bd",
-        "traj_0001_sat.csv": "a51d7d41852c46a803502e5a827367f4540752bfb65fc819002a9c5a1c50b988",
-        "traj_0002_sat.csv": "a91807c7e7228113783bf6439b286a28db67f1b1e5c8e184369bacc5d2d900f3",
-        "traj_0003_sat.csv": "a933cdc947c5da80113103b8d2d6b86c61a92082f7fdca8447ef157d85cf9f03",
-        "traj_0004_sat.csv": "d3fe391344959234b15a7fff45fd68f40891c1298aa1c7487ee72609a02d34ed",
+        "traj_0000_viol.csv": "c5fad574a84b2435f7bd27854d07a5db561807577288f360c72c6af79e023b88",
+        "traj_0001_viol.csv": "c82671ed7dd596e8b720c9ee0f8683edeb8a48252af8413bfb1044c37a5ac7e5",
+        "traj_0002_viol.csv": "a0d1f6442fb373a48fb81f1eb6222f27897e99e41651be729adb34d415d16097",
+        "traj_0003_viol.csv": "72af32096aec64698827f00f0364648848dfbc7d18c176b117b1c71f84c9b885",
+        "traj_0004_viol.csv": "9ba5aacee0863aab7f9438fc72471a9e5ca61c900b3dd8c32b89bb1ce0a66c82",
     }
 
     def test_short_demo_export_digests(self, short_demo, tmp_path):
@@ -644,6 +643,19 @@ class TestPlotCommand:
         assert "clipped" in err
         svg = out.read_text()
         assert "<polyline" in svg
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", range(5))
+    def test_non_finite_cell_rejected(self, tmp_path, capsys, column, value):
+        env_path = self.write_env(tmp_path)
+        cells = ["0.1", "0.5", "0.2", "0", "0"]
+        cells[column] = value
+        p = tmp_path / "bad_sat.csv"
+        p.write_text("t,x,y,theta,d\n0.0,0.5,0.2,0,0\n" + ",".join(cells) + "\n")
+        out = tmp_path / "plot.svg"
+        assert main(["plot", "--env", str(env_path), "--out", str(out), str(p)]) == 2
+        assert "trajectory CSV line 3" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestPolicyWriter:

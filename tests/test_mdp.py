@@ -6,8 +6,8 @@ import pytest
 
 from bltlsynth.bltl import parse_formula, to_sequential
 from bltlsynth.dynamics import NoiseModel, WheelNoise, measure
-from bltlsynth.mdp import (EMPTY_HISTORY, SEED_BLOCK, EpisodeStream, PathSampler,
-                           history_key_string, parse_history_key)
+from bltlsynth.mdp import (EMPTY_HISTORY, EpisodeStream, PathSampler, history_key_string,
+                           parse_history_key)
 from bltlsynth.synthesis import Policy, uniform_policy
 
 from conftest import policy_from_rows, simple_env, symmetric_noise
@@ -105,17 +105,15 @@ class TestHistoryKeys:
 
 class TestEpisodeStream:
     """``EpisodeStream(seed, purpose, round).rng(index)`` draws the doubles of
-    numpy's generator for the seed sequence of (seed, (purpose, round, index)),
-    the oracle's ``episode_rng``."""
+    numpy's Philox keyed by the seed sequence of (seed, (purpose, round)) with
+    the counter (0, index, 0, 0), the oracle's ``episode_rng``."""
 
     SEEDS = [0, 1, 2026, 2 ** 32 - 1, 2 ** 32 + 5, 2 ** 40 + 3, 2 ** 64 + 9, 2 ** 128 + 11,
              3 ** 90]
-    INDICES = [0, 1, 2, SEED_BLOCK - 1, SEED_BLOCK, SEED_BLOCK + 1, 2 * SEED_BLOCK - 1,
-               2 * SEED_BLOCK, 1000, 7, 2 ** 31, 2 ** 32 - 1, 3]
+    INDICES = [0, 1, 7, 1000, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1]
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_draws_equal_numpys(self, seed):
-        assert SEED_BLOCK == 256
         for purpose in (0, 1, 2):
             for round_index in (0, 1, 2, 5, 2 ** 32 + 1):
                 stream = EpisodeStream(seed, purpose, round_index)
@@ -123,17 +121,28 @@ class TestEpisodeStream:
                     want = episode_rng(seed, purpose, round_index, index).random(30)
                     assert stream.rng(index).random(30).tolist() == want.tolist()
 
-    def test_every_index_of_a_block_and_its_neighbours(self):
+    @pytest.mark.parametrize("drawn", [1, 3, 27])
+    def test_partly_used_generator_leaves_the_next_episode_unchanged(self, drawn):
+        # Philox buffers four outputs, so these counts leave some unread
         stream = EpisodeStream(2026, 0, 3)
-        for index in [*range(SEED_BLOCK - 3, 3 * SEED_BLOCK + 3), 4, 3 * SEED_BLOCK + 2]:
-            rng = stream.rng(index)
-            assert rng.random(3).tolist() == episode_rng(2026, 0, 3, index).random(3).tolist()
-            assert rng.random() == episode_rng(2026, 0, 3, index).random(4)[3]
+        for index in [0, 1, 2, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 2]:
+            want = episode_rng(2026, 0, 3, index).random(drawn)
+            assert stream.rng(index).random(drawn).tolist() == want.tolist()
+            want = episode_rng(2026, 0, 3, index + 1).random(27)
+            assert stream.rng(index + 1).random(27).tolist() == want.tolist()
+
+    def test_spare_32_bit_half_not_carried_over(self):
+        stream = EpisodeStream(7, 1, 2)
+        for index in range(4):
+            stream.rng(index).integers(2 ** 32, dtype=np.uint32)  # keeps the other half
+            want = episode_rng(7, 1, 2, index + 1).integers(2 ** 32, size=3, dtype=np.uint32)
+            got = stream.rng(index + 1).integers(2 ** 32, size=3, dtype=np.uint32)
+            assert got.tolist() == want.tolist()
 
     def test_indices_outside_one_word_rejected(self):
         stream = EpisodeStream(2026, 1, 1)
-        for index in (-1, 2 ** 32, 2 ** 40):
-            with pytest.raises(ValueError, match="outside"):
+        for index in (-1, 2 ** 64, 3.0):
+            with pytest.raises(ValueError, match=f"episode index {index!r} is not"):
                 stream.rng(index)
         with pytest.raises(ValueError, match="non-negative"):
             EpisodeStream(-5, 0, 0).rng(0)
@@ -148,7 +157,7 @@ class TestEpisodeStream:
         stream = EpisodeStream(2 ** 40 + 3, 1, 4)
         stream.rng(300)
         clone = pickle.loads(pickle.dumps(stream))
-        assert clone._block_start is None
+        assert clone._rng is None
         assert [clone.rng(i).random() for i in range(3)] == \
             [episode_rng(2 ** 40 + 3, 1, 4, i).random() for i in range(3)]
 

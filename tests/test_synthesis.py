@@ -768,7 +768,7 @@ class TestParallelism:
         formula = parse_formula("!u U[<=5] a")
         straight = Policy(3, {EMPTY_HISTORY: 0}, actions=[1])
         one, two = (validate_true_system(straight, env, formula, demo_params,
-                                         self.WIDE_NOISE, self.VALIDATE, master_seed=17,
+                                         self.WIDE_NOISE, self.VALIDATE, master_seed=18,
                                          workers=w)
                     for w in (1, 2))
         assert one == two

@@ -17,9 +17,9 @@ from typing import Optional
 
 from .bltl import (Atom, FragmentError, Not, ParseError, Until,
                    horizon_stages, parse_formula, sequential_witness, to_sequential)
-from .config import RunConfig, load_config
+from .config import RunConfig, environment_from_dict, load_config
 from .dynamics import NoiseModel
-from .env import Environment, environment_from_dict
+from .env import Environment
 from .mdp import (STREAM_VALIDATE, EpisodeStream, HistoryKey, history_key_string,
                   parse_history_key)
 from .synthesis import (Policy, SynthesisResult, simulate_true_system, synthesize,

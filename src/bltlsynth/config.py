@@ -5,7 +5,8 @@ formula, the vehicle and noise parameters, and the algorithm parameters.  The
 vehicle, noise and algorithm sections are read field by field from the
 dataclasses they fill (``VehicleParams``, ``WheelNoise`` per side,
 ``AlgorithmParams``): a field's annotation picks its reader, and a field with
-a dataclass default may be omitted.  Every number is a finite JSON number;
+a dataclass default may be omitted.  Every number, the environment
+document's (``environment_from_dict``) included, is a finite JSON number;
 NaN, ±Infinity, booleans and strings are errors that name the key.  The
 resolved form inlines the environment document so a single hash pins down
 everything that determines the results (the worker count deliberately does
@@ -23,8 +24,8 @@ from pathlib import Path
 from typing import Optional
 
 from .bltl import Formula, atoms_of, parse_formula
-from .dynamics import NoiseModel, VehicleParams, WheelNoise
-from .env import Environment, environment_from_dict
+from .dynamics import NoiseModel, Pose, VehicleParams, WheelNoise
+from .env import Environment, Rect, Region
 
 
 @dataclass(frozen=True)
@@ -175,6 +176,28 @@ def _section(cls, doc: dict, where: str):
         elif f.default is MISSING:
             raise ValueError(f"{where} is missing field '{f.name}'")
     return cls(**values)
+
+
+def environment_from_dict(doc: dict) -> Environment:
+    """Build and validate an Environment from a parsed document.
+
+    Its numbers, ``q_init``, ``bounds`` and each region's ``rect``, are read
+    as a config's reals are, under the keys ``environment.q_init[2]``,
+    ``environment.regions[0].rect[1]`` and so on.
+    """
+    try:
+        props = frozenset(str(p) for p in doc["propositions"])
+        unsafe = str(doc["unsafe"])
+        x, y, theta = _reals(doc["q_init"], "environment.q_init", 3)
+        bounds = Rect(*_reals(doc["bounds"], "environment.bounds", 4))
+        regions = tuple(
+            Region(name=str(r["id"]), label=str(r["label"]),
+                   rect=Rect(*_reals(r["rect"], f"environment.regions[{i}].rect", 4)))
+            for i, r in enumerate(doc["regions"]))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed environment document: {exc}") from exc
+    return Environment(regions=regions, propositions=props, unsafe=unsafe,
+                       initial_pose=Pose(x, y, theta), bounds=bounds)
 
 
 def config_from_dict(doc: dict, base_dir: Optional[Path] = None) -> RunConfig:

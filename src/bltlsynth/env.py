@@ -78,24 +78,3 @@ class Environment:
     def unsafe_regions(self) -> tuple[Region, ...]:
         return tuple(r for r in self.regions if r.label == self.unsafe)
 
-
-def environment_from_dict(doc: dict) -> Environment:
-    """Build and validate an Environment from a parsed document."""
-    try:
-        props = frozenset(str(p) for p in doc["propositions"])
-        unsafe = str(doc["unsafe"])
-        x, y, theta = (float(v) for v in doc["q_init"])
-        bx0, by0, bx1, by1 = (float(v) for v in doc["bounds"])
-        regions = tuple(
-            Region(name=str(r["id"]), label=str(r["label"]),
-                   rect=Rect(*(float(v) for v in r["rect"])))
-            for r in doc["regions"]
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ValueError) and exc.args and "rectangle" in str(exc):
-            raise
-        raise ValueError(f"malformed environment document: {exc}") from exc
-    return Environment(regions=regions, propositions=props, unsafe=unsafe,
-                       initial_pose=Pose(x, y, theta),
-                       bounds=Rect(bx0, by0, bx1, by1))
-

@@ -14,10 +14,11 @@ so the histories equal those of the scalar draws.
 
 An episode's verdict is decided stage by stage (``PathSampler.decide``): the
 history is sampled whole, then its tube stages are built one at a time, as
-plain floats (``uncertainty.propagate_stage``), and fed through the trace
-walk into the mission monitor, and building stops at the stage that fixes
-the verdict.  The verdict equals that of the whole-horizon tube, trace and
-check of ``PathSampler.finish``.
+plain floats (``uncertainty.propagate_stage``), and each, with its radius,
+goes through the trace walk into the mission monitor
+(``tracegen.feed_stage``); building stops at the stage that fixes the
+verdict.  The verdict equals that of the whole-horizon tube, trace and check
+of ``PathSampler.finish``.
 
 Episodes share their first stages, so a sampler decides each history
 prefix's stages once, in a prefix table.  An entry holds the prefix's
@@ -41,15 +42,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
 from .bltl import SequentialMonitor, SequentialSpec, TraceStep, check_sequential
 from .dynamics import MeasuredInterval, NoiseModel, VehicleParams, measure
 from .env import Environment
-from .tracegen import (StageIntervals, TraceWalk, UncertaintyTube, stage_intervals,
-                       trace_from_tube, tube_rules)
+from .tracegen import (TraceWalk, UncertaintyTube, feed_stage, finish_trace, trace_from_tube,
+                       tube_rules)
 from .uncertainty import StageTerms, TubeState, build_tube, propagate_stage, stage_terms
 
 # Stream purposes for deterministic seeding.
@@ -132,59 +133,6 @@ def parse_history_key(text: str) -> HistoryKey:
         a, jr, jl = part.split(",")
         out.append((int(a), int(jr), int(jl)))
     return tuple(out)
-
-
-def feed_stage(walk: TraceWalk, monitor: SequentialMonitor, intervals: StageIntervals,
-               duration: float) -> Optional[bool]:
-    """Append one stage to the walk, then push every step it closes, and its
-    open step, into the monitor; the verdict once that fixes it, else None.
-
-    The monitor must hold every step the walk closed before this stage.
-    """
-    fed = len(walk.steps)
-    walk.append(intervals, duration)
-    walk.advance()
-    steps = walk.steps
-    while fed < len(steps):
-        fed += 1
-        if monitor.push(*steps[fed - 1]) is not None:
-            return monitor.verdict
-    if walk.open is not None:
-        return monitor.push(*walk.open, closed=False)
-    return None
-
-
-def finish_trace(walk: TraceWalk, monitor: SequentialMonitor) -> bool:
-    """The verdict once the stages run out: the walk finished, and the steps
-    it closes pushed into the monitor."""
-    fed = len(walk.steps)
-    steps = walk.finish()
-    while fed < len(steps) and monitor.push(*steps[fed]) is None:
-        fed += 1
-    return monitor.result()
-
-
-def decide_tube(walk: TraceWalk, monitor: SequentialMonitor,
-                stages: Iterable[tuple[StageIntervals, float]]) -> tuple[bool, int]:
-    """Mission verdict of a tube given stage by stage, and the stages it took.
-
-    Each stage comes as its rules' intervals and its duration (``stage_feed``
-    computes them from (stage, radius) pairs).  They go through the empty
-    trace ``walk``, and every step the walk closes, then its open step,
-    through the fresh mission ``monitor`` (``feed_stage``).  The walk has the
-    environment's ``tube_rules`` for a chain episode's tube, or its
-    ``point_rules`` for a closed-loop trajectory, whose stages all come at
-    radius 0.  No further stage is taken once the monitor fixes the verdict;
-    when the stages run out first, the verdict is that of the whole trace
-    (``finish_trace``).
-    """
-    k = 0
-    for k, (intervals, duration) in enumerate(stages, 1):
-        if feed_stage(walk, monitor, intervals, duration) is not None:
-            return monitor.verdict, k
-    if k == 0:
-        raise ValueError("cannot trace an empty trajectory")
-    return finish_trace(walk, monitor), k
 
 
 @dataclass(frozen=True)
@@ -284,9 +232,9 @@ class PathSampler:
         """Verdict of a complete history, building stages only until it is fixed.
 
         The verdict equals ``finish(history).satisfied``; also returns the
-        number of stages taken, as ``decide_tube`` counts them.  Deciding
-        resumes after the deepest prefix in the table, and tables each
-        prefix of at most ``prefix_depth`` stages that it decides.
+        number of stages taken, as ``tracegen.decide_tube`` counts them.
+        Deciding resumes after the deepest prefix in the table, and tables
+        each prefix of at most ``prefix_depth`` stages that it decides.
         """
         if not history:
             raise ValueError("cannot trace an empty trajectory")
@@ -305,13 +253,11 @@ class PathSampler:
             if monitor.verdict is not None:
                 return monitor.verdict, k
             walk.restore(walk_state)
-        terms, rules, dt = self.terms, self._rules, self.params.dt
+        terms = self.terms
         for step in islice(history, k, None):
             k += 1
             state, stage = propagate_stage(state, terms[step])
-            # a stage starts at the walk's total duration
-            verdict = feed_stage(walk, monitor,
-                                 stage_intervals(rules, stage, state[3], walk.total), dt)
+            verdict = feed_stage(walk, monitor, stage, state[3])
             if k <= depth:
                 table[history[:k]] = (state, None if verdict is not None else walk.snapshot(),
                                       monitor.snapshot())

@@ -17,9 +17,9 @@ wheel-speed command, and the continuous closed-loop system can be simulated
 against it to validate that the real success probability is not below the
 estimate from the chain.  A validation episode simulates, traces and checks
 the closed loop one stage at a time, through the same trace walk and mission
-monitor as a chain episode (``mdp.decide_tube`` at radius 0), and stops at
-the stage that fixes its verdict; ``simulate_true_system`` is the
-whole-horizon form.
+monitor as a chain episode (``tracegen.decide_tube``, every stage at radius
+0), and stops at the stage that fixes its verdict; ``simulate_true_system``
+is the whole-horizon form.
 
 With more than one worker, a command runs its episodes on one worker set
 (``_WorkerSet``): ``synthesize`` and ``validate_true_system`` each start
@@ -65,8 +65,8 @@ from .config import AlgorithmParams
 from .dynamics import NoiseModel, VehicleParams, integrate_body, wheel_to_body
 from .env import Environment
 from .mdp import (EMPTY_HISTORY, EpisodeStream, HistoryKey, PathSampler, STREAM_BIE,
-                  STREAM_POLICY_EVAL, STREAM_VALIDATE, decide_tube)
-from .tracegen import (Stage, TraceWalk, Trajectory, point_rules, stage_feed,
+                  STREAM_POLICY_EVAL, STREAM_VALIDATE)
+from .tracegen import (Stage, TraceWalk, Trajectory, decide_tube, point_rules,
                        trace_from_trajectory)
 
 
@@ -283,7 +283,7 @@ class _TrueSystemTask:
         stages = _closed_loop_stages(self.policy, self.env, self.params, self.nm,
                                      self.horizon, self.episodes.rng(index))
         return decide_tube(TraceWalk(self.rules, self.env.unsafe), SequentialMonitor(self.spec),
-                           stage_feed(self.rules, ((stage, 0.0) for stage, _ in stages)))
+                           ((stage, 0.0) for stage, _ in stages))
 
     def run(self, index: int) -> bool:
         return self.decide(index)[0]

@@ -26,17 +26,20 @@ as solving every edge.  A ``Stage`` is one flat named tuple of floats
 (start pose, wheel and body speeds, duration, end pose), which
 ``stage_intervals`` unpacks positionally.
 
-The walk (``TraceWalk``) can take a tube or a point trajectory one stage at a
-time.  After each stage it closes every trace step that the stages so far
-fix, and reports the step after them when its label is fixed but its end is
-not; a chain episode uses this to stop building its tube, and a closed-loop
-validation episode to stop simulating, once the verdict is fixed (see
-``mdp.decide_tube``).  Fed every stage and then finished, the same walk gives
-the whole-trajectory trace of ``trace_from_tube`` and
-``trace_from_trajectory``.  A stage's intervals (``stage_intervals``) depend
-only on the stage, its radius and its start time, so the walk's state after a
-history prefix's stages is a function of the prefix, which a chain sampler
-tables (``TraceWalk.snapshot``).
+The walk (``TraceWalk``) takes a tube or a point trajectory one stage at a
+time, each with its disc radius (``TraceWalk.append``), and places it at
+the total duration of the stages before it.  After each stage it closes
+every trace step that the stages so far fix, and reports the step after them
+when its label is fixed but its end is not.  ``feed_stage`` passes those
+steps on to the mission monitor, and ``decide_tube`` does so for a whole
+run of stages: a chain episode uses it to stop building its tube, and a
+closed-loop validation episode to stop simulating, once the verdict is
+fixed.  Fed every stage and then finished, the same walk gives the
+whole-trajectory trace of ``trace_from_tube`` and ``trace_from_trajectory``.
+A stage's intervals (``stage_intervals``) depend only on the stage, its
+radius and its start time, so the walk's state after a history prefix's
+stages is a function of the prefix, which a chain sampler tables
+(``TraceWalk.snapshot``).
 """
 
 from __future__ import annotations
@@ -44,9 +47,9 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .bltl import TraceStep
+from .bltl import SequentialMonitor, TraceStep
 from .dynamics import OMEGA_STRAIGHT_EPS, TWO_PI, angle_diff, integrate_body
 from .env import Environment, Rect
 
@@ -308,17 +311,6 @@ def stage_intervals(rules: Sequence[Rule], stage: Stage, d: float,
     return tuple(out)
 
 
-def stage_feed(rules: Sequence[Rule], stages: Iterable[tuple[Stage, float]]
-               ) -> Iterator[tuple[StageIntervals, float]]:
-    """Each (stage, radius) pair's ``stage_intervals`` with the stage's
-    duration, the stage placed where the ones before it end: what
-    ``TraceWalk.append`` takes, computed as the pairs are asked for."""
-    t0 = 0.0
-    for stage, d in stages:
-        yield stage_intervals(rules, stage, d, t0), stage.duration
-        t0 += stage.duration
-
-
 # ---------------------------------------------------------------------------
 # The trace walk
 
@@ -334,12 +326,13 @@ class TraceWalk:
     an unlabeled one, possibly of zero duration, and durations sum to the
     trajectory duration.
 
-    ``append`` appends a stage's intervals (``stage_intervals``, a pure
-    function of the stage, its radius and its start time, as ``stage_feed``
-    gives them); ``advance`` closes every step that the stages so far fix.
-    A step is entered only once every rule's intervals are known past its
-    start + BREAKPOINT_TOL: a later stage can extend an interval that ends
-    within BREAKPOINT_TOL of the last stage end, or start one there.
+    ``append`` takes a stage and its disc radius, places the stage at the
+    walk's total duration (``total``, the one source of a stage's start
+    time), appends its rules' intervals (``stage_intervals``) and closes
+    every step that the stages so far fix.  A step is entered only once every
+    rule's intervals are known past its start + BREAKPOINT_TOL: a later stage
+    can extend an interval that ends within BREAKPOINT_TOL of the last stage
+    end, or start one there.
     ``steps`` holds the closed steps; ``open`` the step after them when its
     label is fixed but its end is not, with its duration so far, a lower
     bound of the final one.  ``finish`` closes the rest; fed every stage
@@ -359,23 +352,21 @@ class TraceWalk:
         self.steps: list[TraceStep] = []
         self.open: Optional[TraceStep] = None
 
-    def append(self, intervals: StageIntervals, duration: float) -> None:
-        """Append one stage of the given duration by its rules' intervals
-        (``stage_intervals`` at this walk's total duration).
+    def append(self, stage: Stage, d: float) -> None:
+        """Append one stage at disc radius d, placed at the walk's total
+        duration, and close every step that the stages so far fix.
 
-        An interval that starts within BREAKPOINT_TOL of the end of a rule's
-        last one extends it; the given intervals are not changed.
+        The stage's intervals are ``stage_intervals`` at that start time; one
+        that starts within BREAKPOINT_TOL of the end of a rule's last
+        interval extends it.
         """
-        for ivs, new in zip(self.lists, intervals):
+        for ivs, new in zip(self.lists, stage_intervals(self.rules, stage, d, self.total)):
             for lo, hi in new:
                 if ivs and ivs[-1][1] >= lo - BREAKPOINT_TOL:
                     ivs[-1] = (ivs[-1][0], hi)
                 else:
                     ivs.append((lo, hi))
-        self.total += duration
-
-    def advance(self) -> None:
-        """Close every step that the stages so far fix."""
+        self.total += stage.duration
         self._walk(False)
 
     def finish(self) -> list[TraceStep]:
@@ -447,12 +438,64 @@ class TraceWalk:
             out.append((None, self.total - self.t))
 
 
+def feed_stage(walk: TraceWalk, monitor: SequentialMonitor, stage: Stage,
+               d: float) -> Optional[bool]:
+    """Append one stage at disc radius d to the walk, then push every step it
+    closes, and its open step, into the monitor; the verdict once that fixes
+    it, else None.
+
+    The monitor must hold every step the walk closed before this stage.
+    """
+    fed = len(walk.steps)
+    walk.append(stage, d)
+    steps = walk.steps
+    while fed < len(steps):
+        fed += 1
+        if monitor.push(*steps[fed - 1]) is not None:
+            return monitor.verdict
+    if walk.open is not None:
+        return monitor.push(*walk.open, closed=False)
+    return None
+
+
+def finish_trace(walk: TraceWalk, monitor: SequentialMonitor) -> bool:
+    """The verdict once the stages run out: the walk finished, and the steps
+    it closes pushed into the monitor."""
+    fed = len(walk.steps)
+    steps = walk.finish()
+    while fed < len(steps) and monitor.push(*steps[fed]) is None:
+        fed += 1
+    return monitor.result()
+
+
+def decide_tube(walk: TraceWalk, monitor: SequentialMonitor,
+                stages: Iterable[tuple[Stage, float]]) -> tuple[bool, int]:
+    """Mission verdict of a tube given stage by stage, and the stages it took.
+
+    Each stage comes with its disc radius.  It goes through the empty trace
+    ``walk``, and every step the walk closes, then its open step, through the
+    fresh mission ``monitor`` (``feed_stage``).  The walk has the
+    environment's ``tube_rules`` for a chain episode's tube, or its
+    ``point_rules`` for a closed-loop trajectory, whose stages all come at
+    radius 0.  No further stage is taken once the monitor fixes the verdict;
+    when the stages run out first, the verdict is that of the whole trace
+    (``finish_trace``).
+    """
+    k = 0
+    for k, (stage, d) in enumerate(stages, 1):
+        if feed_stage(walk, monitor, stage, d) is not None:
+            return monitor.verdict, k
+    if k == 0:
+        raise ValueError("cannot trace an empty trajectory")
+    return finish_trace(walk, monitor), k
+
+
 def _trace(walk: TraceWalk, traj: Trajectory, radii: Sequence[float]) -> list[TraceStep]:
     """The walk fed every stage of the trajectory, then finished."""
     if not traj.stages:
         raise ValueError("cannot trace an empty trajectory")
-    for intervals, duration in stage_feed(walk.rules, zip(traj.stages, radii)):
-        walk.append(intervals, duration)
+    for stage, d in zip(traj.stages, radii):
+        walk.append(stage, d)
     return walk.finish()
 
 
@@ -515,6 +558,9 @@ def write_trajectory_csv(fp, traj: Trajectory) -> None:
 
 
 def read_trajectory_csv(fp) -> list[tuple[float, float, float, float, float]]:
+    """Rows (t, x, y, theta, d): the first five cells of each non-empty row,
+    which must be finite numbers; anything else is an error naming the CSV
+    line (min/max would pass a NaN on to the plot)."""
     reader = csv.reader(fp)
     header = next(reader, None)
     if header is None or [h.strip() for h in header[:5]] != ["t", "x", "y", "theta", "d"]:
@@ -523,10 +569,14 @@ def read_trajectory_csv(fp) -> list[tuple[float, float, float, float, float]]:
     for row in reader:
         if not row:
             continue
-        cells = tuple(float(v) for v in row[:5])
-        if not all(map(math.isfinite, cells)):  # min/max would pass a NaN to the plot
-            raise ValueError(f"trajectory CSV line {reader.line_num}: every cell must be "
-                             f"finite, got {','.join(v.strip() for v in row[:5])!r}")
+        try:
+            cells = tuple(float(v) for v in row[:5])
+        except ValueError:
+            cells = ()
+        if len(cells) < 5 or not all(map(math.isfinite, cells)):
+            raise ValueError(f"trajectory CSV line {reader.line_num}: a row must be five "
+                             f"finite numbers t,x,y,theta,d, got "
+                             f"{','.join(v.strip() for v in row)!r}")
         out.append(cells)
     return out
 

@@ -18,7 +18,7 @@ from bltlsynth.dynamics import Pose, angle_diff, integrate_body, measure, wheel_
 from bltlsynth.mdp import PathSampler
 from bltlsynth.synthesis import (bie_estimate, synthesize, theorem_bound_holds,
                                  uniform_policy, validate_true_system)
-from bltlsynth.tracegen import Trajectory, trace_from_trajectory
+from bltlsynth.tracegen import TraceWalk, decide_tube, point_rules
 from bltlsynth.uncertainty import build_tube
 
 from conftest import (COURIER_FORMULA, COURIER_TRACE, COURIER_TRACE_INNER,
@@ -166,12 +166,22 @@ def test_criterion_06_tube_containment(demo_cfg):
     report(6, "inner trajectories stay inside the tube", t0)
 
 
+def inner_stages(params, pose, wheel_speeds):
+    """The stages of the (w_r, w_l) pairs from the pose, built as they are
+    asked for."""
+    for w_r, w_l in wheel_speeds:
+        st = make_stage(params, pose, w_r, w_l, params.dt)
+        yield st
+        pose = end_pose(st)
+
+
 def test_criterion_07_conservatism(demo_cfg):
     t0 = time.monotonic()
     params, nm, env = demo_cfg.params, demo_cfg.nm, demo_cfg.env
     spec = bs.to_sequential(demo_cfg.formula, env.unsafe)
     sampler = PathSampler(env, spec, params, nm, 9)
     policy = uniform_policy(len(params.actions))
+    rules = point_rules(env)
     rng = np.random.default_rng(707)
     satisfying = 0
     episode = 0
@@ -183,18 +193,17 @@ def test_criterion_07_conservatism(demo_cfg):
             continue
         satisfying += 1
         measured = sampler.measured_history(history)
+        lo = np.array([[m.r_lo, m.l_lo] for _, m in measured])
+        hi = np.array([[m.r_hi, m.l_hi] for _, m in measured])
         for _ in range(10):
-            pose = env.initial_pose
-            stages = []
-            for _, m in measured:
-                w_r = rng.uniform(m.r_lo, m.r_hi)
-                w_l = rng.uniform(m.l_lo, m.l_hi)
-                st = make_stage(params, pose, w_r, w_l, params.dt)
-                stages.append(st)
-                pose = end_pose(st)
-            inner_trace = trace_from_trajectory(Trajectory(tuple(stages)), env)
-            if not bs.check_sequential(inner_trace, spec):
-                violations += 1
+            # every wheel speed of the inner trajectory, drawn as one
+            # rng.uniform call per stage and wheel would draw them; its stages
+            # are built, traced and checked only until the verdict is fixed
+            w = rng.uniform(lo, hi).tolist()
+            stages = inner_stages(params, env.initial_pose, w)
+            verdict, _ = decide_tube(TraceWalk(rules, env.unsafe), bs.SequentialMonitor(spec),
+                                     ((st, 0.0) for st in stages))
+            violations += not verdict
     assert violations == 0
     report(7, f"tube verdicts certify inner trajectories "
               f"({episode} paths sampled)", t0)

@@ -175,11 +175,16 @@ class TestConfig:
         (("vehicle", "dt"), "vehicle.dt"),
         (("vehicle", "actions", 1, 0), "vehicle.actions[1][0]"),
         (("noise", "left", "eps_min"), "noise.left.eps_min"),
-        (("noise", "right", "probs", 2), "noise.right.probs[2]")])
+        (("noise", "right", "probs", 2), "noise.right.probs[2]"),
+        (("environment", "q_init", 2), "environment.q_init[2]"),
+        (("environment", "bounds", 2), "environment.bounds[2]"),
+        (("environment", "regions", 0, "rect", 0), "environment.regions[0].rect[0]")])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), True, "0.6"])
     def test_non_finite_real_rejected_by_name(self, tmp_path, tiny_setup, capsys,
                                               path, key, value):
         doc = json.loads(tiny_setup.read_text())
+        if path[0] == "environment":  # inline the environment file to edit it
+            doc["environment"] = json.loads((tiny_setup.parent / doc["environment"]).read_text())
         section = doc
         for step in path[:-1]:
             section = section[step]
@@ -655,6 +660,17 @@ class TestPlotCommand:
         out = tmp_path / "plot.svg"
         assert main(["plot", "--env", str(env_path), "--out", str(out), str(p)]) == 2
         assert "trajectory CSV line 3" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("row", ["0.1,0.5,0.2", "0.1,abc,0.2,0,0"])
+    def test_short_or_non_numeric_row_rejected(self, tmp_path, capsys, row):
+        env_path = self.write_env(tmp_path)
+        p = tmp_path / "bad_sat.csv"
+        p.write_text("t,x,y,theta,d\n0.0,0.5,0.2,0,0\n" + row + "\n")
+        out = tmp_path / "plot.svg"
+        assert main(["plot", "--env", str(env_path), "--out", str(out), str(p)]) == 2
+        assert f"trajectory CSV line 3: a row must be five finite numbers t,x,y,theta,d, " \
+            f"got {row!r}" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -3,11 +3,12 @@ online mission monitor, ``PathSampler.decide`` and its prefix table, and the
 closed-loop validation task, each checked against its whole-horizon form
 (``trace_from_tube``, ``sequential_witness`` and ``check_generic``,
 ``PathSampler.finish``, ``simulate_true_system``) or its table-free form (a
-fresh sampler, ``stage_feed``)."""
+fresh sampler, ``decide_tube``)."""
 
 import json
 import pickle
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,15 +16,13 @@ import pytest
 from bltlsynth.bltl import (SequentialMonitor, check_sequential, horizon_stages,
                             parse_formula, sequential_witness, to_sequential)
 from bltlsynth.config import builtin_config_path, config_from_dict
-from bltlsynth import mdp
+from bltlsynth import mdp, tracegen
 from bltlsynth.dynamics import measure
-from bltlsynth.mdp import (PREFIX_TABLE_NODES, STREAM_VALIDATE, PathSampler, decide_tube,
-                           prefix_table_depth)
+from bltlsynth.mdp import PREFIX_TABLE_NODES, STREAM_VALIDATE, PathSampler, prefix_table_depth
 from bltlsynth.synthesis import (Policy, _closed_loop_stages, _TrueSystemTask,
                                  simulate_true_system, uniform_policy, validate_true_system)
-from bltlsynth.tracegen import (TraceWalk, Trajectory, UncertaintyTube, point_rules, stage_feed,
-                                stage_intervals, trace_from_trajectory, trace_from_tube,
-                                tube_rules)
+from bltlsynth.tracegen import (TraceWalk, Trajectory, UncertaintyTube, decide_tube,
+                                point_rules, trace_from_trajectory, trace_from_tube, tube_rules)
 from bltlsynth.uncertainty import build_tube
 
 from conftest import DT, TEST_ALGORITHM, simple_env
@@ -38,8 +37,7 @@ def tube_walk(env):
 
 def decide(env, text, stages, radii):
     """``decide_tube`` on the stages with the mission of the formula text."""
-    return decide_tube(tube_walk(env), SequentialMonitor(spec(text)),
-                       stage_feed(tube_rules(env), zip(stages, radii)))
+    return decide_tube(tube_walk(env), SequentialMonitor(spec(text)), zip(stages, radii))
 
 
 def walk_by_stage(env, traj, radii):
@@ -47,9 +45,8 @@ def walk_by_stage(env, traj, radii):
     finished trace, from one walk fed stage by stage."""
     walk = tube_walk(env)
     seen = []
-    for intervals, duration in stage_feed(tube_rules(env), zip(traj.stages, radii)):
-        walk.append(intervals, duration)
-        walk.advance()
+    for stage, d in zip(traj.stages, radii):
+        walk.append(stage, d)
         seen.append((list(walk.steps), walk.open))
     return seen[:-1], walk.finish()
 
@@ -171,34 +168,38 @@ class TestWalkRule:
 
     RULES = [("u", (), True), ("a", (), False), ("b", (), False)]
 
-    def staged_and_whole(self, stages):
-        """Steps of a walk advanced over each (total, lists) in turn, and
-        those of a walk finished on the last lists."""
+    def staged_and_whole(self, monkeypatch, stages, lists):
+        """Steps of a walk appended each (duration, intervals) stage in turn,
+        and those of a walk finished on the interval lists that the stages
+        add up to."""
+        monkeypatch.setattr(tracegen, "stage_intervals",
+                            lambda rules, stage, d, t0: stage.intervals)
         walk = TraceWalk(self.RULES, "u")
-        for total, lists in stages:
-            walk.total = total
-            walk.lists[:] = [list(ivs) for ivs in lists]
-            walk.advance()
+        for duration, intervals in stages:
+            walk.append(SimpleNamespace(duration=duration, intervals=intervals), 0.0)
         whole = TraceWalk(self.RULES, "u")
-        whole.total = total
+        whole.total = walk.total
         whole.lists[:] = [list(ivs) for ivs in lists]
+        assert walk.lists == whole.lists
         return walk.finish(), whole.finish()
 
-    def test_no_entry_within_tolerance_of_the_stage_end(self):
+    def test_no_entry_within_tolerance_of_the_stage_end(self, monkeypatch):
         # "a" starts 0.5 ns before the stage end, where an unsafe interval
         # of the next stage starts and wins the tie
-        staged, whole = self.staged_and_whole([
-            (5.0, [[], [(5.0 - 0.5e-9, 5.0)], []]),
-            (7.0, [[(5.0, 6.0)], [(5.0 - 0.5e-9, 7.0)], []])])
+        staged, whole = self.staged_and_whole(monkeypatch, [
+            (5.0, ((), ((5.0 - 0.5e-9, 5.0),), ())),
+            (2.0, (((5.0, 6.0),), ((5.0, 7.0),), ()))],
+            [[(5.0, 6.0)], [(5.0 - 0.5e-9, 7.0)], []])
         assert staged == whole
         assert [label for label, _ in whole] == [None, "u", None, "a"]
 
-    def test_no_skip_of_an_interval_the_next_stage_can_extend(self):
+    def test_no_skip_of_an_interval_the_next_stage_can_extend(self, monkeypatch):
         # after "a" ends 1.5 ns before the stage end, "b" still reaches past
         # the stage end minus the tolerance; the next stage extends it
-        staged, whole = self.staged_and_whole([
-            (5.0, [[], [(1.0, 5.0 - 1.5e-9)], [(4.5, 5.0 - 0.7e-9)]]),
-            (7.0, [[], [(1.0, 5.0 - 1.5e-9)], [(4.5, 6.0)]])])
+        staged, whole = self.staged_and_whole(monkeypatch, [
+            (5.0, ((), ((1.0, 5.0 - 1.5e-9),), ((4.5, 5.0 - 0.7e-9),))),
+            (2.0, ((), (), ((5.0, 6.0),)))],
+            [[], [(1.0, 5.0 - 1.5e-9)], [(4.5, 6.0)]])
         assert staged == whole
         assert [label for label, _ in whole] == [None, "a", None, "b", None]
 
@@ -434,7 +435,7 @@ def test_closed_loop_float_stages_match_the_pose_reference(name):
             stages = Trajectory(tuple(st for st, _ in ref))
             assert verdict == check_sequential(trace_from_trajectory(stages, cfg.env), s)
             want = decide_tube(TraceWalk(rules, cfg.env.unsafe), SequentialMonitor(s),
-                               stage_feed(rules, ((st, 0.0) for st in stages.stages)))
+                               ((st, 0.0) for st in stages.stages))
             assert task.decide(e) == want and want[0] == verdict
             counts.add(want[1])
             verdicts.add(verdict)
@@ -491,15 +492,12 @@ def test_warm_table_decides_as_a_fresh_sampler(name):
 
 
 def test_table_fed_walk_keeps_the_extended_walks_lists(demo_config):
-    """After each stage, the interval lists of a walk fed ``stage_intervals``
-    at its total duration equal those of a walk fed the tube's stages through
-    ``stage_feed``, as ``trace_from_tube`` feeds them; and a walk restored
-    from the sampler's table entry of a prefix equals the latter after the
-    prefix's stages, closed and open steps included."""
+    """A walk restored from the sampler's table entry of a prefix equals a
+    walk fed the tube's stages, as ``trace_from_tube`` feeds them, after the
+    prefix's stages: interval lists, closed and open steps included."""
     cfg = demo_config
     sampler = PathSampler(cfg.env, to_sequential(cfg.formula, cfg.env.unsafe), cfg.params,
                           cfg.nm, 9)
-    rules = tube_rules(cfg.env)
     rng = np.random.default_rng(72)
     policy = random_strategy(cfg.nm.right.n, rng)
     restored = 0
@@ -507,14 +505,9 @@ def test_table_fed_walk_keeps_the_extended_walks_lists(demo_config):
         history = sampler.sample_history(policy, episode_rng(7, 12, 0, e))
         sampler.decide(history)
         tube = sampler.finish(history).tube
-        streamed, appended, tabled = (tube_walk(cfg.env) for _ in range(3))
-        pairs = list(zip(tube.trajectory.stages, tube.radii))
-        for k, ((stage, d), fed) in enumerate(zip(pairs, stage_feed(rules, pairs)), 1):
-            streamed.append(*fed)
-            streamed.advance()
-            appended.append(stage_intervals(rules, stage, d, appended.total), stage.duration)
-            assert appended.lists == streamed.lists
-            assert appended.total == streamed.total
+        streamed, tabled = tube_walk(cfg.env), tube_walk(cfg.env)
+        for k, (stage, d) in enumerate(zip(tube.trajectory.stages, tube.radii), 1):
+            streamed.append(stage, d)
             entry = sampler.prefixes.get(history[:k])
             if entry is not None and entry[1] is not None:
                 tabled.restore(entry[1])

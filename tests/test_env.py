@@ -1,6 +1,6 @@
 import pytest
 
-from bltlsynth.env import environment_from_dict
+from bltlsynth.config import environment_from_dict
 from bltlsynth.tracegen import point_rules
 
 from conftest import env_doc_dict

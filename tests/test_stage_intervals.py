@@ -10,7 +10,6 @@ from pathlib import Path
 
 import pytest
 
-import bltlsynth.mdp as mdp
 import bltlsynth.tracegen as tracegen
 from bltlsynth.bltl import horizon_stages, to_sequential
 from bltlsynth.cli import load_policy_file
@@ -40,7 +39,7 @@ def test_chain_stages_match_the_reference(demo_config, monkeypatch):
     """Every stage that PathSampler.decide builds in the first round of the
     seed-2026 reduced demo synthesis (1000 episodes)."""
     calls = []
-    monkeypatch.setattr(mdp, "stage_intervals", checked_kernel(calls))
+    monkeypatch.setattr(tracegen, "stage_intervals", checked_kernel(calls))
     cfg = demo_config
     sampler = PathSampler(cfg.env, to_sequential(cfg.formula, cfg.env.unsafe), cfg.params,
                           cfg.nm, horizon_stages(cfg.formula, cfg.params.dt))

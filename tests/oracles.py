@@ -16,7 +16,8 @@ that the state-indexed tables must reproduce bit for bit, a generator
 whose next uniform draw is a chosen value, validation from whole-horizon
 closed-loop runs, the event-time solver that solves every edge of every
 near rectangle, which ``tracegen.stage_intervals`` must reproduce bit for
-bit, and an episode's generator built directly with numpy's public API
+bit, the trace walk run once on whole-trajectory interval lists, whose
+trace the walk fed stage by stage must close step by step, and an episode's generator built directly with numpy's public API
 (a Philox keyed by the stream's seed sequence, the episode index in its
 counter), which ``mdp.EpisodeStream`` must reproduce bit for bit."""
 
@@ -36,7 +37,8 @@ from bltlsynth.env import Environment, Rect, Region
 from bltlsynth.mdp import EMPTY_HISTORY, STREAM_VALIDATE, HistoryKey
 from bltlsynth.synthesis import bie_estimate, simulate_true_system
 from bltlsynth.tracegen import (_BOX_PAD, _TANGENT_SLACK, BREAKPOINT_TOL, Interval, Rule, Stage,
-                                StageIntervals, Trajectory, _inside, _touches)
+                                StageIntervals, TraceWalk, Trajectory, _inside, _touches,
+                                stage_intervals)
 
 
 def episode_rng(master_seed: int, purpose: int, round_index: int,
@@ -766,6 +768,26 @@ def stage_intervals_reference(rules: Sequence[Rule], stage: Stage, d: float,
                 and (contact or (r.x1 - r.x0 >= 2 * d and r.y1 - r.y0 >= 2 * d))]
         out.append(_rule_intervals(path, d, near, contact) if near else ())
     return tuple(out)
+
+
+def one_shot_trace(rules: Sequence[Rule], unsafe: str, stages: Sequence[Stage],
+                   radii: Sequence[float]) -> list[TraceStep]:
+    """The walk finished once on whole-trajectory interval lists: every
+    stage's ``stage_intervals`` at its start time, merged into each rule's
+    list (an interval that starts within BREAKPOINT_TOL of the end of the
+    list's last one extends it), with no step closed before the last stage."""
+    walk = TraceWalk(rules, unsafe)
+    t0 = 0.0
+    for stage, d in zip(stages, radii):
+        for ivs, new in zip(walk.lists, stage_intervals(rules, stage, d, t0)):
+            for lo, hi in new:
+                if ivs and ivs[-1][1] >= lo - BREAKPOINT_TOL:
+                    ivs[-1] = (ivs[-1][0], hi)
+                else:
+                    ivs.append((lo, hi))
+        t0 += stage.duration
+    walk.total = t0
+    return walk.finish()
 
 
 # ---------------------------------------------------------------------------

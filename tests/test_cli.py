@@ -649,7 +649,7 @@ class TestPlotCommand:
         svg = out.read_text()
         assert "<polyline" in svg
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "abc"])
     @pytest.mark.parametrize("column", range(5))
     def test_non_finite_cell_rejected(self, tmp_path, capsys, column, value):
         env_path = self.write_env(tmp_path)
@@ -662,15 +662,14 @@ class TestPlotCommand:
         assert "trajectory CSV line 3" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("row", ["0.1,0.5,0.2", "0.1,abc,0.2,0,0"])
-    def test_short_or_non_numeric_row_rejected(self, tmp_path, capsys, row):
+    def test_short_row_rejected(self, tmp_path, capsys):
         env_path = self.write_env(tmp_path)
         p = tmp_path / "bad_sat.csv"
-        p.write_text("t,x,y,theta,d\n0.0,0.5,0.2,0,0\n" + row + "\n")
+        p.write_text("t,x,y,theta,d\n0.0,0.5,0.2,0,0\n0.1,0.5,0.2\n")
         out = tmp_path / "plot.svg"
         assert main(["plot", "--env", str(env_path), "--out", str(out), str(p)]) == 2
-        assert f"trajectory CSV line 3: a row must be five finite numbers t,x,y,theta,d, " \
-            f"got {row!r}" in capsys.readouterr().err
+        assert "trajectory CSV line 3: a row must be five finite numbers t,x,y,theta,d, " \
+            "got '0.1,0.5,0.2'" in capsys.readouterr().err
         assert not out.exists()
 
 

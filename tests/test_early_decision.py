@@ -1,9 +1,9 @@
 """Stage-at-a-time decision: the trace walk fed one stage at a time, the
 online mission monitor, ``PathSampler.decide`` and its prefix table, and the
-closed-loop validation task, each checked against its whole-horizon form
-(``trace_from_tube``, ``sequential_witness`` and ``check_generic``,
-``PathSampler.finish``, ``simulate_true_system``) or its table-free form (a
-fresh sampler, ``decide_tube``)."""
+closed-loop validation task, each checked against its whole-horizon form (a
+walk finished once on whole-trajectory interval lists, ``sequential_witness``
+and ``check_generic``, ``PathSampler.finish``, ``simulate_true_system``) or
+its table-free form (a fresh sampler, ``decide_tube``)."""
 
 import json
 import pickle
@@ -26,8 +26,9 @@ from bltlsynth.tracegen import (TraceWalk, Trajectory, UncertaintyTube, decide_t
 from bltlsynth.uncertainty import build_tube
 
 from conftest import DT, TEST_ALGORITHM, simple_env
-from oracles import (check_generic, closed_loop_stages_reference, episode_rng, random_spec,
-                     random_trace, random_trace_case, spec_to_formula, whole_horizon_validation)
+from oracles import (check_generic, closed_loop_stages_reference, episode_rng, one_shot_trace,
+                     random_spec, random_trace, random_trace_case, spec_to_formula,
+                     whole_horizon_validation)
 from test_tracegen import straight_trajectory
 
 
@@ -52,11 +53,13 @@ def walk_by_stage(env, traj, radii):
 
 
 def assert_prefixes(env, traj, radii):
-    """Every stage's closed steps start the whole trace, and its open step
-    has the label and at most the duration of the whole trace's next step."""
+    """Every stage's closed steps start the whole trace (of a walk finished
+    once on the whole-trajectory interval lists), and its open step has the
+    label and at most the duration of the whole trace's next step."""
     seen, finished = walk_by_stage(env, traj, radii)
-    whole = trace_from_tube(UncertaintyTube(traj, tuple(radii), (0.0,) * len(radii)), env)
+    whole = one_shot_trace(tube_rules(env), env.unsafe, traj.stages, radii)
     assert finished == whole
+    assert trace_from_tube(UncertaintyTube(traj, tuple(radii), (0.0,) * len(radii)), env) == whole
     for closed, open_step in seen:
         assert closed == whole[:len(closed)]
         if open_step is not None:

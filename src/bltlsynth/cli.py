@@ -82,8 +82,9 @@ def load_policy_file(path: Path, nm: Optional[NoiseModel] = None) -> tuple[dict,
     """Metadata and deterministic policy of a policy file.
 
     The file must hold an object whose ``metadata`` and ``policy`` are
-    objects.  The metadata's ``n_actions`` must be an integer of at least 1
-    and its ``p_hat`` a finite number in [0, 1], neither a boolean.  Every action
+    objects.  The metadata's ``n_actions`` must be an integer of at least 1,
+    its ``p_hat`` a finite number in [0, 1], neither a boolean, and its
+    ``config_hash`` a string; a missing one is an error by name.  Every action
     must be an integer index into the file's action set.  Every history key
     must parse into steps whose actions are in that set and, given the noise
     model, whose tiles are in 1..n of its sides; and no two keys may parse to
@@ -92,10 +93,13 @@ def load_policy_file(path: Path, nm: Optional[NoiseModel] = None) -> tuple[dict,
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, dict):
         raise ValueError("policy file must hold a JSON object")
-    meta = doc["metadata"]
     for key in ("metadata", "policy"):
-        if not isinstance(doc[key], dict):
+        if not isinstance(doc.get(key), dict):
             raise ValueError(f"policy file key {key} must be an object")
+    meta = doc["metadata"]
+    for key in ("n_actions", "p_hat", "config_hash"):
+        if key not in meta:
+            raise ValueError(f"policy metadata {key} is missing")
     n_actions = meta["n_actions"]
     if type(n_actions) is not int or n_actions < 1:
         raise ValueError(f"policy metadata n_actions must be an integer of at least 1, "
@@ -103,6 +107,9 @@ def load_policy_file(path: Path, nm: Optional[NoiseModel] = None) -> tuple[dict,
     p_hat = meta["p_hat"]
     if type(p_hat) not in (int, float) or not 0 <= p_hat <= 1:  # NaN fails the range
         raise ValueError(f"policy metadata p_hat must be a number in [0, 1], not {p_hat!r}")
+    if not isinstance(meta["config_hash"], str):
+        raise ValueError(f"policy metadata config_hash must be a string, "
+                         f"not {meta['config_hash']!r}")
     tiles = None if nm is None else (nm.right.n, nm.left.n)
     steps: dict[str, tuple[int, int, int]] = {}  # step text already checked -> step
     index: dict[HistoryKey, int] = {}

@@ -119,12 +119,12 @@ class Trajectory:
 class UncertaintyTube:
     """Nominal trajectory with per-stage disc radius and orientation spread.
 
-    radii[k] applies on the whole of stage k.  It is the stage-end bound: the
-    largest end-of-stage deviation over the corner cases of the measured
-    wheel-speed intervals.  Nothing bounds the deviation inside the stage by
-    it: inner trajectories of sharp-turn, wide-noise and spin-in-place
-    configs leave the disc mid-stage while staying inside it at the stage
-    end (ROADMAP item 1).
+    radii[k] applies on the whole of stage k: every trajectory whose wheel
+    speeds lie in the measured intervals stays within it of the nominal
+    position at every time of the stage, with its heading within dthetas[k]
+    of the nominal heading.  The closed-form bound of ``uncertainty`` grows
+    with time, so its stage-end value covers the whole stage.  Spreads are
+    not wrapped and may exceed pi.
     """
 
     trajectory: Trajectory

@@ -10,7 +10,8 @@ episode kernel (a ``Pose`` per integrated pose, eight ``make_stage`` corners
 per stage, per-call noise draws that look their wheel up by name, the closed
 loop's stages built from them, scalar draws through ``Generator.choice`` and a
 per-call ``np.cumsum``) that the flat, table-driven kernel must reproduce bit
-for bit, and the pair-keyed forms of the synthesis
+for bit (the corners' radius and spread it must bound from above), and the
+pair-keyed forms of the synthesis
 step (Q estimates per (history, action) pair, one policy row per history)
 that the state-indexed tables must reproduce bit for bit, a generator
 whose next uniform draw is a chosen value, validation from whole-horizon
@@ -180,7 +181,9 @@ def propagate_stage_corners(prev, action, interval, params, nm):
     """One tube stage with a Pose per corner: ``make_stage`` from each
     extreme start orientation under each wheel-speed corner of the measured
     interval.  ``prev`` is the tube state (x, y, theta, d, dtheta); returns
-    the next one and the nominal Stage."""
+    the next one and the nominal Stage.  Its radius and spread are the
+    largest stage-end corner deviations, a lower bound on the closed form of
+    ``uncertainty.propagate_stage``."""
     x, y, theta, d, dtheta = prev
     pose = stored_pose(x, y, theta)
     u_r, u_l = action

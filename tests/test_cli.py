@@ -28,12 +28,15 @@ TINY_DEFAULTS_HASH = "cd0dccc979171c01fcb206804be165acb8ee5aa4e93d7fb1ac5111130d
 REFERENCE_POLICY = (Path(__file__).resolve().parents[1] / "bench" / "reference"
                     / "policy.json.gz")
 
+# A policy-metadata value that the bad-metadata test deletes instead of setting.
+MISSING_KEY = object()
+
 # sha256 of the artifacts of the seed-2026 demo with 200 episodes per round
 # (``short_demo``): its synthesis's policy and audit log, and the validation
 # report of that policy.
 SHORT_DEMO_DIGESTS = {
     "policy.json": "aca0d2e6d917339e49759b10752eafd75af9143884694dca8d401adb37580084",
-    "audit.jsonl": "da6f5d5d3300d51cbb4b4d2699626a39f9920e90a68e30f262477adea1df0a44",
+    "audit.jsonl": "cc6749512c0ce3a53291e17402bd5ef657ad54742fb339816ea25a0b8849daa4",
     "validation.json": "41e908f8d7deb8fb3cb0b65f6ec5472f8a3ad34bee2fa78affa7872669b848f2",
 }
 
@@ -448,13 +451,19 @@ class TestValidateCommand:
         ("p_hat", float("nan")), ("p_hat", "0.5"), ("p_hat", True), ("p_hat", 1.5),
         ("p_hat", -0.1), ("p_hat", float("inf")), ("p_hat", None),
         ("n_actions", True), ("n_actions", 0), ("n_actions", "3"), ("n_actions", 3.0),
+        ("config_hash", None), ("config_hash", 7), ("config_hash", ["ab"]),
+        *(pytest.param(key, MISSING_KEY, id=f"{key}-missing")
+          for key in ("n_actions", "p_hat", "config_hash")),
     ])
     def test_bad_policy_metadata_rejected_by_name(self, tiny_setup, tmp_path, capsys,
                                                   monkeypatch, key, value):
         out = tmp_path / "out"
         synth_into(tiny_setup, out)
         doc = json.loads((out / "policy.json").read_text())
-        doc["metadata"][key] = value
+        if value is MISSING_KEY:
+            del doc["metadata"][key]
+        else:
+            doc["metadata"][key] = value
         bad = tmp_path / "policy.json"
         bad.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=f"policy metadata {key} "):
@@ -471,13 +480,15 @@ class TestValidateCommand:
         assert f"policy metadata {key} " in capsys.readouterr().err
         assert not (out / "validation.json").exists()
 
-    @pytest.mark.parametrize("shape", ["list", "metadata", "policy"])
+    @pytest.mark.parametrize("shape", ["list", "metadata", "policy", "no-metadata"])
     def test_policy_file_shape_rejected(self, tiny_setup, tmp_path, capsys, shape):
         out = tmp_path / "out"
         synth_into(tiny_setup, out)
         doc = json.loads((out / "policy.json").read_text())
         if shape == "list":
             doc = [doc]
+        elif shape == "no-metadata":
+            del doc["metadata"]
         else:
             doc[shape] = list(doc[shape])
         bad = tmp_path / "policy.json"

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from bltlsynth.bltl import to_sequential
-from bltlsynth.dynamics import Pose, measure
+from bltlsynth.config import builtin_config_path, config_from_dict
+from bltlsynth.dynamics import Pose, measure, wheel_to_body
 from bltlsynth.mdp import PathSampler
 from bltlsynth.uncertainty import build_tube, propagate_stage, stage_terms
 
-from conftest import DT, ENCODER_DELTA, STRAIGHT, symmetric_noise
-from oracles import propagate_stage_corners, segment_positions, stage_end, start_pose
+from conftest import DT, ENCODER_DELTA, STRAIGHT, load_demo_config_doc, symmetric_noise
+from oracles import (chained_positions, propagate_stage_corners, segment_positions,
+                     segment_positions_batch, stage_end, start_pose)
 
 ORIGIN = (0.0, 0.0, 0.0, 0.0, 0.0)  # tube state (x, y, theta, d, dtheta) at the origin
 
@@ -65,11 +67,15 @@ class TestPropagateStage:
         nominal, d_ref, th_ref = enumerate_stage_growth(
             demo_params, demo_noise, Pose(0, 0, 0), 0.0, 0.0, STRAIGHT, 2, 2)
         x, y, theta, d, dtheta = state
-        assert d == pytest.approx(d_ref, abs=1e-15)
+        # the closed form bounds the corners' stage-end deviation; with no
+        # start spread, the heading spread is the corners' exactly
+        assert d >= d_ref
         assert dtheta == pytest.approx(th_ref, abs=1e-15)
         assert (x, y, theta) == (nominal.x, nominal.y, nominal.theta)
-        # frozen magnitudes for the demo vehicle: about 1.56 mm and 4.79 mrad
-        assert d == pytest.approx(1.5566e-3, rel=2e-3)
+        # frozen magnitudes for the demo vehicle: about 2.26 mm (the corners
+        # reach 1.56 mm at the stage end) and 4.79 mrad
+        assert d == pytest.approx(2.2631e-3, rel=2e-3)
+        assert d_ref == pytest.approx(1.5566e-3, rel=2e-3)
         assert dtheta == pytest.approx(4.7894e-3, rel=2e-3)
         assert stage[-3:] == (nominal.x, nominal.y, nominal.theta)
 
@@ -100,10 +106,22 @@ class TestPropagateStage:
         assert wide[3] > flat[3] + 0.02
 
 
+def assert_covers_corners(got, ref):
+    """The kernel's nominal pose and stage equal the corner oracle's bit for
+    bit; its radius and spread are at least the oracle's stage-end corner
+    deviations (up to rounding, which can tie them with no turn-rate
+    spread)."""
+    (state, stage), (ref_state, ref_stage) = got, ref
+    assert state[:3] == ref_state[:3]
+    assert stage == ref_stage
+    assert state[3] >= ref_state[3] - 1e-12
+    assert state[4] >= ref_state[4] - 1e-12
+
+
 class TestCornerOracle:
-    """The float kernel, tube state and stage record, equals eight
-    ``make_stage`` corners per stage, each integrated as a ``Pose``, bit for
-    bit."""
+    """Eight ``make_stage`` corners per stage, each integrated as a ``Pose``,
+    give the float kernel's nominal pose and stage record, and a lower bound
+    on its radius and spread."""
 
     ACTIONS = ((3.0, 3.0), (2.0, -2.0), (3.8, 2.1), (0.5, 8.0))  # straight, spin, turns
 
@@ -126,19 +144,14 @@ class TestCornerOracle:
             dtheta = 0.0 if spread == "zero" else float(rng.uniform(0.0, 4.0))
             prev = (float(rng.normal()), float(rng.normal()), theta,
                     float(rng.uniform(0, 0.2)), dtheta)
-            got, got_stage = propagate_stage(prev, stage_terms(interval, params, nm))
-            ref, ref_stage = propagate_stage_corners(prev, self.ACTIONS[a], interval,
-                                                     params, nm)
-            # d, then dtheta, then the nominal pose
-            assert got[3] == ref[3]
-            assert got[4] == ref[4]
-            assert got[:3] == ref[:3]
-            assert got_stage == ref_stage
+            assert_covers_corners(
+                propagate_stage(prev, stage_terms(interval, params, nm)),
+                propagate_stage_corners(prev, self.ACTIONS[a], interval, params, nm))
 
     @pytest.mark.parametrize("spread", ["zero", "positive"])
     def test_sampler_step_table_matches(self, spread, demo_config):
         """Each entry of a sampler's step table, fed to ``propagate_stage``,
-        gives the stage and state of eight ``make_stage`` corners."""
+        gives the stage of eight ``make_stage`` corners and covers them."""
         from bltlsynth.dynamics import VehicleParams
         rng = np.random.default_rng(34 if spread == "zero" else 35)
         cfg = demo_config
@@ -156,8 +169,8 @@ class TestCornerOracle:
                     dtheta = 0.0 if spread == "zero" else float(rng.uniform(0.0, 4.0))
                     prev = (float(rng.normal()), float(rng.normal()), theta,
                             float(rng.uniform(0, 0.2)), dtheta)
-                    assert propagate_stage(prev, terms) == propagate_stage_corners(
-                        prev, params.actions[step[0]], interval, params, nm)
+                    assert_covers_corners(propagate_stage(prev, terms), propagate_stage_corners(
+                        prev, params.actions[step[0]], interval, params, nm))
 
     def test_stored_heading_of_two_pi(self, demo_config):
         """A heading stored as 2*pi (a tiny negative angle, wrapped) is not
@@ -170,10 +183,14 @@ class TestCornerOracle:
         for step, terms in sampler.terms.items():
             for dtheta in (0.0, 0.3):
                 prev = (0.4, -0.3, theta, 0.01, dtheta)
-                assert propagate_stage(prev, terms) == propagate_stage_corners(
-                    prev, cfg.params.actions[step[0]], sampler.measured[step], cfg.params, cfg.nm)
+                assert_covers_corners(propagate_stage(prev, terms), propagate_stage_corners(
+                    prev, cfg.params.actions[step[0]], sampler.measured[step], cfg.params,
+                    cfg.nm))
 
     def test_demo_tubes_match(self, demo_params, demo_noise):
+        """Chained over whole demo tubes, each side from its own previous
+        state, the kernel still covers the corners: its spread stays at least
+        theirs, and its growth does not shrink as the spread grows."""
         rng = np.random.default_rng(33)
         for _ in range(100):
             start = Pose(0.3, -0.2, 6.2)
@@ -181,10 +198,11 @@ class TestCornerOracle:
             for a in rng.integers(0, 3, size=9):
                 interval = measure(demo_noise, demo_params, int(a),
                                    int(rng.integers(1, 4)), int(rng.integers(1, 4)))
-                state, _ = propagate_stage(state, stage_terms(interval, demo_params, demo_noise))
-                ref, _ = propagate_stage_corners(ref, demo_params.actions[a], interval,
-                                                 demo_params, demo_noise)
-                assert state == ref
+                got = propagate_stage(state, stage_terms(interval, demo_params, demo_noise))
+                want = propagate_stage_corners(ref, demo_params.actions[a], interval,
+                                               demo_params, demo_noise)
+                assert_covers_corners(got, want)
+                state, ref = got[0], want[0]
 
 
 class TestBuildTube:
@@ -270,3 +288,94 @@ class TestContainment:
             st = tube.trajectory.stages[k]
             assert pose.x == pytest.approx(st.x1, abs=1e-12)
             assert pose.y == pytest.approx(st.y1, abs=1e-12)
+
+
+def loaded_config(vehicle, tile_width):
+    """The demo config with the given vehicle fields and three tiles of
+    ``tile_width`` rad/s per wheel (masses 1/4, 1/2, 1/4), centred on zero
+    noise, read by the config loader."""
+    doc = load_demo_config_doc()
+    doc["vehicle"].update(vehicle)
+    wheel = {"eps_min": -1.5 * tile_width, "delta": tile_width, "n": 3,
+             "probs": [0.25, 0.5, 0.25]}
+    doc["noise"] = {"right": wheel, "left": dict(wheel)}
+    return config_from_dict(doc, base_dir=builtin_config_path().parent)
+
+
+def inner_wheel_speeds(history, n, rng):
+    """Wheel speeds (w_r, w_l), (chains, stages) arrays, of trajectories
+    inside a history's measured intervals: the four chains that hold one
+    wheel-speed corner throughout, ``n`` chains of a random corner per stage
+    and ``n`` of uniform speeds inside the intervals."""
+    r = np.array([(m.r_lo, m.r_hi) for _, m in history])
+    l = np.array([(m.l_lo, m.l_hi) for _, m in history])
+    k = len(history)
+    cols = np.arange(k)
+    fixed = np.array([(0, 0), (0, 1), (1, 0), (1, 1)])
+    pick_r = np.vstack([np.repeat(fixed[:, :1], k, axis=1), rng.integers(2, size=(n, k))])
+    pick_l = np.vstack([np.repeat(fixed[:, 1:], k, axis=1), rng.integers(2, size=(n, k))])
+    u_r, u_l = rng.random((n, k)), rng.random((n, k))
+    w_r = np.vstack([r[cols, pick_r], r[:, 0] + u_r * (r[:, 1] - r[:, 0])])
+    w_l = np.vstack([l[cols, pick_l], l[:, 0] + u_l * (l[:, 1] - l[:, 0])])
+    return w_r, w_l
+
+
+def wrapped_diff(a, b):
+    diff = np.abs(a - b) % (2 * math.pi)
+    return np.minimum(diff, 2 * math.pi - diff)
+
+
+class TestSoundness:
+    """Every trajectory inside the measured intervals stays inside the tube
+    at every time of every stage: its distance to the nominal position is at
+    most that stage's radius, and its heading error at most its spread.
+
+    The configs are ones the loader accepts where a stage-end radius is not
+    enough: sharp turns, spin in place, wide noise and a long stage.  The
+    trajectories start from the exact initial pose and hold, per stage,
+    wheel speeds at the measured interval's corners or uniform inside it."""
+
+    CASES = {
+        "sharp-turns": ({"actions": [[8.0, 0.5], [0.5, 8.0]]}, 0.1),
+        "spin-in-place": ({"actions": [[4.0, -4.0], [-4.0, 4.0], [2.0, 2.0]]}, 0.2),
+        "wide-noise": ({}, 0.3),
+        "long-dt": ({"dt": 10.0}, 0.1),
+    }
+    TOL = 1e-9
+
+    def check(self, case, seed, histories, stages, chains, times):
+        vehicle, tile_width = self.CASES[case]
+        cfg = loaded_config(vehicle, tile_width)
+        params, nm, q0 = cfg.params, cfg.nm, cfg.env.initial_pose
+        rng = np.random.default_rng(seed)
+        taus = np.linspace(0.0, params.dt, times)
+        for _ in range(histories):
+            history = []
+            for _ in range(stages):
+                a = int(rng.integers(len(params.actions)))
+                history.append((a, measure(nm, params, a, int(rng.integers(1, 4)),
+                                           int(rng.integers(1, 4)))))
+            tube = build_tube(history, q0, params, nm)
+            st = np.array(tube.trajectory.stages)
+            nx, ny = segment_positions_batch(params, st[:, 0], st[:, 1], st[:, 2],
+                                             st[:, 3], st[:, 4], taus)
+            n_th = st[:, 2:3] + st[:, 6:7] * taus
+            w_r, w_l = inner_wheel_speeds(history, chains, rng)
+            xs, ys = chained_positions(params, q0, w_r, w_l, taus)
+            omega = wheel_to_body(params, w_r, w_l)[1]
+            th0 = q0.theta + np.cumsum(omega * params.dt, axis=1) - omega * params.dt
+            th = th0[..., None] + omega[..., None] * taus
+            dist = np.hypot(xs - nx, ys - ny)
+            radii = np.array(tube.radii)[:, None]
+            spreads = np.array(tube.dthetas)[:, None]
+            assert (dist <= radii + self.TOL).all(), (case, float((dist - radii).max()))
+            assert (wrapped_diff(th, n_th) <= spreads + self.TOL).all(), case
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_inner_trajectories_stay_inside(self, case):
+        self.check(case, seed=41, histories=25, stages=5, chains=16, times=41)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_dense_sweep(self, case):
+        self.check(case, seed=42, histories=300, stages=9, chains=64, times=201)

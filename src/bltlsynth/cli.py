@@ -327,6 +327,7 @@ def render_svg(env: Environment,
     Style 'sat' draws black, 'viol' red, anything else gray.  Points outside
     the workspace must be clipped by the caller.
     """
+    from html import escape  # only plot needs it, and it loads an entity table
     width = 800.0  # pixels; the height follows the workspace
     b = env.bounds
     scale = width / (b.x1 - b.x0)
@@ -353,7 +354,7 @@ def render_svg(env: Environment,
             f'fill="{colors[reg.label]}" fill-opacity="0.55" stroke="#333333"/>')
         parts.append(
             f'<text x="{sx(r.x0) + 4:.2f}" y="{sy(r.y1) + 14:.2f}" '
-            f'font-size="12" fill="#111111">{reg.label}</text>')
+            f'font-size="12" fill="#111111">{escape(reg.label)}</text>')
     style_color = {"sat": "#111111", "viol": "#d62828"}
     for style, points in trajectories:
         if len(points) < 2:

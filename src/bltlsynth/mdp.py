@@ -9,28 +9,20 @@ inverse CDF (``WheelNoise.tile``, bound once per episode).
 The sampler is table driven: the encoder reading of every (action, right
 tile, left tile) triple is measured once per sampler, and an episode takes all
 of its uniforms in one draw, in the order the per-stage scalar draws would
-come (action when the policy is stochastic, then right tile, then left tile),
-so the histories equal those of the scalar draws.
+come (action when the policy is stochastic, then right tile, then left tile).
 
-An episode's verdict is decided stage by stage (``PathSampler.decide``): the
-history is sampled whole, then its tube stages are built one at a time, as
-plain floats (``uncertainty.propagate_stage``), and each, with its radius,
-goes through the trace walk into the mission monitor
-(``tracegen.feed_stage``); building stops at the stage that fixes the
-verdict.  The verdict equals that of the whole-horizon tube, trace and check
-of ``PathSampler.finish``.
+An episode is sampled and decided in one loop (``PathSampler.decide``): per
+stage it draws the step, builds the stage's tube as plain floats
+(``uncertainty.propagate_stage``) and feeds it, with its radius, through the
+trace walk into the mission monitor (``tracegen.feed_stage``), until a stage
+fixes the verdict.  The history ends there, as no later action can change the
+verdict; it starts the scalar draws' horizon-long history, whose whole tube,
+trace and check (``PathSampler.finish``) give the same verdict.
 
-Episodes share their first stages, so a sampler decides each history
-prefix's stages once, in a prefix table.  An entry holds the prefix's
-stage-end tube state (x, y, theta, d, dtheta) and the states of the trace
-walk and the mission monitor after its stages (``TraceWalk.snapshot``,
-``SequentialMonitor.snapshot``), or the verdict when its stages fix it;
-``decide`` resumes from the deepest tabled prefix of a history.  All of
-these are pure functions of the prefix (so is each stage's start time:
-every stage lasts ``dt``), hence verdicts and stage counts do not change.
-The table stops at the deepest level whose full history tree has at most
-PREFIX_TABLE_NODES nodes (depth 3 on the demo): the tree bounds its size,
-not the number of episodes.
+Episodes share their first stages, so a sampler builds each history
+prefix's stages once, in a prefix table (``PathSampler.prefixes``), down to
+the deepest level whose full history tree has at most PREFIX_TABLE_NODES nodes
+(depth 3 on the demo): the tree bounds its size, not the number of episodes.
 
 An episode's uniforms come from its stream, ``EpisodeStream(master seed,
 purpose, round).rng(index)``: numpy's counter-based Philox generator, keyed
@@ -41,8 +33,7 @@ with the episode index, in [0, 2^64), as one word of its counter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -155,13 +146,13 @@ class PathSampler:
     encoder reading and the stage terms it fixes.
 
     ``prefixes`` maps each history prefix up to ``prefix_depth`` stages long
-    that ``decide`` has met to its stage-end ``TubeState`` and the
+    that ``decide`` has built to its stage-end ``TubeState`` and the
     ``TraceWalk`` and ``SequentialMonitor`` snapshots after its stages (the
     walk's is None when the monitor's holds a verdict).  All are functions of
     the prefix alone (a stage starts at the sum of the durations before it,
-    all ``dt``), so resuming from an entry goes on as deciding the prefix
-    again would, bit for bit, and results do not depend on what the table
-    holds.  It fills as episodes run and is left out of pickles.  Each worker
+    all ``dt``), so resuming from an entry goes on as building the prefix
+    again would, bit for bit, and no verdict or history depends on what the
+    table holds.  It fills as episodes run and is left out of pickles.  Each worker
     of a command's worker set keeps its own sampler, and so its own table,
     for the whole command: a forked worker starts from the parent's table, a
     spawned one from an empty one.
@@ -194,27 +185,24 @@ class PathSampler:
         state["prefixes"] = {}
         return state
 
-    def sample_history(self, policy, rng: np.random.Generator) -> HistoryKey:
-        """Roll the chain to the horizon under the policy; returns the history.
+    def sample_history(self, policy, rng: np.random.Generator) -> tuple[HistoryKey, bool]:
+        """Roll the chain under the policy (``decide``): the history up to the
+        stage that fixes its verdict, and the verdict.
 
-        One ``rng.random`` call yields every uniform of the episode: per
-        stage one for the action when the policy is stochastic, then one per
-        wheel tile.
+        One ``rng.random`` call yields every uniform of a horizon-long
+        episode: per stage one for the action when the policy is stochastic,
+        then one per wheel tile; the stages after the verdict leave theirs.
         """
-        stochastic = not policy.deterministic
-        k = 3 if stochastic else 2
+        k = 2 if policy.deterministic else 3
         u = rng.random(k * self.horizon).tolist()
         tile_r, tile_l = self.nm.right.tile, self.nm.left.tile
-        history: HistoryKey = EMPTY_HISTORY
-        for i in range(0, k * self.horizon, k):
-            if stochastic:
-                action = policy.sample_action(history, u[i])
-            else:
-                action = policy.best_action(history)
-            j_r = tile_r(u[i + k - 2])
-            j_l = tile_l(u[i + k - 1])
-            history = history + ((action, j_r, j_l),)
-        return history
+
+        def next_step(history: HistoryKey) -> tuple[int, int, int]:
+            i = k * len(history)  # a deterministic policy ignores u[i]
+            return (policy.sample_action(history, u[i]),
+                    tile_r(u[i + k - 2]), tile_l(u[i + k - 1]))
+
+        return self.decide(next_step)
 
     def measured_history(self, history: HistoryKey) -> list[tuple[int, MeasuredInterval]]:
         """Encoder readings of a history, looked up in the sampler's table."""
@@ -228,42 +216,41 @@ class PathSampler:
         sat = check_sequential(trace, self.spec)
         return PathSample(history, tuple(t[0] for t in history), tube, tuple(trace), sat)
 
-    def decide(self, history: HistoryKey) -> tuple[bool, int]:
-        """Verdict of a complete history, building stages only until it is fixed.
+    def decide(self, next_step: Callable[[HistoryKey], tuple[int, int, int]]
+               ) -> tuple[HistoryKey, bool]:
+        """Grow a history by ``next_step(history so far)`` until its stages fix
+        the verdict, or to the horizon; returns the history and the verdict,
+        which is ``finish(h).satisfied`` for every horizon-long ``h`` it starts.
 
-        The verdict equals ``finish(history).satisfied``; also returns the
-        number of stages taken, as ``tracegen.decide_tube`` counts them.
-        Deciding resumes after the deepest prefix in the table, and tables
-        each prefix of at most ``prefix_depth`` stages that it decides.
+        A prefix found in the table is restored instead of built, and each
+        prefix of at most ``prefix_depth`` stages that is built is tabled, so
+        the tube state, walk and monitor always stand after the history so
+        far.  A prefix is tabled only after its parent, so once one is missing
+        no longer one is found.
         """
-        if not history:
-            raise ValueError("cannot trace an empty trajectory")
-        table, depth = self.prefixes, self.prefix_depth
+        table, depth, terms = self.prefixes, self.prefix_depth, self.terms
         walk = TraceWalk(self._rules, self.env.unsafe)
         monitor = SequentialMonitor(self.spec)
-        k = min(depth, len(history))
-        entry = None
-        while k and (entry := table.get(history[:k])) is None:
-            k -= 1
-        if entry is None:
-            state = self._origin
-        else:
-            state, walk_state, monitor_state = entry
-            monitor.restore(monitor_state)
-            if monitor.verdict is not None:
-                return monitor.verdict, k
-            walk.restore(walk_state)
-        terms = self.terms
-        for step in islice(history, k, None):
-            k += 1
-            state, stage = propagate_stage(state, terms[step])
+        state = self._origin
+        history = EMPTY_HISTORY
+        for k in range(1, self.horizon + 1):
+            history += (next_step(history),)
+            entry = table.get(history) if k <= depth else None
+            if entry is not None:
+                state, walk_state, monitor_state = entry
+                monitor.restore(monitor_state)
+                if walk_state is None:  # the prefix fixes the verdict
+                    return history, monitor.verdict
+                walk.restore(walk_state)
+                continue
+            state, stage = propagate_stage(state, terms[history[-1]])
             verdict = feed_stage(walk, monitor, stage, state[3])
             if k <= depth:
-                table[history[:k]] = (state, None if verdict is not None else walk.snapshot(),
-                                      monitor.snapshot())
+                table[history] = (state, None if verdict is not None else walk.snapshot(),
+                                  monitor.snapshot())
             if verdict is not None:
-                return verdict, k
-        return finish_trace(walk, monitor), k
+                return history, verdict
+        return history, finish_trace(walk, monitor)
 
 
 def prefix_table_depth(branching: int, horizon: int) -> int:

@@ -4,7 +4,9 @@ The loop alternates policy evaluation (Monte-Carlo estimates of how likely
 each visited state-action pair is to end in a satisfying trace), a convex
 reinforcement step toward each state's best action, determinization, and a
 Bayesian interval estimate of the deterministic policy's success probability.
-It stops when consecutive round estimates agree to within a radius.
+It stops when consecutive round estimates agree to within a radius.  A chain
+episode ends at the stage that fixes its verdict, so only histories whose
+action can still change a verdict get rows.
 
 Policies and Q estimates share one layout: an index from measurement history
 to row, and arrays with one row per indexed history and one column per
@@ -208,8 +210,7 @@ class _ChainTask:
                            EpisodeStream(self.master_seed, self.stream, self.round_index))
 
     def run(self, index: int) -> tuple[HistoryKey, bool]:
-        history = self.sampler.sample_history(self.policy, self.episodes.rng(index))
-        return history, self.sampler.decide(history)[0]
+        return self.sampler.sample_history(self.policy, self.episodes.rng(index))
 
 
 @dataclass(frozen=True)
@@ -467,13 +468,13 @@ def evaluate_policy(policy: Policy, n_episodes: int, qtable: QTable,
                     pool: Optional[_WorkerSet] = None) -> tuple[QTable, int]:
     """Sample paths under the policy and refresh the Q estimates.
 
-    Every (state, action) pair along a path is credited with the path's
-    verdict; per-pair ratios are folded into the table with the history
-    weight.  New histories get rows after the table's, in the order the
-    episodes first reach them.  Returns the new table and the number of
-    satisfying paths.  The episodes run on ``pool``, a caller's worker set
-    that holds this evaluation, or else on a worker set of ``workers`` for
-    this call alone.
+    Every (state, action) pair along a path, which ends at the stage that
+    fixes its verdict, is credited with the verdict; per-pair ratios are
+    folded into the table with the history weight.  New histories get rows
+    after the table's, in the order the episodes first reach them.  Returns
+    the new table and the number of satisfying paths.  The episodes run on
+    ``pool``, a caller's worker set that holds this evaluation, or else on a
+    worker set of ``workers`` for this call alone.
     """
     if n_episodes < 1:
         raise ValueError("need at least one episode")

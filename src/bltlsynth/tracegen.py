@@ -591,12 +591,19 @@ def read_trace_csv(fp) -> list[TraceStep]:
         if not row:
             continue
         if len(row) < 2:
-            raise ValueError(f"malformed trace row: {row!r}")
+            raise ValueError(f"trace CSV line {reader.line_num}: a row must be "
+                             f"label,duration, got {','.join(row)!r}")
         label = row[0].strip() or None
-        duration = float(row[1])
+        try:
+            duration = float(row[1])
+        except ValueError:
+            duration = math.nan  # rejected below, naming the line
         if not 0.0 <= duration < math.inf:  # a NaN passes every time bound
             raise ValueError(f"trace CSV line {reader.line_num}: duration must be finite "
                              f"and non-negative, got {row[1].strip()!r}")
+        if out and out[-1][0] == label:
+            raise ValueError(f"trace CSV line {reader.line_num}: label {row[0].strip()!r} "
+                             "repeats the previous row's; consecutive labels must differ")
         out.append((label, duration))
     if not out:
         raise ValueError("trace CSV has no states")

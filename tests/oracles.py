@@ -30,8 +30,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from bltlsynth.bltl import (Always, And, Atom, Disjunct, Eventually, Formula, Not, Or, Phase,
-                            SequentialSpec, TraceStep, Until, _flatten_or, horizon_stages,
-                            to_sequential)
+                            SequentialMonitor, SequentialSpec, TraceStep, Until, _flatten_or,
+                            horizon_stages, to_sequential)
 from bltlsynth.dynamics import (OMEGA_STRAIGHT_EPS, NoiseModel, Pose, VehicleParams,
                                 WheelNoise, angle_diff, wheel_to_body)
 from bltlsynth.env import Environment, Rect, Region
@@ -39,7 +39,7 @@ from bltlsynth.mdp import EMPTY_HISTORY, STREAM_VALIDATE, HistoryKey
 from bltlsynth.synthesis import bie_estimate, simulate_true_system
 from bltlsynth.tracegen import (_BOX_PAD, _TANGENT_SLACK, BREAKPOINT_TOL, Interval, Rule, Stage,
                                 StageIntervals, TraceWalk, Trajectory, _inside, _touches,
-                                stage_intervals)
+                                decide_tube, stage_intervals, tube_rules)
 
 
 def episode_rng(master_seed: int, purpose: int, round_index: int,
@@ -303,6 +303,21 @@ def sample_history_scalar(policy, nm, horizon, rng):
         j_l = tile_by_cumsum(nm.left, rng.random())
         history = history + ((action, j_r, j_l),)
     return history
+
+
+def follow(history):
+    """The ``PathSampler.decide`` rule that takes the steps of a given
+    history in turn."""
+    return lambda so_far: history[len(so_far)]
+
+
+def replay_decision(sampler, history):
+    """Verdict of a horizon-long history and the stage that fixes it, with no
+    prefix table: the whole tube that ``finish`` builds, fed stage by stage
+    through a fresh walk and monitor (``decide_tube``)."""
+    tube = sampler.finish(history).tube
+    return decide_tube(TraceWalk(tube_rules(sampler.env), sampler.env.unsafe),
+                       SequentialMonitor(sampler.spec), zip(tube.trajectory.stages, tube.radii))
 
 
 def merged_pairs(entries, counts, history_weight):

@@ -25,7 +25,8 @@ from conftest import (COURIER_FORMULA, COURIER_TRACE, COURIER_TRACE_INNER,
                       COURIER_TRACE_TUBE, MISSION_FORMULA, load_demo_config_doc)
 from oracles import (all_success_stop_count, chained_positions, check_generic, end_pose,
                      episode_rng, make_stage, random_spec, random_trace, rk4_pose,
-                     segment_positions_batch, spec_to_formula, successors, wheel_noise)
+                     sample_history_scalar, segment_positions_batch, spec_to_formula,
+                     successors, wheel_noise)
 
 ACCEPTANCE_SEED = 2026
 REDUCED_EPISODES = 1000
@@ -187,10 +188,13 @@ def test_criterion_07_conservatism(demo_cfg):
     episode = 0
     violations = 0
     while satisfying < 1000:
-        history = sampler.sample_history(policy, episode_rng(ACCEPTANCE_SEED, 7, 0, episode))
+        _, verdict = sampler.sample_history(policy, episode_rng(ACCEPTANCE_SEED, 7, 0, episode))
         episode += 1
-        if not sampler.decide(history)[0]:
+        if not verdict:
             continue
+        # the episode's whole history, not cut at the stage that fixes its verdict
+        history = sample_history_scalar(policy, nm, 9,
+                                        episode_rng(ACCEPTANCE_SEED, 7, 0, episode - 1))
         satisfying += 1
         measured = sampler.measured_history(history)
         lo = np.array([[m.r_lo, m.l_lo] for _, m in measured])

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -35,10 +36,15 @@ MISSING_KEY = object()
 # (``short_demo``): its synthesis's policy and audit log, and the validation
 # report of that policy.
 SHORT_DEMO_DIGESTS = {
-    "policy.json": "aca0d2e6d917339e49759b10752eafd75af9143884694dca8d401adb37580084",
-    "audit.jsonl": "cc6749512c0ce3a53291e17402bd5ef657ad54742fb339816ea25a0b8849daa4",
+    "policy.json": "3100bb56cfa48cb0391ac6817ad9b8c31f3b29911402b1d01af852af8339c298",
+    "audit.jsonl": "c6d0861120451aba665ded5e341eb2387b4e2b85c4aecc6a60d61b5d855261a7",
     "validation.json": "41e908f8d7deb8fb3cb0b65f6ec5472f8a3ad34bee2fa78affa7872669b848f2",
 }
+
+# sha256 of the short demo's audit log without its table sizes (``q_pairs``,
+# ``policy_states``): the estimates, sample counts and verdict counts of every
+# round, which do not depend on which histories the tables keep.
+SHORT_DEMO_ESTIMATES_DIGEST = "96307313efcfcda610d1177b9071535d4eccb365eb43250481ce02ee476cd46b"
 
 
 @pytest.fixture
@@ -534,6 +540,17 @@ class TestArtifactDigests:
                      "--workers", str(workers)]) == 0
         assert {name: sha256(out / name) for name in SHORT_DEMO_DIGESTS} == SHORT_DEMO_DIGESTS
 
+    def test_short_demo_estimates(self, short_demo, tmp_path):
+        out = tmp_path / "out"
+        assert main(["synth", "--config", str(short_demo), "--out-dir", str(out)]) == 0
+        lines = []
+        for line in (out / "audit.jsonl").read_text().splitlines():
+            doc = json.loads(line)
+            del doc["q_pairs"], doc["policy_states"]
+            lines.append(json.dumps(doc, sort_keys=True))
+        text = "\n".join(lines) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == SHORT_DEMO_ESTIMATES_DIGEST
+
 
 class TestTrajectoryExport:
     """The trajectory CSVs that ``validate --export-trajectories`` writes
@@ -544,7 +561,7 @@ class TestTrajectoryExport:
         "traj_0000_viol.csv": "c5fad574a84b2435f7bd27854d07a5db561807577288f360c72c6af79e023b88",
         "traj_0001_viol.csv": "c82671ed7dd596e8b720c9ee0f8683edeb8a48252af8413bfb1044c37a5ac7e5",
         "traj_0002_viol.csv": "a0d1f6442fb373a48fb81f1eb6222f27897e99e41651be729adb34d415d16097",
-        "traj_0003_viol.csv": "72af32096aec64698827f00f0364648848dfbc7d18c176b117b1c71f84c9b885",
+        "traj_0003_viol.csv": "d1ca97b196ba220e055966c9ac120d3bc7d89c1d29d1ee29b0438eaccac1c2a0",
         "traj_0004_viol.csv": "9ba5aacee0863aab7f9438fc72471a9e5ca61c900b3dd8c32b89bb1ce0a66c82",
     }
 
@@ -555,6 +572,31 @@ class TestTrajectoryExport:
                      "--config", str(short_demo), "--out-dir", str(out),
                      "--export-trajectories", "5"]) == 0
         assert {path.name: sha256(path) for path in out.glob("traj_*.csv")} == self.DIGESTS
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("batch_size", [1, 32])
+def test_benchmark_synth_configs_converge_at_every_timed_seed(tmp_path, batch_size):
+    """The demo mission at the benchmark's synthesis settings (1,000 episodes
+    per round, at most 10 rounds; batch 1 as in ``demo-synth``, 32 as in
+    ``parallel-synth``) converges at seeds 2026 to 2099.  A timed benchmark
+    run goes on from seed 2026 for as long as its time lasts, so a faster
+    change reaches later seeds, and an unconverged command (exit 3) fails the
+    run.  Bytes do not depend on the worker count, so one worker runs them."""
+    doc = load_demo_config_doc()
+    doc["environment"] = json.loads(
+        (builtin_config_path().parent / doc["environment"]).read_text())
+    doc["algorithm"].update({"episodes_per_round": 1000, "max_rounds": 10,
+                             "batch_size": batch_size})
+    doc["workers"] = 1
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps(doc))
+    outcomes = {}
+    for seed in range(2026, 2100):
+        out = tmp_path / str(seed)
+        rc = main(["synth", "--config", str(config), "--out-dir", str(out), "--seed", str(seed)])
+        outcomes[seed] = (rc, json.loads((out / "summary.json").read_text())["converged"])
+    assert {seed: o for seed, o in outcomes.items() if o != (0, True)} == {}
 
 
 class TestCheckCommand:
@@ -601,6 +643,39 @@ class TestCheckCommand:
         assert captured.out == ""
         assert f"trace CSV line 3: duration must be finite and non-negative, got {gap!r}" \
             in captured.err
+
+    def test_repeated_label_rejected(self, tmp_path, capsys):
+        """A label repeated on the next row splits one stay in two, and the
+        dwell reads as two short ones: ``a,1.0`` then ``a,1.5`` would print
+        ``violated`` where the same stay as ``a,2.5`` is ``satisfied``."""
+        trace = tmp_path / "trace.csv"
+        formula = "!u U[<=5] G[<=2] a"
+        trace.write_text("label,duration\n,0.5\na,2.5\n")
+        assert main(["check", "--trace", str(trace), "--formula", formula]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "satisfied"
+        trace.write_text("label,duration\n,0.5\na,1.0\na,1.5\n")
+        rc = main(["check", "--trace", str(trace), "--formula", formula])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "trace CSV line 4: label 'a' repeats the previous row's" in captured.err
+
+    def test_non_numeric_duration_names_its_line(self, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        trace.write_text("label,duration\n,0.5\na,x\n")
+        rc = main(["check", "--trace", str(trace), "--formula", "!u U[<=5] G[<=2] a"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "trace CSV line 3: duration must be finite and non-negative, got 'x'" \
+            in captured.err
+
+    def test_short_row_names_its_line(self, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        trace.write_text("label,duration\n,0.5\na\n")
+        assert main(["check", "--trace", str(trace), "--formula", "!u U[<=5] G[<=2] a"]) == 2
+        assert "trace CSV line 3: a row must be label,duration, got 'a'" \
+            in capsys.readouterr().err
 
     def test_empty_trace_file_is_error(self, tmp_path, capsys):
         trace = tmp_path / "trace.csv"
@@ -673,6 +748,17 @@ class TestPlotCommand:
         assert "trajectory CSV line 3" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_region_labels_are_escaped(self, tmp_path):
+        env_path = tmp_path / "env.json"
+        env_path.write_text(json.dumps(env_doc_dict(
+            propositions=["u", "a<b&c"],
+            regions=[{"id": "goal", "label": "a<b&c", "rect": [1.0, -1.0, 2.0, 1.0]},
+                     {"id": "pit", "label": "u", "rect": [3.0, -1.0, 4.0, 1.0]}])))
+        out = tmp_path / "plot.svg"
+        assert main(["plot", "--env", str(env_path), "--out", str(out)]) == 0
+        svg = ElementTree.parse(out).getroot()
+        assert [t.text for t in svg.iter("{http://www.w3.org/2000/svg}text")] == ["a<b&c", "u"]
+
     def test_short_row_rejected(self, tmp_path, capsys):
         env_path = self.write_env(tmp_path)
         p = tmp_path / "bad_sat.csv"
@@ -727,10 +813,10 @@ def test_worker_error_keeps_the_synth_exit_code(tiny_setup, tmp_path, monkeypatc
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     decide = PathSampler.decide
 
-    def failing(sampler, history):
-        if len(history) and history[0][1] == 3:
+    def failing(sampler, next_step):
+        if next_step(())[1] == 3:
             raise ValueError("no verdict for this history")
-        return decide(sampler, history)
+        return decide(sampler, next_step)
 
     monkeypatch.setattr(PathSampler, "decide", failing)
     rc = main(["synth", "--config", str(tiny_setup), "--out-dir", str(tmp_path / "out"),

@@ -26,8 +26,9 @@ from bltlsynth.tracegen import (TraceWalk, Trajectory, UncertaintyTube, decide_t
 from bltlsynth.uncertainty import build_tube
 
 from conftest import DT, TEST_ALGORITHM, simple_env
-from oracles import (check_generic, closed_loop_stages_reference, episode_rng, one_shot_trace,
-                     random_spec, random_trace, random_trace_case, spec_to_formula,
+from oracles import (check_generic, closed_loop_stages_reference, episode_rng, follow,
+                     one_shot_trace, random_spec, random_trace, random_trace_case,
+                     replay_decision, sample_history_scalar, spec_to_formula,
                      whole_horizon_validation)
 from test_tracegen import straight_trajectory
 
@@ -344,8 +345,10 @@ def test_decide_matches_finish(name):
     built = satisfied = episodes = 0
     for p, policy in enumerate(sample_policies(3, cfg.nm.right.n, rng)):
         for e in range(150):
-            history = sampler.sample_history(policy, episode_rng(7, 9, p, e))
-            verdict, stages = sampler.decide(history)
+            history = sample_history_scalar(policy, cfg.nm, 9, episode_rng(7, 9, p, e))
+            cut, verdict = sampler.decide(follow(history))
+            stages = len(cut)
+            assert cut == history[:stages]
             assert verdict == sampler.finish(history).satisfied
             assert 1 <= stages <= 9
             built += stages
@@ -486,11 +489,12 @@ def test_warm_table_decides_as_a_fresh_sampler(name):
     stored = 0
     for p, policy in enumerate(policies):
         for e in range(100):
-            history = sampler.sample_history(policy, episode_rng(7, 11, p, e))
+            history = sample_history_scalar(policy, cfg.nm, sampler.horizon,
+                                            episode_rng(7, 11, p, e))
             stored += sum(history[:k] in sampler.prefixes for k in range(1, depth + 1))
-            want = fresh_copy(sampler).decide(history)
-            assert sampler.decide(history) == want
-            assert want[0] == sampler.finish(history).satisfied
+            want = fresh_copy(sampler).decide(follow(history))
+            assert sampler.decide(follow(history)) == want
+            assert want[1] == sampler.finish(history).satisfied
     assert stored > 0.4 * 200 * depth
 
 
@@ -505,8 +509,8 @@ def test_table_fed_walk_keeps_the_extended_walks_lists(demo_config):
     policy = random_strategy(cfg.nm.right.n, rng)
     restored = 0
     for e in range(40):
-        history = sampler.sample_history(policy, episode_rng(7, 12, 0, e))
-        sampler.decide(history)
+        history = sample_history_scalar(policy, cfg.nm, 9, episode_rng(7, 12, 0, e))
+        sampler.decide(follow(history))
         tube = sampler.finish(history).tube
         streamed, tabled = tube_walk(cfg.env), tube_walk(cfg.env)
         for k, (stage, d) in enumerate(zip(tube.trajectory.stages, tube.radii), 1):
@@ -539,8 +543,9 @@ def test_table_stays_within_its_depth_and_budget(budget, monkeypatch):
     cfg, sampler = config_sampler("demo")
     policy = uniform_policy(3)
     for e in range(300):
-        history = sampler.sample_history(policy, episode_rng(7, 13, 0, e))
-        assert sampler.decide(history) == fresh_copy(sampler).decide(history)
+        history = sample_history_scalar(policy, cfg.nm, sampler.horizon,
+                                        episode_rng(7, 13, 0, e))
+        assert sampler.decide(follow(history)) == fresh_copy(sampler).decide(follow(history))
     depth = sampler.prefix_depth
     assert depth == {None: 3, 100: 1, 20: 0}[budget]
     assert all(1 <= len(key) <= depth for key in sampler.prefixes)
@@ -554,15 +559,15 @@ def test_pickled_sampler_carries_an_empty_table():
     cfg, sampler = config_sampler("demo")
     policy = random_strategy(cfg.nm.right.n, np.random.default_rng(73))
     stochastic = Policy(3, policy.index, probs=np.eye(3)[policy.actions] * 0.4 + 0.2)
-    histories = [sampler.sample_history(stochastic, episode_rng(7, 14, 0, e))
-                 for e in range(50)]
-    verdicts = [sampler.decide(h) for h in histories]
+    verdicts = [sampler.sample_history(stochastic, episode_rng(7, 14, 0, e))
+                for e in range(50)]
+    histories = [h for h, _ in verdicts]
     held = dict(sampler.prefixes)
     assert any(walk is not None for _, walk, _ in held.values())
     clone = pickle.loads(pickle.dumps(sampler))
     assert clone.prefixes == {}
     assert sampler.prefixes == held and held
-    assert [clone.decide(h) for h in histories] == verdicts
+    assert [clone.decide(follow(h)) for h in histories] == verdicts
     rows = dict(stochastic._cdf)
     assert None in rows and len(rows) > 1
     policy_clone = pickle.loads(pickle.dumps(stochastic))
@@ -590,13 +595,83 @@ def test_verdicts_fixed_within_the_table_depth(name, monkeypatch):
     early = resumed = 0
     for p, policy in enumerate(policies):
         for e in range(150):
-            history = warm.sample_history(policy, episode_rng(7, 15, p, e))
+            history = sample_history_scalar(policy, cfg.nm, warm.horizon,
+                                            episode_rng(7, 15, p, e))
             tabled = [warm.prefixes.get(history[:k]) for k in range(1, 4)]
             resumed += any(entry is not None for entry in tabled)
-            verdict = warm.decide(history)
-            assert verdict == fresh_copy(warm).decide(history) == untabled.decide(history)
-            assert verdict[0] == warm.finish(history).satisfied
-            early += verdict[1] <= 3 and any(entry is not None and entry[1] is None
-                                             for entry in tabled)
+            verdict = warm.decide(follow(history))
+            assert verdict == fresh_copy(warm).decide(follow(history)) \
+                == untabled.decide(follow(history))
+            assert verdict[1] == warm.finish(history).satisfied
+            early += len(verdict[0]) <= 3 and any(entry is not None and entry[1] is None
+                                                  for entry in tabled)
     assert untabled.prefixes == {}
     assert resumed > 150 and early > 20
+
+
+@pytest.mark.parametrize("name", ["demo", "short-horizon"])
+def test_verdict_left_open_at_a_tabled_horizon(name, monkeypatch):
+    """A sampler whose table reaches its horizon (two stages, short of the
+    mission's) leaves verdicts open until ``finish_trace``.  Deciding a
+    history again resumes from its horizon-deep entry and hands
+    ``finish_trace`` the walk and monitor that building the history gave, as
+    a fresh sampler does; the verdict is ``finish``'s."""
+    cfg, whole = config_sampler(name)
+    sampler = PathSampler(whole.env, whole.spec, whole.params, whole.nm, 2)
+    assert sampler.prefix_depth == sampler.horizon == 2
+    finished = []
+
+    def spy(walk, monitor):
+        finished.append((walk.snapshot(), monitor.snapshot()))
+        return tracegen.finish_trace(walk, monitor)
+
+    monkeypatch.setattr(mdp, "finish_trace", spy)
+    rng = np.random.default_rng(76)
+    left_open = 0
+    for p, policy in enumerate([uniform_policy(3), random_strategy(cfg.nm.right.n, rng)]):
+        for e in range(60):
+            history = sample_history_scalar(policy, cfg.nm, 2, episode_rng(7, 17, p, e))
+            runs = []
+            for s in (fresh_copy(sampler), sampler, sampler):
+                finished.clear()
+                runs.append((s.decide(follow(history)), list(finished)))
+            assert runs[0] == runs[1] == runs[2]
+            assert runs[0][0][1] == sampler.finish(history).satisfied
+            left_open += bool(runs[0][1])
+    assert left_open > 20
+
+
+@pytest.mark.parametrize("name", ["demo", "wide-noise", "early-contact", "short-horizon"])
+def test_one_pass_history_is_the_scalar_history_cut_at_its_verdict(name, monkeypatch):
+    """``sample_history`` gives the scalar draws' horizon-long history cut at
+    the stage where the table-free replay fixes its verdict, and that
+    verdict, which is also ``finish``'s on the whole history.  It takes the
+    doubles of the scalar draws however early it stops.  Uniform, stochastic
+    and deterministic policies, each on a warm sampler, a cold one and one
+    with no table."""
+    cfg, warm = config_sampler(name)
+    with monkeypatch.context() as patch:
+        patch.setattr(mdp, "PREFIX_TABLE_NODES", 20)
+        untabled = fresh_copy(warm)
+    assert untabled.prefix_depth == 0 and warm.prefix_depth == 3
+    rng = np.random.default_rng(75)
+    strategy = random_strategy(cfg.nm.right.n, rng)
+    policies = [uniform_policy(3), strategy,
+                Policy(3, strategy.index, probs=rng.dirichlet(np.ones(3), len(strategy.index)))]
+    stages_seen, verdicts = set(), set()
+    for p, policy in enumerate(policies):
+        for e in range(100):
+            b = episode_rng(7, 16, p, e)
+            full = sample_history_scalar(policy, cfg.nm, warm.horizon, b)
+            verdict, stages = replay_decision(warm, full)
+            assert verdict == warm.finish(full).satisfied
+            after = b.random()
+            for sampler in (warm, fresh_copy(warm), untabled):
+                a = episode_rng(7, 16, p, e)
+                assert sampler.sample_history(policy, a) == (full[:stages], verdict)
+                assert a.random() == after
+            stages_seen.add(stages)
+            verdicts.add(verdict)
+    assert min(stages_seen) < warm.horizon and len(stages_seen) > 1
+    if name == "demo":
+        assert verdicts == {True, False}

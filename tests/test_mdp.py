@@ -11,8 +11,8 @@ from bltlsynth.mdp import (EMPTY_HISTORY, EpisodeStream, PathSampler, history_ke
 from bltlsynth.synthesis import Policy, uniform_policy
 
 from conftest import policy_from_rows, simple_env, symmetric_noise
-from oracles import (DUMMY_ACTION, enabled_actions, episode_rng, sample_history_scalar,
-                     successors, transition_prob)
+from oracles import (DUMMY_ACTION, enabled_actions, episode_rng, replay_decision,
+                     sample_history_scalar, successors, transition_prob)
 
 
 @pytest.fixture
@@ -166,19 +166,20 @@ class TestPathSampler:
     def test_replay_determinism(self, small_env, small_spec, demo_params, demo_noise):
         sampler = PathSampler(small_env, small_spec, demo_params, demo_noise, 3)
         policy = uniform_policy(3)
-        a = sampler.finish(sampler.sample_history(policy, episode_rng(42, 0, 1, 5)))
-        b = sampler.finish(sampler.sample_history(policy, episode_rng(42, 0, 1, 5)))
+        a = sampler.finish(sample_history_scalar(policy, demo_noise, 3, episode_rng(42, 0, 1, 5)))
+        b = sampler.finish(sample_history_scalar(policy, demo_noise, 3, episode_rng(42, 0, 1, 5)))
         assert a.state == b.state
         assert a.trace == b.trace
         assert a.satisfied == b.satisfied
-        c = sampler.finish(sampler.sample_history(policy, episode_rng(42, 0, 1, 6)))
+        c = sampler.finish(sample_history_scalar(policy, demo_noise, 3, episode_rng(42, 0, 1, 6)))
         assert c.state != a.state or c.trace != a.trace
 
     def test_zero_noise_deterministic_policy_single_path(self, small_env, small_spec,
                                                          demo_params, zero_noise):
         sampler = PathSampler(small_env, small_spec, demo_params, zero_noise, 3)
         det = Policy(3, {}, actions=[])
-        paths = {sampler.finish(sampler.sample_history(det, episode_rng(1, 0, 0, i))).state
+        paths = {sampler.finish(sample_history_scalar(det, zero_noise, 3,
+                                                      episode_rng(1, 0, 0, i))).state
                  for i in range(5)}
         assert len(paths) == 1
         assert paths.pop() == ((0, 1, 1),) * 3
@@ -187,8 +188,8 @@ class TestPathSampler:
         from bltlsynth.bltl import check_sequential
         sampler = PathSampler(small_env, small_spec, demo_params, demo_noise, 4)
         for i in range(10):
-            path = sampler.finish(sampler.sample_history(uniform_policy(3),
-                                                         episode_rng(9, 0, 0, i)))
+            path = sampler.finish(sample_history_scalar(uniform_policy(3), demo_noise, 4,
+                                                        episode_rng(9, 0, 0, i)))
             assert len(path.state) == 4
             assert abs(sum(t for _, t in path.trace) - 4 * demo_params.dt) < 1e-9
             assert path.satisfied == check_sequential(list(path.trace), small_spec)
@@ -202,7 +203,7 @@ class TestPathSampler:
         n = 100_000
         counts: dict = {}
         for _ in range(n):
-            hist = sampler.sample_history(det, rng)
+            hist, _ = sampler.sample_history(det, rng)
             counts[hist[0]] = counts.get(hist[0], 0) + 1
         for nxt, p in successors(EMPTY_HISTORY, 0, nm, demo_params, 1):
             freq = counts.get(nxt[0], 0) / n
@@ -231,10 +232,12 @@ class TestPathSampler:
         seen = []
         for i in range(400):
             a, b = episode_rng(5, 0, 1, i), episode_rng(5, 0, 1, i)
-            history = sampler.sample_history(policy, a)
-            assert history == sample_history_scalar(policy, nm, 5, b)
+            history, verdict = sampler.sample_history(policy, a)
+            full = sample_history_scalar(policy, nm, 5, b)
+            want, stages = replay_decision(sampler, full)
+            assert (history, verdict) == (full[:stages], want)
             assert a.random() == b.random()  # same number of draws taken
-            seen += [history[:k] in rows for k in range(1, 5)]
+            seen += [full[:k] in rows for k in range(1, 5)]
         assert 0 < sum(seen) < len(seen)
 
     def test_measured_history_is_measure(self, small_env, small_spec, demo_params,

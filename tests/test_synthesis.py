@@ -20,7 +20,8 @@ from bltlsynth.synthesis import _TrueSystemTask, _map_episodes, _worker_set
 from conftest import TEST_ALGORITHM, policy_from_rows, simple_env, symmetric_noise
 from oracles import (all_success_stop_count, beta_cdf_reference, bie_estimate_reference,
                      determinize_rows, episode_rng, generator_drawing, improve_rows,
-                     merged_pairs, pair_counts, tile_by_cumsum)
+                     merged_pairs, pair_counts, replay_decision, sample_history_scalar,
+                     tile_by_cumsum)
 
 
 def table_of(pairs, n_actions=3):
@@ -205,7 +206,8 @@ class TestEvaluatePolicy:
                                    history_weight=0.6, master_seed=5)
         assert n_sat == 20
         assert (q.estimate[q.visits > 0] == 1.0).all()
-        assert q.visits.sum() == 20 * 2
+        # every verdict is fixed at stage 1, so one pair per episode is credited
+        assert q.visits.sum() == 20
 
     def test_episode_count_validated(self, easy_setup):
         _, _, _, sampler = easy_setup
@@ -347,10 +349,12 @@ class TestPairOracle:
         q, mu = QTable(), uniform_policy(3)
         entries, rows = {}, {}
         for round_index in range(1, 4):
-            results = [(path.state, path.satisfied) for path in (
-                sampler.finish(sampler.sample_history(
-                    mu, episode_rng(31, STREAM_POLICY_EVAL, round_index, i)))
-                for i in range(40))]
+            results = []
+            for i in range(40):
+                history = sample_history_scalar(
+                    mu, demo_noise, 3, episode_rng(31, STREAM_POLICY_EVAL, round_index, i))
+                verdict, stages = replay_decision(sampler, history)
+                results.append((history[:stages], verdict))
             q, n_sat = evaluate_policy(mu, 40, q, sampler, history_weight=0.6,
                                        master_seed=31, round_index=round_index)
             assert n_sat == sum(sat for _, sat in results)

@@ -16,7 +16,8 @@ from bltlsynth.uncertainty import build_tube
 
 from conftest import DT, STRAIGHT, TURN_LEFT, simple_env
 from oracles import (dense_trace_disagreements, end_pose, episode_rng, integrate_pose,
-                     make_stage, random_trace_case, start_pose, write_trace_csv)
+                     make_stage, random_trace_case, sample_history_scalar, start_pose,
+                     write_trace_csv)
 
 BOX = Rect(0.0, 0.0, 2.0, 1.0)
 
@@ -346,8 +347,8 @@ class TestDwellDominance:
         compared = 0
         unsafe = cfg.env.unsafe
         for i in range(60):
-            path = sampler.finish(sampler.sample_history(uniform_policy(3),
-                                                         episode_rng(15, 0, 0, i)))
+            path = sampler.finish(sample_history_scalar(uniform_policy(3), cfg.nm, 9,
+                                                        episode_rng(15, 0, 0, i)))
             # containment dominance concerns goal labels only; the unsafe
             # label is contact-based and deliberately wider on the tube
             tube_visits = [(l, t) for l, t in path.trace
@@ -436,7 +437,8 @@ class TestTrajectoryType:
         policy = uniform_policy(3)
         straight_first = Policy(3, {EMPTY_HISTORY: 0}, actions=[1])  # then turns left
         for i in range(5):
-            sample = sampler.finish(sampler.sample_history(policy, episode_rng(8, 0, 0, i)))
+            sample = sampler.finish(sample_history_scalar(policy, cfg.nm, 9,
+                                                          episode_rng(8, 0, 0, i)))
             chain += sample.tube.trajectory.stages
             for nm in (cfg.nm, zero_noise):
                 closed_loop += [st for st, _ in _closed_loop_stages(

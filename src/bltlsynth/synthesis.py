@@ -23,18 +23,18 @@ monitor as a chain episode (``tracegen.decide_tube``, every stage at radius
 0), and stops at the stage that fixes its verdict; ``simulate_true_system``
 is the whole-horizon form.
 
-With more than one worker, a command runs its episodes on one worker set
-(``_WorkerSet``): ``synthesize`` and ``validate_true_system`` each start
-``_pool_workers(workers)`` processes once (validation no more than its
-``batch_size``) and keep them until they return, so a worker's sampler keeps
-its prefix table from round to round.  Once per
-round a synthesis sends every worker the histories the round appended to the
-policy index and the argmax column of the round's Q estimates, at the
-smallest signed integer dtype that holds an action index; each worker
-takes the round's convex step (``_improved_probs``) and determinizes the
-policy itself (``_SynthesisRounds``).  Draws
-go out as index chunks, one per worker, and results come back in index
-order, so no result depends on the worker count.
+A command runs its episodes on one worker set (``_WorkerSet``), the one
+holder of its episode task: ``synthesize`` and ``validate_true_system`` each
+open one of ``_pool_workers(workers)`` processes (validation no more than its
+``batch_size``; with one worker or one CPU none start and the task runs in the
+parent) and keep it until they return, so a worker's sampler keeps its prefix
+table from round to round.  Once per round a synthesis sends the set the
+histories the round appended to the policy index and the argmax column of the
+round's Q estimates, at the smallest signed integer dtype that holds an action
+index; the parent's copy of the task and every worker's take the round's
+convex step (``improve_policy``) and determinize the policy alike
+(``_SynthesisRounds``).  Draws go out as index chunks, one per worker, and
+results come back in index order, so no result depends on the worker count.
 
 Each episode task owns the ``mdp.EpisodeStream`` of its master seed, purpose
 and round (a chain task's evaluation or estimation round, validation's round
@@ -54,7 +54,7 @@ import signal
 import sys
 import traceback
 from bisect import bisect_right
-from contextlib import nullcontext, suppress
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from itertools import accumulate, islice
 from typing import Callable, Iterator, Optional, Sequence
@@ -215,17 +215,17 @@ class _ChainTask:
 
 @dataclass(frozen=True)
 class _SynthesisRounds:
-    """What a synthesis's workers hold for the whole command: the chain task
-    their draws run, and the round's stochastic policy, which the next round's
+    """A synthesis's episode task for the whole command: the chain task its
+    draws run, and the round's stochastic policy, which the next round's
     evaluation runs under.  The sampler, and so its prefix table, stays the
     same throughout.
 
-    The parent moves every worker from phase to phase with
-    ``_WorkerSet.send``: ``estimating`` takes the round's policy as the
-    histories the round appended to the index and the argmax column of the
-    round's Q estimates, from which it takes the round's convex step as the
-    parent's ``improve_policy`` does, and ``evaluating`` starts the next
-    round's evaluation.
+    The command's worker set holds it, in the parent and in every worker, and
+    ``_WorkerSet.send`` moves every copy from phase to phase: ``estimating``
+    takes the round's convex step from the histories the round appended to the
+    index and the argmax column of the round's Q estimates, and
+    ``evaluating`` starts the next round's evaluation.  The parent reads the
+    round's policy and its determinization from its own copy.
     """
 
     chain: _ChainTask
@@ -238,11 +238,7 @@ class _SynthesisRounds:
     def estimating(self, new_histories: list[HistoryKey],
                    best: np.ndarray) -> "_SynthesisRounds":
         """The round's estimation, under the determinization of its policy."""
-        index = dict(self.policy.index)
-        for history in new_histories:
-            index[history] = len(index)
-        probs = _improved_probs(self.policy.probs, best, self.greediness)
-        policy = Policy(self.policy.n_actions, index, probs=probs)
+        policy = improve_policy(self.policy, new_histories, best, self.greediness)
         return replace(self, chain=replace(self.chain, policy=determinize(policy),
                                            stream=STREAM_BIE), policy=policy)
 
@@ -340,21 +336,23 @@ def _worker_main(conn, task) -> None:
 
 
 class _WorkerSet:
-    """``size`` worker processes that each hold a task for a whole command.
+    """A command's episode task, held for the whole command as ``task`` in
+    this process and, with a ``size`` above 1, in that many worker processes.
 
     The processes start on entering, with the default start method, each with
     one pipe: a forked worker inherits the task, a spawned one unpickles it
     (a spawned sampler's prefix table starts empty).  A worker keeps its task,
     and so a sampler's prefix table, until the set is left.  ``send`` updates
-    every worker's task; ``map`` runs episodes in index chunks, one per
-    worker.  An exception in a worker reaches the caller with its type; a
+    ``task`` and every worker's copy alike; ``map`` runs episodes in index
+    chunks, one per worker, or in this process with no workers or a single
+    index.  An exception in a worker reaches the caller with its type; a
     worker that dies raises a RuntimeError that names it.  Leaving the set
     stops every worker and joins it: idle ones after a normal exit, all of
     them at once by terminating after an exception.
     """
 
     def __init__(self, task, size: int):
-        self._task = task
+        self.task = task
         self.size = size
         self._procs: list = []
         self._conns: list = []
@@ -362,11 +360,11 @@ class _WorkerSet:
     def __enter__(self) -> "_WorkerSet":
         ctx = multiprocessing.get_context()
         try:
-            for i in range(self.size):
+            for i in range(self.size if self.size > 1 else 0):
                 conn, child = ctx.Pipe()
                 self._conns.append(conn)
                 try:
-                    proc = ctx.Process(target=_worker_main, args=(child, self._task),
+                    proc = ctx.Process(target=_worker_main, args=(child, self.task),
                                        name=f"bltlsynth-worker-{i + 1}", daemon=True)
                     proc.start()
                 finally:
@@ -391,21 +389,27 @@ class _WorkerSet:
             conn.close()
 
     def send(self, update: Callable, *args) -> None:
-        """Replace every worker's task with ``update(task, *args)``.
+        """Replace ``task``, and every worker's copy of it, with
+        ``update(task, *args)``.
 
         ``update`` must pickle by name (a module-level function or method);
-        the message is pickled once for all workers.
+        the message is pickled once for all workers, which apply it while this
+        process does.
         """
-        message = pickle.dumps(("update", update, args), pickle.HIGHEST_PROTOCOL)
-        for i in range(self.size):
-            self._send(i, message)
-        for i in range(self.size):
+        if self._conns:
+            message = pickle.dumps(("update", update, args), pickle.HIGHEST_PROTOCOL)
+            for i in range(len(self._conns)):
+                self._send(i, message)
+        self.task = update(self.task, *args)
+        for i in range(len(self._conns)):
             self._reply(i)
 
     def map(self, indices: Sequence[int]) -> list:
         """The task's results over the indices, in index order: one
         contiguous chunk per worker, at most one per index."""
-        k = min(self.size, len(indices))
+        k = min(len(self._conns), len(indices))
+        if k < 2:
+            return _run_chunk(self.task, indices)
         q, r = divmod(len(indices), k)
         bounds = [0, *accumulate(q + (i < r) for i in range(k))]
         for i in range(k):
@@ -439,23 +443,18 @@ class _WorkerSet:
                             f"with exit code {proc.exitcode}")
 
 
-def _worker_set(task, workers: int):
-    """A ``_WorkerSet`` of ``_pool_workers(workers)`` processes holding the
-    task, or, with one worker or one CPU, a context that starts nothing and
-    gives None."""
-    size = _pool_workers(workers)
-    return _WorkerSet(task, size) if size > 1 else nullcontext()
+def _worker_set(task, workers: int) -> _WorkerSet:
+    """The ``_WorkerSet`` holding the task at ``_pool_workers(workers)``
+    processes; with one worker or one CPU it starts none."""
+    return _WorkerSet(task, _pool_workers(workers))
 
 
-def _map_episodes(task, indices: Sequence[int], pool: Optional[_WorkerSet]) -> list:
-    """Run task.run over episode indices, across the set's workers if any.
+def _map_episodes(pool: _WorkerSet, indices: Sequence[int]) -> list:
+    """Run the set's task over episode indices, across its workers if any.
 
-    The set's workers must hold the task (or one whose ``run`` is the
-    task's).  Results come back in index order, so the outcome is independent
-    of the worker count.
+    Results come back in index order, so the outcome is independent of the
+    worker count.
     """
-    if pool is None or len(indices) < 2:
-        return [task.run(i) for i in indices]
     return pool.map(indices)
 
 
@@ -473,17 +472,20 @@ def evaluate_policy(policy: Policy, n_episodes: int, qtable: QTable,
     folded into the table with the history weight.  New histories get rows
     after the table's, in the order the episodes first reach them.  Returns
     the new table and the number of satisfying paths.  The episodes run on
-    ``pool``, a caller's worker set that holds this evaluation, or else on a
-    worker set of ``workers`` for this call alone.
+    ``pool``, a command's worker set whose task is this evaluation under the
+    policy (``synthesize`` passes its own, with the policy that set holds), or
+    else on a worker set of ``workers`` opened for this call alone.
     """
     if n_episodes < 1:
         raise ValueError("need at least one episode")
     if not 0.0 < history_weight < 1.0:
         raise ValueError("history weight must lie in (0, 1)")
-    task = _ChainTask(sampler, policy, master_seed, STREAM_POLICY_EVAL, round_index)
-    own = _worker_set(task, workers) if pool is None else nullcontext(pool)
-    with own as pool:
-        results = _map_episodes(task, range(n_episodes), pool)
+    if pool is None:
+        task = _ChainTask(sampler, policy, master_seed, STREAM_POLICY_EVAL, round_index)
+        with _worker_set(task, workers) as own:
+            results = _map_episodes(own, range(n_episodes))
+    else:
+        results = _map_episodes(pool, range(n_episodes))
     index = dict(qtable.index)
     rows: list[int] = []
     cols: list[int] = []
@@ -501,32 +503,29 @@ def evaluate_policy(policy: Policy, n_episodes: int, qtable: QTable,
     return qtable.merged(index, sat, visits, history_weight), n_sat
 
 
-def improve_policy(policy: Policy, qtable: QTable, greediness: float) -> Policy:
-    """Shift each visited state's distribution toward its best-rated action.
+def improve_policy(policy: Policy, new_histories: Sequence[HistoryKey], best: np.ndarray,
+                   greediness: float) -> Policy:
+    """Shift each state's distribution toward its best-rated action.
 
-    New row = (1-g) * old row + g * indicator(argmax estimate); ties break to
-    the lowest action index.  The policy's rows must be the first rows of the
-    table (as ``evaluate_policy`` leaves them); the table's other rows start
-    from the uniform distribution.
+    The policy's index is extended by ``new_histories``, in order, whose rows
+    start from the uniform distribution.  ``best`` holds an action per row of
+    the extended index: the argmax column of the round's Q estimates, whose
+    ties break to the lowest action index.  New row = (1-g) * old row +
+    g * indicator(best).
     """
     if not 0.0 < greediness < 1.0:
         raise ValueError("greediness must lie in (0, 1)")
-    if any(qtable.index.get(state) != i for state, i in policy.index.items()):
-        raise ValueError("the policy's rows are not the first rows of the table")
-    probs = _improved_probs(policy.probs, qtable.estimate.argmax(axis=1), greediness)
-    return Policy(policy.n_actions, qtable.index, probs=probs)
-
-
-def _improved_probs(probs: np.ndarray, best: np.ndarray, greediness: float) -> np.ndarray:
-    """The convex step of ``improve_policy`` on the arrays: the rows of
-    ``probs``, then uniform rows up to one per entry of ``best``, each times
-    (1-g), plus g at its ``best`` column."""
-    n_actions = probs.shape[1]
-    out = np.full((len(best), n_actions), 1.0 / n_actions)
-    out[:len(probs)] = probs
-    out *= 1.0 - greediness
-    out[np.arange(len(out)), best] += greediness
-    return out
+    index = dict(policy.index)
+    for history in new_histories:
+        index[history] = len(index)
+    if len(best) != len(index):
+        raise ValueError("need one best action per row of the extended index")
+    n_actions = policy.n_actions
+    probs = np.full((len(index), n_actions), 1.0 / n_actions)
+    probs[:len(policy.probs)] = policy.probs
+    probs *= 1.0 - greediness
+    probs[np.arange(len(probs)), best] += greediness
+    return Policy(n_actions, index, probs=probs)
 
 
 def determinize(policy: Policy) -> Policy:
@@ -753,37 +752,34 @@ def synthesize(env: Environment, formula: Formula, params: VehicleParams,
     horizon = horizon_stages(formula, params.dt)
     sampler = PathSampler(env, spec, params, nm, horizon)
 
-    policy = uniform_policy(len(params.actions))
+    uniform = uniform_policy(len(params.actions))
+    # the smallest signed type that holds -n_actions holds every action
+    action_type = np.min_scalar_type(-uniform.n_actions)
     qtable = QTable()
     rounds: list[RoundRecord] = []
     prev_estimate: Optional[float] = None
     estimate: Optional[BieResult] = None
     converged = False
 
-    first = _ChainTask(sampler, policy, master_seed, STREAM_POLICY_EVAL, 1)
-    with _worker_set(_SynthesisRounds(first, policy, algorithm.greediness), workers) as pool:
+    first = _ChainTask(sampler, uniform, master_seed, STREAM_POLICY_EVAL, 1)
+    with _worker_set(_SynthesisRounds(first, uniform, algorithm.greediness), workers) as pool:
+        def draw(start: int, count: int) -> list[bool]:
+            episodes = _map_episodes(pool, range(start, start + count))
+            return [satisfied for _, satisfied in episodes]
+
         for round_index in range(1, algorithm.max_rounds + 1):
-            if pool is not None and round_index > 1:
+            if round_index > 1:
                 pool.send(_SynthesisRounds.evaluating, round_index)
+            rows = len(qtable.index)
             qtable, n_sat = evaluate_policy(
-                policy, algorithm.episodes_per_round, qtable, sampler,
+                pool.task.policy, algorithm.episodes_per_round, qtable, sampler,
                 history_weight=algorithm.history_weight, master_seed=master_seed,
                 round_index=round_index, pool=pool)
-            rows = len(policy.index)
-            policy = improve_policy(policy, qtable, algorithm.greediness)
-            det = determinize(policy)
-            if pool is not None:
-                # the smallest signed type that holds -n_actions holds every action
-                best = qtable.estimate.argmax(axis=1).astype(np.min_scalar_type(-policy.n_actions))
-                pool.send(_SynthesisRounds.estimating,
-                          list(islice(policy.index, rows, None)), best)
-
-            task = _ChainTask(sampler, det, master_seed, STREAM_BIE, round_index)
-
-            def draw(start: int, count: int) -> list[bool]:
-                episodes = _map_episodes(task, range(start, start + count), pool)
-                return [satisfied for _, satisfied in episodes]
-
+            best = qtable.estimate.argmax(axis=1).astype(action_type)
+            pool.send(_SynthesisRounds.estimating, list(islice(qtable.index, rows, None)), best)
+            # the round policy's index holds the table's rows in their order:
+            # the table shares it rather than keep a copy of its own
+            qtable = replace(qtable, index=pool.task.policy.index)
             estimate = bie_estimate(draw, algorithm.delta, algorithm.confidence,
                                     algorithm.prior_alpha, algorithm.prior_beta,
                                     batch_size=algorithm.batch_size)
@@ -794,14 +790,14 @@ def synthesize(env: Environment, formula: Formula, params: VehicleParams,
                 eval_episodes=algorithm.episodes_per_round, p_hat=estimate.p_hat,
                 n=estimate.n, successes=estimate.successes,
                 coverage=estimate.coverage, change_from_previous=change,
-                q_pairs=qtable.q_pairs, policy_states=len(det.index)))
+                q_pairs=qtable.q_pairs, policy_states=len(qtable.index)))
             if change is not None and change <= algorithm.stop_radius:
                 converged = True
                 break
             prev_estimate = estimate.p_hat
 
     assert estimate is not None
-    return SynthesisResult(policy=det, estimate=estimate, rounds=rounds,
+    return SynthesisResult(policy=pool.task.chain.policy, estimate=estimate, rounds=rounds,
                            converged=converged, horizon=horizon, qtable=qtable)
 
 
@@ -877,7 +873,7 @@ def validate_true_system(policy: Policy, env: Environment, formula: Formula,
     task = _TrueSystemTask(env, spec, params, nm, policy, horizon, master_seed)
     with _worker_set(task, min(workers, algorithm.batch_size)) as pool:
         def draw(start: int, count: int) -> list[bool]:
-            return _map_episodes(task, range(start, start + count), pool)
+            return _map_episodes(pool, range(start, start + count))
 
         return bie_estimate(draw, algorithm.delta, algorithm.confidence,
                             algorithm.prior_alpha, algorithm.prior_beta,

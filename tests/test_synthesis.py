@@ -61,6 +61,13 @@ def row_of(policy, state):
     return policy.probs[policy.index[state]]
 
 
+def improved(policy, q, greediness):
+    """``improve_policy``'s step toward the argmax column of q, whose index
+    extends the policy's, as a synthesis round takes it."""
+    return improve_policy(policy, list(q.index)[len(policy.index):],
+                          q.estimate.argmax(axis=1), greediness)
+
+
 @pytest.fixture
 def easy_setup(demo_params, zero_noise):
     """Start inside the goal region: every rollout satisfies."""
@@ -139,8 +146,7 @@ class TestSampleAction:
         # [0.7333..., 0.1333..., 0.1333...], whose running sums end at
         # 1 - 2**-53: that draw is on the last undivided sum, past which
         # bisecting would give action 3, out of range; choice's recipe gives 2
-        policy = improve_policy(uniform_policy(3), table_of({(EMPTY_HISTORY, 0): (0.5, 4)}),
-                                0.6)
+        policy = improve_policy(uniform_policy(3), [EMPTY_HISTORY], np.array([0]), 0.6)
         row = policy.probs[policy.index[EMPTY_HISTORY]]
         u = 1.0 - 2.0 ** -53
         assert np.cumsum(row)[-1] == u
@@ -209,6 +215,22 @@ class TestEvaluatePolicy:
         # every verdict is fixed at stage 1, so one pair per episode is credited
         assert q.visits.sum() == 20
 
+    def test_a_call_of_its_own_opens_a_set_of_workers(self, demo_params, demo_noise,
+                                                      two_cpus, process_starts):
+        # the benchmark's pool probe times this form at 1 and 2 workers
+        env = simple_env([("a", (0.8, -1.2, 1.6, 1.2)), ("u", (3.0, 2.0, 4.0, 3.0))])
+        spec = to_sequential(parse_formula("!u U[<=5] a"), "u")
+        sampler = PathSampler(env, spec, demo_params, demo_noise, 3)
+        (q1, n1), (q2, n2) = (evaluate_policy(uniform_policy(3), 40, QTable(), sampler,
+                                              history_weight=0.6, master_seed=31,
+                                              round_index=1, workers=w) for w in (1, 2))
+        assert len(process_starts) == 2
+        assert multiprocessing.active_children() == []
+        assert n1 == n2 and 0 < n1 < 40
+        assert list(q1.index.items()) == list(q2.index.items())
+        assert np.array_equal(q1.estimate, q2.estimate)
+        assert np.array_equal(q1.visits, q2.visits)
+
     def test_episode_count_validated(self, easy_setup):
         _, _, _, sampler = easy_setup
         with pytest.raises(ValueError):
@@ -221,7 +243,7 @@ class TestImprovePolicy:
         q = table_of({(EMPTY_HISTORY, 0): (0.1, 5),
                       (EMPTY_HISTORY, 1): (0.9, 5),
                       (EMPTY_HISTORY, 2): (0.4, 5)})
-        mu = improve_policy(uniform_policy(3), q, greediness=0.6)
+        mu = improved(uniform_policy(3), q, greediness=0.6)
         row = row_of(mu, EMPTY_HISTORY)
         assert row[1] == pytest.approx(0.4 / 3 + 0.6)
         assert row[0] == pytest.approx(0.4 / 3)
@@ -230,13 +252,13 @@ class TestImprovePolicy:
     def test_update_is_bounded_by_greediness(self):
         q = table_of({(EMPTY_HISTORY, 2): (1.0, 1)})
         g = 0.05
-        mu = improve_policy(uniform_policy(3), q, greediness=g)
+        mu = improved(uniform_policy(3), q, greediness=g)
         assert np.max(np.abs(row_of(mu, EMPTY_HISTORY) - 1 / 3)) <= g + 1e-12
 
     def test_ties_break_to_lowest_action(self):
         q = table_of({(EMPTY_HISTORY, 2): (0.7, 5),
                       (EMPTY_HISTORY, 1): (0.7, 5)})
-        mu = improve_policy(uniform_policy(3), q, greediness=0.6)
+        mu = improved(uniform_policy(3), q, greediness=0.6)
         assert np.argmax(row_of(mu, EMPTY_HISTORY)) == 1
 
     def test_repeated_improvement_converges_to_argmax(self):
@@ -244,24 +266,33 @@ class TestImprovePolicy:
                       (EMPTY_HISTORY, 1): (0.8, 5)}, n_actions=2)
         mu = uniform_policy(2)
         for _ in range(60):
-            mu = improve_policy(mu, q, greediness=0.5)
+            mu = improved(mu, q, greediness=0.5)
         assert row_of(mu, EMPTY_HISTORY)[1] == pytest.approx(1.0, abs=1e-9)
 
     def test_rows_stay_normalized_without_dummy(self, easy_setup):
         _, _, _, sampler = easy_setup
         q, _ = evaluate_policy(uniform_policy(3), 30, QTable(), sampler,
                                history_weight=0.6, master_seed=6)
-        mu = improve_policy(uniform_policy(3), q, greediness=0.6)
+        mu = improved(uniform_policy(3), q, greediness=0.6)
         assert mu.probs.shape == (len(q.index), 3)
         for row in mu.probs:
             assert row.sum() == pytest.approx(1.0, abs=1e-9)
             assert (row >= 0).all()
 
-    def test_rows_out_of_table_order_rejected(self):
-        q = table_of({(((0, 1, 1),), 0): (0.5, 2), (EMPTY_HISTORY, 1): (0.5, 2)})
+    def test_new_histories_extend_a_copy_of_the_index(self):
         mu = policy_from_rows({EMPTY_HISTORY: [0.2, 0.3, 0.5]}, 3)
-        with pytest.raises(ValueError, match="first rows of the table"):
-            improve_policy(mu, q, greediness=0.5)
+        new = [((0, 1, 1),), ((2, 1, 1),)]
+        nu = improve_policy(mu, new, np.array([2, 0, 1], dtype=np.int8), greediness=0.5)
+        assert list(nu.index.items()) == [(EMPTY_HISTORY, 0), (new[0], 1), (new[1], 2)]
+        assert nu.probs == pytest.approx(np.array([[0.1, 0.15, 0.75],
+                                                   [0.5 + 1 / 6, 1 / 6, 1 / 6],
+                                                   [1 / 6, 0.5 + 1 / 6, 1 / 6]]))
+        assert mu.index == {EMPTY_HISTORY: 0}
+
+    def test_one_best_action_per_row(self):
+        mu = policy_from_rows({EMPTY_HISTORY: [0.2, 0.3, 0.5]}, 3)
+        with pytest.raises(ValueError, match="one best action per row"):
+            improve_policy(mu, [((0, 1, 1),)], np.array([0]), greediness=0.5)
 
 
 class TestDeterminize:
@@ -301,7 +332,7 @@ class TestPairOracle:
     def assert_matches(self, q, mu, det, entries, rows):
         assert pairs_of(q) == entries
         assert q.q_pairs == len(entries)
-        assert mu.index is q.index and det.index is q.index
+        assert list(mu.index.items()) == list(q.index.items()) and det.index is mu.index
         assert set(mu.index) == set(rows)
         for state, row in rows.items():
             assert (row_of(mu, state) == row).all()
@@ -329,7 +360,7 @@ class TestPairOracle:
             kinds["blended"] += sum(key in entries for key in counts)
             kinds["carried over"] += sum(key not in counts for key in entries)
             q = merge_counts(q, counts, h, n_actions)
-            mu = improve_policy(mu, q, g)
+            mu = improved(mu, q, g)
             det = determinize(mu)
             entries = merged_pairs(entries, counts, h)
             rows = improve_rows(rows, n_actions, entries, g)
@@ -358,7 +389,7 @@ class TestPairOracle:
             q, n_sat = evaluate_policy(mu, 40, q, sampler, history_weight=0.6,
                                        master_seed=31, round_index=round_index)
             assert n_sat == sum(sat for _, sat in results)
-            mu = improve_policy(mu, q, 0.6)
+            mu = improved(mu, q, 0.6)
             entries = merged_pairs(entries, pair_counts(results), 0.6)
             rows = improve_rows(rows, 3, entries, 0.6)
             self.assert_matches(q, mu, determinize(mu), entries, rows)
@@ -671,12 +702,15 @@ class _CountedTask:
         return self.__dict__
 
 
-def _assert_round_policy(task, policy):
+def _assert_same_round(task, parent):
     """A worker-set update that leaves a synthesis worker's task as it is,
-    once its round policy, and the determinization its estimation runs
-    under, equal the parent's."""
-    assert task.policy == policy
-    assert task.chain.policy == determinize(policy)
+    once its round policy, the determinization its estimation runs under, and
+    the stream and round its draws come from equal those of the parent's
+    task."""
+    assert task.policy == parent.policy
+    assert task.chain.policy == parent.chain.policy
+    assert task.chain.stream == parent.chain.stream
+    assert task.chain.round_index == parent.chain.round_index
     return task
 
 
@@ -754,12 +788,12 @@ class TestParallelism:
         assert any(0 < r.successes < r.n for r in result.rounds)
         assert any(r.n > 4 for r in result.rounds)
 
-    def test_workers_hold_the_parents_policy_after_every_round(self, demo_params, monkeypatch,
-                                                               two_cpus):
+    def test_workers_hold_the_parents_task_after_every_update(self, demo_params, monkeypatch,
+                                                              two_cpus):
         """Each round, the workers get the argmax column of the Q estimates,
         not the ``probs`` matrix, and take the convex step themselves: after
-        every round of a pooled synthesis, each worker's policy equals the
-        parent's."""
+        every update of a pooled synthesis, each worker's task equals the
+        parent's, which the parent's own copy of the update made."""
         improved = []
         improve = synthesis.improve_policy
 
@@ -774,19 +808,26 @@ class TestParallelism:
                 super().send(update, *args)
                 if update is synthesis._SynthesisRounds.estimating:
                     best = args[1]
-                    assert best.shape == (len(improved[-1].index),)
+                    assert best.shape == (len(self.task.policy.index),)
                     assert best.dtype.kind == "i"
-                    super().send(_assert_round_policy, improved[-1])  # to every worker
-                    checked.append(len(improved))
+                    assert self.task.policy is improved[-1]
+                if update is not _assert_same_round:
+                    assert len(self._conns) == 2
+                    super().send(_assert_same_round, self.task)  # to every worker
+                    checked.append(update.__name__)
 
         monkeypatch.setattr(synthesis, "improve_policy", recorded)
         monkeypatch.setattr(synthesis, "_WorkerSet", CheckedWorkers)
         result = synthesize(simple_env(self.MIXED_ENV), parse_formula("!u U[<=5] a"),
                             demo_params, self.WIDE_NOISE, replace(self.SYNTH, batch_size=4),
                             master_seed=13, workers=2)
-        assert len(result.rounds) >= 2
-        assert checked == list(range(1, len(result.rounds) + 1))
+        rounds = len(result.rounds)
+        assert rounds >= 2
+        assert checked == ["estimating"] + ["evaluating", "estimating"] * (rounds - 1)
+        # the parent's improve_policy ran once a round, in the parent's update
+        assert len(improved) == rounds
         assert result.policy == determinize(improved[-1])
+        assert result.qtable.index is result.policy.index
 
     def test_worker_count_does_not_change_validation(self, demo_params):
         env = simple_env(self.STRAIGHT_MIXED_ENV)
@@ -844,15 +885,27 @@ class TestParallelism:
         with _worker_set(_CountedTask(), 2) as pool:
             for k in range(5):
                 pool.send(_CountedTask.shifted, k)
-                draws.append(_map_episodes(_CountedTask(k), range(4 * k, 4 * k + 4), pool))
+                draws.append(_map_episodes(pool, range(4 * k, 4 * k + 4)))
         assert draws == [[i * i + k for i in range(4 * k, 4 * k + 4)] for k in range(5)]
         assert _CountedTask.pickles <= 2
         assert multiprocessing.active_children() == []
 
+    def test_one_worker_runs_the_task_in_the_parent(self, two_cpus, process_starts):
+        _CountedTask.pickles = 0
+        task = _CountedTask()
+        with _worker_set(task, 1) as pool:
+            assert pool.task is task
+            assert pool.map(range(4)) == [i * i for i in range(4)]
+            pool.send(_CountedTask.shifted, 3)
+            assert pool.task.offset == 3
+            assert _map_episodes(pool, range(2, 5)) == [7, 12, 19]
+        assert process_starts == []
+        assert _CountedTask.pickles == 0
+
     @pytest.mark.parametrize("affinity, cpu_count, size", [
         ({0, 1, 2}, None, 3),  # sched_getaffinity decides, not cpu_count
         (None, 2, 2),          # no affinity on this platform: cpu_count
-        (None, None, 1),       # neither: one CPU, so no worker set
+        (None, None, 1),       # neither: one CPU, so a set that starts no process
     ])
     def test_pool_is_capped_at_the_usable_cpus(self, monkeypatch, affinity, cpu_count,
                                                size):
@@ -880,18 +933,17 @@ class TestParallelism:
         else:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity)
         monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
-        task = _CountedTask()
-        with _worker_set(task, 200) as pool:
-            draw = _map_episodes(task, range(10), pool)
+        with _worker_set(_CountedTask(), 200) as pool:
+            draw = _map_episodes(pool, range(10))
         assert draw == [i * i for i in range(10)]
-        assert opened == ([size] if size > 1 else [])
+        assert opened == [size]
 
     def test_chunks_follow_the_set_size(self, two_cpus):
         with _worker_set(_CountedTask(), 2) as pool:
             assert pool.size == 2
             for n in (2, 3, 7):
                 assert pool.map(range(n)) == [i * i for i in range(n)]
-            assert _map_episodes(_CountedTask(), range(5, 6), pool) == [25]
+            assert _map_episodes(pool, range(5, 6)) == [25]
 
     def test_spawned_workers_give_the_same_results(self, demo_params, monkeypatch,
                                                    two_cpus, process_starts):

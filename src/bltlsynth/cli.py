@@ -20,8 +20,7 @@ from .bltl import (Atom, FragmentError, Not, ParseError, Until,
 from .config import RunConfig, environment_from_dict, load_config
 from .dynamics import NoiseModel
 from .env import Environment
-from .mdp import (STREAM_VALIDATE, EpisodeStream, HistoryKey, history_key_string,
-                  parse_history_key)
+from .mdp import STREAM_VALIDATE, EpisodeStream, HistoryKey
 from .synthesis import (Policy, SynthesisResult, simulate_true_system, synthesize,
                         theorem_bound_holds, validate_true_system)
 from .tracegen import read_trace_csv, read_trajectory_csv, write_trajectory_csv
@@ -37,25 +36,18 @@ EXIT_BOUND_FAILED = 4
 # Artifact writers
 
 def _history_key_strings(index: dict[HistoryKey, int]) -> list[str]:
-    """``history_key_string`` of each history of a policy index, by row.
-
-    A history whose prefix comes earlier in the index extends the prefix's
-    string by one step; a synthesized policy's index holds every prefix of
-    each history, before the history.
-    """
-    texts: list[Optional[str]] = [None] * len(index)
+    """The policy-file key of each history of a policy index, by row: its
+    steps' ``a,jr,jl`` texts joined by ``;`` (the empty history's is "")."""
+    texts = [""] * len(index)
     steps: dict[tuple[int, int, int], str] = {}
     for history, row in index.items():
-        prefix = index.get(history[:-1]) if len(history) > 1 else None
-        head = None if prefix is None else texts[prefix]
-        if head is None:
-            texts[row] = history_key_string(history)
-        else:
-            step = history[-1]
-            tail = steps.get(step)
-            if tail is None:
-                tail = steps[step] = history_key_string((step,))
-            texts[row] = head + ";" + tail
+        parts = []
+        for step in history:
+            text = steps.get(step)
+            if text is None:
+                text = steps[step] = "%d,%d,%d" % step
+            parts.append(text)
+        texts[row] = ";".join(parts)
     return texts
 
 
@@ -134,9 +126,11 @@ def load_policy_file(path: Path, nm: Optional[NoiseModel] = None) -> tuple[dict,
 def _checked_history(key: str, n_actions: int,
                      tiles: Optional[tuple[int, int]]) -> HistoryKey:
     """The history a policy key names, or a ValueError that names the key."""
+    steps = key.split(";") if key else []  # the empty history's key is ""
     try:
-        history = parse_history_key(key)
-    except ValueError:
+        history = tuple((int(a), int(j_r), int(j_l))
+                        for a, j_r, j_l in (step.split(",") for step in steps))
+    except ValueError:  # a step without three fields, or a field not an integer
         raise ValueError(f"policy history {key!r} does not parse") from None
     for a, j_r, j_l in history:
         if not 0 <= a < n_actions:

@@ -111,21 +111,6 @@ class EpisodeStream:
         return self._rng
 
 
-def history_key_string(history: HistoryKey) -> str:
-    """Canonical string form of a history, used in policy files."""
-    return ";".join(f"{a},{jr},{jl}" for a, jr, jl in history)
-
-
-def parse_history_key(text: str) -> HistoryKey:
-    if not text:
-        return ()
-    out = []
-    for part in text.split(";"):
-        a, jr, jl = part.split(",")
-        out.append((int(a), int(jr), int(jl)))
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class PathSample:
     """One full-horizon rollout with its tube, trace, and verdict."""

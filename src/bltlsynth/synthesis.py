@@ -8,10 +8,11 @@ It stops when consecutive round estimates agree to within a radius.  A chain
 episode ends at the stage that fixes its verdict, so only histories whose
 action can still change a verdict get rows.
 
-Policies and Q estimates share one layout: an index from measurement history
-to row, and arrays with one row per indexed history and one column per
-action.  Each step is one array operation over all rows: smoothing the
-estimates, the convex step toward each row's argmax, and determinization.
+A policy's index from measurement history to row is the only such map: the
+round's Q estimates are one array on the rows of the round policy's index,
+and the histories an evaluation reaches first get rows after them.  Each
+step is one array operation over all rows: smoothing the estimates, the
+convex step toward each row's argmax, and determinization.
 
 The resulting deterministic policy doubles as the vehicle control strategy:
 fed the measurement history (``Policy.best_action``), it returns the next
@@ -29,8 +30,8 @@ open one of ``_pool_workers(workers)`` processes (validation no more than its
 ``batch_size``; with one worker or one CPU none start and the task runs in the
 parent) and keep it until they return, so a worker's sampler keeps its prefix
 table from round to round.  Once per round a synthesis sends the set the
-histories the round appended to the policy index and the argmax column of the
-round's Q estimates, at the smallest signed integer dtype that holds an action
+histories the round's evaluation gave rows after the policy index's and the
+argmax column of the round's Q estimates, at the smallest signed integer dtype that holds an action
 index; the parent's copy of the task and every worker's take the round's
 convex step (``improve_policy``) and determinize the policy alike
 (``_SynthesisRounds``).  Draws go out as index chunks, one per worker, and
@@ -56,7 +57,7 @@ import traceback
 from bisect import bisect_right
 from contextlib import suppress
 from dataclasses import dataclass, field, replace
-from itertools import accumulate, islice
+from itertools import accumulate
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -84,8 +85,8 @@ class Policy:
     a deterministic one holds an action index per row in ``actions``.
     Unseen histories fall back to the default rule: uniform for stochastic
     policies, action 0 for deterministic ones.  Rows never include the dummy
-    horizon action.  An index is never changed once a policy or table holds
-    it, so they may share one.
+    horizon action.  An index is never changed once a policy holds it, so
+    policies may share one.
 
     ``sample_action`` reads each row of ``probs``, and the default row, once:
     its normalised CDF is kept from the first draw on (and left out of
@@ -149,42 +150,42 @@ def uniform_policy(n_actions: int) -> Policy:
 
 @dataclass
 class QTable:
-    """Per visited history, a row of estimated satisfaction probabilities and
-    visit counts over the actions.
+    """Estimated satisfaction probability of each visited (history, action)
+    pair, as an S×A array ``estimate`` on the rows of the round policy's
+    index.
 
-    ``index`` maps a history to its row of the S×A arrays ``estimate`` and
-    ``visits``.  An unvisited pair has 0 visits and estimate -inf, so an
-    argmax over a row never picks it.
+    A pair never visited reads -inf, and so does every row past the array's
+    end, so an argmax over a row never picks an unvisited pair.  A visited
+    pair's estimate is a ratio in [0, 1] or a blend of such ratios, so it is
+    finite.
     """
 
-    index: dict[HistoryKey, int] = field(default_factory=dict)
     estimate: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
-    visits: np.ndarray = field(default_factory=lambda: np.empty((0, 0), dtype=np.int64))
 
     @property
     def q_pairs(self) -> int:
         """Number of state-action pairs visited so far."""
-        return int(np.count_nonzero(self.visits))
+        return int(np.count_nonzero(np.isfinite(self.estimate)))
 
-    def merged(self, index: dict[HistoryKey, int], sat: np.ndarray, visits: np.ndarray,
-               history_weight: float) -> "QTable":
+    def merged(self, sat: np.ndarray, visits: np.ndarray, history_weight: float) -> "QTable":
         """Fold fresh per-round counts into a new table.
 
-        ``index`` extends this table's index with the round's new histories;
-        ``sat`` and ``visits`` count satisfying and all visits per pair of its
-        rows.  Pairs seen before take the convex combination
-        h*old + (1-h)*fresh; first-time pairs take the fresh ratio; untouched
-        pairs carry over.
+        ``sat`` and ``visits`` count satisfying and all visits per pair, on
+        this table's rows followed by the round's new histories.  Pairs seen
+        before take the convex combination h*old + (1-h)*fresh; first-time
+        pairs take the fresh ratio; untouched pairs carry over.
         """
+        rows = len(self.estimate)
+        if rows > len(visits):
+            raise ValueError(f"a table of {rows} rows cannot take counts on {len(visits)} "
+                             f"rows: it was built on another index")
         h = history_weight
         old = np.full(visits.shape, -np.inf)
-        seen = np.zeros(visits.shape, dtype=np.int64)
-        if self.index:
-            old[:len(self.index)] = self.estimate
-            seen[:len(self.index)] = self.visits
+        if rows:
+            old[:rows] = self.estimate
         fresh = sat / np.maximum(visits, 1)
-        blended = np.where(seen == 0, fresh, h * old + (1.0 - h) * fresh)
-        return QTable(index, np.where(visits == 0, old, blended), seen + visits)
+        blended = np.where(np.isfinite(old), h * old + (1.0 - h) * fresh, fresh)
+        return QTable(np.where(visits == 0, old, blended))
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +223,9 @@ class _SynthesisRounds:
 
     The command's worker set holds it, in the parent and in every worker, and
     ``_WorkerSet.send`` moves every copy from phase to phase: ``estimating``
-    takes the round's convex step from the histories the round appended to the
-    index and the argmax column of the round's Q estimates, and
+    takes the round's convex step from the histories the round's evaluation
+    gave rows after the index's and the argmax column of the round's Q
+    estimates, and
     ``evaluating`` starts the next round's evaluation.  The parent reads the
     round's policy and its determinization from its own copy.
     """
@@ -464,17 +466,20 @@ def _map_episodes(pool: _WorkerSet, indices: Sequence[int]) -> list:
 def evaluate_policy(policy: Policy, n_episodes: int, qtable: QTable,
                     sampler: PathSampler, *, history_weight: float,
                     master_seed: int, round_index: int = 0, workers: int = 1,
-                    pool: Optional[_WorkerSet] = None) -> tuple[QTable, int]:
+                    pool: Optional[_WorkerSet] = None
+                    ) -> tuple[QTable, int, list[HistoryKey]]:
     """Sample paths under the policy and refresh the Q estimates.
 
     Every (state, action) pair along a path, which ends at the stage that
-    fixes its verdict, is credited with the verdict; per-pair ratios are
-    folded into the table with the history weight.  New histories get rows
-    after the table's, in the order the episodes first reach them.  Returns
-    the new table and the number of satisfying paths.  The episodes run on
-    ``pool``, a command's worker set whose task is this evaluation under the
-    policy (``synthesize`` passes its own, with the policy that set holds), or
-    else on a worker set of ``workers`` opened for this call alone.
+    fixes its verdict, is credited with the verdict at its row of
+    ``policy.index``; per-pair ratios are folded into ``qtable``, which is on
+    that index's rows, with the history weight.  A prefix with no row gets one
+    after the index's, in the order the episodes first reach them.  Returns
+    the new table, the number of satisfying paths, and those new histories.
+    The episodes run on ``pool``, a command's worker set whose task is this
+    evaluation under the policy (``synthesize`` passes its own, with the
+    policy that set holds), or else on a worker set of ``workers`` opened for
+    this call alone.
     """
     if n_episodes < 1:
         raise ValueError("need at least one episode")
@@ -486,21 +491,25 @@ def evaluate_policy(policy: Policy, n_episodes: int, qtable: QTable,
             results = _map_episodes(own, range(n_episodes))
     else:
         results = _map_episodes(pool, range(n_episodes))
-    index = dict(qtable.index)
+    index = policy.index
+    new: dict[HistoryKey, int] = {}
     rows: list[int] = []
     cols: list[int] = []
     verdicts: list[bool] = []
     for history, satisfied in results:
         for k, step in enumerate(history):
-            rows.append(index.setdefault(history[:k], len(index)))
+            row = index.get(history[:k])
+            if row is None:
+                row = new.setdefault(history[:k], len(index) + len(new))
+            rows.append(row)
             cols.append(step[0])
             verdicts.append(satisfied)
-    sat = np.zeros((len(index), policy.n_actions), dtype=np.int64)
+    sat = np.zeros((len(index) + len(new), policy.n_actions), dtype=np.int64)
     visits = np.zeros_like(sat)
     np.add.at(sat, (rows, cols), verdicts)
     np.add.at(visits, (rows, cols), 1)
     n_sat = sum(satisfied for _, satisfied in results)
-    return qtable.merged(index, sat, visits, history_weight), n_sat
+    return qtable.merged(sat, visits, history_weight), n_sat, list(new)
 
 
 def improve_policy(policy: Policy, new_histories: Sequence[HistoryKey], best: np.ndarray,
@@ -770,16 +779,12 @@ def synthesize(env: Environment, formula: Formula, params: VehicleParams,
         for round_index in range(1, algorithm.max_rounds + 1):
             if round_index > 1:
                 pool.send(_SynthesisRounds.evaluating, round_index)
-            rows = len(qtable.index)
-            qtable, n_sat = evaluate_policy(
+            qtable, n_sat, new_histories = evaluate_policy(
                 pool.task.policy, algorithm.episodes_per_round, qtable, sampler,
                 history_weight=algorithm.history_weight, master_seed=master_seed,
                 round_index=round_index, pool=pool)
             best = qtable.estimate.argmax(axis=1).astype(action_type)
-            pool.send(_SynthesisRounds.estimating, list(islice(qtable.index, rows, None)), best)
-            # the round policy's index holds the table's rows in their order:
-            # the table shares it rather than keep a copy of its own
-            qtable = replace(qtable, index=pool.task.policy.index)
+            pool.send(_SynthesisRounds.estimating, new_histories, best)
             estimate = bie_estimate(draw, algorithm.delta, algorithm.confidence,
                                     algorithm.prior_alpha, algorithm.prior_beta,
                                     batch_size=algorithm.batch_size)
@@ -790,7 +795,7 @@ def synthesize(env: Environment, formula: Formula, params: VehicleParams,
                 eval_episodes=algorithm.episodes_per_round, p_hat=estimate.p_hat,
                 n=estimate.n, successes=estimate.successes,
                 coverage=estimate.coverage, change_from_previous=change,
-                q_pairs=qtable.q_pairs, policy_states=len(qtable.index)))
+                q_pairs=qtable.q_pairs, policy_states=len(pool.task.policy.index)))
             if change is not None and change <= algorithm.stop_radius:
                 converged = True
                 break

@@ -20,7 +20,8 @@ near rectangle, which ``tracegen.stage_intervals`` must reproduce bit for
 bit, the trace walk run once on whole-trajectory interval lists, whose
 trace the walk fed stage by stage must close step by step, and an episode's generator built directly with numpy's public API
 (a Philox keyed by the stream's seed sequence, the episode index in its
-counter), which ``mdp.EpisodeStream`` must reproduce bit for bit."""
+counter), which ``mdp.EpisodeStream`` must reproduce bit for bit, and the
+policy-file key of one history, which ``cli``'s writer must reproduce."""
 
 import csv
 import math
@@ -346,6 +347,12 @@ def pair_counts(results):
             sat, visits = counts.get((history[:k], step[0]), (0, 0))
             counts[(history[:k], step[0])] = (sat + satisfied, visits + 1)
     return counts
+
+
+def history_key_string(history):
+    """The policy-file key of a history: its steps' ``a,jr,jl`` texts joined
+    by ``;``."""
+    return ";".join(f"{a},{jr},{jl}" for a, jr, jl in history)
 
 
 def improve_rows(rows, n_actions, entries, greediness):

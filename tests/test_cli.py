@@ -16,10 +16,11 @@ import bltlsynth
 from bltlsynth.bltl import horizon_stages, to_sequential
 from bltlsynth.cli import _history_key_strings, _policy_json, load_policy_file, main
 from bltlsynth.config import builtin_config_path, load_config
-from bltlsynth.mdp import PathSampler, history_key_string
+from bltlsynth.mdp import EMPTY_HISTORY, PathSampler
 from bltlsynth.synthesis import _TrueSystemTask
 
 from conftest import env_doc_dict, load_demo_config_doc
+from oracles import history_key_string
 
 # Content hashes of the bundled demo config and of ``tiny_setup`` with
 # max_rounds 50 and batch_size 1, the algorithm defaults.
@@ -806,6 +807,28 @@ class TestPolicyWriter:
                                 "converged": bool(trial % 2), "name": "ä\"x"},
                    "policy": {t: int(rng.integers(0, 3)) for t in texts}}
             assert _policy_json(doc) == self.indented(doc)
+
+    @staticmethod
+    def reloaded(actions, tmp_path):
+        """The history-to-action map of the policy file written from
+        ``actions``, a history-to-action map, as ``load_policy_file`` reads it
+        back."""
+        texts = _history_key_strings({history: row for row, history in enumerate(actions)})
+        doc = {"metadata": {"n_actions": 3, "p_hat": 0.5, "config_hash": ""},
+               "policy": dict(zip(texts, actions.values()))}
+        path = tmp_path / "policy.json"
+        path.write_text(_policy_json(doc))
+        _, policy = load_policy_file(path)
+        return {history: policy.actions[row] for history, row in policy.index.items()}
+
+    def test_history_keys_round_trip(self, tmp_path):
+        actions = {((0, 1, 2), (2, 3, 1), (1, 2, 2)): 2, ((0, 1, 2),): 0,
+                   ((2, 3, 1), (1, 2, 2)): 1}
+        assert self.reloaded(actions, tmp_path) == actions
+
+    def test_empty_history_key_round_trip(self, tmp_path):
+        assert _history_key_strings({EMPTY_HISTORY: 0}) == [""]
+        assert self.reloaded({EMPTY_HISTORY: 1}, tmp_path) == {EMPTY_HISTORY: 1}
 
 
 def test_worker_error_keeps_the_synth_exit_code(tiny_setup, tmp_path, monkeypatch, capsys):

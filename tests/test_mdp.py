@@ -6,8 +6,7 @@ import pytest
 
 from bltlsynth.bltl import parse_formula, to_sequential
 from bltlsynth.dynamics import NoiseModel, WheelNoise, measure
-from bltlsynth.mdp import (EMPTY_HISTORY, EpisodeStream, PathSampler, history_key_string,
-                           parse_history_key)
+from bltlsynth.mdp import EMPTY_HISTORY, EpisodeStream, PathSampler
 from bltlsynth.synthesis import Policy, uniform_policy
 
 from conftest import policy_from_rows, simple_env, symmetric_noise
@@ -91,16 +90,6 @@ class TestSuccessors:
         state = ((2, 3, 1),)
         for nxt, p in successors(state, 1, demo_noise, demo_params, 9):
             assert transition_prob(state, 1, nxt, demo_noise, 9) == pytest.approx(p)
-
-
-class TestHistoryKeys:
-    def test_round_trip(self):
-        history = ((0, 1, 2), (2, 3, 1), (1, 2, 2))
-        assert parse_history_key(history_key_string(history)) == history
-
-    def test_empty_history(self):
-        assert history_key_string(EMPTY_HISTORY) == ""
-        assert parse_history_key("") == EMPTY_HISTORY
 
 
 class TestEpisodeStream:

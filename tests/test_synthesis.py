@@ -1,13 +1,16 @@
+import gzip
 import multiprocessing
 import os
 import signal
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bltlsynth import synthesis
-from bltlsynth.bltl import parse_formula, to_sequential
+from bltlsynth.bltl import horizon_stages, parse_formula, to_sequential
+from bltlsynth.cli import load_policy_file
 from bltlsynth.mdp import EMPTY_HISTORY, STREAM_POLICY_EVAL, PathSampler
 from bltlsynth.synthesis import (Policy, QTable, beta_cdf, bie_estimate,
                                  coverage_upper_bound, determinize,
@@ -23,48 +26,50 @@ from oracles import (all_success_stop_count, beta_cdf_reference, bie_estimate_re
                      merged_pairs, pair_counts, replay_decision, sample_history_scalar,
                      tile_by_cumsum)
 
+PINNED_POLICY = Path(__file__).resolve().parents[1] / "bench" / "reference" / "policy.json.gz"
+
 
 def table_of(pairs, n_actions=3):
-    """QTable holding (estimate, visits) per (history, action) pair."""
-    index = {}
-    for state, _ in pairs:
-        index.setdefault(state, len(index))
-    estimate = np.full((len(index), n_actions), -np.inf)
-    visits = np.zeros((len(index), n_actions), dtype=np.int64)
-    for (state, action), (e, v) in pairs.items():
-        estimate[index[state], action] = e
-        visits[index[state], action] = v
-    return QTable(index, estimate, visits)
+    """QTable holding an estimate per (history, action) pair, and the
+    histories of its rows in row order."""
+    histories = list(dict.fromkeys(state for state, _ in pairs))
+    row = {state: i for i, state in enumerate(histories)}
+    estimate = np.full((len(histories), n_actions), -np.inf)
+    for (state, action), e in pairs.items():
+        estimate[row[state], action] = e
+    return QTable(estimate), histories
 
 
-def pairs_of(q):
-    """(estimate, visits) per visited (history, action) pair of a QTable."""
-    return {(state, a): (float(q.estimate[i, a]), int(q.visits[i, a]))
-            for state, i in q.index.items()
-            for a in range(q.visits.shape[1]) if q.visits[i, a]}
+def pairs_of(q, histories):
+    """The estimate per visited (history, action) pair of a QTable whose rows
+    hold ``histories``, in row order: the finite entries."""
+    return {(histories[i], a): float(q.estimate[i, a])
+            for i, a in zip(*np.nonzero(np.isfinite(q.estimate)))}
 
 
-def merge_counts(q, counts, history_weight, n_actions=3):
-    """Fold (satisfied, visits) per (history, action) pair into a QTable."""
-    index = dict(q.index)
-    for state, _ in counts:
-        index.setdefault(state, len(index))
-    sat = np.zeros((len(index), n_actions), dtype=np.int64)
+def merge_counts(q, histories, counts, history_weight, n_actions=3):
+    """Fold (satisfied, visits) per (history, action) pair into a QTable whose
+    rows hold ``histories``, as ``evaluate_policy`` does: a history with no
+    row gets one after them.  Returns the new table and the histories of its
+    rows."""
+    histories = list(dict.fromkeys([*histories, *(state for state, _ in counts)]))
+    row = {state: i for i, state in enumerate(histories)}
+    sat = np.zeros((len(histories), n_actions), dtype=np.int64)
     visits = np.zeros_like(sat)
     for (state, action), (s, v) in counts.items():
-        sat[index[state], action] = s
-        visits[index[state], action] = v
-    return q.merged(index, sat, visits, history_weight)
+        sat[row[state], action] = s
+        visits[row[state], action] = v
+    return q.merged(sat, visits, history_weight), histories
 
 
 def row_of(policy, state):
     return policy.probs[policy.index[state]]
 
 
-def improved(policy, q, greediness):
-    """``improve_policy``'s step toward the argmax column of q, whose index
-    extends the policy's, as a synthesis round takes it."""
-    return improve_policy(policy, list(q.index)[len(policy.index):],
+def improved(policy, q, histories, greediness):
+    """``improve_policy``'s step toward the argmax column of q, whose rows hold
+    ``histories`` and extend the policy's, as a synthesis round takes it."""
+    return improve_policy(policy, histories[len(policy.index):],
                           q.estimate.argmax(axis=1), greediness)
 
 
@@ -179,41 +184,45 @@ class TestSampleAction:
 
 class TestQTable:
     def test_fresh_pair_takes_plain_ratio(self):
-        q = merge_counts(QTable(), {(EMPTY_HISTORY, 1): (4, 10)}, history_weight=0.6)
-        estimate, visits = pairs_of(q)[(EMPTY_HISTORY, 1)]
-        assert estimate == pytest.approx(0.4)
-        assert visits == 10
+        q, histories = merge_counts(QTable(), [], {(EMPTY_HISTORY, 1): (4, 10)},
+                                    history_weight=0.6)
+        assert pairs_of(q, histories) == {(EMPTY_HISTORY, 1): pytest.approx(0.4)}
 
     def test_smoothing_blends_old_and_fresh(self):
-        q0 = table_of({(EMPTY_HISTORY, 0): (0.5, 10)})
-        q1 = merge_counts(q0, {(EMPTY_HISTORY, 0): (9, 10)}, history_weight=0.6)
-        estimate, visits = pairs_of(q1)[(EMPTY_HISTORY, 0)]
-        assert estimate == pytest.approx(0.66)
-        assert visits == 20
+        q0, histories = table_of({(EMPTY_HISTORY, 0): 0.5})
+        q1, histories = merge_counts(q0, histories, {(EMPTY_HISTORY, 0): (9, 10)},
+                                     history_weight=0.6)
+        assert pairs_of(q1, histories) == {(EMPTY_HISTORY, 0): pytest.approx(0.66)}
 
     def test_untouched_pairs_carry_over(self):
-        q0 = table_of({(EMPTY_HISTORY, 0): (0.5, 10)})
-        q1 = merge_counts(q0, {(EMPTY_HISTORY, 1): (1, 1)}, history_weight=0.6)
-        assert pairs_of(q1)[(EMPTY_HISTORY, 0)] == (0.5, 10)
+        q0, histories = table_of({(EMPTY_HISTORY, 0): 0.5})
+        q1, histories = merge_counts(q0, histories, {(EMPTY_HISTORY, 1): (1, 1)},
+                                     history_weight=0.6)
+        assert pairs_of(q1, histories)[(EMPTY_HISTORY, 0)] == 0.5
         assert q1.q_pairs == 2
 
     def test_unvisited_pairs_never_win_an_argmax(self):
-        q = merge_counts(QTable(), {(EMPTY_HISTORY, 2): (0, 4), (((1, 1, 1),), 0): (1, 2)},
-                         history_weight=0.6)
+        q, _ = merge_counts(QTable(), [], {(EMPTY_HISTORY, 2): (0, 4),
+                                           (((1, 1, 1),), 0): (1, 2)}, history_weight=0.6)
         assert q.estimate.tolist() == [[-np.inf, -np.inf, 0.0], [0.5, -np.inf, -np.inf]]
-        assert q.visits.tolist() == [[0, 0, 4], [2, 0, 0]]
         assert q.estimate.argmax(axis=1).tolist() == [2, 0]
+
+    def test_merged_rejects_a_longer_table(self):
+        q, _ = table_of({(EMPTY_HISTORY, 0): 0.5, (((1, 1, 1),), 2): 1.0})
+        counts = np.ones((1, 3), dtype=np.int64)
+        with pytest.raises(ValueError, match="2 rows cannot take counts on 1"):
+            q.merged(counts, counts, history_weight=0.6)
 
 
 class TestEvaluatePolicy:
     def test_all_satisfying_paths_give_unit_estimates(self, easy_setup):
         _, _, _, sampler = easy_setup
-        q, n_sat = evaluate_policy(uniform_policy(3), 20, QTable(), sampler,
-                                   history_weight=0.6, master_seed=5)
+        q, n_sat, new = evaluate_policy(uniform_policy(3), 20, QTable(), sampler,
+                                        history_weight=0.6, master_seed=5)
         assert n_sat == 20
-        assert (q.estimate[q.visits > 0] == 1.0).all()
-        # every verdict is fixed at stage 1, so one pair per episode is credited
-        assert q.visits.sum() == 20
+        assert (q.estimate[np.isfinite(q.estimate)] == 1.0).all()
+        # every verdict is fixed at stage 1, so only the empty history has a row
+        assert new == [EMPTY_HISTORY] and q.estimate.shape == (1, 3)
 
     def test_a_call_of_its_own_opens_a_set_of_workers(self, demo_params, demo_noise,
                                                       two_cpus, process_starts):
@@ -221,15 +230,48 @@ class TestEvaluatePolicy:
         env = simple_env([("a", (0.8, -1.2, 1.6, 1.2)), ("u", (3.0, 2.0, 4.0, 3.0))])
         spec = to_sequential(parse_formula("!u U[<=5] a"), "u")
         sampler = PathSampler(env, spec, demo_params, demo_noise, 3)
-        (q1, n1), (q2, n2) = (evaluate_policy(uniform_policy(3), 40, QTable(), sampler,
-                                              history_weight=0.6, master_seed=31,
-                                              round_index=1, workers=w) for w in (1, 2))
+        (q1, n1, new1), (q2, n2, new2) = (
+            evaluate_policy(uniform_policy(3), 40, QTable(), sampler, history_weight=0.6,
+                            master_seed=31, round_index=1, workers=w) for w in (1, 2))
         assert len(process_starts) == 2
         assert multiprocessing.active_children() == []
         assert n1 == n2 and 0 < n1 < 40
-        assert list(q1.index.items()) == list(q2.index.items())
+        assert new1 == new2
         assert np.array_equal(q1.estimate, q2.estimate)
-        assert np.array_equal(q1.visits, q2.visits)
+
+    @pytest.mark.skipif(not PINNED_POLICY.exists(), reason="pinned benchmark policy not present")
+    def test_the_pool_probes_call(self, demo_config, two_cpus, process_starts, tmp_path):
+        """The benchmark's pool probe: two episodes under the pinned policy,
+        from a fresh table, on a set of two workers."""
+        cfg = demo_config
+        path = tmp_path / "policy.json"
+        path.write_bytes(gzip.decompress(PINNED_POLICY.read_bytes()))
+        _, policy = load_policy_file(path)
+        horizon = horizon_stages(cfg.formula, cfg.params.dt)
+        sampler = PathSampler(cfg.env, to_sequential(cfg.formula, cfg.env.unsafe), cfg.params,
+                              cfg.nm, horizon)
+        pooled, serial = (evaluate_policy(policy, 2, QTable(), sampler,
+                                          history_weight=cfg.algorithm.history_weight,
+                                          master_seed=2026, round_index=1, workers=w)
+                          for w in (2, 1))
+        assert len(process_starts) == 2
+        q, n_sat, new = pooled
+        assert q.estimate.shape == (len(policy.index) + len(new), len(cfg.params.actions))
+        row = {**policy.index, **{h: len(policy.index) + i for i, h in enumerate(new)}}
+        assert len(row) == len(q.estimate)
+        episodes = []
+        for i in range(2):
+            history = sample_history_scalar(policy, cfg.nm, horizon,
+                                            episode_rng(2026, STREAM_POLICY_EVAL, 1, i))
+            verdict, stages = replay_decision(sampler, history)
+            episodes.append((history[:stages], verdict))
+        assert n_sat == sum(verdict for _, verdict in episodes)
+        visited = {(row[history[:k]], step[0])
+                   for history, _ in episodes for k, step in enumerate(history)}
+        assert set(zip(*np.nonzero(np.isfinite(q.estimate)))) == visited
+        assert q.q_pairs == len(visited)
+        assert serial[1:] == pooled[1:]
+        assert np.array_equal(serial[0].estimate, q.estimate)
 
     def test_episode_count_validated(self, easy_setup):
         _, _, _, sampler = easy_setup
@@ -240,41 +282,41 @@ class TestEvaluatePolicy:
 
 class TestImprovePolicy:
     def test_reinforces_best_action(self):
-        q = table_of({(EMPTY_HISTORY, 0): (0.1, 5),
-                      (EMPTY_HISTORY, 1): (0.9, 5),
-                      (EMPTY_HISTORY, 2): (0.4, 5)})
-        mu = improved(uniform_policy(3), q, greediness=0.6)
+        q, histories = table_of({(EMPTY_HISTORY, 0): 0.1,
+                                 (EMPTY_HISTORY, 1): 0.9,
+                                 (EMPTY_HISTORY, 2): 0.4})
+        mu = improved(uniform_policy(3), q, histories, greediness=0.6)
         row = row_of(mu, EMPTY_HISTORY)
         assert row[1] == pytest.approx(0.4 / 3 + 0.6)
         assert row[0] == pytest.approx(0.4 / 3)
         assert row.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_update_is_bounded_by_greediness(self):
-        q = table_of({(EMPTY_HISTORY, 2): (1.0, 1)})
+        q, histories = table_of({(EMPTY_HISTORY, 2): 1.0})
         g = 0.05
-        mu = improved(uniform_policy(3), q, greediness=g)
+        mu = improved(uniform_policy(3), q, histories, greediness=g)
         assert np.max(np.abs(row_of(mu, EMPTY_HISTORY) - 1 / 3)) <= g + 1e-12
 
     def test_ties_break_to_lowest_action(self):
-        q = table_of({(EMPTY_HISTORY, 2): (0.7, 5),
-                      (EMPTY_HISTORY, 1): (0.7, 5)})
-        mu = improved(uniform_policy(3), q, greediness=0.6)
+        q, histories = table_of({(EMPTY_HISTORY, 2): 0.7,
+                                 (EMPTY_HISTORY, 1): 0.7})
+        mu = improved(uniform_policy(3), q, histories, greediness=0.6)
         assert np.argmax(row_of(mu, EMPTY_HISTORY)) == 1
 
     def test_repeated_improvement_converges_to_argmax(self):
-        q = table_of({(EMPTY_HISTORY, 0): (0.2, 5),
-                      (EMPTY_HISTORY, 1): (0.8, 5)}, n_actions=2)
+        q, histories = table_of({(EMPTY_HISTORY, 0): 0.2,
+                                 (EMPTY_HISTORY, 1): 0.8}, n_actions=2)
         mu = uniform_policy(2)
         for _ in range(60):
-            mu = improved(mu, q, greediness=0.5)
+            mu = improved(mu, q, histories, greediness=0.5)
         assert row_of(mu, EMPTY_HISTORY)[1] == pytest.approx(1.0, abs=1e-9)
 
     def test_rows_stay_normalized_without_dummy(self, easy_setup):
         _, _, _, sampler = easy_setup
-        q, _ = evaluate_policy(uniform_policy(3), 30, QTable(), sampler,
-                               history_weight=0.6, master_seed=6)
-        mu = improved(uniform_policy(3), q, greediness=0.6)
-        assert mu.probs.shape == (len(q.index), 3)
+        q, _, new = evaluate_policy(uniform_policy(3), 30, QTable(), sampler,
+                                    history_weight=0.6, master_seed=6)
+        mu = improved(uniform_policy(3), q, new, greediness=0.6)
+        assert mu.probs.shape == (len(new), 3)
         for row in mu.probs:
             assert row.sum() == pytest.approx(1.0, abs=1e-9)
             assert (row >= 0).all()
@@ -330,9 +372,14 @@ class TestPairOracle:
     OUTCOMES = [(0, 1), (1, 1), (1, 2), (2, 4), (3, 4), (0, 3), (2, 3), (4, 6)]
 
     def assert_matches(self, q, mu, det, entries, rows):
-        assert pairs_of(q) == entries
-        assert q.q_pairs == len(entries)
-        assert list(mu.index.items()) == list(q.index.items()) and det.index is mu.index
+        # the table is on the policy's rows, and its finite entries are
+        # exactly the pairs visited so far
+        assert len(q.estimate) == len(mu.index) and det.index is mu.index
+        pairs = pairs_of(q, list(mu.index))
+        assert pairs == {key: estimate for key, (estimate, _) in entries.items()}
+        visited = {key for key, (_, visits) in entries.items() if visits > 0}
+        assert set(pairs) == visited
+        assert q.q_pairs == len(visited)
         assert set(mu.index) == set(rows)
         for state, row in rows.items():
             assert (row_of(mu, state) == row).all()
@@ -359,8 +406,8 @@ class TestPairOracle:
             kinds["first visit"] += sum(key not in entries for key in counts)
             kinds["blended"] += sum(key in entries for key in counts)
             kinds["carried over"] += sum(key not in counts for key in entries)
-            q = merge_counts(q, counts, h, n_actions)
-            mu = improved(mu, q, g)
+            q, histories = merge_counts(q, list(mu.index), counts, h, n_actions)
+            mu = improved(mu, q, histories, g)
             det = determinize(mu)
             entries = merged_pairs(entries, counts, h)
             rows = improve_rows(rows, n_actions, entries, g)
@@ -368,12 +415,12 @@ class TestPairOracle:
             best = q.estimate.max(axis=1, keepdims=True)
             kinds["tie"] += int(((q.estimate == best).sum(axis=1) > 1).sum())
         assert min(kinds.values()) > 0, kinds
-        unseen = [state for state in pool if state not in q.index]
+        unseen = [state for state in pool if state not in mu.index]
         assert unseen
         for state in unseen:
             assert det.best_action(state) == 0
 
-    def test_evaluate_policy_rounds(self, demo_params, demo_noise):
+    def assert_evaluate_policy_rounds(self, demo_params, demo_noise, workers):
         env = simple_env([("a", (0.8, -1.2, 1.6, 1.2)), ("u", (3.0, 2.0, 4.0, 3.0))])
         spec = to_sequential(parse_formula("!u U[<=5] a"), "u")
         sampler = PathSampler(env, spec, demo_params, demo_noise, 3)
@@ -386,14 +433,27 @@ class TestPairOracle:
                     mu, demo_noise, 3, episode_rng(31, STREAM_POLICY_EVAL, round_index, i))
                 verdict, stages = replay_decision(sampler, history)
                 results.append((history[:stages], verdict))
-            q, n_sat = evaluate_policy(mu, 40, q, sampler, history_weight=0.6,
-                                       master_seed=31, round_index=round_index)
+            q, n_sat, new = evaluate_policy(mu, 40, q, sampler, history_weight=0.6,
+                                            master_seed=31, round_index=round_index,
+                                            workers=workers)
             assert n_sat == sum(sat for _, sat in results)
-            mu = improved(mu, q, 0.6)
+            # the prefixes without a row, in the order the episodes reach them
+            assert new == list(dict.fromkeys(history[:k] for history, _ in results
+                                             for k in range(len(history))
+                                             if history[:k] not in mu.index))
+            mu = improve_policy(mu, new, q.estimate.argmax(axis=1), 0.6)
             entries = merged_pairs(entries, pair_counts(results), 0.6)
             rows = improve_rows(rows, 3, entries, 0.6)
             self.assert_matches(q, mu, determinize(mu), entries, rows)
         assert 0 < n_sat < 40
+
+    def test_evaluate_policy_rounds(self, demo_params, demo_noise):
+        self.assert_evaluate_policy_rounds(demo_params, demo_noise, workers=1)
+
+    def test_pooled_evaluate_policy_rounds(self, demo_params, demo_noise, two_cpus,
+                                           process_starts):
+        self.assert_evaluate_policy_rounds(demo_params, demo_noise, workers=2)
+        assert len(process_starts) == 2 * 3
 
 
 def bernoulli_draw(p, seed):
@@ -556,7 +616,8 @@ class TestSynthesize:
                             replace(TEST_ALGORITHM, episodes_per_round=n,
                                     max_rounds=max_rounds), master_seed=4)
         horizon = result.horizon
-        assert len(result.qtable.index) <= n * horizon * len(result.rounds)
+        assert len(result.policy.index) <= n * horizon * len(result.rounds)
+        assert len(result.qtable.estimate) == len(result.policy.index)
 
     def test_audit_records_round_sequence(self, easy_setup, demo_params, zero_noise):
         env, formula, _, _ = easy_setup
@@ -770,10 +831,8 @@ class TestParallelism:
                                master_seed=13, workers=w) for w in (1, 2))
         assert one.estimate == two.estimate
         assert one.rounds == two.rounds
-        assert list(one.qtable.index.items()) == list(two.qtable.index.items())
-        assert np.array_equal(one.qtable.estimate, two.qtable.estimate)
-        assert np.array_equal(one.qtable.visits, two.qtable.visits)
         assert list(one.policy.index.items()) == list(two.policy.index.items())
+        assert np.array_equal(one.qtable.estimate, two.qtable.estimate)
         assert one.policy.actions == two.policy.actions
         return one
 
@@ -827,7 +886,7 @@ class TestParallelism:
         # the parent's improve_policy ran once a round, in the parent's update
         assert len(improved) == rounds
         assert result.policy == determinize(improved[-1])
-        assert result.qtable.index is result.policy.index
+        assert len(result.qtable.estimate) == len(result.policy.index)
 
     def test_worker_count_does_not_change_validation(self, demo_params):
         env = simple_env(self.STRAIGHT_MIXED_ENV)

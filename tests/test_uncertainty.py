@@ -241,18 +241,6 @@ class TestBuildTube:
         assert all(d == 0.0 for d in tube.radii)
 
 
-def inner_positions(params, q0, wheel_speeds, times_per_stage):
-    """Sample an inner trajectory (one constant wheel-speed pair per stage)
-    at a grid of local times; returns stage-ordered arrays."""
-    out = []
-    pose = q0
-    for w_r, w_l in wheel_speeds:
-        xs, ys = segment_positions(params, pose, w_r, w_l, times_per_stage)
-        out.append((xs, ys))
-        pose = stage_end(params, pose, w_r, w_l, params.dt)
-    return out
-
-
 class TestContainment:
     def test_inner_trajectories_stay_inside_tube(self, demo_params, demo_noise):
         # Monte-Carlo spot check of the worst-case propagation (the full-size

@@ -7,7 +7,8 @@ dataclasses they fill (``VehicleParams``, ``WheelNoise`` per side,
 ``AlgorithmParams``): a field's annotation picks its reader, and a field with
 a dataclass default may be omitted.  Every number, the environment
 document's (``environment_from_dict``) included, is a finite JSON number;
-NaN, ±Infinity, booleans and strings are errors that name the key.  The
+NaN, ±Infinity, booleans and strings are errors that name the key, as is a
+text field (formula, label, id, proposition) that is not a JSON string.  The
 resolved form inlines the environment document so a single hash pins down
 everything that determines the results (the worker count deliberately does
 not participate: it must not change any output).
@@ -137,6 +138,13 @@ def _real(value, key: str) -> float:
     raise ValueError(f"config key {key} must be a finite number, not {value!r}")
 
 
+def _text(value, key: str) -> str:
+    """A text config value: a JSON string, where ``str`` would read 7 as "7"."""
+    if type(value) is str:
+        return value
+    raise ValueError(f"config key {key} must be a string, not {value!r}")
+
+
 def _list(value, key: str, length: Optional[int] = None) -> list:
     """A list config value (a tuple, as ``resolved_dict`` gives, passes too),
     of ``length`` entries when that is given."""
@@ -182,16 +190,19 @@ def environment_from_dict(doc: dict) -> Environment:
     """Build and validate an Environment from a parsed document.
 
     Its numbers, ``q_init``, ``bounds`` and each region's ``rect``, are read
-    as a config's reals are, under the keys ``environment.q_init[2]``,
-    ``environment.regions[0].rect[1]`` and so on.
+    as a config's reals are, and its text (``propositions``, a list, ``unsafe``
+    and each region's ``id`` and ``label``) as its strings are, under the keys
+    ``environment.q_init[2]``, ``environment.regions[0].id`` and so on.
     """
     try:
-        props = frozenset(str(p) for p in doc["propositions"])
-        unsafe = str(doc["unsafe"])
+        props = frozenset(_text(p, f"environment.propositions[{i}]") for i, p in
+                          enumerate(_list(doc["propositions"], "environment.propositions")))
+        unsafe = _text(doc["unsafe"], "environment.unsafe")
         x, y, theta = _reals(doc["q_init"], "environment.q_init", 3)
         bounds = Rect(*_reals(doc["bounds"], "environment.bounds", 4))
         regions = tuple(
-            Region(name=str(r["id"]), label=str(r["label"]),
+            Region(name=_text(r["id"], f"environment.regions[{i}].id"),
+                   label=_text(r["label"], f"environment.regions[{i}].label"),
                    rect=Rect(*_reals(r["rect"], f"environment.regions[{i}].rect", 4)))
             for i, r in enumerate(doc["regions"]))
     except (KeyError, TypeError) as exc:
@@ -210,7 +221,7 @@ def config_from_dict(doc: dict, base_dir: Optional[Path] = None) -> RunConfig:
     _reject_unknown_keys(doc, _TOP_KEYS, "")
     try:
         env_field = doc["environment"]
-        formula_text = str(doc["formula"])
+        formula_text = _text(doc["formula"], "formula")
         veh = doc["vehicle"]
         noise = doc["noise"]
         alg = doc["algorithm"]

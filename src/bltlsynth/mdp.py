@@ -13,11 +13,12 @@ come (action when the policy is stochastic, then right tile, then left tile).
 
 An episode is sampled and decided in one loop (``PathSampler.decide``): per
 stage it draws the step, builds the stage's tube as plain floats
-(``uncertainty.propagate_stage``) and feeds it, with its radius, through the
-trace walk into the mission monitor (``tracegen.feed_stage``), until a stage
-fixes the verdict.  The history ends there, as no later action can change the
-verdict; it starts the scalar draws' horizon-long history, whose whole tube,
-trace and check (``PathSampler.finish``) give the same verdict.
+(``uncertainty.propagate_stage``) and appends it, with its radius, to the
+trace walk, which pushes the steps it fixes into the mission monitor
+(``tracegen.TraceWalk``), until a stage fixes the verdict.  The history ends
+there, as no later action can change the verdict; it starts the scalar
+draws' horizon-long history, whose whole tube, trace and check
+(``PathSampler.finish``) give the same verdict.
 
 Episodes share their first stages, so a sampler builds each history
 prefix's stages once, in a prefix table (``PathSampler.prefixes``), down to
@@ -40,8 +41,7 @@ import numpy as np
 from .bltl import SequentialMonitor, SequentialSpec, TraceStep, check_sequential
 from .dynamics import MeasuredInterval, NoiseModel, VehicleParams, measure
 from .env import Environment
-from .tracegen import (TraceWalk, UncertaintyTube, feed_stage, finish_trace, trace_from_tube,
-                       tube_rules)
+from .tracegen import TraceWalk, UncertaintyTube, trace_from_tube, tube_rules
 from .uncertainty import StageTerms, TubeState, build_tube, propagate_stage, stage_terms
 
 # Stream purposes for deterministic seeding.
@@ -214,8 +214,8 @@ class PathSampler:
         no longer one is found.
         """
         table, depth, terms = self.prefixes, self.prefix_depth, self.terms
-        walk = TraceWalk(self._rules, self.env.unsafe)
         monitor = SequentialMonitor(self.spec)
+        walk = TraceWalk(self._rules, self.env.unsafe, monitor)
         state = self._origin
         history = EMPTY_HISTORY
         for k in range(1, self.horizon + 1):
@@ -229,13 +229,15 @@ class PathSampler:
                 walk.restore(walk_state)
                 continue
             state, stage = propagate_stage(state, terms[history[-1]])
-            verdict = feed_stage(walk, monitor, stage, state[3])
+            walk.append(stage, state[3])
+            verdict = monitor.verdict
             if k <= depth:
                 table[history] = (state, None if verdict is not None else walk.snapshot(),
                                   monitor.snapshot())
             if verdict is not None:
                 return history, verdict
-        return history, finish_trace(walk, monitor)
+        walk.finish()
+        return history, monitor.result()
 
 
 def prefix_table_depth(branching: int, horizon: int) -> int:

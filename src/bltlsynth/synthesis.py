@@ -18,11 +18,11 @@ The resulting deterministic policy doubles as the vehicle control strategy:
 fed the measurement history (``Policy.best_action``), it returns the next
 wheel-speed command, and the continuous closed-loop system can be simulated
 against it to validate that the real success probability is not below the
-estimate from the chain.  A validation episode simulates, traces and checks
-the closed loop one stage at a time, through the same trace walk and mission
-monitor as a chain episode (``tracegen.decide_tube``, every stage at radius
-0), and stops at the stage that fixes its verdict; ``simulate_true_system``
-is the whole-horizon form.
+estimate from the chain.  A validation episode simulates the closed loop one
+stage at a time and appends each stage, at radius 0, to a point-trace walk
+that pushes its steps into the mission monitor, as a chain episode's tube
+walk does (``tracegen.decide_tube``); it stops at the stage that fixes its
+verdict.  ``simulate_true_system`` is the whole-horizon form.
 
 A command runs its episodes on one worker set (``_WorkerSet``), the one
 holder of its episode task: ``synthesize`` and ``validate_true_system`` each
@@ -281,7 +281,7 @@ class _TrueSystemTask:
         """Verdict of episode ``index``, and the stages simulated to fix it."""
         stages = _closed_loop_stages(self.policy, self.env, self.params, self.nm,
                                      self.horizon, self.episodes.rng(index))
-        return decide_tube(TraceWalk(self.rules, self.env.unsafe), SequentialMonitor(self.spec),
+        return decide_tube(TraceWalk(self.rules, self.env.unsafe, SequentialMonitor(self.spec)),
                            ((stage, 0.0) for stage, _ in stages))
 
     def run(self, index: int) -> bool:

@@ -27,19 +27,17 @@ as solving every edge.  A ``Stage`` is one flat named tuple of floats
 ``stage_intervals`` unpacks positionally.
 
 The walk (``TraceWalk``) takes a tube or a point trajectory one stage at a
-time, each with its disc radius (``TraceWalk.append``), and places it at
-the total duration of the stages before it.  After each stage it closes
-every trace step that the stages so far fix, and reports the step after them
-when its label is fixed but its end is not.  ``feed_stage`` passes those
-steps on to the mission monitor, and ``decide_tube`` does so for a whole
-run of stages: a chain episode uses it to stop building its tube, and a
-closed-loop validation episode to stop simulating, once the verdict is
-fixed.  Fed every stage and then finished, the same walk gives the
-whole-trajectory trace of ``trace_from_tube`` and ``trace_from_trajectory``.
-A stage's intervals (``stage_intervals``) depend only on the stage, its
-radius and its start time, so the walk's state after a history prefix's
-stages is a function of the prefix, which a chain sampler tables
-(``TraceWalk.snapshot``).
+time, each with its disc radius (``TraceWalk.append``), places it at the
+total duration of the stages before it, and pushes every trace step that the
+stages so far fix, then the open one after them, into its monitor, the one
+holder of the steps.  ``decide_tube`` reads the verdict of a mission
+``SequentialMonitor`` after each stage, so a chain episode stops building its
+tube, and a closed-loop validation episode stops simulating, once it is
+fixed; a ``StepList`` keeps the whole-trajectory trace of ``trace_from_tube``
+and ``trace_from_trajectory``.  A stage's intervals (``stage_intervals``)
+depend only on the stage, its radius and its start time, so the walk's state
+after a history prefix's stages is a function of the prefix, which a chain
+sampler tables (``TraceWalk.snapshot``).
 """
 
 from __future__ import annotations
@@ -49,7 +47,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .bltl import SequentialMonitor, TraceStep
+from .bltl import TraceStep
 from .dynamics import OMEGA_STRAIGHT_EPS, TWO_PI, angle_diff, integrate_body
 from .env import Environment, Rect
 
@@ -316,7 +314,7 @@ def stage_intervals(rules: Sequence[Rule], stage: Stage, d: float,
 
 class TraceWalk:
     """The walk of the labelling rules' interval lists into a timed trace,
-    fed one stage at a time.
+    fed one stage at a time, pushing each step into its monitor.
 
     Each rule is (label, rectangles, contact), in precedence order: a rule
     whose interval starts within BREAKPOINT_TOL of a later rule's wins.  From
@@ -328,33 +326,33 @@ class TraceWalk:
 
     ``append`` takes a stage and its disc radius, places the stage at the
     walk's total duration (``total``, the one source of a stage's start
-    time), appends its rules' intervals (``stage_intervals``) and closes
-    every step that the stages so far fix.  A step is entered only once every
-    rule's intervals are known past its start + BREAKPOINT_TOL: a later stage
-    can extend an interval that ends within BREAKPOINT_TOL of the last stage
-    end, or start one there.
-    ``steps`` holds the closed steps; ``open`` the step after them when its
-    label is fixed but its end is not, with its duration so far, a lower
-    bound of the final one.  ``finish`` closes the rest; fed every stage
-    first, it gives the whole-trajectory walk.  ``snapshot`` gives the walk's
-    state as an immutable value, and ``restore`` puts it into a walk of the
-    same rules, which then goes on as the snapshotted walk would.
+    time), appends its rules' intervals (``stage_intervals``) and pushes
+    every step that the stages so far fix into ``monitor``, then the step
+    after them with ``closed=False`` when its label is fixed but its end is
+    not, at its duration so far, a lower bound of the final one.  A step is
+    entered only once every rule's intervals are known past its start +
+    BREAKPOINT_TOL: a later stage can extend an interval that ends within
+    BREAKPOINT_TOL of the last stage end, or start one there.  ``finish``
+    pushes the rest; fed every stage first, it gives the whole-trajectory
+    walk.  The monitor, a ``SequentialMonitor`` or a ``StepList``, is the one
+    holder of the steps.  ``snapshot`` gives the walk's state as an immutable
+    value, and ``restore`` puts it into a walk of the same rules, which then
+    goes on as the snapshotted walk would.
     """
 
-    def __init__(self, rules: Sequence[Rule], unsafe: str):
+    def __init__(self, rules: Sequence[Rule], unsafe: str, monitor):
         self.rules = rules
+        self.monitor = monitor
         self.lists: list[list[Interval]] = [[] for _ in rules]
         self.cutter = 0 if rules and rules[0][0] == unsafe else None
         self.nxt = [0] * len(rules)
         self.total = 0.0
         self.t = 0.0
         self.entered: Optional[tuple[float, int]] = None  # (start, rule) of the open step
-        self.steps: list[TraceStep] = []
-        self.open: Optional[TraceStep] = None
 
     def append(self, stage: Stage, d: float) -> None:
         """Append one stage at disc radius d, placed at the walk's total
-        duration, and close every step that the stages so far fix.
+        duration, and push every step that the stages so far fix.
 
         The stage's intervals are ``stage_intervals`` at that start time; one
         that starts within BREAKPOINT_TOL of the end of a rule's last
@@ -369,29 +367,26 @@ class TraceWalk:
         self.total += stage.duration
         self._walk(False)
 
-    def finish(self) -> list[TraceStep]:
-        """Close every remaining step; the whole trace."""
+    def finish(self) -> None:
+        """Close every remaining step and push it into the monitor."""
         self._walk(True)
-        return self.steps
 
     def snapshot(self) -> tuple:
         """The walk's state, as tuples that later appends do not change."""
         return (tuple(map(tuple, self.lists)), tuple(self.nxt), self.total, self.t,
-                self.entered, tuple(self.steps), self.open)
+                self.entered)
 
     def restore(self, state: tuple) -> None:
         """Take the state of a ``snapshot`` of a walk with the same rules."""
-        lists, nxt, self.total, self.t, self.entered, steps, self.open = state
+        lists, nxt, self.total, self.t, self.entered = state
         self.lists = [list(ivs) for ivs in lists]
         self.nxt = list(nxt)
-        self.steps = list(steps)
 
     def _walk(self, final: bool) -> None:
-        lists, nxt, cutter, out = self.lists, self.nxt, self.cutter, self.steps
+        lists, nxt, cutter, push = self.lists, self.nxt, self.cutter, self.monitor.push
         # Intervals ending before this time are final, and no later interval
         # starts before the stage end.
         known = self.total - BREAKPOINT_TOL
-        self.open = None
         while True:
             if self.entered is None:
                 t = self.t
@@ -412,13 +407,13 @@ class TraceWalk:
                 if best is None:
                     if final:
                         break
-                    self.open = (None, self.total - t)
+                    push(None, self.total - t, closed=False)
                     return
                 if late and not final:
                     return
                 start, i = best
-                if out or start > 0.0:
-                    out.append((None, start - t))
+                if start > 0.0:  # t > 0 once a step is closed, and start >= t
+                    push(None, start - t)
                 self.entered = best
             start, i = self.entered
             end = lists[i][nxt[i]][1]
@@ -429,74 +424,57 @@ class TraceWalk:
                 if cut <= end:
                     end, fixed = cut, True
             if not fixed:
-                self.open = (self.rules[i][0], end - start)
+                push(self.rules[i][0], end - start, closed=False)
                 return
-            out.append((self.rules[i][0], end - start))
-            self.t = end
+            push(self.rules[i][0], end - start)
+            self.t = end  # > start, so > 0
             self.entered = None
-        if self.t < self.total or not out:
-            out.append((None, self.total - self.t))
+        if self.t < self.total or self.t == 0.0:  # an empty walk gives one step
+            push(None, self.total - self.t)
 
 
-def feed_stage(walk: TraceWalk, monitor: SequentialMonitor, stage: Stage,
-               d: float) -> Optional[bool]:
-    """Append one stage at disc radius d to the walk, then push every step it
-    closes, and its open step, into the monitor; the verdict once that fixes
-    it, else None.
+class StepList(list):
+    """The steps of a whole trace, as a walk's monitor: ``push`` keeps each
+    closed step and ignores open ones."""
 
-    The monitor must hold every step the walk closed before this stage.
-    """
-    fed = len(walk.steps)
-    walk.append(stage, d)
-    steps = walk.steps
-    while fed < len(steps):
-        fed += 1
-        if monitor.push(*steps[fed - 1]) is not None:
-            return monitor.verdict
-    if walk.open is not None:
-        return monitor.push(*walk.open, closed=False)
-    return None
+    def push(self, label: Optional[str], duration: float, closed: bool = True) -> None:
+        if closed:
+            self.append((label, duration))
 
 
-def finish_trace(walk: TraceWalk, monitor: SequentialMonitor) -> bool:
-    """The verdict once the stages run out: the walk finished, and the steps
-    it closes pushed into the monitor."""
-    fed = len(walk.steps)
-    steps = walk.finish()
-    while fed < len(steps) and monitor.push(*steps[fed]) is None:
-        fed += 1
-    return monitor.result()
-
-
-def decide_tube(walk: TraceWalk, monitor: SequentialMonitor,
-                stages: Iterable[tuple[Stage, float]]) -> tuple[bool, int]:
+def decide_tube(walk: TraceWalk, stages: Iterable[tuple[Stage, float]]) -> tuple[bool, int]:
     """Mission verdict of a tube given stage by stage, and the stages it took.
 
-    Each stage comes with its disc radius.  It goes through the empty trace
-    ``walk``, and every step the walk closes, then its open step, through the
-    fresh mission ``monitor`` (``feed_stage``).  The walk has the
-    environment's ``tube_rules`` for a chain episode's tube, or its
-    ``point_rules`` for a closed-loop trajectory, whose stages all come at
-    radius 0.  No further stage is taken once the monitor fixes the verdict;
-    when the stages run out first, the verdict is that of the whole trace
-    (``finish_trace``).
+    Each stage comes with its disc radius and goes through the empty trace
+    ``walk``, which pushes its steps into its fresh ``SequentialMonitor``.
+    The walk has the environment's ``tube_rules`` for a chain episode's tube,
+    or its ``point_rules`` for a closed-loop trajectory, whose stages all
+    come at radius 0.  No further stage is taken once the monitor fixes the
+    verdict; when the stages run out first, the walk is finished and the
+    verdict is that of the whole trace (``SequentialMonitor.result``).
     """
+    monitor = walk.monitor
     k = 0
     for k, (stage, d) in enumerate(stages, 1):
-        if feed_stage(walk, monitor, stage, d) is not None:
+        walk.append(stage, d)
+        if monitor.verdict is not None:
             return monitor.verdict, k
     if k == 0:
         raise ValueError("cannot trace an empty trajectory")
-    return finish_trace(walk, monitor), k
+    walk.finish()
+    return monitor.result(), k
 
 
-def _trace(walk: TraceWalk, traj: Trajectory, radii: Sequence[float]) -> list[TraceStep]:
-    """The walk fed every stage of the trajectory, then finished."""
+def _trace(rules: Sequence[Rule], unsafe: str, traj: Trajectory,
+           radii: Sequence[float]) -> list[TraceStep]:
+    """The steps of a walk fed every stage of the trajectory, then finished."""
     if not traj.stages:
         raise ValueError("cannot trace an empty trajectory")
+    walk = TraceWalk(rules, unsafe, StepList())
     for stage, d in zip(traj.stages, radii):
         walk.append(stage, d)
-    return walk.finish()
+    walk.finish()
+    return walk.monitor
 
 
 def point_rules(env: Environment) -> list[Rule]:
@@ -514,7 +492,7 @@ def point_rules(env: Environment) -> list[Rule]:
 
 def trace_from_trajectory(traj: Trajectory, env: Environment) -> list[TraceStep]:
     """Trace of region visits for a point trajectory (see ``point_rules``)."""
-    return _trace(TraceWalk(point_rules(env), env.unsafe), traj, [0.0] * len(traj.stages))
+    return _trace(point_rules(env), env.unsafe, traj, [0.0] * len(traj.stages))
 
 
 def tube_rules(env: Environment) -> list[Rule]:
@@ -532,7 +510,7 @@ def tube_rules(env: Environment) -> list[Rule]:
 def trace_from_tube(tube: UncertaintyTube, env: Environment) -> list[TraceStep]:
     """Conservative trace of the disc-valued region around the nominal path
     (see ``tube_rules``).  The disc radius over stage k is tube.radii[k]."""
-    return _trace(TraceWalk(tube_rules(env), env.unsafe), tube.trajectory, tube.radii)
+    return _trace(tube_rules(env), env.unsafe, tube.trajectory, tube.radii)
 
 
 # ---------------------------------------------------------------------------

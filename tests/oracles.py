@@ -18,9 +18,10 @@ whose next uniform draw is a chosen value, validation from whole-horizon
 closed-loop runs, the event-time solver that solves every edge of every
 near rectangle, which ``tracegen.stage_intervals`` must reproduce bit for
 bit, the trace walk run once on whole-trajectory interval lists, whose
-trace the walk fed stage by stage must close step by step, and an episode's generator built directly with numpy's public API
-(a Philox keyed by the stream's seed sequence, the episode index in its
-counter), which ``mdp.EpisodeStream`` must reproduce bit for bit, and the
+trace the walk fed stage by stage must close step by step, a walk's monitor
+that records the steps pushed into it, and an episode's generator built
+directly with numpy's public API (a Philox keyed by the stream's seed
+sequence, the episode index in its counter), which ``mdp.EpisodeStream`` must reproduce bit for bit, and the
 policy-file key of one history, which ``cli``'s writer must reproduce."""
 
 import csv
@@ -317,8 +318,8 @@ def replay_decision(sampler, history):
     prefix table: the whole tube that ``finish`` builds, fed stage by stage
     through a fresh walk and monitor (``decide_tube``)."""
     tube = sampler.finish(history).tube
-    return decide_tube(TraceWalk(tube_rules(sampler.env), sampler.env.unsafe),
-                       SequentialMonitor(sampler.spec), zip(tube.trajectory.stages, tube.radii))
+    walk = TraceWalk(tube_rules(sampler.env), sampler.env.unsafe, SequentialMonitor(sampler.spec))
+    return decide_tube(walk, zip(tube.trajectory.stages, tube.radii))
 
 
 def merged_pairs(entries, counts, history_weight):
@@ -801,7 +802,8 @@ def one_shot_trace(rules: Sequence[Rule], unsafe: str, stages: Sequence[Stage],
     stage's ``stage_intervals`` at its start time, merged into each rule's
     list (an interval that starts within BREAKPOINT_TOL of the end of the
     list's last one extends it), with no step closed before the last stage."""
-    walk = TraceWalk(rules, unsafe)
+    pushes = PushRecord()
+    walk = TraceWalk(rules, unsafe, pushes)
     t0 = 0.0
     for stage, d in zip(stages, radii):
         for ivs, new in zip(walk.lists, stage_intervals(rules, stage, d, t0)):
@@ -812,7 +814,24 @@ def one_shot_trace(rules: Sequence[Rule], unsafe: str, stages: Sequence[Stage],
                     ivs.append((lo, hi))
         t0 += stage.duration
     walk.total = t0
-    return walk.finish()
+    walk.finish()
+    return pushes.closed
+
+
+class PushRecord:
+    """A walk's monitor that records what the walk pushes: ``closed``, the
+    closed steps in order, and ``open``, the last open step (None until one
+    comes; clear it before a stage to see that stage's alone)."""
+
+    def __init__(self):
+        self.closed: list[TraceStep] = []
+        self.open: Optional[TraceStep] = None
+
+    def push(self, label: Optional[str], duration: float, closed: bool = True) -> None:
+        if closed:
+            self.closed.append((label, duration))
+        else:
+            self.open = (label, duration)
 
 
 # ---------------------------------------------------------------------------

@@ -205,7 +205,7 @@ def test_criterion_07_conservatism(demo_cfg):
             # are built, traced and checked only until the verdict is fixed
             w = rng.uniform(lo, hi).tolist()
             stages = inner_stages(params, env.initial_pose, w)
-            verdict, _ = decide_tube(TraceWalk(rules, env.unsafe), bs.SequentialMonitor(spec),
+            verdict, _ = decide_tube(TraceWalk(rules, env.unsafe, bs.SequentialMonitor(spec)),
                                      ((st, 0.0) for st in stages))
             violations += not verdict
     assert violations == 0

@@ -160,6 +160,16 @@ class TestHorizon:
         assert nested_bound_sum(phi) == pytest.approx(10.8)
         assert horizon_stages(phi, 2.6) == 5
 
+    @pytest.mark.parametrize("bound, dt, stages", [(2.1, 0.7, 3), (1.05, 0.15, 7),
+                                                   (2.7, 0.3, 9)])
+    def test_whole_number_of_stages(self, bound, dt, stages):
+        """A bound sum of a whole number of stages takes that many, though its
+        float quotient lands just above; a microsecond more takes one more."""
+        phi = parse_formula(f"!u U[<={bound}] a")
+        assert nested_bound_sum(phi) / dt > stages
+        assert horizon_stages(phi, dt) == stages
+        assert horizon_stages(parse_formula(f"!u U[<={bound + 1e-6}] a"), dt) == stages + 1
+
     def test_atom_minimum(self):
         assert horizon_stages(parse_formula("p"), 1.0) == 1
 

@@ -210,6 +210,33 @@ class TestConfig:
             assert rc == 2
             assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("path, value, key", [
+        (("formula",), None, "formula"),
+        (("formula",), ["!u U[<=5] a"], "formula"),
+        (("environment", "unsafe"), None, "environment.unsafe"),
+        (("environment", "propositions"), "pickup", "environment.propositions"),
+        (("environment", "propositions"), ["u", "a", 7], "environment.propositions[2]"),
+        (("environment", "regions", 0, "id"), 3, "environment.regions[0].id"),
+        (("environment", "regions", 1, "label"), None, "environment.regions[1].label")])
+    def test_non_string_text_rejected_by_name(self, tmp_path, tiny_setup, capsys,
+                                              path, value, key):
+        """Text fields are JSON strings: ``str`` would read null as "None",
+        a proposition string as a set of letters and 7 as "7"."""
+        doc = json.loads(tiny_setup.read_text())
+        doc["environment"] = json.loads((tiny_setup.parent / doc["environment"]).read_text())
+        section = doc
+        for step in path[:-1]:
+            section = section[step]
+        section[path[-1]] = value
+        bad = tmp_path / "mission.json"
+        bad.write_text(json.dumps(doc))
+        message = f"config key {key} must be a"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_config(bad)
+        rc = main(["synth", "--config", str(bad), "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
     def test_negative_seed_rejected_by_name(self, tmp_path, tiny_setup, capsys):
         doc = json.loads(tiny_setup.read_text())
         doc["seed"] = -5
@@ -580,7 +607,7 @@ class TestTrajectoryExport:
 def test_benchmark_synth_configs_converge_at_every_timed_seed(tmp_path, batch_size):
     """The demo mission at the benchmark's synthesis settings (1,000 episodes
     per round, at most 10 rounds; batch 1 as in ``demo-synth``, 32 as in
-    ``parallel-synth``) converges at seeds 2026 to 2099.  A timed benchmark
+    ``parallel-synth``) converges at seeds 2026 to 2159.  A timed benchmark
     run goes on from seed 2026 for as long as its time lasts, so a faster
     change reaches later seeds, and an unconverged command (exit 3) fails the
     run.  Bytes do not depend on the worker count, so one worker runs them."""
@@ -593,7 +620,7 @@ def test_benchmark_synth_configs_converge_at_every_timed_seed(tmp_path, batch_si
     config = tmp_path / "synth.json"
     config.write_text(json.dumps(doc))
     outcomes = {}
-    for seed in range(2026, 2100):
+    for seed in range(2026, 2160):
         out = tmp_path / str(seed)
         rc = main(["synth", "--config", str(config), "--out-dir", str(out), "--seed", str(seed)])
         outcomes[seed] = (rc, json.loads((out / "summary.json").read_text())["converged"])

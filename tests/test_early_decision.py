@@ -26,31 +26,35 @@ from bltlsynth.tracegen import (TraceWalk, Trajectory, UncertaintyTube, decide_t
 from bltlsynth.uncertainty import build_tube
 
 from conftest import DT, TEST_ALGORITHM, simple_env
-from oracles import (check_generic, closed_loop_stages_reference, episode_rng, follow,
-                     one_shot_trace, random_spec, random_trace, random_trace_case,
+from oracles import (PushRecord, check_generic, closed_loop_stages_reference, episode_rng,
+                     follow, one_shot_trace, random_spec, random_trace, random_trace_case,
                      replay_decision, sample_history_scalar, spec_to_formula,
                      whole_horizon_validation)
 from test_tracegen import straight_trajectory
 
 
-def tube_walk(env):
-    return TraceWalk(tube_rules(env), env.unsafe)
+def tube_walk(env, monitor):
+    return TraceWalk(tube_rules(env), env.unsafe, monitor)
 
 
 def decide(env, text, stages, radii):
     """``decide_tube`` on the stages with the mission of the formula text."""
-    return decide_tube(tube_walk(env), SequentialMonitor(spec(text)), zip(stages, radii))
+    return decide_tube(tube_walk(env, SequentialMonitor(spec(text))), zip(stages, radii))
 
 
 def walk_by_stage(env, traj, radii):
     """(closed steps, open step) after each stage but the last, and the
-    finished trace, from one walk fed stage by stage."""
-    walk = tube_walk(env)
+    finished trace, from what one walk fed stage by stage pushes: the open
+    step is the one the stage pushed last, if any."""
+    pushes = PushRecord()
+    walk = tube_walk(env, pushes)
     seen = []
     for stage, d in zip(traj.stages, radii):
+        pushes.open = None
         walk.append(stage, d)
-        seen.append((list(walk.steps), walk.open))
-    return seen[:-1], walk.finish()
+        seen.append((list(pushes.closed), pushes.open))
+    walk.finish()
+    return seen[:-1], pushes.closed
 
 
 def assert_prefixes(env, traj, radii):
@@ -178,14 +182,17 @@ class TestWalkRule:
         add up to."""
         monkeypatch.setattr(tracegen, "stage_intervals",
                             lambda rules, stage, d, t0: stage.intervals)
-        walk = TraceWalk(self.RULES, "u")
+        staged, whole = PushRecord(), PushRecord()
+        walk = TraceWalk(self.RULES, "u", staged)
         for duration, intervals in stages:
             walk.append(SimpleNamespace(duration=duration, intervals=intervals), 0.0)
-        whole = TraceWalk(self.RULES, "u")
-        whole.total = walk.total
-        whole.lists[:] = [list(ivs) for ivs in lists]
-        assert walk.lists == whole.lists
-        return walk.finish(), whole.finish()
+        once = TraceWalk(self.RULES, "u", whole)
+        once.total = walk.total
+        once.lists[:] = [list(ivs) for ivs in lists]
+        assert walk.lists == once.lists
+        walk.finish()
+        once.finish()
+        return staged.closed, whole.closed
 
     def test_no_entry_within_tolerance_of_the_stage_end(self, monkeypatch):
         # "a" starts 0.5 ns before the stage end, where an unsafe interval
@@ -440,7 +447,7 @@ def test_closed_loop_float_stages_match_the_pose_reference(name):
             assert traj.stages == tuple(st for st, _ in ref) and history == ref[-1][1]
             stages = Trajectory(tuple(st for st, _ in ref))
             assert verdict == check_sequential(trace_from_trajectory(stages, cfg.env), s)
-            want = decide_tube(TraceWalk(rules, cfg.env.unsafe), SequentialMonitor(s),
+            want = decide_tube(TraceWalk(rules, cfg.env.unsafe, SequentialMonitor(s)),
                                ((st, 0.0) for st in stages.stages))
             assert task.decide(e) == want and want[0] == verdict
             counts.add(want[1])
@@ -501,7 +508,8 @@ def test_warm_table_decides_as_a_fresh_sampler(name):
 def test_table_fed_walk_keeps_the_extended_walks_lists(demo_config):
     """A walk restored from the sampler's table entry of a prefix equals a
     walk fed the tube's stages, as ``trace_from_tube`` feeds them, after the
-    prefix's stages: interval lists, closed and open steps included."""
+    prefix's stages: interval lists included, and so does the monitor that
+    holds its steps."""
     cfg = demo_config
     sampler = PathSampler(cfg.env, to_sequential(cfg.formula, cfg.env.unsafe), cfg.params,
                           cfg.nm, 9)
@@ -512,13 +520,16 @@ def test_table_fed_walk_keeps_the_extended_walks_lists(demo_config):
         history = sample_history_scalar(policy, cfg.nm, 9, episode_rng(7, 12, 0, e))
         sampler.decide(follow(history))
         tube = sampler.finish(history).tube
-        streamed, tabled = tube_walk(cfg.env), tube_walk(cfg.env)
+        streamed, tabled = (tube_walk(cfg.env, SequentialMonitor(sampler.spec))
+                            for _ in range(2))
         for k, (stage, d) in enumerate(zip(tube.trajectory.stages, tube.radii), 1):
             streamed.append(stage, d)
             entry = sampler.prefixes.get(history[:k])
             if entry is not None and entry[1] is not None:
                 tabled.restore(entry[1])
-                assert vars(tabled) == vars(streamed)
+                tabled.monitor.restore(entry[2])
+                assert vars(tabled) | {"monitor": None} == vars(streamed) | {"monitor": None}
+                assert tabled.monitor.snapshot() == streamed.monitor.snapshot()
                 restored += 1
     assert restored > 40
     assert any(len(key) == 3 for key in sampler.prefixes)
@@ -612,20 +623,23 @@ def test_verdicts_fixed_within_the_table_depth(name, monkeypatch):
 @pytest.mark.parametrize("name", ["demo", "short-horizon"])
 def test_verdict_left_open_at_a_tabled_horizon(name, monkeypatch):
     """A sampler whose table reaches its horizon (two stages, short of the
-    mission's) leaves verdicts open until ``finish_trace``.  Deciding a
-    history again resumes from its horizon-deep entry and hands
-    ``finish_trace`` the walk and monitor that building the history gave, as
-    a fresh sampler does; the verdict is ``finish``'s."""
+    mission's) leaves verdicts open until the walk is finished.  Deciding a
+    history again resumes from its horizon-deep entry and finishes the walk
+    and monitor that building the history gave, as a fresh sampler does; the
+    verdict is ``finish``'s."""
     cfg, whole = config_sampler(name)
     sampler = PathSampler(whole.env, whole.spec, whole.params, whole.nm, 2)
     assert sampler.prefix_depth == sampler.horizon == 2
     finished = []
 
-    def spy(walk, monitor):
-        finished.append((walk.snapshot(), monitor.snapshot()))
-        return tracegen.finish_trace(walk, monitor)
+    finish = TraceWalk.finish
 
-    monkeypatch.setattr(mdp, "finish_trace", spy)
+    def spy(walk):
+        if isinstance(walk.monitor, SequentialMonitor):  # not ``finish``'s trace
+            finished.append((walk.snapshot(), walk.monitor.snapshot()))
+        finish(walk)
+
+    monkeypatch.setattr(TraceWalk, "finish", spy)
     rng = np.random.default_rng(76)
     left_open = 0
     for p, policy in enumerate([uniform_policy(3), random_strategy(cfg.nm.right.n, rng)]):

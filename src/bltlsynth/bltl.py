@@ -125,6 +125,8 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
                 bound = float(m.group("bound"))
                 if bound < 0:
                     raise ParseError("negative bound", pos)
+                if not math.isfinite(bound):
+                    raise ParseError("bound must be finite", pos)
                 tokens.append((op, bound, pos))
             elif kind == "ident":
                 tokens.append(("atom", m.group("ident"), pos))

@@ -1,17 +1,19 @@
 """Run configuration: loading, validation, resolution, and hashing.
 
-A run config is one JSON document naming the environment file, the mission
-formula, the vehicle and noise parameters, and the algorithm parameters.  The
-vehicle, noise and algorithm sections are read field by field from the
-dataclasses they fill (``VehicleParams``, ``WheelNoise`` per side,
-``AlgorithmParams``): a field's annotation picks its reader, and a field with
-a dataclass default may be omitted.  Every number, the environment
-document's (``environment_from_dict``) included, is a finite JSON number;
-NaN, ±Infinity, booleans and strings are errors that name the key, as is a
-text field (formula, label, id, proposition) that is not a JSON string.  The
-resolved form inlines the environment document so a single hash pins down
-everything that determines the results (the worker count deliberately does
-not participate: it must not change any output).
+A run config is one JSON document naming the environment (a path or an inline
+object), the mission formula, the vehicle and noise parameters, and the
+algorithm parameters.  One reader (``_object``) reads every JSON object of
+it, the environment document and each of its regions included: it names
+every unknown key and every missing one.  The vehicle, noise and algorithm
+sections take their keys from the dataclasses they fill (``VehicleParams``,
+``WheelNoise`` per side, ``AlgorithmParams``): a field's annotation picks its
+reader, and a field with a dataclass default may be omitted.  Every number is
+a finite JSON number; NaN, ±Infinity, booleans and strings are errors that
+name the key, as is a text field (formula, label, id, proposition) that is
+not a JSON string.  The resolved form inlines the environment document as
+read (reals as floats), so a single hash pins down everything that
+determines the results (the worker count deliberately does not participate:
+it must not change any output).
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import json
 import math
 from contextlib import suppress
 from dataclasses import MISSING, asdict, dataclass, fields
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -96,26 +99,29 @@ class RunConfig:
         return hashlib.sha256(canon.encode()).hexdigest()
 
 
-# Keys a config may hold at the top level and in its noise section; the
-# vehicle, wheel and algorithm sections hold the init fields of their classes.
-_TOP_KEYS = frozenset({"environment", "formula", "vehicle", "noise", "algorithm",
-                       "seed", "workers"})
-_NOISE_KEYS = frozenset({"right", "left"})
-
-
-def _reject_unknown_keys(section: dict, known: frozenset, where: str) -> None:
-    """Raise ValueError naming every key of ``section`` not in ``known``.
-
-    ``where`` is the section's dotted prefix ("" at the top level).
-    """
-    if not isinstance(section, dict):
-        raise ValueError(f"{where.rstrip('.') or 'config'} must be a JSON object")
-    unknown = sorted(set(section) - known)
+def _object(doc, where: str, readers: dict, defaults: Optional[dict] = None) -> dict:
+    """The JSON object at dotted path ``where`` ("" at the top level), read
+    key by key: each key it holds by ``readers[key](value, where.key)``, each
+    it omits from ``defaults``.  A non-object, a key without a reader and a
+    missing key without a default are errors that name the key."""
+    name, prefix = (where, where + ".") if where else ("config", "")
+    if not isinstance(doc, dict):
+        raise ValueError(f"{name} must be a JSON object")
+    unknown = sorted(set(doc) - set(readers))
     if "detection_divisor" in unknown:
-        raise ValueError(f"config key {where}detection_divisor was removed: trace "
+        raise ValueError(f"config key {prefix}detection_divisor was removed: trace "
                          "event times are exact, with no detection grid; delete it")
     if unknown:
-        raise ValueError("unknown config keys: " + ", ".join(where + k for k in unknown))
+        raise ValueError("unknown config keys: " + ", ".join(prefix + k for k in unknown))
+    values = {}
+    for key, read in readers.items():
+        if key in doc:
+            values[key] = read(doc[key], prefix + key)
+        elif defaults is not None and key in defaults:
+            values[key] = defaults[key]
+        else:
+            raise ValueError(f"{name} is missing field '{key}'")
+    return values
 
 
 def _integer(value, key: str) -> int:
@@ -145,134 +151,108 @@ def _text(value, key: str) -> str:
     raise ValueError(f"config key {key} must be a string, not {value!r}")
 
 
-def _list(value, key: str, length: Optional[int] = None) -> list:
-    """A list config value (a tuple, as ``resolved_dict`` gives, passes too),
-    of ``length`` entries when that is given."""
-    if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
-        what = "a list" if length is None else f"a list of {length} entries"
-        raise ValueError(f"config key {key} must be {what}, not {value!r}")
-    return value
-
-
-def _reals(value, key: str, length: Optional[int] = None) -> tuple[float, ...]:
-    return tuple(_real(v, f"{key}[{i}]") for i, v in enumerate(_list(value, key, length)))
-
-
-def _pairs(value, key: str) -> tuple[tuple[float, float], ...]:
-    return tuple(_reals(v, f"{key}[{i}]", 2) for i, v in enumerate(_list(value, key)))
+def _entries(read, length: Optional[int] = None):
+    """The reader of a list (a tuple, as ``resolved_dict`` gives, passes too)
+    of ``length`` entries when that is given, each read by ``read`` under the
+    key ``key[i]``; it returns a list."""
+    def entries(value, key: str) -> list:
+        if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
+            what = "a list" if length is None else f"a list of {length} entries"
+            raise ValueError(f"config key {key} must be {what}, not {value!r}")
+        return [read(v, f"{key}[{i}]") for i, v in enumerate(value)]
+    return entries
 
 
 # The reader of a section's field, by the text of the field's annotation
-# (``config`` and ``dynamics`` postpone annotations, so ``Field.type`` is text).
-_READERS = {"int": _integer, "float": _real, "tuple[float, ...]": _reals,
-            "tuple[tuple[float, float], ...]": _pairs}
+# (``config`` and ``dynamics`` postpone annotations, so ``Field.type`` is text);
+# the dataclasses turn the lists into tuples.
+_READERS = {"int": _integer, "float": _real, "tuple[float, ...]": _entries(_real),
+            "tuple[tuple[float, float], ...]": _entries(_entries(_real, 2))}
 
 
-def _section(cls, doc: dict, where: str):
-    """A ``cls`` built from the config section at dotted path ``where``.
-
-    Keys that are not init fields of ``cls`` are rejected; each field is read
-    by its annotation's reader under the key ``where.<field>``, and one with a
-    default may be omitted.
-    """
+def _section(cls, doc, where: str):
+    """A ``cls`` built from the config section at dotted path ``where``: its
+    init fields, each read by its annotation's reader, are its keys, and one
+    with a default may be omitted."""
     init = [f for f in fields(cls) if f.init]
-    _reject_unknown_keys(doc, frozenset(f.name for f in init), where + ".")
-    values = {}
-    for f in init:
-        if f.name in doc:
-            values[f.name] = _READERS[f.type](doc[f.name], f"{where}.{f.name}")
-        elif f.default is MISSING:
-            raise ValueError(f"{where} is missing field '{f.name}'")
-    return cls(**values)
+    return cls(**_object(doc, where, {f.name: _READERS[f.type] for f in init},
+                         {f.name: f.default for f in init if f.default is not MISSING}))
+
+
+def _noise(doc, where: str) -> NoiseModel:
+    return NoiseModel(**_object(doc, where, dict.fromkeys(("right", "left"),
+                                                          partial(_section, WheelNoise))))
+
+
+# The readers of an environment document and of each of its regions.
+_REGION_READERS = {"id": _text, "label": _text, "rect": _entries(_real, 4)}
+_ENVIRONMENT_READERS = {
+    "propositions": _entries(_text), "unsafe": _text, "q_init": _entries(_real, 3),
+    "bounds": _entries(_real, 4),
+    "regions": _entries(partial(_object, readers=_REGION_READERS))}
+
+
+def _environment(doc: dict) -> Environment:
+    """The Environment of an environment document as ``_object`` read it."""
+    return Environment(
+        regions=tuple(Region(name=r["id"], label=r["label"], rect=Rect(*r["rect"]))
+                      for r in doc["regions"]),
+        propositions=frozenset(doc["propositions"]), unsafe=doc["unsafe"],
+        initial_pose=Pose(*doc["q_init"]), bounds=Rect(*doc["bounds"]))
 
 
 def environment_from_dict(doc: dict) -> Environment:
-    """Build and validate an Environment from a parsed document.
-
-    Its numbers, ``q_init``, ``bounds`` and each region's ``rect``, are read
-    as a config's reals are, and its text (``propositions``, a list, ``unsafe``
-    and each region's ``id`` and ``label``) as its strings are, under the keys
-    ``environment.q_init[2]``, ``environment.regions[0].id`` and so on.
-    """
-    try:
-        props = frozenset(_text(p, f"environment.propositions[{i}]") for i, p in
-                          enumerate(_list(doc["propositions"], "environment.propositions")))
-        unsafe = _text(doc["unsafe"], "environment.unsafe")
-        x, y, theta = _reals(doc["q_init"], "environment.q_init", 3)
-        bounds = Rect(*_reals(doc["bounds"], "environment.bounds", 4))
-        regions = tuple(
-            Region(name=_text(r["id"], f"environment.regions[{i}].id"),
-                   label=_text(r["label"], f"environment.regions[{i}].label"),
-                   rect=Rect(*_reals(r["rect"], f"environment.regions[{i}].rect", 4)))
-            for i, r in enumerate(doc["regions"]))
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed environment document: {exc}") from exc
-    return Environment(regions=regions, propositions=props, unsafe=unsafe,
-                       initial_pose=Pose(x, y, theta), bounds=bounds)
+    """Build and validate an Environment from a parsed document, read under
+    the keys ``environment.q_init[2]``, ``environment.regions[0].id`` and so
+    on."""
+    return _environment(_object(doc, "environment", _ENVIRONMENT_READERS))
 
 
 def config_from_dict(doc: dict, base_dir: Optional[Path] = None) -> RunConfig:
     """Build a RunConfig from a parsed document.
 
     ``environment`` may be a path (resolved against base_dir) or an inline
-    object.  Unknown keys in the document and in its vehicle, noise and
-    algorithm sections are rejected.
+    object.  Unknown keys are rejected in every object of the document.
     """
-    _reject_unknown_keys(doc, _TOP_KEYS, "")
-    try:
-        env_field = doc["environment"]
-        formula_text = _text(doc["formula"], "formula")
-        veh = doc["vehicle"]
-        noise = doc["noise"]
-        alg = doc["algorithm"]
-        seed = _integer(doc["seed"], "seed")
-    except KeyError as exc:
-        raise ValueError(f"config is missing field {exc}") from exc
-    if seed < 0:
+    def environment(value, key: str) -> dict:
+        if type(value) is str:
+            path = Path(value)
+            if base_dir is not None and not path.is_absolute():
+                path = base_dir / path
+            value = json.loads(path.read_text())
+        elif not isinstance(value, dict):
+            raise ValueError(f"config key {key} must be a path or a JSON object, "
+                             f"not {value!r}")
+        return _object(value, key, _ENVIRONMENT_READERS)
+
+    top = _object(doc, "", {
+        "environment": environment, "formula": _text,
+        "vehicle": partial(_section, VehicleParams), "noise": _noise,
+        "algorithm": partial(_section, AlgorithmParams), "seed": _integer,
+        "workers": _integer}, {"workers": 1})
+    if top["seed"] < 0:
         raise ValueError("seed must be non-negative")
-    workers = _integer(doc.get("workers", 1), "workers")
-    if workers < 1:
+    if top["workers"] < 1:
         raise ValueError("workers must be at least 1")
-
-    if isinstance(env_field, dict):
-        env_doc = env_field
-    else:
-        path = Path(env_field)
-        if base_dir is not None and not path.is_absolute():
-            path = base_dir / path
-        env_doc = json.loads(path.read_text())
-    env = environment_from_dict(env_doc)
-
-    params = _section(VehicleParams, veh, "vehicle")
-    _reject_unknown_keys(noise, _NOISE_KEYS, "noise.")
-    try:
-        right, left = noise["right"], noise["left"]
-    except KeyError as exc:
-        raise ValueError(f"noise is missing side {exc}") from exc
-    nm = NoiseModel(right=_section(WheelNoise, right, "noise.right"),
-                    left=_section(WheelNoise, left, "noise.left"))
-    algorithm = _section(AlgorithmParams, alg, "algorithm")
-
-    formula = parse_formula(formula_text)
+    env = _environment(top["environment"])
+    formula = parse_formula(top["formula"])
     unknown = atoms_of(formula) - env.propositions
     if unknown:
         raise ValueError(f"formula uses propositions not in the environment: "
                          f"{sorted(unknown)}")
-    return RunConfig(env=env, env_doc=env_doc, formula=formula,
-                     formula_text=formula_text, params=params, nm=nm,
-                     algorithm=algorithm, seed=seed, workers=workers)
+    return RunConfig(env=env, env_doc=top["environment"], formula=formula,
+                     formula_text=top["formula"], params=top["vehicle"], nm=top["noise"],
+                     algorithm=top["algorithm"], seed=top["seed"], workers=top["workers"])
 
 
 def load_config(path: Path, seed_override: Optional[int] = None,
                 workers_override: Optional[int] = None) -> RunConfig:
-    """Load a run config file, optionally overriding seed or worker count."""
+    """Load a run config file, optionally overriding seed or worker count
+    (in an object: ``config_from_dict`` rejects any other document)."""
     doc = json.loads(Path(path).read_text())
-    if not isinstance(doc, dict):
-        raise ValueError("config must be a JSON object")
-    if seed_override is not None:
-        doc["seed"] = seed_override
-    if workers_override is not None:
-        doc["workers"] = workers_override
+    for key, value in (("seed", seed_override), ("workers", workers_override)):
+        if value is not None and isinstance(doc, dict):
+            doc[key] = value
     return config_from_dict(doc, base_dir=Path(path).resolve().parent)
 
 

@@ -21,8 +21,10 @@ bit, the trace walk run once on whole-trajectory interval lists, whose
 trace the walk fed stage by stage must close step by step, a walk's monitor
 that records the steps pushed into it, and an episode's generator built
 directly with numpy's public API (a Philox keyed by the stream's seed
-sequence, the episode index in its counter), which ``mdp.EpisodeStream`` must reproduce bit for bit, and the
-policy-file key of one history, which ``cli``'s writer must reproduce."""
+sequence, the episode index in its counter), which ``mdp.EpisodeStream`` must reproduce bit for bit, the
+policy-file key of one history, which ``cli``'s writer must reproduce, and
+the exact chain value of a deterministic policy, by a search of its history
+tree."""
 
 import csv
 import math
@@ -42,6 +44,7 @@ from bltlsynth.synthesis import bie_estimate, simulate_true_system
 from bltlsynth.tracegen import (_BOX_PAD, _TANGENT_SLACK, BREAKPOINT_TOL, Interval, Rule, Stage,
                                 StageIntervals, TraceWalk, Trajectory, _inside, _touches,
                                 decide_tube, stage_intervals, tube_rules)
+from bltlsynth.uncertainty import propagate_stage
 
 
 def episode_rng(master_seed: int, purpose: int, round_index: int,
@@ -320,6 +323,45 @@ def replay_decision(sampler, history):
     tube = sampler.finish(history).tube
     walk = TraceWalk(tube_rules(sampler.env), sampler.env.unsafe, SequentialMonitor(sampler.spec))
     return decide_tube(walk, zip(tube.trajectory.stages, tube.radii))
+
+
+def exact_chain_value(sampler, policy):
+    """The exact probability that the chain under a deterministic ``policy``
+    satisfies the mission, and the number of history-tree nodes it takes:
+    P(h) = sum of p(j_r)·p(j_l)·P(h + (a, j_r, j_l)) over the tile pairs of
+    the policy's action a at h, with a leaf wherever the monitor's verdict is
+    fixed and, at the horizon, the verdict of the finished walk.  The depth-
+    first search carries the tube state, the walk and the monitor down the
+    tree, so each node costs one stage (``propagate_stage`` and
+    ``walk.append``) from its parent's snapshots."""
+    assert policy.deterministic
+    probs_r, probs_l = sampler.nm.right.probs, sampler.nm.left.probs
+    monitor = SequentialMonitor(sampler.spec)
+    walk = TraceWalk(tube_rules(sampler.env), sampler.env.unsafe, monitor)
+    nodes = 0
+
+    def value(history, state, walk_state, monitor_state):
+        nonlocal nodes
+        action = policy.best_action(history)
+        total = 0.0
+        for j_r, p_r in enumerate(probs_r, 1):
+            for j_l, p_l in enumerate(probs_l, 1):
+                nodes += 1
+                step = (action, j_r, j_l)
+                walk.restore(walk_state)
+                monitor.restore(monitor_state)
+                child, stage = propagate_stage(state, sampler.terms[step])
+                walk.append(stage, child[3])
+                if monitor.verdict is None and len(history) + 1 < sampler.horizon:
+                    total += p_r * p_l * value(history + (step,), child, walk.snapshot(),
+                                               monitor.snapshot())
+                    continue
+                if monitor.verdict is None:
+                    walk.finish()
+                total += p_r * p_l * monitor.result()
+        return total
+
+    return value(EMPTY_HISTORY, sampler._origin, walk.snapshot(), monitor.snapshot()), nodes
 
 
 def merged_pairs(entries, counts, history_weight):

@@ -29,6 +29,13 @@ class TestParseFormula:
         with pytest.raises(ParseError, match="negative bound"):
             parse_formula("p U[<=-1] q")
 
+    @pytest.mark.parametrize("bound", ["1e400", "2.5e308"])
+    def test_non_finite_bound_rejected(self, bound):
+        """A bound past the float range reads as infinity, which no horizon
+        of whole stages covers."""
+        with pytest.raises(ParseError, match=r"bound must be finite \(at position 2\)"):
+            parse_formula(f"p U[<={bound}] q")
+
     def test_until_binds_tighter_than_and(self):
         phi = parse_formula("a & !u U[<=5] b")
         assert phi == And(Atom("a"), Until(Not(Atom("u")), Atom("b"), 5.0))

@@ -120,17 +120,46 @@ class TestConfig:
 
     @pytest.mark.parametrize("path", [("seeds",), ("algorithm", "max_round"),
                                       ("vehicle", "wheelbase"), ("noise", "middle"),
-                                      ("noise", "left", "sigma")])
-    def test_unknown_key_rejected_by_name(self, tmp_path, tiny_setup, path):
+                                      ("noise", "left", "sigma"), ("environment", "extra"),
+                                      ("environment", "regions", 0, "colour")])
+    def test_unknown_key_rejected_by_name(self, tmp_path, tiny_setup, capsys, path):
         doc = json.loads(tiny_setup.read_text())
+        doc["environment"] = json.loads((tiny_setup.parent / doc["environment"]).read_text())
         section = doc
         for key in path[:-1]:
             section = section[key]
         section[path[-1]] = 3
         bad = tmp_path / "mission.json"
         bad.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="unknown config keys: " + ".".join(path)):
+        message = "unknown config keys: " + re.sub(r"\.(\d+)", r"[\1]", ".".join(map(str, path)))
+        with pytest.raises(ValueError, match=re.escape(message)):
             load_config(bad)
+        assert main(["synth", "--config", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("environment",), 5, "config key environment must be a path or a JSON object, not 5"),
+        (("environment",), [1],
+         "config key environment must be a path or a JSON object, not [1]"),
+        (("environment", "regions"), {},
+         "config key environment.regions must be a list, not {}")])
+    def test_environment_of_another_type_rejected_by_name(self, tmp_path, tiny_setup, capsys,
+                                                          path, value, message):
+        """An environment that is not a path or an object, or regions that
+        are not a list, is an error naming the key, not a TypeError from
+        ``Path`` or an environment without regions."""
+        doc = json.loads(tiny_setup.read_text())
+        doc["environment"] = json.loads((tiny_setup.parent / doc["environment"]).read_text())
+        section = doc
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = value
+        bad = tmp_path / "mission.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_config(bad)
+        assert main(["synth", "--config", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
 
     def test_section_must_be_an_object(self, tmp_path, tiny_setup):
         doc = json.loads(tiny_setup.read_text())
@@ -154,7 +183,7 @@ class TestConfig:
         del doc["noise"][side]
         bad = tmp_path / "mission.json"
         bad.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match=f"noise is missing side '{side}'"):
+        with pytest.raises(ValueError, match=f"noise is missing field '{side}'"):
             load_config(bad)
 
     @pytest.mark.parametrize("path, value", [
@@ -237,6 +266,23 @@ class TestConfig:
         assert rc == 2
         assert message in capsys.readouterr().err
 
+    def test_non_finite_formula_bound_rejected(self, tmp_path, tiny_setup, capsys):
+        """``synth`` on a config formula and ``check`` on a command-line one
+        reject a bound that reads as infinity, which would end in an
+        ``OverflowError`` where the horizon is counted in stages."""
+        doc = json.loads(tiny_setup.read_text())
+        doc["formula"] = "!u U[<=1e400] a"
+        bad = tmp_path / "mission.json"
+        bad.write_text(json.dumps(doc))
+        trace = tmp_path / "trace.csv"
+        trace.write_text("label,duration\n,1.0\na,1.0\n")
+        for argv in (["synth", "--config", str(bad), "--out-dir", str(tmp_path / "o")],
+                     ["check", "--trace", str(trace), "--formula", doc["formula"]]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert "bound must be finite (at position 3)" in captured.err
+            assert captured.out == ""
+
     def test_negative_seed_rejected_by_name(self, tmp_path, tiny_setup, capsys):
         doc = json.loads(tiny_setup.read_text())
         doc["seed"] = -5
@@ -265,11 +311,17 @@ class TestConfig:
 
     def test_integral_ints_for_reals_keep_the_hash(self, tmp_path, tiny_setup):
         doc = json.loads(tiny_setup.read_text())
+        doc["environment"] = env = json.loads(
+            (tiny_setup.parent / doc["environment"]).read_text())
         doc["algorithm"].update(prior_alpha=1, prior_beta=1)
         doc["noise"]["right"]["probs"] = [0, 1, 0]
+        env.update(q_init=[0, 0, 0], bounds=[-5, -5, 5, 5])
+        env["regions"][1]["rect"] = [3, 2, 4, 3]
         ints = tmp_path / "ints.json"
         ints.write_text(json.dumps(doc))
         doc["noise"]["right"]["probs"] = [0.0, 1.0, 0.0]
+        env.update(q_init=[0.0, 0.0, 0.0], bounds=[-5.0, -5.0, 5.0, 5.0])
+        env["regions"][1]["rect"] = [3.0, 2.0, 4.0, 3.0]
         floats = tmp_path / "floats.json"
         floats.write_text(json.dumps(doc))
         cfg = load_config(ints)

@@ -3,9 +3,12 @@ online mission monitor, ``PathSampler.decide`` and its prefix table, and the
 closed-loop validation task, each checked against its whole-horizon form (a
 walk finished once on whole-trajectory interval lists, ``sequential_witness``
 and ``check_generic``, ``PathSampler.finish``, ``simulate_true_system``) or
-its table-free form (a fresh sampler, ``decide_tube``)."""
+its table-free form (a fresh sampler, ``decide_tube``), and the exact chain
+value of a deterministic policy, which decides each history-tree node from
+its parent's stage state, against the unpruned sum of ``finish`` verdicts."""
 
 import json
+import math
 import pickle
 from dataclasses import replace
 from types import SimpleNamespace
@@ -20,14 +23,15 @@ from bltlsynth import mdp, tracegen
 from bltlsynth.dynamics import measure
 from bltlsynth.mdp import PREFIX_TABLE_NODES, STREAM_VALIDATE, PathSampler, prefix_table_depth
 from bltlsynth.synthesis import (Policy, _closed_loop_stages, _TrueSystemTask,
-                                 simulate_true_system, uniform_policy, validate_true_system)
+                                 simulate_true_system, synthesize, uniform_policy,
+                                 validate_true_system)
 from bltlsynth.tracegen import (TraceWalk, Trajectory, UncertaintyTube, decide_tube,
                                 point_rules, trace_from_trajectory, trace_from_tube, tube_rules)
 from bltlsynth.uncertainty import build_tube
 
-from conftest import DT, TEST_ALGORITHM, simple_env
+from conftest import DT, ENCODER_DELTA, TEST_ALGORITHM, simple_env, symmetric_noise
 from oracles import (PushRecord, check_generic, closed_loop_stages_reference, episode_rng,
-                     follow, one_shot_trace, random_spec, random_trace, random_trace_case,
+                     exact_chain_value, follow, one_shot_trace, random_spec, random_trace, random_trace_case,
                      replay_decision, sample_history_scalar, spec_to_formula,
                      whole_horizon_validation)
 from test_tracegen import straight_trajectory
@@ -689,3 +693,61 @@ def test_one_pass_history_is_the_scalar_history_cut_at_its_verdict(name, monkeyp
     assert min(stages_seen) < warm.horizon and len(stages_seen) > 1
     if name == "demo":
         assert verdicts == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# Exact chain values: the pruned tree search that carries each node's tube
+# state, walk and monitor, against the unpruned sum over horizon-long histories
+
+def alternating_policy(n_tiles, horizon):
+    """Action 1 at even depths and action 0 at odd ones, with a row for each
+    history it reaches below the horizon; and its horizon-long histories."""
+    index, actions, level = {}, [], [()]
+    for depth in range(horizon):
+        action = 1 - depth % 2
+        for h in level:
+            index[h] = len(actions)
+            actions.append(action)
+        level = [h + ((action, j_r, j_l),) for h in level
+                 for j_r in range(1, n_tiles + 1) for j_l in range(1, n_tiles + 1)]
+    return Policy(3, index, actions=actions), level
+
+
+@pytest.mark.parametrize("scale, value, nodes", [(1, 0.8984375, 198), (2, 0.109375, 702)])
+def test_exact_chain_value_is_the_unpruned_sum(demo_params, scale, value, nodes):
+    """A four-stage reach-and-dwell mission on the demo vehicle, at a noise
+    wide enough that verdicts differ, and at twice that noise: the value is
+    the sum, over every horizon-long history, of its probability times
+    ``finish``'s verdict, and the search stops at the node fixing each one."""
+    env = simple_env([("a", (0.9, -0.35, 1.4, 0.35)), ("u", (5.0, 5.0, 6.0, 6.0))],
+                     props=("u", "a"))
+    formula = parse_formula("!u U[<=7.8] G[<=0.5] a")
+    nm = symmetric_noise(-15 * scale * ENCODER_DELTA, 10 * scale * ENCODER_DELTA, 3,
+                         (0.25, 0.5, 0.25))
+    horizon = horizon_stages(formula, demo_params.dt)
+    assert horizon == 4
+    sampler = PathSampler(env, to_sequential(formula, env.unsafe), demo_params, nm, horizon)
+    policy, histories = alternating_policy(nm.right.n, horizon)
+    probs = nm.right.probs
+    unpruned = sum(math.prod(probs[j_r - 1] * probs[j_l - 1] for _, j_r, j_l in h)
+                   * sampler.finish(h).satisfied for h in histories)
+    assert exact_chain_value(sampler, policy) == (unpruned, nodes)
+    assert unpruned == value
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed, value, nodes", [(2026, 0.7861099243164062, 432_927),
+                                                (99, 0.7914371490478516, 427_284)])
+def test_exact_value_of_the_reduced_demos_policy(seed, value, nodes):
+    """The policy that synthesis ships on the reduced demo (1,000 episodes
+    per round) has the pinned exact chain value, and the shipped interval
+    covers it."""
+    doc = demo_doc()
+    doc["algorithm"].update(episodes_per_round=1000, max_rounds=10)
+    cfg = config_from_dict(doc)
+    result = synthesize(cfg.env, cfg.formula, cfg.params, cfg.nm, cfg.algorithm,
+                        master_seed=seed)
+    sampler = PathSampler(cfg.env, to_sequential(cfg.formula, cfg.env.unsafe), cfg.params,
+                          cfg.nm, result.horizon)
+    assert exact_chain_value(sampler, result.policy) == (value, nodes)
+    assert result.estimate.lo <= value <= result.estimate.hi

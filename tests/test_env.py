@@ -58,7 +58,7 @@ class TestLoadEnvironment:
         assert len(env.regions) == 1
 
     def test_missing_field(self):
-        with pytest.raises(ValueError, match="malformed"):
+        with pytest.raises(ValueError, match="environment is missing field 'unsafe'"):
             environment_from_dict({"propositions": ["u"]})
 
     def test_unsafe_not_in_propositions(self):

@@ -21,8 +21,9 @@ draws' horizon-long history, whose whole tube, trace and check
 (``PathSampler.finish``) give the same verdict.
 
 Episodes share their first stages, so a sampler builds each history
-prefix's stages once, in a prefix table (``PathSampler.prefixes``), down to
-the deepest level whose full history tree has at most PREFIX_TABLE_NODES nodes
+prefix's stages once, in a prefix table (``PathSampler.prefixes``) of the
+tube state and the walk's snapshot, its monitor's included, after them, down
+to the deepest level whose full history tree has at most PREFIX_TABLE_NODES nodes
 (depth 3 on the demo): the tree bounds its size, not the number of episodes.
 
 An episode's uniforms come from its stream, ``EpisodeStream(master seed,
@@ -132,9 +133,9 @@ class PathSampler:
 
     ``prefixes`` maps each history prefix up to ``prefix_depth`` stages long
     that ``decide`` has built to its stage-end ``TubeState`` and the
-    ``TraceWalk`` and ``SequentialMonitor`` snapshots after its stages (the
-    walk's is None when the monitor's holds a verdict).  All are functions of
-    the prefix alone (a stage starts at the sum of the durations before it,
+    ``TraceWalk`` snapshot after its stages, which holds its monitor's (and
+    so the verdict, once a prefix fixes it).  Both are functions of the
+    prefix alone (a stage starts at the sum of the durations before it,
     all ``dt``), so resuming from an entry goes on as building the prefix
     again would, bit for bit, and no verdict or history depends on what the
     table holds.  It fills as episodes run and is left out of pickles.  Each worker
@@ -163,7 +164,7 @@ class PathSampler:
         self._origin: TubeState = (env.initial_pose.x, env.initial_pose.y,
                                    env.initial_pose.theta, 0.0, 0.0)
         self.prefix_depth = prefix_table_depth(len(self.measured), horizon)
-        self.prefixes: dict[HistoryKey, tuple[TubeState, Optional[tuple], tuple]] = {}
+        self.prefixes: dict[HistoryKey, tuple[TubeState, tuple]] = {}
 
     def __getstate__(self):
         state = self.__dict__.copy()
@@ -209,9 +210,9 @@ class PathSampler:
 
         A prefix found in the table is restored instead of built, and each
         prefix of at most ``prefix_depth`` stages that is built is tabled, so
-        the tube state, walk and monitor always stand after the history so
-        far.  A prefix is tabled only after its parent, so once one is missing
-        no longer one is found.
+        the tube state and the walk, with its monitor, always stand after the
+        history so far.  A prefix is tabled only after its parent, so once one
+        is missing no longer one is found.
         """
         table, depth, terms = self.prefixes, self.prefix_depth, self.terms
         monitor = SequentialMonitor(self.spec)
@@ -222,20 +223,15 @@ class PathSampler:
             history += (next_step(history),)
             entry = table.get(history) if k <= depth else None
             if entry is not None:
-                state, walk_state, monitor_state = entry
-                monitor.restore(monitor_state)
-                if walk_state is None:  # the prefix fixes the verdict
-                    return history, monitor.verdict
+                state, walk_state = entry
                 walk.restore(walk_state)
-                continue
-            state, stage = propagate_stage(state, terms[history[-1]])
-            walk.append(stage, state[3])
-            verdict = monitor.verdict
-            if k <= depth:
-                table[history] = (state, None if verdict is not None else walk.snapshot(),
-                                  monitor.snapshot())
-            if verdict is not None:
-                return history, verdict
+            else:
+                state, stage = propagate_stage(state, terms[history[-1]])
+                walk.append(stage, state[3])
+                if k <= depth:
+                    table[history] = (state, walk.snapshot())
+            if monitor.verdict is not None:
+                return history, monitor.verdict
         walk.finish()
         return history, monitor.result()
 

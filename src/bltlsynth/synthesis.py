@@ -21,8 +21,13 @@ against it to validate that the real success probability is not below the
 estimate from the chain.  A validation episode simulates the closed loop one
 stage at a time and appends each stage, at radius 0, to a point-trace walk
 that pushes its steps into the mission monitor, as a chain episode's tube
-walk does (``tracegen.decide_tube``); it stops at the stage that fixes its
-verdict.  ``simulate_true_system`` is the whole-horizon form.
+walk does; it stops at the stage that fixes its verdict.
+``simulate_true_system`` is the whole-horizon form.
+
+Every episode task has one contract: ``run(index)`` returns the episode's
+measured history up to the stage that fixes its verdict, and the verdict.
+Both commands estimate with one call on their worker set (``_estimate``),
+which draws the verdicts of the set's task.
 
 A command runs its episodes on one worker set (``_WorkerSet``), the one
 holder of its episode task: ``synthesize`` and ``validate_true_system`` each
@@ -69,8 +74,7 @@ from .dynamics import NoiseModel, VehicleParams, integrate_body, wheel_to_body
 from .env import Environment
 from .mdp import (EMPTY_HISTORY, EpisodeStream, HistoryKey, PathSampler, STREAM_BIE,
                   STREAM_POLICY_EVAL, STREAM_VALIDATE)
-from .tracegen import (Stage, TraceWalk, Trajectory, decide_tube, point_rules,
-                       trace_from_trajectory)
+from .tracegen import Stage, TraceWalk, Trajectory, point_rules, trace_from_trajectory
 
 
 # ---------------------------------------------------------------------------
@@ -253,14 +257,15 @@ class _SynthesisRounds:
 
 @dataclass(frozen=True)
 class _TrueSystemTask:
-    """Closed-loop validation episodes under the strategy: verdicts.
+    """Closed-loop validation episodes under the strategy: (history, verdict).
 
     An episode's stages are simulated one at a time and fed, at radius 0,
     through the point-trace walk into the mission monitor; simulation stops
     at the stage that fixes the verdict (under the pinned seed-2026
     benchmark policy, after 4.19 of 9 stages on average).  The verdict
     equals that of ``simulate_true_system`` on the same episode generator,
-    which comes from the task's own stream of (master seed, validation, 0).
+    which comes from the task's own stream of (master seed, validation, 0),
+    and the history is the start of that run's measurement history.
     """
 
     env: Environment
@@ -277,15 +282,18 @@ class _TrueSystemTask:
         object.__setattr__(self, "rules", point_rules(self.env))
         object.__setattr__(self, "episodes", EpisodeStream(self.master_seed, STREAM_VALIDATE, 0))
 
-    def decide(self, index: int) -> tuple[bool, int]:
-        """Verdict of episode ``index``, and the stages simulated to fix it."""
-        stages = _closed_loop_stages(self.policy, self.env, self.params, self.nm,
-                                     self.horizon, self.episodes.rng(index))
-        return decide_tube(TraceWalk(self.rules, self.env.unsafe, SequentialMonitor(self.spec)),
-                           ((stage, 0.0) for stage, _ in stages))
-
-    def run(self, index: int) -> bool:
-        return self.decide(index)[0]
+    def run(self, index: int) -> tuple[HistoryKey, bool]:
+        """Episode ``index``'s measured history up to the stage that fixes
+        its verdict, or to the horizon, and the verdict."""
+        monitor = SequentialMonitor(self.spec)
+        walk = TraceWalk(self.rules, self.env.unsafe, monitor)
+        for stage, history in _closed_loop_stages(self.policy, self.env, self.params, self.nm,
+                                                  self.horizon, self.episodes.rng(index)):
+            walk.append(stage, 0.0)
+            if monitor.verdict is not None:
+                return history, monitor.verdict
+        walk.finish()
+        return history, monitor.result()
 
 
 def _run_chunk(task, indices: Sequence[int]) -> list:
@@ -718,6 +726,15 @@ def bie_estimate(draw: Callable[[int, int], Sequence[bool]], delta: float,
             return BieResult(p_hat, n, x, lo, hi, coverage)
 
 
+def _estimate(pool: _WorkerSet, algorithm: AlgorithmParams) -> BieResult:
+    """``bie_estimate`` of the verdicts of the set's task's episodes, drawn
+    from index 0 on, with the algorithm's estimation parameters."""
+    return bie_estimate(
+        lambda start, count: [v for _, v in _map_episodes(pool, range(start, start + count))],
+        algorithm.delta, algorithm.confidence, algorithm.prior_alpha, algorithm.prior_beta,
+        batch_size=algorithm.batch_size)
+
+
 # ---------------------------------------------------------------------------
 # The synthesis loop
 
@@ -772,10 +789,6 @@ def synthesize(env: Environment, formula: Formula, params: VehicleParams,
 
     first = _ChainTask(sampler, uniform, master_seed, STREAM_POLICY_EVAL, 1)
     with _worker_set(_SynthesisRounds(first, uniform, algorithm.greediness), workers) as pool:
-        def draw(start: int, count: int) -> list[bool]:
-            episodes = _map_episodes(pool, range(start, start + count))
-            return [satisfied for _, satisfied in episodes]
-
         for round_index in range(1, algorithm.max_rounds + 1):
             if round_index > 1:
                 pool.send(_SynthesisRounds.evaluating, round_index)
@@ -785,9 +798,7 @@ def synthesize(env: Environment, formula: Formula, params: VehicleParams,
                 round_index=round_index, pool=pool)
             best = qtable.estimate.argmax(axis=1).astype(action_type)
             pool.send(_SynthesisRounds.estimating, new_histories, best)
-            estimate = bie_estimate(draw, algorithm.delta, algorithm.confidence,
-                                    algorithm.prior_alpha, algorithm.prior_beta,
-                                    batch_size=algorithm.batch_size)
+            estimate = _estimate(pool, algorithm)
             change = (None if prev_estimate is None
                       else abs(estimate.p_hat - prev_estimate))
             rounds.append(RoundRecord(
@@ -877,12 +888,7 @@ def validate_true_system(policy: Policy, env: Environment, formula: Formula,
     horizon = horizon_stages(formula, params.dt)
     task = _TrueSystemTask(env, spec, params, nm, policy, horizon, master_seed)
     with _worker_set(task, min(workers, algorithm.batch_size)) as pool:
-        def draw(start: int, count: int) -> list[bool]:
-            return _map_episodes(pool, range(start, start + count))
-
-        return bie_estimate(draw, algorithm.delta, algorithm.confidence,
-                            algorithm.prior_alpha, algorithm.prior_beta,
-                            batch_size=algorithm.batch_size)
+        return _estimate(pool, algorithm)
 
 
 def theorem_bound_holds(p_chain: float, p_system: float, delta: float) -> bool:

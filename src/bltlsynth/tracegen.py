@@ -30,14 +30,15 @@ The walk (``TraceWalk``) takes a tube or a point trajectory one stage at a
 time, each with its disc radius (``TraceWalk.append``), places it at the
 total duration of the stages before it, and pushes every trace step that the
 stages so far fix, then the open one after them, into its monitor, the one
-holder of the steps.  ``decide_tube`` reads the verdict of a mission
-``SequentialMonitor`` after each stage, so a chain episode stops building its
-tube, and a closed-loop validation episode stops simulating, once it is
-fixed; a ``StepList`` keeps the whole-trajectory trace of ``trace_from_tube``
-and ``trace_from_trajectory``.  A stage's intervals (``stage_intervals``)
-depend only on the stage, its radius and its start time, so the walk's state
-after a history prefix's stages is a function of the prefix, which a chain
-sampler tables (``TraceWalk.snapshot``).
+holder of the steps.  A chain episode (``mdp.PathSampler.decide``) and a
+closed-loop validation episode (``synthesis._TrueSystemTask.run``) read the
+verdict of a mission ``SequentialMonitor`` after each stage, so the one stops
+building its tube, and the other stops simulating, once it is fixed; a
+``StepList`` keeps the whole-trajectory trace of ``trace_from_tube`` and
+``trace_from_trajectory``.  A stage's intervals (``stage_intervals``) depend
+only on the stage, its radius and its start time, so the state of the walk
+and its monitor after a history prefix's stages is a function of the prefix,
+which a chain sampler tables (``TraceWalk.snapshot``).
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .bltl import TraceStep
 from .dynamics import OMEGA_STRAIGHT_EPS, TWO_PI, angle_diff, integrate_body
@@ -335,9 +336,10 @@ class TraceWalk:
     BREAKPOINT_TOL of the last stage end, or start one there.  ``finish``
     pushes the rest; fed every stage first, it gives the whole-trajectory
     walk.  The monitor, a ``SequentialMonitor`` or a ``StepList``, is the one
-    holder of the steps.  ``snapshot`` gives the walk's state as an immutable
-    value, and ``restore`` puts it into a walk of the same rules, which then
-    goes on as the snapshotted walk would.
+    holder of the steps.  ``snapshot`` gives the state of the walk and of its
+    ``SequentialMonitor`` as an immutable value, and ``restore`` puts it into
+    a walk of the same rules and mission, which then goes on as the
+    snapshotted walk would.
     """
 
     def __init__(self, rules: Sequence[Rule], unsafe: str, monitor):
@@ -372,15 +374,18 @@ class TraceWalk:
         self._walk(True)
 
     def snapshot(self) -> tuple:
-        """The walk's state, as tuples that later appends do not change."""
+        """The walk's state and its monitor's, as tuples that later appends
+        do not change."""
         return (tuple(map(tuple, self.lists)), tuple(self.nxt), self.total, self.t,
-                self.entered)
+                self.entered, self.monitor.snapshot())
 
     def restore(self, state: tuple) -> None:
-        """Take the state of a ``snapshot`` of a walk with the same rules."""
-        lists, nxt, self.total, self.t, self.entered = state
+        """Take the state of a ``snapshot`` of a walk with the same rules and
+        mission, its monitor's included."""
+        lists, nxt, self.total, self.t, self.entered, monitor = state
         self.lists = [list(ivs) for ivs in lists]
         self.nxt = list(nxt)
+        self.monitor.restore(monitor)
 
     def _walk(self, final: bool) -> None:
         lists, nxt, cutter, push = self.lists, self.nxt, self.cutter, self.monitor.push
@@ -440,29 +445,6 @@ class StepList(list):
     def push(self, label: Optional[str], duration: float, closed: bool = True) -> None:
         if closed:
             self.append((label, duration))
-
-
-def decide_tube(walk: TraceWalk, stages: Iterable[tuple[Stage, float]]) -> tuple[bool, int]:
-    """Mission verdict of a tube given stage by stage, and the stages it took.
-
-    Each stage comes with its disc radius and goes through the empty trace
-    ``walk``, which pushes its steps into its fresh ``SequentialMonitor``.
-    The walk has the environment's ``tube_rules`` for a chain episode's tube,
-    or its ``point_rules`` for a closed-loop trajectory, whose stages all
-    come at radius 0.  No further stage is taken once the monitor fixes the
-    verdict; when the stages run out first, the walk is finished and the
-    verdict is that of the whole trace (``SequentialMonitor.result``).
-    """
-    monitor = walk.monitor
-    k = 0
-    for k, (stage, d) in enumerate(stages, 1):
-        walk.append(stage, d)
-        if monitor.verdict is not None:
-            return monitor.verdict, k
-    if k == 0:
-        raise ValueError("cannot trace an empty trajectory")
-    walk.finish()
-    return monitor.result(), k
 
 
 def _trace(rules: Sequence[Rule], unsafe: str, traj: Trajectory,

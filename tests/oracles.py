@@ -24,12 +24,13 @@ directly with numpy's public API (a Philox keyed by the stream's seed
 sequence, the episode index in its counter), which ``mdp.EpisodeStream`` must reproduce bit for bit, the
 policy-file key of one history, which ``cli``'s writer must reproduce, and
 the exact chain value of a deterministic policy, by a search of its history
-tree."""
+tree, and the verdict of a walk fed a whole list of stages
+(``decide_tube``)."""
 
 import csv
 import math
 from bisect import bisect_right
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -43,7 +44,7 @@ from bltlsynth.mdp import EMPTY_HISTORY, STREAM_VALIDATE, HistoryKey
 from bltlsynth.synthesis import bie_estimate, simulate_true_system
 from bltlsynth.tracegen import (_BOX_PAD, _TANGENT_SLACK, BREAKPOINT_TOL, Interval, Rule, Stage,
                                 StageIntervals, TraceWalk, Trajectory, _inside, _touches,
-                                decide_tube, stage_intervals, tube_rules)
+                                stage_intervals, tube_rules)
 from bltlsynth.uncertainty import propagate_stage
 
 
@@ -316,6 +317,29 @@ def follow(history):
     return lambda so_far: history[len(so_far)]
 
 
+def decide_tube(walk: TraceWalk, stages: Iterable[tuple[Stage, float]]) -> tuple[bool, int]:
+    """Mission verdict of a tube given stage by stage, and the stages it took.
+
+    Each stage comes with its disc radius and goes through the empty trace
+    ``walk``, which pushes its steps into its fresh ``SequentialMonitor``.
+    The walk has the environment's ``tube_rules`` for a chain episode's tube,
+    or its ``point_rules`` for a closed-loop trajectory, whose stages all
+    come at radius 0.  No further stage is taken once the monitor fixes the
+    verdict; when the stages run out first, the walk is finished and the
+    verdict is that of the whole trace (``SequentialMonitor.result``).
+    """
+    monitor = walk.monitor
+    k = 0
+    for k, (stage, d) in enumerate(stages, 1):
+        walk.append(stage, d)
+        if monitor.verdict is not None:
+            return monitor.verdict, k
+    if k == 0:
+        raise ValueError("cannot trace an empty trajectory")
+    walk.finish()
+    return monitor.result(), k
+
+
 def replay_decision(sampler, history):
     """Verdict of a horizon-long history and the stage that fixes it, with no
     prefix table: the whole tube that ``finish`` builds, fed stage by stage
@@ -331,16 +355,16 @@ def exact_chain_value(sampler, policy):
     P(h) = sum of p(j_r)·p(j_l)·P(h + (a, j_r, j_l)) over the tile pairs of
     the policy's action a at h, with a leaf wherever the monitor's verdict is
     fixed and, at the horizon, the verdict of the finished walk.  The depth-
-    first search carries the tube state, the walk and the monitor down the
-    tree, so each node costs one stage (``propagate_stage`` and
-    ``walk.append``) from its parent's snapshots."""
+    first search carries the tube state and the walk, with its monitor, down
+    the tree, so each node costs one stage (``propagate_stage`` and
+    ``walk.append``) from its parent's snapshot."""
     assert policy.deterministic
     probs_r, probs_l = sampler.nm.right.probs, sampler.nm.left.probs
     monitor = SequentialMonitor(sampler.spec)
     walk = TraceWalk(tube_rules(sampler.env), sampler.env.unsafe, monitor)
     nodes = 0
 
-    def value(history, state, walk_state, monitor_state):
+    def value(history, state, walk_state):
         nonlocal nodes
         action = policy.best_action(history)
         total = 0.0
@@ -349,19 +373,17 @@ def exact_chain_value(sampler, policy):
                 nodes += 1
                 step = (action, j_r, j_l)
                 walk.restore(walk_state)
-                monitor.restore(monitor_state)
                 child, stage = propagate_stage(state, sampler.terms[step])
                 walk.append(stage, child[3])
                 if monitor.verdict is None and len(history) + 1 < sampler.horizon:
-                    total += p_r * p_l * value(history + (step,), child, walk.snapshot(),
-                                               monitor.snapshot())
+                    total += p_r * p_l * value(history + (step,), child, walk.snapshot())
                     continue
                 if monitor.verdict is None:
                     walk.finish()
                 total += p_r * p_l * monitor.result()
         return total
 
-    return value(EMPTY_HISTORY, sampler._origin, walk.snapshot(), monitor.snapshot()), nodes
+    return value(EMPTY_HISTORY, sampler._origin, walk.snapshot()), nodes
 
 
 def merged_pairs(entries, counts, history_weight):

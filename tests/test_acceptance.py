@@ -18,13 +18,13 @@ from bltlsynth.dynamics import Pose, angle_diff, integrate_body, measure, wheel_
 from bltlsynth.mdp import PathSampler
 from bltlsynth.synthesis import (bie_estimate, synthesize, theorem_bound_holds,
                                  uniform_policy, validate_true_system)
-from bltlsynth.tracegen import TraceWalk, decide_tube, point_rules
+from bltlsynth.tracegen import TraceWalk, point_rules
 from bltlsynth.uncertainty import build_tube
 
 from conftest import (COURIER_FORMULA, COURIER_TRACE, COURIER_TRACE_INNER,
                       COURIER_TRACE_TUBE, MISSION_FORMULA, load_demo_config_doc)
-from oracles import (all_success_stop_count, chained_positions, check_generic, end_pose,
-                     episode_rng, make_stage, random_spec, random_trace, rk4_pose,
+from oracles import (all_success_stop_count, chained_positions, check_generic, decide_tube,
+                     end_pose, episode_rng, make_stage, random_spec, random_trace, rk4_pose,
                      sample_history_scalar, segment_positions_batch, spec_to_formula,
                      successors, wheel_noise)
 

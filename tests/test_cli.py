@@ -529,7 +529,7 @@ class TestValidateCommand:
                                cfg.nm, policy, horizon_stages(cfg.formula, cfg.params.dt),
                                cfg.seed)
         suffixes = [f.stem.rsplit("_", 1)[1] for f in files]
-        assert suffixes == ["sat" if task.run(i) else "viol" for i in range(16)]
+        assert suffixes == ["sat" if task.run(i)[1] else "viol" for i in range(16)]
         assert set(suffixes) == {"sat", "viol"}
 
 

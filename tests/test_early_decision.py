@@ -5,7 +5,8 @@ walk finished once on whole-trajectory interval lists, ``sequential_witness``
 and ``check_generic``, ``PathSampler.finish``, ``simulate_true_system``) or
 its table-free form (a fresh sampler, ``decide_tube``), and the exact chain
 value of a deterministic policy, which decides each history-tree node from
-its parent's stage state, against the unpruned sum of ``finish`` verdicts."""
+its parent's stage state, against the unpruned sum of ``finish`` verdicts,
+and as the value that the estimate's intervals must cover."""
 
 import json
 import math
@@ -21,17 +22,18 @@ from bltlsynth.bltl import (SequentialMonitor, check_sequential, horizon_stages,
 from bltlsynth.config import builtin_config_path, config_from_dict
 from bltlsynth import mdp, tracegen
 from bltlsynth.dynamics import measure
-from bltlsynth.mdp import PREFIX_TABLE_NODES, STREAM_VALIDATE, PathSampler, prefix_table_depth
-from bltlsynth.synthesis import (Policy, _closed_loop_stages, _TrueSystemTask,
-                                 simulate_true_system, synthesize, uniform_policy,
-                                 validate_true_system)
-from bltlsynth.tracegen import (TraceWalk, Trajectory, UncertaintyTube, decide_tube,
-                                point_rules, trace_from_trajectory, trace_from_tube, tube_rules)
+from bltlsynth.mdp import (PREFIX_TABLE_NODES, STREAM_BIE, STREAM_VALIDATE, PathSampler,
+                           prefix_table_depth)
+from bltlsynth.synthesis import (Policy, _ChainTask, _closed_loop_stages, _estimate,
+                                 _TrueSystemTask, _worker_set, simulate_true_system, synthesize,
+                                 uniform_policy, validate_true_system)
+from bltlsynth.tracegen import (TraceWalk, Trajectory, UncertaintyTube, point_rules,
+                                trace_from_trajectory, trace_from_tube, tube_rules)
 from bltlsynth.uncertainty import build_tube
 
 from conftest import DT, ENCODER_DELTA, TEST_ALGORITHM, simple_env, symmetric_noise
-from oracles import (PushRecord, check_generic, closed_loop_stages_reference, episode_rng,
-                     exact_chain_value, follow, one_shot_trace, random_spec, random_trace, random_trace_case,
+from oracles import (PushRecord, check_generic, closed_loop_stages_reference, decide_tube,
+                     episode_rng, exact_chain_value, follow, one_shot_trace, random_spec, random_trace, random_trace_case,
                      replay_decision, sample_history_scalar, spec_to_formula,
                      whole_horizon_validation)
 from test_tracegen import straight_trajectory
@@ -406,10 +408,12 @@ def test_validation_decision_matches_simulate_true_system(name):
     for seed, policy in enumerate(policies):
         task = _TrueSystemTask(cfg.env, s, cfg.params, cfg.nm, policy, horizon, seed)
         for e in range(170):
-            verdict, stages = task.decide(e)
+            history, verdict = task.run(e)
+            stages = len(history)
             whole = simulate_true_system(policy, cfg.env, s, cfg.params, cfg.nm, horizon,
                                          episode_rng(seed, STREAM_VALIDATE, 0, e))
             assert verdict == whole[2]
+            assert history == whole[1][:stages]
             assert 1 <= stages <= horizon
             simulated += stages
             satisfied += verdict
@@ -453,10 +457,78 @@ def test_closed_loop_float_stages_match_the_pose_reference(name):
             assert verdict == check_sequential(trace_from_trajectory(stages, cfg.env), s)
             want = decide_tube(TraceWalk(rules, cfg.env.unsafe, SequentialMonitor(s)),
                                ((st, 0.0) for st in stages.stages))
-            assert task.decide(e) == want and want[0] == verdict
+            history, decided = task.run(e)
+            assert (decided, len(history)) == want and want[0] == verdict
+            assert history == ref[len(history) - 1][1]
             counts.add(want[1])
             verdicts.add(verdict)
     assert len(counts) > 2 and verdicts == {True, False}
+
+
+@pytest.mark.parametrize("name", ["demo", "sharp-turn", "late-dropoff"])
+def test_validation_episode_returns_its_history_and_verdict(name):
+    """A validation episode returns its measured history up to the stage
+    that fixes its verdict, and the verdict: the history is the one the
+    closed loop reaches at that stage on the episode's generator, each step
+    takes the strategy's action on the history before it, and the stage
+    count and verdict are those of the same stages fed at radius 0 through
+    a fresh walk (``decide_tube``)."""
+    cfg = variant_config(name)
+    s = to_sequential(cfg.formula, cfg.env.unsafe)
+    horizon = horizon_stages(cfg.formula, cfg.params.dt)
+    rules = point_rules(cfg.env)
+    rng = np.random.default_rng(65)
+    n_tiles = cfg.nm.right.n
+    policies = [uniform_policy(3), random_strategy(n_tiles, rng),
+                random_strategy(n_tiles, rng, drop=0.25)]
+    counts, verdicts = set(), set()
+    for seed, policy in enumerate(policies):
+        task = _TrueSystemTask(cfg.env, s, cfg.params, cfg.nm, policy, horizon, seed)
+        for e in range(60):
+            history, verdict = task.run(e)
+            stages = list(_closed_loop_stages(policy, cfg.env, cfg.params, cfg.nm, horizon,
+                                              task.episodes.rng(e)))
+            assert 1 <= len(history) <= horizon
+            assert history == stages[len(history) - 1][1]
+            assert all(step[0] == policy.best_action(history[:k])
+                       for k, step in enumerate(history))
+            want = decide_tube(TraceWalk(rules, cfg.env.unsafe, SequentialMonitor(s)),
+                               ((stage, 0.0) for stage, _ in stages))
+            assert (verdict, len(history)) == want
+            counts.add(len(history))
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+    # late-dropoff's verdicts are fixed only in its last stage
+    assert counts == {horizon} if name == "late-dropoff" else len(counts) > 1
+
+
+def test_validation_episode_left_open_at_its_horizon(monkeypatch):
+    """A validation task whose horizon, two stages, falls short of its
+    mission's finishes the walk when the stages run out: the history is then
+    the whole two-stage run's, and the verdict is that of its whole trace."""
+    cfg = variant_config("demo")
+    s = to_sequential(cfg.formula, cfg.env.unsafe)
+    policy = uniform_policy(3)
+    task = _TrueSystemTask(cfg.env, s, cfg.params, cfg.nm, policy, 2, 0)
+    finished = []
+    finish = TraceWalk.finish
+
+    def spy(walk):
+        finished.append(walk)
+        finish(walk)
+
+    monkeypatch.setattr(TraceWalk, "finish", spy)
+    left_open = 0
+    for e in range(60):
+        finished.clear()
+        history, verdict = task.run(e)
+        if finished:
+            left_open += 1
+            assert len(history) == 2
+        _, whole, want = simulate_true_system(policy, cfg.env, s, cfg.params, cfg.nm, 2,
+                                              task.episodes.rng(e))
+        assert verdict == want and history == whole[:len(history)]
+    assert left_open > 20
 
 
 @pytest.mark.parametrize("workers,batch_size", [(1, 1), (1, 4), (2, 1), (2, 4)])
@@ -529,9 +601,8 @@ def test_table_fed_walk_keeps_the_extended_walks_lists(demo_config):
         for k, (stage, d) in enumerate(zip(tube.trajectory.stages, tube.radii), 1):
             streamed.append(stage, d)
             entry = sampler.prefixes.get(history[:k])
-            if entry is not None and entry[1] is not None:
+            if entry is not None:
                 tabled.restore(entry[1])
-                tabled.monitor.restore(entry[2])
                 assert vars(tabled) | {"monitor": None} == vars(streamed) | {"monitor": None}
                 assert tabled.monitor.snapshot() == streamed.monitor.snapshot()
                 restored += 1
@@ -578,7 +649,7 @@ def test_pickled_sampler_carries_an_empty_table():
                 for e in range(50)]
     histories = [h for h, _ in verdicts]
     held = dict(sampler.prefixes)
-    assert any(walk is not None for _, walk, _ in held.values())
+    assert all(isinstance(walk, tuple) for _, walk in held.values())
     clone = pickle.loads(pickle.dumps(sampler))
     assert clone.prefixes == {}
     assert sampler.prefixes == held and held
@@ -595,8 +666,9 @@ def test_pickled_sampler_carries_an_empty_table():
 @pytest.mark.parametrize("name", ["early-contact", "short-horizon"])
 def test_verdicts_fixed_within_the_table_depth(name, monkeypatch):
     """On missions whose verdicts are often fixed within the table's depth, a
-    cold sampler, a warm one that resumes from its table (walk states and
-    verdict entries) and one with no table decide alike, and as ``finish``."""
+    cold sampler, a warm one that resumes from its table (walk snapshots,
+    verdict-fixed ones included) and one with no table decide alike, and as
+    ``finish``."""
     cfg, warm = config_sampler(name)
     assert warm.prefix_depth == 3
     if name == "short-horizon":
@@ -618,7 +690,9 @@ def test_verdicts_fixed_within_the_table_depth(name, monkeypatch):
             assert verdict == fresh_copy(warm).decide(follow(history)) \
                 == untabled.decide(follow(history))
             assert verdict[1] == warm.finish(history).satisfied
-            early += len(verdict[0]) <= 3 and any(entry is not None and entry[1] is None
+            # a walk snapshot ends with its monitor's: (live states, verdict)
+            early += len(verdict[0]) <= 3 and any(entry is not None
+                                                  and entry[1][-1][1] is not None
                                                   for entry in tabled)
     assert untabled.prefixes == {}
     assert resumed > 150 and early > 20
@@ -640,7 +714,7 @@ def test_verdict_left_open_at_a_tabled_horizon(name, monkeypatch):
 
     def spy(walk):
         if isinstance(walk.monitor, SequentialMonitor):  # not ``finish``'s trace
-            finished.append((walk.snapshot(), walk.monitor.snapshot()))
+            finished.append(walk.snapshot())
         finish(walk)
 
     monkeypatch.setattr(TraceWalk, "finish", spy)
@@ -697,7 +771,8 @@ def test_one_pass_history_is_the_scalar_history_cut_at_its_verdict(name, monkeyp
 
 # ---------------------------------------------------------------------------
 # Exact chain values: the pruned tree search that carries each node's tube
-# state, walk and monitor, against the unpruned sum over horizon-long histories
+# state and walk, against the unpruned sum over horizon-long histories, and
+# the estimate's coverage of them
 
 def alternating_policy(n_tiles, horizon):
     """Action 1 at even depths and action 0 at odd ones, with a row for each
@@ -713,26 +788,51 @@ def alternating_policy(n_tiles, horizon):
     return Policy(3, index, actions=actions), level
 
 
-@pytest.mark.parametrize("scale, value, nodes", [(1, 0.8984375, 198), (2, 0.109375, 702)])
-def test_exact_chain_value_is_the_unpruned_sum(demo_params, scale, value, nodes):
+def four_stage_chain(params, scale):
     """A four-stage reach-and-dwell mission on the demo vehicle, at a noise
-    wide enough that verdicts differ, and at twice that noise: the value is
-    the sum, over every horizon-long history, of its probability times
-    ``finish``'s verdict, and the search stops at the node fixing each one."""
+    wide enough that verdicts differ (scale 1) or at ``scale`` times it: its
+    sampler, and the alternating policy with its horizon-long histories."""
     env = simple_env([("a", (0.9, -0.35, 1.4, 0.35)), ("u", (5.0, 5.0, 6.0, 6.0))],
                      props=("u", "a"))
     formula = parse_formula("!u U[<=7.8] G[<=0.5] a")
     nm = symmetric_noise(-15 * scale * ENCODER_DELTA, 10 * scale * ENCODER_DELTA, 3,
                          (0.25, 0.5, 0.25))
-    horizon = horizon_stages(formula, demo_params.dt)
+    horizon = horizon_stages(formula, params.dt)
     assert horizon == 4
-    sampler = PathSampler(env, to_sequential(formula, env.unsafe), demo_params, nm, horizon)
-    policy, histories = alternating_policy(nm.right.n, horizon)
-    probs = nm.right.probs
+    sampler = PathSampler(env, to_sequential(formula, env.unsafe), params, nm, horizon)
+    return (sampler, *alternating_policy(nm.right.n, horizon))
+
+
+@pytest.mark.parametrize("scale, value, nodes", [(1, 0.8984375, 198), (2, 0.109375, 702)])
+def test_exact_chain_value_is_the_unpruned_sum(demo_params, scale, value, nodes):
+    """The four-stage mission at both noise scales: the value is the sum,
+    over every horizon-long history, of its probability times ``finish``'s
+    verdict, and the search stops at the node fixing each one."""
+    sampler, policy, histories = four_stage_chain(demo_params, scale)
+    probs = sampler.nm.right.probs
     unpruned = sum(math.prod(probs[j_r - 1] * probs[j_l - 1] for _, j_r, j_l in h)
                    * sampler.finish(h).satisfied for h in histories)
     assert exact_chain_value(sampler, policy) == (unpruned, nodes)
     assert unpruned == value
+
+
+@pytest.mark.parametrize("scale, value", [(1, 0.8984375), (2, 0.109375)])
+def test_estimate_intervals_cover_the_exact_chain_value(demo_params, scale, value):
+    """Calibration (Zuliani, Platzer, Clarke, HSCC 2010): over 400 stream
+    rounds, the estimate's interval (delta 0.05, confidence 0.95, uniform
+    prior, batch 1) covers the alternating policy's exact chain value on
+    the four-stage mission at least at the stated rate, less three binomial
+    standard deviations."""
+    sampler, policy, _ = four_stage_chain(demo_params, scale)
+    algorithm = replace(TEST_ALGORITHM, delta=0.05, confidence=0.95, prior_alpha=1.0,
+                        prior_beta=1.0, batch_size=1)
+    rounds = 400
+    covered = 0
+    for r in range(rounds):
+        with _worker_set(_ChainTask(sampler, policy, 2026, STREAM_BIE, r), 1) as pool:
+            result = _estimate(pool, algorithm)
+        covered += result.lo <= value <= result.hi
+    assert covered / rounds >= 0.95 - 3 * math.sqrt(0.95 * 0.05 / rounds)
 
 
 @pytest.mark.slow

@@ -62,7 +62,7 @@ def test_closed_loop_stages_match_the_reference(demo_config, monkeypatch, tmp_pa
     task = _TrueSystemTask(cfg.env, to_sequential(cfg.formula, cfg.env.unsafe), cfg.params,
                            cfg.nm, policy, horizon_stages(cfg.formula, cfg.params.dt), 2026)
     for index in range(500):
-        task.decide(index)
+        task.run(index)
     assert len(calls) > 1000 and all(d == 0.0 for d in calls)
 
 

@@ -899,6 +899,27 @@ class TestParallelism:
         assert one == two
         assert 0 < one.successes < one.n and one.n > 4
 
+    def test_spawned_validation_workers_give_the_same_result(self, demo_params, monkeypatch,
+                                                             two_cpus, process_starts):
+        """Spawned workers unpickle the validation task and send each
+        episode back as (history, verdict); the estimate is the serial one."""
+        env = simple_env(self.STRAIGHT_MIXED_ENV)
+        formula = parse_formula("!u U[<=5] a")
+        straight = Policy(3, {EMPTY_HISTORY: 0}, actions=[1])
+        algorithm = replace(self.VALIDATE, batch_size=8)
+        one = validate_true_system(straight, env, formula, demo_params, self.WIDE_NOISE,
+                                   algorithm, master_seed=18, workers=1)
+        assert process_starts == []
+        get_context = multiprocessing.get_context
+        monkeypatch.setattr(multiprocessing, "get_context",
+                            lambda method=None: get_context("spawn"))
+        spawned = validate_true_system(straight, env, formula, demo_params, self.WIDE_NOISE,
+                                       algorithm, master_seed=18, workers=2)
+        assert len(process_starts) == 2
+        assert spawned == one
+        assert 0 < one.successes < one.n and one.n > 8
+        assert multiprocessing.active_children() == []
+
     def test_one_worker_set_per_command(self, demo_params, process_starts):
         env = simple_env(self.MIXED_ENV)
         formula = parse_formula("!u U[<=5] a")
